@@ -22,7 +22,8 @@ from .linalg import (EigResult, canonical_angles, gram_schmidt, sym_eig,
 from .subspace import (ClassModel, GdsModel, SubspaceEnsemble,
                        aligned_first_vectors, difference_subspace_analytic,
                        difference_subspace_geometric, fit_class, fit_ensemble,
-                       gds, gds_decomposition, projection_matrix, sum_matrix)
+                       gds, gds_decomposition, projection_matrix, sum_matrix,
+                       union_span)
 from .synth import (GenSpec, convex_mixture, gaussian_class,
                     labeled_gaussians, labeled_mixtures, subspace_config)
 
@@ -42,6 +43,6 @@ __all__ = [
     "gfda_linear_form", "gfda_product_form", "gram_schmidt",
     "labeled_gaussians", "labeled_mixtures", "null_lda", "pca_lda",
     "project", "projection_matrix", "reg_lda", "scatter_ladder",
-    "subspace_config", "sum_matrix", "sym_eig", "whitening",
+    "subspace_config", "sum_matrix", "sym_eig", "union_span", "whitening",
     "with_normalization", "within_scatter",
 ]

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 validation error, 2 invariant failure.
 import argparse
 import csv
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, fields
@@ -20,10 +21,11 @@ from . import checks, linalg
 from .classify import RULES, evaluate
 from .data import load_dataset, save_dataset
 from .errors import GfdaError, ValidationError
-from .fisher import (DiscriminantModel, discriminant_power_curve, fda,
-                     gds_discriminant, gfda_linear_form, gfda_product_form,
-                     null_lda, pca_lda, reg_lda, scatter_ladder)
-from .subspace import fit_ensemble
+from .fisher import (DiscriminantModel, ScatterPair, discriminant_power_curve,
+                     fda, gds_discriminant, gfda_linear_form,
+                     gfda_product_form, null_lda, pairwise_difference_matrix,
+                     pca_lda, reg_lda)
+from .subspace import aligned_first_vectors, fit_ensemble, union_span
 from .synth import (GenSpec, labeled_gaussians, labeled_mixtures,
                     subspace_config)
 
@@ -78,10 +80,15 @@ class ExperimentConfig:
                 if low not in ("true", "false", "1", "0", "yes", "no"):
                     raise ValidationError(f"{key}: not a boolean: {value!r}")
                 value = low in ("true", "1", "yes")
-            elif key in cls._INT:
-                value = int(value)
-            elif key in cls._FLOAT:
-                value = float(value)
+            elif key in cls._INT or key in cls._FLOAT:
+                what = "an integer" if key in cls._INT else "a finite number"
+                try:
+                    number = (int if key in cls._INT else float)(value)
+                except ValueError:
+                    number = math.nan
+                if not math.isfinite(number):
+                    raise ValidationError(f"{key}: not {what}: {value!r}")
+                value = number
             setattr(cfg, key, value)
         cfg._validate(set(raw) - {k for k, v in raw.items() if v is None})
         return cfg
@@ -174,11 +181,16 @@ def save_model(path, model: DiscriminantModel, cfg: ExperimentConfig):
 
 
 def load_model(path) -> DiscriminantModel:
+    """Read a model file; a malformed file raises ValidationError."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
-        raise ValidationError(f"{path}: not a {MODEL_FORMAT} file")
-    return DiscriminantModel.from_dict(payload["model"])
+        try:
+            payload = json.load(fh)
+            if payload["format"] != MODEL_FORMAT:
+                raise ValidationError(f"not a {MODEL_FORMAT} file")
+            return DiscriminantModel.from_dict(payload["model"])
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: malformed model file "
+                                  f"({type(exc).__name__}: {exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -364,19 +376,15 @@ def cmd_eigencurves(args) -> int:
         L = 4 * C * N
     ensemble = subspace_config(C, N, L, separation=args.separation,
                                seed=args.seed)
-    pair = scatter_ladder(ensemble, "gFDA")
-    G = pair.within
-    ghat = G - pair.between / C
+    # the gFDA pair (B, G) restricted to the union span, in frame coordinates
+    U, vals_g = union_span(ensemble.classes)
+    firsts = aligned_first_vectors(ensemble) @ U
+    pair = ScatterPair(between=pairwise_difference_matrix(firsts),
+                       within=np.diag(vals_g), rung="gFDA")
+    eig_h = linalg.sym_eig(pair.within - pair.between / C)
 
-    eig_g = linalg.sym_eig(G)
-    keep = eig_g.values > linalg.RANK_TOL * eig_g.values[-1]
-    span = eig_g.vectors[:, keep]
-    vals_g = eig_g.values[keep]
-    eig_h = linalg.sym_eig(span.T @ ghat @ span)
-    vecs_h = span @ eig_h.vectors
-
-    power_g = discriminant_power_curve(span, pair)
-    power_h = discriminant_power_curve(vecs_h, pair)
+    power_g = discriminant_power_curve(np.eye(vals_g.size), pair)
+    power_h = discriminant_power_curve(eig_h.vectors, pair)
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "eigenvalue_g", "eigenvalue_ghat",

@@ -13,9 +13,13 @@ from .errors import ValidationError
 
 
 def load_dataset(path):
-    """Read a labeled dataset; returns (X (n, L) float array, labels list)."""
+    """Read a labeled dataset; returns (X (n, L) float array, labels list).
+
+    Features must be finite: a nan or inf is reported with its line.
+    """
     rows = []
     labels = []
+    linenos = []
     width = None
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -42,9 +46,15 @@ def load_dataset(path):
                     f"{path}:{lineno}: expected {width} features, got {len(vec)}")
             labels.append(row[0])
             rows.append(vec)
+            linenos.append(lineno)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float), labels
+    X = np.asarray(rows, dtype=float)
+    bad = np.nonzero(~np.isfinite(X).all(axis=1))[0]
+    if bad.size:
+        raise ValidationError(
+            f"{path}:{linenos[bad[0]]}: non-finite value (nan or inf)")
+    return X, labels
 
 
 def save_dataset(path, X, labels, header=False):

@@ -31,7 +31,7 @@ from . import linalg
 from .errors import (NotApplicableError, OverlapError, UndefinedDirectionError,
                      ValidationError)
 from .subspace import (SubspaceEnsemble, aligned_first_vectors, gds,
-                       sum_matrix)
+                       sum_matrix, union_span)
 
 LADDER_RUNGS = ("FDA", "aFDA", "sFDA", "gFDA")
 
@@ -78,6 +78,11 @@ class DiscriminantModel:
         linalg.as_ortho_basis(self.basis, "discriminant basis")
         if self.class_refs.shape != (len(self.class_labels), self.basis.shape[1]):
             raise ValidationError("class_refs shape does not match labels/basis")
+        if len(set(self.class_labels)) != len(self.class_labels):
+            raise ValidationError("class labels must be unique")
+        wm = self.whitening_map
+        if wm is not None and (wm.ndim != 2 or len(wm) != len(self.basis)):
+            raise ValidationError("whitening_map rows do not match the basis")
 
     @property
     def dim(self) -> int:
@@ -105,7 +110,7 @@ class DiscriminantModel:
     @staticmethod
     def from_dict(d: dict) -> "DiscriminantModel":
         wm = d.get("whitening_map")
-        return DiscriminantModel(
+        model = DiscriminantModel(
             basis=np.asarray(d["basis"], dtype=float),
             method=d["method"],
             class_labels=tuple(d["class_labels"]),
@@ -114,6 +119,10 @@ class DiscriminantModel:
             normalized=bool(d.get("normalized", False)),
             info=dict(d.get("info", {})),
         )
+        arrays = (model.basis, model.class_refs, model.whitening_map)
+        if not all(np.isfinite(a).all() for a in arrays if a is not None):
+            raise ValidationError("model arrays must be finite")
+        return model
 
 
 def with_normalization(model: DiscriminantModel,
@@ -182,15 +191,14 @@ def between_scatter_pairwise(means, counts) -> np.ndarray:
 
 
 def pairwise_difference_matrix(firsts) -> np.ndarray:
-    """sum_{i<j} (v_i - v_j)(v_i - v_j)^T over the rows of ``firsts``."""
+    """sum_{i<j} (v_i - v_j)(v_i - v_j)^T over the rows of ``firsts``.
+
+    Computed in closed form as C * sum_i (v_i - v_bar)(v_i - v_bar)^T,
+    which equals F^T (C I - 1 1^T) F for the (C, d) matrix F of rows.
+    """
     firsts = np.asarray(firsts, dtype=float)
-    C, L = firsts.shape
-    S = np.zeros((L, L))
-    for i in range(C):
-        for j in range(i + 1, C):
-            d = firsts[i] - firsts[j]
-            S += np.outer(d, d)
-    return S
+    centered = firsts - firsts.mean(axis=0)
+    return firsts.shape[0] * (centered.T @ centered)
 
 
 def scatter_ladder(ensemble: SubspaceEnsemble, rung: str) -> ScatterPair:
@@ -282,10 +290,17 @@ def fisher_criterion(d, pair: ScatterPair, tol=1e-12) -> float:
 
 
 def discriminant_power_curve(basis, pair: ScatterPair) -> np.ndarray:
-    """Fisher-like power of each basis column under the given pair."""
+    """Fisher-like power of each basis column under the given pair: the
+    fisher_criterion of every column at once, with the same
+    UndefinedDirectionError for a column of no within-class energy."""
     basis = np.asarray(basis, dtype=float)
-    return np.array([fisher_criterion(basis[:, j], pair)
-                     for j in range(basis.shape[1])])
+    num = np.sum(basis * (pair.between @ basis), axis=0)
+    den = np.sum(basis * (pair.within @ basis), axis=0)
+    scale = np.sum(basis * basis, axis=0) * max(np.linalg.norm(pair.within), 1.0)
+    if np.any(den <= 1e-12 * scale):
+        raise UndefinedDirectionError(
+            "direction has (numerically) zero within-class energy")
+    return num / den
 
 
 def gap_index(C: int) -> float:
@@ -304,57 +319,44 @@ def gfda_product_form(ensemble: SubspaceEnsemble,
                       normalized: bool = False) -> DiscriminantModel:
     """Geometrical discriminant space via whitening followed by PCA.
 
-    Steps: reduce to the pooled span of all class basis vectors (exact when
-    they are linearly independent), whiten the summed projection matrix so
-    all basis vectors become mutually orthonormal, then diagonalize the
+    Steps: take the union-span frame U, S of the pooled class bases
+    (whose rank must equal the number of pooled vectors), whiten the summed
+    projection matrix G = U S^2 U^T with the map diag(1/s) U^T so all basis
+    vectors become mutually orthonormal, then diagonalize the
     pairwise-difference matrix of the whitened first basis vectors and keep
-    its C - 1 leading eigenvectors.  Class references are the projections
-    of the whitened first basis vectors, which are pairwise orthogonal in
-    the normalized space.
+    its C - 1 leading eigenvectors.  That matrix is C X^T X for the C
+    centered whitened first vectors X, so its leading eigenpairs come from
+    the thin SVD of the C x K matrix X.  Class references are the
+    projections of the whitened first basis vectors, which are pairwise
+    orthogonal in the normalized space.
     """
-    pooled = np.hstack([c.basis for c in ensemble.classes])
-    total = pooled.shape[1]
+    C = ensemble.n_classes
+    total = sum(c.dim for c in ensemble.classes)
     if total > ensemble.ambient_dim:
         raise OverlapError(
             f"{total} pooled basis vectors cannot be independent in "
             f"dimension {ensemble.ambient_dim}")
-    reducer = linalg.gram_schmidt(pooled)
-    if reducer.shape[1] < total:
+    U, s2 = union_span(ensemble.classes)
+    if s2.size < total:
         raise OverlapError(
             "class subspaces overlap: pooled basis vectors are dependent "
-            f"(rank {reducer.shape[1]} < {total})")
+            f"(rank {s2.size} < {total})")
 
-    projected = reducer.T @ pooled
-    sw4 = projected @ projected.T
-    white = linalg.whitening(sw4)
-    if white.shape[1] < sw4.shape[0]:
-        raise OverlapError("within matrix singular on the reduced space")
-    wmap = white.T @ reducer.T  # data space -> normalized space
-
-    firsts = aligned_first_vectors(ensemble)
-    hats = wmap @ firsts.T  # columns are the orthogonalized first vectors
-    sigma_a = pairwise_difference_matrix(hats.T)
-    eig = linalg.sym_eig(sigma_a)
-    k = ensemble.n_classes - 1
-    basis = linalg.gram_schmidt(eig.vectors[:, ::-1][:, :k])
+    s = np.sqrt(s2)
+    wmap = U.T / s[:, None]  # data space -> normalized space
+    hats = aligned_first_vectors(ensemble) @ wmap.T  # rows: whitened first vectors
+    _, sv, vt = np.linalg.svd(hats - hats.mean(axis=0), full_matrices=False)
+    k = C - 1
+    basis = linalg.fix_signs(vt[:k].T)
     return DiscriminantModel(
         basis=basis,
         method="gFDA-product" + ("+N" if normalized else ""),
         class_labels=ensemble.labels,
-        class_refs=(basis.T @ hats).T,
+        class_refs=hats @ basis,
         whitening_map=wmap,
         normalized=normalized,
-        info={"criterion_eigenvalues": eig.values[::-1][:k].tolist()},
+        info={"criterion_eigenvalues": (C * sv[:k] ** 2).tolist()},
     )
-
-
-def _sum_subspace(ensemble: SubspaceEnsemble):
-    """Orthonormal basis of the union span of all class subspaces, from the
-    nonzero eigenvectors of the summed projection matrix."""
-    G = sum_matrix(ensemble)
-    eig = linalg.sym_eig(G)
-    keep = eig.values > linalg.RANK_TOL * eig.values[-1]
-    return G, eig.vectors[:, keep]
 
 
 def gfda_linear_form(ensemble: SubspaceEnsemble,
@@ -373,25 +375,24 @@ def gfda_linear_form(ensemble: SubspaceEnsemble,
     """
     C = ensemble.n_classes
     firsts = aligned_first_vectors(ensemble)
-    G, span = _sum_subspace(ensemble)
-    ghat = G - pairwise_difference_matrix(firsts) / C
-
-    if span.shape[1] < C - 1:
+    U, s2 = union_span(ensemble.classes)
+    if s2.size < C - 1:
         raise ValidationError(
-            f"union span of the class subspaces has rank {span.shape[1]}, "
+            f"union span of the class subspaces has rank {s2.size}, "
             f"cannot hold a {C - 1}-dimensional discriminant space")
-    restricted = span.T @ ghat @ span
-    eig = linalg.sym_eig(restricted)
+    # U^T (G - B/C) U = diag(s^2) - U^T B U / C
+    restricted = np.diag(s2) - pairwise_difference_matrix(firsts @ U) / C
+    values, vectors = np.linalg.eigh(restricted)
     k = C - 1
-    selected = eig.values[:k]
-    top = max(abs(eig.values[-1]), 1.0)
+    selected = values[:k]
+    top = max(abs(values[-1]), 1.0)
     if selected[-1] > zero_tol * top:
         warnings.warn(
             f"only {int(np.sum(selected <= zero_tol * top))} of {k} selected "
             f"eigenvalues are near zero (max selected {selected[-1]:.3e}); "
             "class subspaces overlap or are degenerate",
             RuntimeWarning, stacklevel=2)
-    basis = span @ eig.vectors[:, :k]
+    basis = linalg.fix_signs(U @ vectors[:, :k])
     return DiscriminantModel(
         basis=basis,
         method="gFDA-linear" + ("+N" if normalized else ""),

@@ -70,18 +70,15 @@ def as_ortho_basis(Q, name="basis"):
 def fix_signs(V):
     """Flip eigenvector columns so the first nonzero component is positive.
 
-    The sign convention makes every spectral factorization in the package
-    deterministic.  Returns a copy.
+    A component counts as nonzero above 1e-12 of its column's largest
+    magnitude.  The sign convention makes every spectral factorization in
+    the package deterministic.  Returns a copy.
     """
     V = np.array(V, dtype=float)
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        big = np.abs(col).max()
-        if big == 0.0:
-            continue
-        nz = np.nonzero(np.abs(col) > 1e-12 * big)[0]
-        if nz.size and col[nz[0]] < 0:
-            V[:, j] = -col
+    if V.size:
+        mag = np.abs(V)
+        first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+        V[:, V[first, np.arange(V.shape[1])] < 0] *= -1.0
     return V
 
 
@@ -171,19 +168,12 @@ def canonical_angles(U, V) -> CanonicalAngles:
     Z = Zt.T[:, :k]
     # Fix the joint sign of each pair deterministically; flipping both
     # members leaves the inner product (the cosine) unchanged.
-    for i in range(k):
-        col = W[:, i]
-        big = np.abs(col).max()
-        if big == 0.0:
-            continue
-        nz = np.nonzero(np.abs(col) > 1e-12 * big)[0]
-        if nz.size and col[nz[0]] < 0:
-            W[:, i] = -col
-            Z[:, i] = -Z[:, i]
+    fixed = fix_signs(W)
+    flips = np.sign(np.sum(W * fixed, axis=0))
     return CanonicalAngles(
         cosines=np.clip(s, 0.0, 1.0),
-        left=U @ W,
-        right=V @ Z,
+        left=U @ fixed,
+        right=V @ (Z * flips),
     )
 
 

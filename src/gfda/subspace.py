@@ -99,9 +99,9 @@ def fit_class(samples, label=None, dim: Optional[int] = None,
         eigenvalue share reaches this fraction.
 
     With neither rule given, the full numerically nonzero spectrum is kept.
-    When n < L the eigenvectors are computed from the n x n Gram matrix of
-    the samples and lifted, which avoids forming the L x L autocorrelation
-    matrix; the result is identical to the direct route.
+    The eigenpairs come from the thin SVD X = U S V^T of the samples
+    (eigenvalues s^2 / n, eigenvectors V), which never forms the L x L
+    autocorrelation matrix.
     """
     X = np.asarray(samples, dtype=float)
     if X.ndim == 1:
@@ -116,26 +116,10 @@ def fit_class(samples, label=None, dim: Optional[int] = None,
     if not np.any(X):
         raise ValidationError("all samples are zero vectors")
 
-    if n < L:
-        gram = (X @ X.T) / n
-        vals, vecs = np.linalg.eigh(gram)
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
-        keep = vals > linalg.RANK_TOL * vals[0]
-        vals, vecs = vals[keep], vecs[:, keep]
-        basis = (X.T @ vecs) / np.sqrt(n * vals)
-        # lifting amplifies rounding noise for the smallest eigenvalues;
-        # a QR pass restores exact orthonormality without reordering
-        Q, R = np.linalg.qr(basis)
-        basis = Q * np.sign(np.where(np.diag(R) == 0, 1.0, np.diag(R)))
-    else:
-        R = (X.T @ X) / n
-        eig = linalg.sym_eig(R)
-        vals = eig.values[::-1]
-        basis = eig.vectors[:, ::-1]
-        keep = vals > linalg.RANK_TOL * vals[0]
-        vals, basis = vals[keep], basis[:, keep]
-    basis = linalg.fix_signs(basis)
+    _, s, vt = np.linalg.svd(X, full_matrices=False)
+    vals = s**2 / n
+    keep = vals > linalg.RANK_TOL * vals[0]
+    vals, basis = vals[keep], linalg.fix_signs(vt[keep].T)
 
     if dim is not None:
         if dim > vals.size:
@@ -201,6 +185,22 @@ def aligned_first_vectors(ensemble: SubspaceEnsemble) -> np.ndarray:
     return np.array(out)
 
 
+def union_span(classes):
+    """Frame of the union span of class subspaces, from the thin SVD of the
+    pooled basis Phi = [Phi_1 ... Phi_C] = U S V^T.
+
+    Returns (U, s^2): the (L, K) sign-fixed columns of U and the K squared
+    singular values, ascending.  They are the eigenvectors and the nonzero
+    eigenvalues of G = sum_c P_c = U S^2 U^T; values with s^2 <= RANK_TOL *
+    s_max^2 are dropped, so K = rank(Phi) <= sum_c N_c.  gFDA and GDS work
+    on K x K matrices in the coordinates of U, at O(L K^2) cost.
+    """
+    U, s, _ = np.linalg.svd(np.hstack([c.basis for c in classes]),
+                            full_matrices=False)
+    keep = s**2 > linalg.RANK_TOL * s[0] ** 2
+    return linalg.fix_signs(U[:, keep][:, ::-1]), s[keep][::-1] ** 2
+
+
 def difference_subspace_geometric(c1: ClassModel, c2: ClassModel,
                                   tol=OVERLAP_TOL) -> np.ndarray:
     """Difference subspace from normalized canonical-vector differences.
@@ -247,13 +247,7 @@ def difference_subspace_analytic(c1: ClassModel, c2: ClassModel,
     direction (degenerate); eigenvalues within tol of exactly 1 belong to
     neither side and are excluded with a warning.
     """
-    P = projection_matrix(c1) + projection_matrix(c2)
-    eig = linalg.sym_eig(P)
-    vals, vecs = eig.values, eig.vectors
-
-    nonzero = vals > linalg.RANK_TOL * vals[-1]
-    vals, vecs = vals[nonzero], vecs[:, nonzero]
-
+    vecs, vals = union_span((c1, c2))
     if vals.size == 0 or np.any(vals >= 2.0 - tol):
         hit = int(np.argmax(vals)) if vals.size else 0
         raise DegeneratePairError(
@@ -305,51 +299,48 @@ def gds(ensemble: SubspaceEnsemble, dims: Optional[int] = None,
         gamma: Optional[float] = None) -> GdsModel:
     """Generalized difference subspace of C class subspaces.
 
-    Eigendecomposes G = sum_c P_c and keeps eigenvectors of the smallest
-    eigenvalues *within the sum subspace* (eigenvalue > 0); directions
-    orthogonal to every class subspace carry no information and are never
-    selected.
+    Takes the spectrum of G = sum_c P_c from the union-span frame and keeps
+    the eigenvectors of the smallest eigenvalues *within the sum subspace*
+    (eigenvalue > 0); directions orthogonal to every class subspace carry
+    no information and are never selected.
 
     Exactly one rule must be given: ``dims`` fixes N_d, while ``gamma``
     grows N_d until the cumulative discriminant power of the selected
-    eigenvectors reaches beta = C (C - 1) * gamma.  Fully degenerate
-    spectra (e.g. mutually orthogonal classes) are resolved by the
-    deterministic eigenvector order of sym_eig; any basis of the tied
+    eigenvectors reaches beta = C (C - 1) * gamma; the power of eigenvector
+    u_j is (u_j^T B u_j) / s_j^2, with B the gFDA pairwise-difference
+    matrix.  Fully degenerate spectra (e.g. mutually orthogonal classes) are
+    resolved by the deterministic order of the frame; any basis of the tied
     eigenspace is equally valid.
     """
     if (dims is None) == (gamma is None):
         raise ValidationError("give exactly one of dims or gamma")
-    G = sum_matrix(ensemble)
-    eig = linalg.sym_eig(G)
-    keep = eig.values > linalg.RANK_TOL * eig.values[-1]
-    vals, vecs = eig.values[keep], eig.vectors[:, keep]
+    vecs, vals = union_span(ensemble.classes)
 
     if dims is not None:
         if not (1 <= dims <= vals.size):
             raise ValidationError(
                 f"GDS dimension {dims} outside the rank of G ({vals.size})")
         sel = GdsSelection(rule="fixed", dims=dims)
-        return GdsModel(basis=vecs[:, :dims], eigenvalues=vals[:dims],
-                        selection=sel)
+    else:
+        if not (0.0 < gamma <= 1.0):
+            raise ValidationError("gamma must be in (0, 1]")
+        from .fisher import pairwise_difference_matrix
 
-    if not (0.0 < gamma <= 1.0):
-        raise ValidationError("gamma must be in (0, 1]")
-    from .fisher import discriminant_power_curve, scatter_ladder
-
-    pair = scatter_ladder(ensemble, "gFDA")
-    C = ensemble.n_classes
-    beta = C * (C - 1) * gamma
-    powers = discriminant_power_curve(vecs, pair)
-    cumulative = np.cumsum(powers)
-    reached = np.nonzero(cumulative >= beta - 1e-9)[0]
-    if reached.size == 0:
-        raise ValidationError(
-            f"cumulative discriminant power {cumulative[-1]:.6f} never "
-            f"reaches beta = {beta:.6f}; the class subspaces overlap too much")
-    n_d = int(reached[0]) + 1
-    sel = GdsSelection(rule="power", dims=n_d, gamma=gamma, beta=beta,
-                       achieved_power=float(cumulative[n_d - 1]))
-    return GdsModel(basis=vecs[:, :n_d], eigenvalues=vals[:n_d], selection=sel)
+        C = ensemble.n_classes
+        beta = C * (C - 1) * gamma
+        firsts = aligned_first_vectors(ensemble) @ vecs
+        powers = np.diag(pairwise_difference_matrix(firsts)) / vals
+        cumulative = np.cumsum(powers)
+        reached = np.nonzero(cumulative >= beta - 1e-9)[0]
+        if reached.size == 0:
+            raise ValidationError(
+                f"cumulative discriminant power {cumulative[-1]:.6f} never "
+                f"reaches beta = {beta:.6f}; the class subspaces overlap too much")
+        dims = int(reached[0]) + 1
+        sel = GdsSelection(rule="power", dims=dims, gamma=gamma, beta=beta,
+                           achieved_power=float(cumulative[dims - 1]))
+    return GdsModel(basis=vecs[:, :dims], eigenvalues=vals[:dims],
+                    selection=sel)
 
 
 def gds_decomposition(ensemble: SubspaceEnsemble):
@@ -368,20 +359,14 @@ def gds_decomposition(ensemble: SubspaceEnsemble):
     if len(dims) != 1:
         raise ValidationError(
             f"classes must share one subspace dimension, got {sorted(dims)}")
-    C = ensemble.n_classes
-    L = ensemble.ambient_dim
-    firsts = aligned_first_vectors(ensemble)
+    from .fisher import pairwise_difference_matrix
 
-    B = np.zeros((L, L))
-    W5 = np.zeros((L, L))
+    C = ensemble.n_classes
+    firsts = aligned_first_vectors(ensemble)
     coef = 1.0 / (2.0 * (C - 1))
-    for j in range(C):
-        for k in range(j + 1, C):
-            z = firsts[j] - firsts[k]
-            zp = firsts[j] + firsts[k]
-            B += np.outer(z, z)
-            W5 += coef * np.outer(zp, zp)
-    for c in ensemble.classes:
-        rest = c.basis[:, 1:]
-        W5 += rest @ rest.T
-    return coef * B, W5
+    # sum_{j<k} z' z'^T = (C - 2) F^T F + (F^T 1)(F^T 1)^T
+    total = firsts.sum(axis=0)
+    W5 = coef * ((C - 2) * (firsts.T @ firsts) + np.outer(total, total))
+    rest = np.hstack([c.basis[:, 1:] for c in ensemble.classes])
+    W5 += rest @ rest.T
+    return coef * pairwise_difference_matrix(firsts), W5

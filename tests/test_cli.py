@@ -276,3 +276,94 @@ class TestConfigHandling:
 
     def test_usage_error_maps_to_one(self):
         assert run("eigencurves") == 1  # missing required arguments
+
+    def test_non_finite_dataset_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,1.0,2.0,0.5\na,1.1,2.0,0.4\nb,0.2,nan,3.0\n"
+                       "b,0.1,1.0,3.0\n")
+        assert run("eval", "--train", str(bad), "--method", "gfda-linear",
+                   "--train-count", "1", "--repetitions", "1",
+                   "--out", str(tmp_path / "e.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.csv:3" in err
+
+    @pytest.mark.parametrize("line,message", [
+        ("repetitions = abc", "repetitions: not an integer: 'abc'"),
+        ("seed = 1.5", "seed: not an integer: '1.5'"),
+        ("delta = abc", "delta: not a finite number: 'abc'"),
+        ("delta = nan", "delta: not a finite number: 'nan'"),
+    ])
+    def test_unparsable_config_value(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"method = regLDA\n{line}\n")
+        assert run("eval", "--config", str(cfg), "--out",
+                   str(tmp_path / "x.csv")) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
+
+class TestModelFile:
+    @pytest.fixture()
+    def model_payload(self, gaussian_sets, tmp_path):
+        train, _ = gaussian_sets
+        path = tmp_path / "model.json"
+        assert run("fit", "--train", str(train), "--method", "gfda",
+                   "--subspace-dim", "2", "--out", str(path)) == 0
+        return json.loads(path.read_text())
+
+    def _eval_model(self, gaussian_sets, tmp_path, text):
+        _, test = gaussian_sets
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        return run("eval", "--model", str(path), "--test", str(test),
+                   "--out", str(tmp_path / "e.csv"))
+
+    def test_malformed_json(self, gaussian_sets, tmp_path, capsys):
+        assert self._eval_model(gaussian_sets, tmp_path, '{"format": ') == 1
+        assert "JSONDecodeError" in capsys.readouterr().err
+
+    def test_payload_not_an_object(self, gaussian_sets, tmp_path, capsys):
+        assert self._eval_model(gaussian_sets, tmp_path, "[1, 2]") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_missing_model_entry(self, gaussian_sets, tmp_path, capsys):
+        text = json.dumps({"format": cli.MODEL_FORMAT})
+        assert self._eval_model(gaussian_sets, tmp_path, text) == 1
+        assert "KeyError: 'model'" in capsys.readouterr().err
+
+    def test_missing_model_keys(self, gaussian_sets, tmp_path, capsys):
+        text = json.dumps({"format": cli.MODEL_FORMAT, "model": {}})
+        assert self._eval_model(gaussian_sets, tmp_path, text) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "KeyError" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("class_refs", [[1.0, 2.0]]),
+        ("whitening_map", [[1.0, 0.0], [0.0, 1.0]]),
+        ("basis", [1.0, 0.0]),
+        ("basis", [[1.0, "x"]]),
+        ("class_refs", [[1.0], [1.0, 2.0]]),
+        ("class_refs", [[float("nan")] * 3] * 4),
+        ("class_labels", ["c00", "c00", "c01", "c02"]),
+        ("class_labels", 3),
+        ("info", [1]),
+        ("basis", 5),
+    ])
+    def test_malformed_model_entry(self, gaussian_sets, tmp_path, capsys,
+                                  model_payload, key, value):
+        model_payload["model"][key] = value
+        text = json.dumps(model_payload)
+        assert self._eval_model(gaussian_sets, tmp_path, text) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_wrong_format_tag(self, gaussian_sets, tmp_path, capsys,
+                              model_payload):
+        model_payload["format"] = "gfda-model-v0"
+        text = json.dumps(model_payload)
+        assert self._eval_model(gaussian_sets, tmp_path, text) == 1
+        assert f"not a {cli.MODEL_FORMAT} file" in capsys.readouterr().err
+
+    def test_round_trip_still_loads(self, gaussian_sets, tmp_path,
+                                    model_payload):
+        text = json.dumps(model_payload)
+        assert self._eval_model(gaussian_sets, tmp_path, text) == 0

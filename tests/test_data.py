@@ -51,3 +51,11 @@ def test_empty_file_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(ValidationError):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_value_names_line(tmp_path, value):
+    path = tmp_path / "set.csv"
+    path.write_text(f"A,1.0,2.0\nB,3.0,4.0\nC,{value},4.0\n")
+    with pytest.raises(ValidationError, match=r"set\.csv:3: non-finite"):
+        load_dataset(path)

@@ -464,6 +464,27 @@ class TestPowerAndGap:
         npt.assert_allclose(powers.sum(), C * (C - 1), atol=1e-8)
 
 
+    def test_power_curve_matches_per_vector_criterion(self):
+        ens = gfda.subspace_config(4, 2, 24, seed=103)
+        pair = gfda.scatter_ladder(ens, "gFDA")
+        basis = np.random.default_rng(104).standard_normal((24, 6))
+        expected = [gfda.fisher_criterion(basis[:, j], pair)
+                    for j in range(6)]
+        npt.assert_allclose(gfda.discriminant_power_curve(basis, pair),
+                            expected, rtol=1e-12)
+
+    def test_power_curve_rejects_zero_energy_direction(self):
+        ens = gfda.subspace_config(3, 1, 12, seed=105)
+        pair = gfda.scatter_ladder(ens, "gFDA")
+        span = np.hstack([c.basis for c in ens.classes])
+        outside = np.linalg.svd(span)[0][:, -1]  # orthogonal to every class
+        basis = np.column_stack([span[:, 0], outside])
+        with pytest.raises(UndefinedDirectionError):
+            gfda.fisher_criterion(outside, pair)
+        with pytest.raises(UndefinedDirectionError):
+            gfda.discriminant_power_curve(basis, pair)
+
+
 class TestModelSerialization:
     def test_round_trip(self):
         ens = gfda.subspace_config(3, 2, 18, seed=102)

@@ -56,6 +56,36 @@ class TestSymEig:
             assert col[nz[0]] > 0
 
 
+def loop_fix_signs(V):
+    V = np.array(V, dtype=float)
+    for j in range(V.shape[1]):
+        col = V[:, j]
+        big = np.abs(col).max()
+        if big == 0.0:
+            continue
+        nz = np.nonzero(np.abs(col) > 1e-12 * big)[0]
+        if nz.size and col[nz[0]] < 0:
+            V[:, j] = -col
+    return V
+
+
+class TestFixSigns:
+    def test_matches_column_loop(self):
+        rng = np.random.default_rng(6)
+        V = rng.standard_normal((9, 7))
+        V[:3, 1] = 0.0                  # leading zeros
+        V[:, 2] = 0.0                   # zero column
+        V[0, 3] = -1e-14 * np.abs(V[:, 3]).max()  # below the 1e-12 cut
+        V[0, 4] = -0.0
+        npt.assert_array_equal(linalg.fix_signs(V), loop_fix_signs(V))
+
+    def test_returns_copy(self):
+        V = -np.eye(2)
+        out = linalg.fix_signs(V)
+        npt.assert_array_equal(out, np.eye(2))
+        npt.assert_array_equal(V, -np.eye(2))
+
+
 class TestGramSchmidt:
     def test_two_vector_example(self):
         out = linalg.gram_schmidt([np.array([1.0, 0.0]), np.array([1.0, 1.0])])
@@ -173,6 +203,16 @@ class TestCanonicalAngles:
             assert res.left[:, i] @ res.right[:, i] >= 0
             npt.assert_allclose(res.left[:, i] @ res.right[:, i], cos,
                                 atol=1e-12)
+
+    def test_pair_signs_follow_convention(self):
+        # each pair is flipped jointly so that its coordinates in U have a
+        # positive leading component
+        rng = np.random.default_rng(9)
+        U = random_orthonormal(rng, 12, 4)
+        V = random_orthonormal(rng, 12, 3)
+        res = linalg.canonical_angles(U, V)
+        W = U.T @ res.left
+        npt.assert_allclose(linalg.fix_signs(W), W, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):

@@ -48,8 +48,8 @@ class TestFitClass:
         assert corr > 0.99
 
     def test_gram_path_matches_direct_route(self):
-        # n < L triggers the Gram-matrix route; compare against numpy's
-        # eigendecomposition of the explicit autocorrelation matrix.
+        # n < L: compare against numpy's eigendecomposition of the
+        # explicit autocorrelation matrix.
         rng = np.random.default_rng(22)
         X = rng.standard_normal((6, 40)) + 2.0
         m = gfda.fit_class(X)
