@@ -184,7 +184,7 @@ def check_power(classes=(3, 5), dims=(2,), seed=41):
             ens = subspace_config(C, N, 4 * C * N, seed=seed + C + N)
             pair = scatter_ladder(ens, "gFDA")
             powers = discriminant_power_curve(
-                gfda_linear_form(ens).basis, pair)
+                gfda_linear_form(ens).projector, pair)
             worst = max(worst, float(np.max(np.abs(powers - C)) / C))
     tol = 1e-8
     return CheckResult("gfda-power", worst <= tol, worst, tol,

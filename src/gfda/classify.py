@@ -1,13 +1,14 @@
 """Projection onto a discriminant space, classifiers, and evaluation.
 
-Classification projects a raw vector through the model's optional whitening
-map onto the discriminant basis, optionally normalizes the projection to
-unit length, and compares it against per-class reference points, either by
-squared Euclidean distance or by signed cosine.  The two rules coincide
-when projections and references are both normalized.
+Classification maps raw vectors through the model's (L, k) projector,
+optionally normalizes each projection to unit length, and compares it
+against per-class reference points, either by squared Euclidean distance or
+by signed cosine.  The two rules coincide when projections and references
+are both normalized.  A whole test set is projected and scored at once.
 """
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,71 +41,76 @@ class ProjectedPoint:
 
 
 def project(model: DiscriminantModel, x, normalize: Optional[bool] = None) -> ProjectedPoint:
-    """Project a raw vector onto the model's discriminant space.
+    """Project a raw vector, or each row of an (n, L) matrix, onto the
+    model's discriminant space: t = projector^T x.
 
-    The vector is first mapped through the whitening map when the model has
-    one.  With normalize (defaulting to the model's own flag) the projection
-    is scaled to unit length; a numerically zero projection then has no
-    direction and raises UndefinedDirectionError.
+    With normalize (defaulting to the model's own flag) each projection is
+    scaled to unit length; a projection of norm at most 1e-12 ||x|| has no
+    direction and raises UndefinedDirectionError.  Vectors whose width is
+    not the model's raise ValidationError.
     """
     if normalize is None:
         normalize = model.normalized
-    x = np.asarray(x, dtype=float).ravel()
-    w = x if model.whitening_map is None else model.whitening_map @ x
-    t = model.basis.T @ w
+    x = np.asarray(x, dtype=float)
+    X = x if x.ndim == 2 else x.reshape(1, -1)
+    if X.shape[1] != len(model.projector):
+        raise ValidationError(f"test vectors have {X.shape[1]} features; "
+                              f"the model expects {len(model.projector)}")
+    T = X @ model.projector
     if normalize:
-        norm = np.linalg.norm(t)
-        if norm <= 1e-12 * max(np.linalg.norm(w), 1e-300):
+        norms = np.linalg.norm(T, axis=1, keepdims=True)
+        scale = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-300)
+        if np.any(norms <= 1e-12 * scale):
             raise UndefinedDirectionError(
                 "projection is numerically zero; cannot normalize")
-        t = t / norm
-    return ProjectedPoint(coords=t, normalized=bool(normalize))
+        T = T / norms
+    return ProjectedPoint(coords=T if x.ndim == 2 else T[0],
+                          normalized=bool(normalize))
 
 
-def _reference_points(model: DiscriminantModel) -> np.ndarray:
+def _reference_norms(model: DiscriminantModel) -> np.ndarray:
+    norms = np.linalg.norm(model.class_refs, axis=1)
+    if np.any(norms <= 0):
+        raise UndefinedDirectionError("a class reference projects to zero")
+    return norms
+
+
+def _scores(model: DiscriminantModel, X, rule: str) -> np.ndarray:
+    """(n, C) per-class affinity scores of the rows of X; larger is better."""
     refs = model.class_refs
-    if model.normalized:
-        norms = np.linalg.norm(refs, axis=1, keepdims=True)
-        if np.any(norms <= 0):
-            raise UndefinedDirectionError("a class reference projects to zero")
-        refs = refs / norms
-    return refs
-
-
-def _scores(model: DiscriminantModel, x, rule: str) -> np.ndarray:
-    """Per-class affinity scores for one sample; larger is better."""
     if rule == NEAREST_MEAN:
-        t = project(model, x).coords
-        d = _reference_points(model) - t
-        return -np.sum(d * d, axis=1)
+        T = project(model, X).coords
+        if model.normalized:
+            refs = refs / _reference_norms(model)[:, None]
+        d = refs[None] - T[:, None]
+        return -np.sum(d * d, axis=2)
     if rule == COSINE:
-        t = project(model, x, normalize=True).coords
-        refs = model.class_refs
-        rnorms = np.linalg.norm(refs, axis=1)
-        if np.any(rnorms <= 0):
-            raise UndefinedDirectionError("a class reference projects to zero")
-        return refs @ t / rnorms
+        T = project(model, X, normalize=True).coords
+        return T @ refs.T / _reference_norms(model)
     raise ValidationError(f"unknown rule {rule!r}; pick one of {RULES}")
 
 
-def _best_label(labels, scores):
-    # ties resolved toward the smallest label for determinism
-    top = np.max(scores)
-    winners = [lab for lab, s in zip(labels, scores) if s == top]
-    return min(winners)
+def _predict(model: DiscriminantModel, scores) -> np.ndarray:
+    """Column of each row's top score; exact ties go to the smallest label."""
+    labels = model.class_labels
+    order = np.array(sorted(range(len(labels)), key=labels.__getitem__))
+    return order[np.argmax(scores[:, order], axis=1)]
+
+
+def _classify_one(model: DiscriminantModel, x, rule: str):
+    row = np.reshape(np.asarray(x, dtype=float), (1, -1))
+    return model.class_labels[_predict(model, _scores(model, row, rule))[0]]
 
 
 def classify_nearest_mean(model: DiscriminantModel, x):
     """Label of the reference point closest in squared L2 distance."""
-    scores = _scores(model, x, NEAREST_MEAN)
-    return _best_label(model.class_labels, scores)
+    return _classify_one(model, x, NEAREST_MEAN)
 
 
 def classify_cosine(model: DiscriminantModel, x):
     """Label of the reference point with the largest signed cosine (plain
     cosine rather than its square, so angles past 90 degrees count against)."""
-    scores = _scores(model, x, COSINE)
-    return _best_label(model.class_labels, scores)
+    return _classify_one(model, x, COSINE)
 
 
 def equal_error_rate(genuine, impostor) -> float:
@@ -168,30 +174,26 @@ def evaluate(model: DiscriminantModel, X, y, rule: str = NEAREST_MEAN) -> EvalRe
 
     Every sample contributes one genuine score (against its true class) and
     C - 1 impostor scores.  Scores are negative squared distances under the
-    nearest-mean rule and signed cosines under the cosine rule.
+    nearest-mean rule and signed cosines under the cosine rule.  The test
+    set is scored in one pass, holding an (n, C, k) array under the
+    nearest-mean rule.
     """
     X = np.asarray(X, dtype=float)
     y = list(y)
-    if X.shape[0] == 0 or X.shape[0] != len(y):
+    if X.ndim != 2 or X.shape[0] == 0 or X.shape[0] != len(y):
         raise ValidationError("test set is empty or labels do not align")
     unknown = sorted({str(lab) for lab in y
                       if lab not in model.class_labels})
     if unknown:
         raise ValidationError(f"test labels not in the model: {unknown}")
 
-    label_pos = {lab: i for i, lab in enumerate(model.class_labels)}
-    correct = 0
-    confusion: dict = {}
-    genuine, impostor = [], []
-    for x, true in zip(X, y):
-        scores = _scores(model, x, rule)
-        pred = _best_label(model.class_labels, scores)
-        if pred == true:
-            correct += 1
-        confusion[(true, pred)] = confusion.get((true, pred), 0) + 1
-        i = label_pos[true]
-        genuine.append(scores[i])
-        impostor.extend(np.delete(scores, i))
+    labels = model.class_labels
+    true = np.array([labels.index(lab) for lab in y])
+    scores = _scores(model, X, rule)
+    pred = _predict(model, scores)
+    is_genuine = true[:, None] == np.arange(len(labels))
+    confusion = dict(Counter((t, labels[p]) for t, p in zip(y, pred)))
+    genuine, impostor = scores[is_genuine], scores[~is_genuine]
 
     if len(set(y)) < 2:
         warnings.warn("single-class test set: EER is undefined",
@@ -200,11 +202,11 @@ def evaluate(model: DiscriminantModel, X, y, rule: str = NEAREST_MEAN) -> EvalRe
     else:
         eer = equal_error_rate(genuine, impostor)
     return EvalReport(
-        recognition_rate=100.0 * correct / X.shape[0],
+        recognition_rate=100.0 * np.count_nonzero(pred == true) / X.shape[0],
         eer=eer,
         confusion=confusion,
-        genuine_scores=np.asarray(genuine),
-        impostor_scores=np.asarray(impostor),
+        genuine_scores=genuine,
+        impostor_scores=impostor,
         n_test=X.shape[0],
         rule=rule,
         metadata={"eer_protocol": EER_PROTOCOL, "method": model.method},

@@ -41,7 +41,7 @@ _PARAM_METHODS = {
     "energy": {"gfda", "gfda-linear", "gds"},
 }
 
-MODEL_FORMAT = "gfda-model-v1"
+MODEL_FORMAT = "gfda-model-v2"
 
 
 @dataclass
@@ -197,19 +197,14 @@ def load_model(path) -> DiscriminantModel:
 # evaluation protocol
 # ---------------------------------------------------------------------------
 
-def _per_class_indices(y):
-    y = np.asarray(y)
-    return {label: np.nonzero(y == label)[0]
-            for label in sorted(set(y.tolist()))}
-
-
 def _split_train_test(X, y, n, rng, external_test):
     """Pick n training rows per class; test on the rest or an external set."""
-    by_label = _per_class_indices(y)
+    y = np.asarray(y)
     train_idx = []
     test_idx = []
     kept = []
-    for label, idx in by_label.items():
+    for label in sorted(set(y.tolist())):
+        idx = np.nonzero(y == label)[0]
         if n is not None and idx.size < n:
             print(f"warning: class {label!r} has {idx.size} < {n} samples; "
                   "skipped", file=sys.stderr)
@@ -218,13 +213,12 @@ def _split_train_test(X, y, n, rng, external_test):
         if n is None:
             train_idx.extend(idx.tolist())
         else:
-            sel = rng.choice(idx.size, size=n, replace=False)
-            chosen = set(idx[sel].tolist())
-            train_idx.extend(sorted(chosen))
-            test_idx.extend(i for i in idx.tolist() if i not in chosen)
+            chosen = np.zeros(idx.size, dtype=bool)
+            chosen[rng.choice(idx.size, size=n, replace=False)] = True
+            train_idx.extend(idx[chosen].tolist())
+            test_idx.extend(idx[~chosen].tolist())
     if len(kept) < 2:
         raise ValidationError("fewer than 2 classes have enough samples")
-    y = np.asarray(y)
     Xtr, ytr = X[train_idx], y[train_idx].tolist()
     if external_test is not None:
         Xte, yte_all = external_test
@@ -243,12 +237,21 @@ def _split_train_test(X, y, n, rng, external_test):
     return Xtr, ytr, Xte, yte
 
 
-def run_protocol(cfg: ExperimentConfig):
-    """Repeated random-subset evaluation; returns one report per repetition."""
+def load_protocol_data(cfg: ExperimentConfig):
+    """The protocol's datasets: (X, y, external test set or None)."""
     if not cfg.train:
         raise ValidationError("a training dataset is required (train=...)")
     X, y = load_dataset(cfg.train)
-    external = load_dataset(cfg.test) if cfg.test else None
+    return X, y, load_dataset(cfg.test) if cfg.test else None
+
+
+def run_protocol(cfg: ExperimentConfig, data=None):
+    """Repeated random-subset evaluation; returns one report per repetition.
+
+    data is what load_protocol_data(cfg) returns, for callers that run
+    several protocols over the same datasets; by default it is loaded here.
+    """
+    X, y, external = load_protocol_data(cfg) if data is None else data
     reports = []
     for rep in range(cfg.repetitions):
         rng = np.random.default_rng(cfg.seed + rep)
@@ -337,10 +340,11 @@ def cmd_sweep(args) -> int:
     lo, hi = args.min_n, args.max_n
     if lo < 1 or hi < lo:
         raise ValidationError("need 1 <= min-n <= max-n")
+    data = load_protocol_data(cfg)
     rows = []
     for n in range(lo, hi + 1):
         cfg.train_count = n
-        reports = run_protocol(cfg)
+        reports = run_protocol(cfg, data)
         recs = np.array([r.recognition_rate for r in reports])
         eers = np.array([r.eer for r in reports if r.eer is not None])
         rows.append([n, len(reports), _fmt(recs.mean()), _fmt(recs.std()),

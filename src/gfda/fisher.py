@@ -21,8 +21,7 @@ any number of samples).  Both spans coincide.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.linalg
@@ -55,74 +54,70 @@ class ScatterPair:
 
 @dataclass(frozen=True)
 class DiscriminantModel:
-    """An orthonormal discriminant basis plus what is needed to classify.
+    """A linear map onto a discriminant space plus what is needed to classify.
 
-    basis : (d, k) orthonormal columns in the model's working coordinates
-    whitening_map : optional (d, L) map applied to raw vectors before
-        projection; None means the working coordinates are the data space
+    projector : (L, k) map from data space to discriminant coordinates,
+        t = projector^T x; its columns are orthonormal for every method but
+        the product form, which folds its whitening map in
     class_refs : (C, k) reference point of each class in discriminant
         coordinates, rows aligned with class_labels
     normalized : when True, classification normalizes projections and
         references to unit length (the "+N" variants)
     """
 
-    basis: np.ndarray
+    projector: np.ndarray
     method: str
     class_labels: tuple
     class_refs: np.ndarray
-    whitening_map: Optional[np.ndarray] = None
     normalized: bool = False
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        linalg.as_ortho_basis(self.basis, "discriminant basis")
-        if self.class_refs.shape != (len(self.class_labels), self.basis.shape[1]):
-            raise ValidationError("class_refs shape does not match labels/basis")
+        P = self.projector
+        if P.ndim != 2 or self.class_refs.shape != (len(self.class_labels),
+                                                    P.shape[1]):
+            raise ValidationError("class_refs shape does not match labels/projector")
         if len(set(self.class_labels)) != len(self.class_labels):
             raise ValidationError("class labels must be unique")
-        wm = self.whitening_map
-        if wm is not None and (wm.ndim != 2 or len(wm) != len(self.basis)):
-            raise ValidationError("whitening_map rows do not match the basis")
+        try:
+            sorted(self.class_labels)
+        except TypeError:
+            raise ValidationError("class labels must be mutually orderable") from None
+        if not (np.isfinite(P).all() and np.isfinite(self.class_refs).all()):
+            raise ValidationError("model arrays must be finite")
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return self.projector.shape[1]
 
     def effective_basis(self) -> np.ndarray:
         """Orthonormal basis, in data space, of the subspace the model
-        actually projects onto (whitening folded in)."""
-        if self.whitening_map is None:
-            return self.basis
-        return linalg.gram_schmidt(self.whitening_map.T @ self.basis)
+        actually projects onto."""
+        return linalg.gram_schmidt(self.projector)
 
     def to_dict(self) -> dict:
         return {
             "method": self.method,
-            "basis": self.basis.tolist(),
+            "projector": self.projector.tolist(),
             "class_labels": list(self.class_labels),
             "class_refs": self.class_refs.tolist(),
-            "whitening_map": None if self.whitening_map is None
-            else self.whitening_map.tolist(),
             "normalized": self.normalized,
             "info": self.info,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "DiscriminantModel":
-        wm = d.get("whitening_map")
-        model = DiscriminantModel(
-            basis=np.asarray(d["basis"], dtype=float),
+        unknown = set(d) - {f.name for f in fields(DiscriminantModel)}
+        if unknown:
+            raise ValidationError(f"unknown model entries {sorted(unknown)}")
+        return DiscriminantModel(
+            projector=np.asarray(d["projector"], dtype=float),
             method=d["method"],
             class_labels=tuple(d["class_labels"]),
             class_refs=np.asarray(d["class_refs"], dtype=float),
-            whitening_map=None if wm is None else np.asarray(wm, dtype=float),
             normalized=bool(d.get("normalized", False)),
             info=dict(d.get("info", {})),
         )
-        arrays = (model.basis, model.class_refs, model.whitening_map)
-        if not all(np.isfinite(a).all() for a in arrays if a is not None):
-            raise ValidationError("model arrays must be finite")
-        return model
 
 
 def with_normalization(model: DiscriminantModel,
@@ -326,9 +321,10 @@ def gfda_product_form(ensemble: SubspaceEnsemble,
     pairwise-difference matrix of the whitened first basis vectors and keep
     its C - 1 leading eigenvectors.  That matrix is C X^T X for the C
     centered whitened first vectors X, so its leading eigenpairs come from
-    the thin SVD of the C x K matrix X.  Class references are the
-    projections of the whitened first basis vectors, which are pairwise
-    orthogonal in the normalized space.
+    the thin SVD of the C x K matrix X.  The model's projector is the
+    whitening map followed by those eigenvectors, one (L, C - 1) map.
+    Class references are the projections of the whitened first basis
+    vectors, which are pairwise orthogonal in the normalized space.
     """
     C = ensemble.n_classes
     total = sum(c.dim for c in ensemble.classes)
@@ -349,11 +345,10 @@ def gfda_product_form(ensemble: SubspaceEnsemble,
     k = C - 1
     basis = linalg.fix_signs(vt[:k].T)
     return DiscriminantModel(
-        basis=basis,
+        projector=wmap.T @ basis,
         method="gFDA-product" + ("+N" if normalized else ""),
         class_labels=ensemble.labels,
         class_refs=hats @ basis,
-        whitening_map=wmap,
         normalized=normalized,
         info={"criterion_eigenvalues": (C * sv[:k] ** 2).tolist()},
     )
@@ -394,11 +389,10 @@ def gfda_linear_form(ensemble: SubspaceEnsemble,
             RuntimeWarning, stacklevel=2)
     basis = linalg.fix_signs(U @ vectors[:, :k])
     return DiscriminantModel(
-        basis=basis,
+        projector=basis,
         method="gFDA-linear" + ("+N" if normalized else ""),
         class_labels=ensemble.labels,
         class_refs=firsts @ basis,
-        whitening_map=None,
         normalized=normalized,
         info={"selected_eigenvalues": selected.tolist()},
     )
@@ -415,11 +409,10 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None, gamma=None,
     model = gds(ensemble, dims=dims, gamma=gamma)
     firsts = aligned_first_vectors(ensemble)
     return DiscriminantModel(
-        basis=model.basis,
+        projector=model.basis,
         method="GDS" + ("+N" if normalized else ""),
         class_labels=ensemble.labels,
         class_refs=firsts @ model.basis,
-        whitening_map=None,
         normalized=normalized,
         info={
             "eigenvalues": model.eigenvalues.tolist(),
@@ -455,11 +448,10 @@ def _baseline_model(X, y, directions, method, normalized, info=None):
     basis = linalg.gram_schmidt(directions)
     refs = np.array([basis.T @ g.mean(axis=0) for g in groups])
     return DiscriminantModel(
-        basis=basis,
+        projector=basis,
         method=method + ("+N" if normalized else ""),
         class_labels=tuple(labels),
         class_refs=refs,
-        whitening_map=None,
         normalized=normalized,
         info=info or {},
     )

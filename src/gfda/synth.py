@@ -102,8 +102,7 @@ def convex_mixture(basis_vectors, mode, count, seed) -> np.ndarray:
             else:
                 j = int(rng.integers(k))
                 c = _simplex(rng, k - 1)
-                others = np.delete(np.arange(k), j)
-                raw = 2.0 * B[j] + c @ B[others]
+                raw = 2.0 * B[j] + c @ B[np.arange(k) != j]
             norm = np.linalg.norm(raw)
             if norm > 1e-12:
                 out[i] = raw / norm

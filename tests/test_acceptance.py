@@ -207,7 +207,7 @@ def test_criterion_7_discriminant_power():
         ens = gfda.subspace_config(C, 2, 8 * C, seed=70 + C)
         pair = gfda.scatter_ladder(ens, "gFDA")
         model = gfda.gfda_linear_form(ens)
-        powers = gfda.discriminant_power_curve(model.basis, pair)
+        powers = gfda.discriminant_power_curve(model.projector, pair)
         worst = max(worst, float(np.max(np.abs(powers - C)) / C))
         totals[C] = float(powers.sum())
     ok = worst <= 1e-8 and abs(totals[3] - 6.0) <= 1e-8

@@ -9,16 +9,16 @@ from gfda.errors import UndefinedDirectionError, ValidationError
 from gfda.fisher import DiscriminantModel
 
 
-def toy_model(normalized=False, whitening=None):
+def toy_model(normalized=False):
     """Two reference classes on the axes of a 2-dimensional discriminant
     space embedded in R^4 (columns e1, e2)."""
     basis = np.zeros((4, 2))
     basis[0, 0] = 1.0
     basis[1, 1] = 1.0
     refs = np.array([[2.0, 0.0], [0.0, 1.0]])
-    return DiscriminantModel(basis=basis, method="FDA",
+    return DiscriminantModel(projector=basis, method="FDA",
                              class_labels=("a", "b"), class_refs=refs,
-                             whitening_map=whitening, normalized=normalized)
+                             normalized=normalized)
 
 
 class TestProject:
@@ -38,9 +38,8 @@ class TestProject:
         rng = np.random.default_rng(1)
         W = rng.standard_normal((3, 6))
         basis = np.linalg.qr(rng.standard_normal((3, 2)))[0]
-        m = DiscriminantModel(basis=basis, method="FDA",
-                              class_labels=("a",), class_refs=np.zeros((1, 2)),
-                              whitening_map=W)
+        m = DiscriminantModel(projector=W.T @ basis, method="FDA",
+                              class_labels=("a",), class_refs=np.zeros((1, 2)))
         for _ in range(20):
             x = rng.standard_normal(6)
             t = project(m, x, normalize=False).coords
@@ -62,7 +61,7 @@ class TestClassifiers:
     def test_symmetric_pair(self):
         basis = np.eye(2)
         refs = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        m = DiscriminantModel(basis=basis, method="FDA",
+        m = DiscriminantModel(projector=basis, method="FDA",
                               class_labels=("plus", "minus"), class_refs=refs)
         assert gfda.classify_nearest_mean(m, [0.9, 0.0]) == "plus"
         assert gfda.classify_cosine(m, [0.9, 0.0]) == "plus"
@@ -104,7 +103,7 @@ class TestClassifiers:
         rng = np.random.default_rng(14)
         basis = np.linalg.qr(rng.standard_normal((6, 3)))[0]
         refs = rng.standard_normal((4, 3))
-        m = DiscriminantModel(basis=basis, method="gFDA-linear+N",
+        m = DiscriminantModel(projector=basis, method="gFDA-linear+N",
                               class_labels=("a", "b", "c", "d"),
                               class_refs=refs, normalized=True)
         for _ in range(50):
@@ -114,9 +113,16 @@ class TestClassifiers:
     def test_tie_breaks_toward_smallest_label(self):
         basis = np.eye(2)
         refs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        m = DiscriminantModel(basis=basis, method="FDA",
+        m = DiscriminantModel(projector=basis, method="FDA",
                               class_labels=("z", "a"), class_refs=refs)
         assert gfda.classify_nearest_mean(m, [1.0, 1.0]) == "a"
+
+
+    def test_unorderable_labels_rejected(self):
+        # the tie-break orders labels, so they must be mutually comparable
+        with pytest.raises(ValidationError, match="orderable"):
+            DiscriminantModel(projector=np.eye(2), method="FDA",
+                              class_labels=(1, "a"), class_refs=np.eye(2))
 
 
 class TestEqualErrorRate:

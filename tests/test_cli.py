@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gfda as gfda_module
 from gfda import checks, cli
@@ -340,14 +344,14 @@ class TestModelFile:
     @pytest.mark.parametrize("key,value", [
         ("class_refs", [[1.0, 2.0]]),
         ("whitening_map", [[1.0, 0.0], [0.0, 1.0]]),
-        ("basis", [1.0, 0.0]),
-        ("basis", [[1.0, "x"]]),
+        ("projector", [1.0, 0.0]),
+        ("projector", [[1.0, "x"]]),
         ("class_refs", [[1.0], [1.0, 2.0]]),
         ("class_refs", [[float("nan")] * 3] * 4),
         ("class_labels", ["c00", "c00", "c01", "c02"]),
         ("class_labels", 3),
         ("info", [1]),
-        ("basis", 5),
+        ("projector", 5),
     ])
     def test_malformed_model_entry(self, gaussian_sets, tmp_path, capsys,
                                   model_payload, key, value):
@@ -356,9 +360,10 @@ class TestModelFile:
         assert self._eval_model(gaussian_sets, tmp_path, text) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("tag", ["gfda-model-v0", "gfda-model-v1"])
     def test_wrong_format_tag(self, gaussian_sets, tmp_path, capsys,
-                              model_payload):
-        model_payload["format"] = "gfda-model-v0"
+                              model_payload, tag):
+        model_payload["format"] = tag
         text = json.dumps(model_payload)
         assert self._eval_model(gaussian_sets, tmp_path, text) == 1
         assert f"not a {cli.MODEL_FORMAT} file" in capsys.readouterr().err
@@ -367,3 +372,63 @@ class TestModelFile:
                                     model_payload):
         text = json.dumps(model_payload)
         assert self._eval_model(gaussian_sets, tmp_path, text) == 0
+
+    def test_test_set_of_wrong_width(self, tmp_path, capsys):
+        paths = {}
+        for dim in (10, 12):
+            paths[dim] = tmp_path / f"d{dim}.csv"
+            assert run("synth", "--kind", "gaussian", "--classes", "3",
+                       "--dim", str(dim), "--count", "4", "--seed", "1",
+                       "--out", str(paths[dim])) == 0
+        model = tmp_path / "model.json"
+        assert run("fit", "--train", str(paths[10]), "--method", "regLDA",
+                   "--out", str(model)) == 0
+        capsys.readouterr()
+        assert run("eval", "--model", str(model), "--test", str(paths[12]),
+                   "--out", str(tmp_path / "e.csv")) == 1
+        assert capsys.readouterr().err == (
+            "error: test vectors have 12 features; the model expects 10\n")
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """The bytes of a fitted product-form model, its test set, and a
+    scratch directory."""
+    root = tmp_path_factory.mktemp("fuzz")
+    train, test, model = (root / "train.csv", root / "test.csv",
+                          root / "model.json")
+    for out, sample_seed in ((train, "1"), (test, "2")):
+        assert run("synth", "--kind", "gaussian", "--classes", "3", "--dim",
+                   "12", "--count", "4", "--seed", "7", "--sample-seed",
+                   sample_seed, "--out", str(out)) == 0
+    assert run("fit", "--train", str(train), "--method", "gfda",
+               "--normalize", "--out", str(model)) == 0
+    return model.read_bytes(), test, root
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_corrupted_model_file_fails_cleanly(saved_model, data):
+    original, test, root = saved_model
+    corrupted = bytearray(original)
+    # mostly number bytes overwritten by number bytes, which keeps the file
+    # valid JSON, so corruptions also reach the model's values
+    numeric = [i for i, b in enumerate(original) if b in b"0123456789.-e"]
+    pos = st.one_of(st.sampled_from(numeric),
+                    st.integers(0, len(original) - 1))
+    byte = st.one_of(st.sampled_from(b"0123456789-.e"), st.integers(0, 255))
+    for i, b in data.draw(st.lists(st.tuples(pos, byte), min_size=1,
+                                   max_size=4)):
+        corrupted[i] = b
+    if data.draw(st.sampled_from([False, False, False, True])):
+        del corrupted[data.draw(st.integers(0, len(corrupted) - 1)):]
+    path = root / "corrupted.json"
+    path.write_bytes(bytes(corrupted))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run("eval", "--model", str(path), "--test", str(test),
+                   "--out", str(root / "e.csv"))
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: ")

@@ -175,7 +175,7 @@ class TestFisherCriterion:
         pair = gfda.scatter_ladder(ens, "gFDA")
         model = gfda.gfda_linear_form(ens)
         for j in range(model.dim):
-            f = gfda.fisher_criterion(model.basis[:, j], pair)
+            f = gfda.fisher_criterion(model.projector[:, j], pair)
             assert abs(f - 4) <= 1e-8
 
     def test_scale_invariance(self):
@@ -247,15 +247,14 @@ class TestGfdaForms:
             assert eff.shape == (2, 1)
             assert abs(eff[:, 0] @ z) >= 1 - 1e-10
 
-    def test_whitened_first_vectors_orthogonal(self):
+    def test_projector_whitens_the_sum_matrix(self):
         ens = gfda.subspace_config(3, 2, 20, seed=91)
         model = gfda.gfda_product_form(ens)
-        firsts = gfda.aligned_first_vectors(ens)
-        hats = model.whitening_map @ firsts.T
-        gram = hats.T @ hats
-        off = gram - np.diag(np.diag(gram))
-        assert np.max(np.abs(off)) <= 1e-8
-        npt.assert_allclose(np.diag(gram), np.ones(3), atol=1e-8)
+        P = model.projector
+        white = P.T @ gfda.sum_matrix(ens) @ P
+        npt.assert_allclose(white, np.eye(model.dim), atol=1e-8)
+        npt.assert_allclose(gfda.aligned_first_vectors(ens) @ P,
+                            model.class_refs, atol=1e-8)
 
     def test_product_form_dimensions(self):
         ens = gfda.subspace_config(5, 2, 30, seed=92)
@@ -263,7 +262,7 @@ class TestGfdaForms:
         assert model.dim == 4
         assert model.method == "gFDA-product"
         assert model.class_refs.shape == (5, 4)
-        assert model.whitening_map.shape == (10, 30)
+        assert model.projector.shape == (30, 4)
 
     def test_product_form_overlap_rejected(self):
         d = np.array([1.0, 0.0, 0.0])
@@ -345,14 +344,14 @@ class TestBaselines:
         counts = np.array([len(g) for g in groups])
         eig = linalg.sym_eig(gfda.between_scatter(means, counts))
         direct = linalg.gram_schmidt(eig.vectors[:, ::-1][:, :2])
-        cos = linalg.canonical_angles(model.basis, direct).cosines
+        cos = linalg.canonical_angles(model.projector, direct).cosines
         assert cos.min() >= 1 - 1e-4
 
     def test_reg_lda_small_delta_matches_plain_fda(self):
         X, y = self._three_blobs()
         model = gfda.reg_lda(X, y, delta=1e-12)
         plain = gfda.fda(X, y)
-        cos = linalg.canonical_angles(model.basis, plain.basis).cosines
+        cos = linalg.canonical_angles(model.projector, plain.projector).cosines
         assert cos.min() >= 1 - 1e-6
 
     def test_reg_lda_default_delta(self):
@@ -369,7 +368,7 @@ class TestBaselines:
         X, y = self._three_blobs()
         model = gfda.pca_lda(X, y, residual_threshold=0.0)
         plain = gfda.fda(X, y)
-        cos = linalg.canonical_angles(model.basis, plain.basis).cosines
+        cos = linalg.canonical_angles(model.projector, plain.projector).cosines
         assert cos.min() >= 1 - 1e-8
         assert "fallback" not in model.info
 
@@ -407,7 +406,7 @@ class TestBaselines:
         counts = np.ones(3)
         eig = linalg.sym_eig(gfda.between_scatter(means, counts))
         direct = linalg.gram_schmidt(eig.vectors[:, ::-1][:, :2])
-        cos = linalg.canonical_angles(model.basis, direct).cosines
+        cos = linalg.canonical_angles(model.projector, direct).cosines
         assert cos.min() >= 1 - 1e-8
 
     def test_null_lda_orthogonal_to_within_direction(self):
@@ -415,7 +414,7 @@ class TestBaselines:
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         y = ["a", "a", "b", "b"]
         model = gfda.null_lda(X, y)
-        assert abs(model.basis[0, 0]) <= 1e-10
+        assert abs(model.projector[0, 0]) <= 1e-10
 
     def test_null_lda_separable_small_sample_set(self):
         from gfda.classify import evaluate
@@ -459,7 +458,7 @@ class TestPowerAndGap:
         ens = gfda.subspace_config(C, 2, 4 * C * 2, seed=101 + C)
         pair = gfda.scatter_ladder(ens, "gFDA")
         model = gfda.gfda_linear_form(ens)
-        powers = gfda.discriminant_power_curve(model.basis, pair)
+        powers = gfda.discriminant_power_curve(model.projector, pair)
         npt.assert_allclose(powers, np.full(C - 1, C), atol=1e-8)
         npt.assert_allclose(powers.sum(), C * (C - 1), atol=1e-8)
 
@@ -490,9 +489,8 @@ class TestModelSerialization:
         ens = gfda.subspace_config(3, 2, 18, seed=102)
         model = gfda.gfda_product_form(ens, normalized=True)
         back = fisher.DiscriminantModel.from_dict(model.to_dict())
-        npt.assert_array_equal(back.basis, model.basis)
+        npt.assert_array_equal(back.projector, model.projector)
         npt.assert_array_equal(back.class_refs, model.class_refs)
-        npt.assert_array_equal(back.whitening_map, model.whitening_map)
         assert back.method == model.method
         assert back.normalized == model.normalized
         assert back.class_labels == model.class_labels

@@ -1,12 +1,15 @@
-"""Property tests: the union-span frame reproduces the L x L route.
+"""Property tests against slow references.
 
-Each reference below is the algorithm as it runs on full L x L matrices:
-eigendecompose the summed projection matrix G (sum_matrix), keep its
-nonzero part, and work with the gFDA pair from scatter_ladder.  The
-constructions under test never form an L x L matrix; they must give the
-same spans (canonical angles to 1e-8), the same GDS dimension, and the same
-eigenvalues (to 1e-10 of the spectrum's scale).
+Each construction reference below is the algorithm as it runs on full
+L x L matrices: eigendecompose the summed projection matrix G
+(sum_matrix), keep its nonzero part, and work with the gFDA pair from
+scatter_ladder.  The constructions under test never form an L x L matrix;
+they must give the same spans (canonical angles to 1e-8), the same GDS
+dimension, and the same eigenvalues (to 1e-10 of the spectrum's scale).
+Batched evaluation is checked against a per-sample scoring loop.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 
 import gfda
 from gfda import fisher, linalg
+from gfda.classify import COSINE, NEAREST_MEAN, RULES
 
 SPAN_TOL = 1e-8
 EIG_TOL = 1e-10
@@ -65,7 +69,7 @@ def test_linear_form_matches_full_route(ens):
     eig = linalg.sym_eig(span.T @ ghat @ span)
 
     model = gfda.gfda_linear_form(ens)
-    same_span(model.basis, span @ eig.vectors[:, :C - 1])
+    same_span(model.projector, span @ eig.vectors[:, :C - 1])
     scale = max(abs(eig.values[-1]), 1.0)
     npt.assert_allclose(model.info["selected_eigenvalues"],
                         eig.values[:C - 1], rtol=0, atol=EIG_TOL * scale)
@@ -150,3 +154,81 @@ def test_gds_decomposition_closed_form(ens):
     term_b, w5 = gfda.gds_decomposition(ens)
     npt.assert_allclose(term_b, coef * B, rtol=0, atol=1e-12 * C)
     npt.assert_allclose(w5, W5, rtol=0, atol=1e-12 * C)
+
+
+def per_sample_evaluate(model, X, y, rule):
+    """One sample at a time: project, score every class, pick the smallest
+    label among exactly equal top scores, split off the genuine score."""
+    refs = model.class_refs
+    rnorms = np.linalg.norm(refs, axis=1)
+    correct, confusion, genuine, impostor = 0, {}, [], []
+    for x, true in zip(X, y):
+        t = model.projector.T @ x
+        if rule == COSINE or model.normalized:
+            t = t / np.linalg.norm(t)
+        if rule == NEAREST_MEAN:
+            d = (refs / rnorms[:, None] if model.normalized else refs) - t
+            scores = -np.sum(d * d, axis=1)
+        else:
+            scores = refs @ t / rnorms
+        top = np.max(scores)
+        pred = min(lab for lab, s in zip(model.class_labels, scores)
+                   if s == top)
+        correct += pred == true
+        confusion[(true, pred)] = confusion.get((true, pred), 0) + 1
+        i = model.class_labels.index(true)
+        genuine.append(scores[i])
+        impostor.extend(np.delete(scores, i))
+    return (100.0 * correct / len(y), confusion, np.array(genuine),
+            np.array(impostor))
+
+
+def build(method, X, y, normalized):
+    if method == "regLDA":
+        return gfda.reg_lda(X, y, normalized=normalized)
+    ens = gfda.fit_ensemble(X, y)
+    if method == "gfda-product":
+        return gfda.gfda_product_form(ens, normalized=normalized)
+    if method == "gfda-linear":
+        return gfda.gfda_linear_form(ens, normalized=normalized)
+    if method == "gds-dims":
+        return gfda.gds_discriminant(ens, dims=ens.n_classes,
+                                     normalized=normalized)
+    return gfda.gds_discriminant(ens, gamma=0.9, normalized=normalized)
+
+
+@PROPERTY
+@given(st.integers(2, 5), st.integers(2, 4), st.integers(1, 12),
+       st.sampled_from(["gfda-product", "gfda-linear", "gds-dims",
+                        "gds-gamma", "regLDA"]),
+       st.booleans(), st.sampled_from(RULES), st.data())
+def test_batched_evaluate_matches_per_sample_loop(C, n, extra, method,
+                                                  normalized, rule, data):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    L = C * n + extra
+    X, y = gfda.labeled_gaussians(C, L, n, mean_norm=4.0, sigma_max=1.0,
+                                  seed=seed)
+    Xte, yte = gfda.labeled_gaussians(C, L, 3, mean_norm=4.0, sigma_max=1.0,
+                                      seed=seed, sample_seed=seed + 1)
+    model = build(method, X, y, normalized)
+    # relabel so the model's labels are not in sorted order
+    names = data.draw(st.permutations([f"k{i}" for i in range(C)]))
+    rename = dict(zip(model.class_labels, names))
+    refs = model.class_refs.copy()
+    if rule == NEAREST_MEAN and data.draw(st.booleans()):
+        refs[1] = refs[0]  # the first two classes tie exactly on every sample
+    model = replace(model, class_labels=tuple(names), class_refs=refs)
+    yte = [rename[lab] for lab in yte]
+
+    report = gfda.evaluate(model, Xte, yte, rule=rule)
+    rate, confusion, genuine, impostor = per_sample_evaluate(model, Xte, yte,
+                                                             rule)
+    assert report.recognition_rate == rate
+    assert report.confusion == confusion
+    scale = max(np.abs(genuine).max(), np.abs(impostor).max())
+    npt.assert_allclose(report.genuine_scores, genuine, rtol=1e-12,
+                        atol=1e-12 * scale)
+    npt.assert_allclose(report.impostor_scores, impostor, rtol=1e-12,
+                        atol=1e-12 * scale)
+    npt.assert_allclose(report.eer, gfda.equal_error_rate(genuine, impostor),
+                        rtol=0, atol=1e-12)
