@@ -344,13 +344,16 @@ class TestModelFile:
     @pytest.mark.parametrize("key,value", [
         ("class_refs", [[1.0, 2.0]]),
         ("whitening_map", [[1.0, 0.0], [0.0, 1.0]]),
-        ("projector", [1.0, 0.0]),
-        ("projector", [[1.0, "x"]]),
+        ("basis", [1.0, 0.0]),
+        ("basis", [[1.0, "x"]]),
         ("class_refs", [[1.0], [1.0, 2.0]]),
         ("class_refs", [[float("nan")] * 3] * 4),
         ("class_labels", ["c00", "c00", "c01", "c02"]),
         ("class_labels", 3),
         ("info", [1]),
+        ("basis", 5),
+        ("projector", [1.0, 0.0]),
+        ("projector", [[1.0, "x"]]),
         ("projector", 5),
     ])
     def test_malformed_model_entry(self, gaussian_sets, tmp_path, capsys,
@@ -360,10 +363,16 @@ class TestModelFile:
         assert self._eval_model(gaussian_sets, tmp_path, text) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("tag", ["gfda-model-v0", "gfda-model-v1"])
     def test_wrong_format_tag(self, gaussian_sets, tmp_path, capsys,
-                              model_payload, tag):
-        model_payload["format"] = tag
+                              model_payload):
+        model_payload["format"] = "gfda-model-v0"
+        text = json.dumps(model_payload)
+        assert self._eval_model(gaussian_sets, tmp_path, text) == 1
+        assert f"not a {cli.MODEL_FORMAT} file" in capsys.readouterr().err
+
+    def test_v1_format_tag_rejected(self, gaussian_sets, tmp_path, capsys,
+                                    model_payload):
+        model_payload["format"] = "gfda-model-v1"
         text = json.dumps(model_payload)
         assert self._eval_model(gaussian_sets, tmp_path, text) == 1
         assert f"not a {cli.MODEL_FORMAT} file" in capsys.readouterr().err

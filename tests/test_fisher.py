@@ -247,9 +247,16 @@ class TestGfdaForms:
             assert eff.shape == (2, 1)
             assert abs(eff[:, 0] @ z) >= 1 - 1e-10
 
-    def test_projector_whitens_the_sum_matrix(self):
+    def test_whitened_first_vectors_orthogonal(self):
         ens = gfda.subspace_config(3, 2, 20, seed=91)
         model = gfda.gfda_product_form(ens)
+        firsts = gfda.aligned_first_vectors(ens)
+        # whitening by W^(-1/2) on the range of W: hats^T hats = F W^+ F^T
+        gram = firsts @ np.linalg.pinv(gfda.sum_matrix(ens), rcond=1e-10) \
+            @ firsts.T
+        off = gram - np.diag(np.diag(gram))
+        assert np.max(np.abs(off)) <= 1e-8
+        npt.assert_allclose(np.diag(gram), np.ones(3), atol=1e-8)
         P = model.projector
         white = P.T @ gfda.sum_matrix(ens) @ P
         npt.assert_allclose(white, np.eye(model.dim), atol=1e-8)
