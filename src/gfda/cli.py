@@ -68,7 +68,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls) if not f.name.startswith("_")}
+        known = {f.name for f in fields(cls)}
         cfg = cls()
         for key, value in raw.items():
             if key not in known:
@@ -128,12 +128,10 @@ def load_config_file(path) -> dict:
 
 def resolve_config(args) -> ExperimentConfig:
     raw = load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in ("method", "normalize", "delta", "residual_threshold", "gamma",
-                "gds_dims", "subspace_dim", "energy", "classifier", "train",
-                "test", "train_count", "repetitions", "seed", "out"):
-        value = getattr(args, key, None)
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            raw[key] = value
+            raw[f.name] = value
     return ExperimentConfig.from_mapping(raw)
 
 
@@ -161,11 +159,10 @@ def build_model(cfg: ExperimentConfig, X, y) -> DiscriminantModel:
     return gds_discriminant(ensemble, gamma=gamma, normalized=cfg.normalize)
 
 
-def _require_out(cfg_out, args_out):
-    out = args_out or cfg_out
-    if not out:
+def _require_out(cfg: ExperimentConfig):
+    if not cfg.out:
         raise ValidationError("an output path is required (--out)")
-    return out
+    return cfg.out
 
 
 def save_model(path, model: DiscriminantModel, cfg: ExperimentConfig):
@@ -188,6 +185,8 @@ def load_model(path) -> DiscriminantModel:
             if payload["format"] != MODEL_FORMAT:
                 raise ValidationError(f"not a {MODEL_FORMAT} file")
             return DiscriminantModel.from_dict(payload["model"])
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
         except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: malformed model file "
                                   f"({type(exc).__name__}: {exc})") from None
@@ -268,9 +267,18 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _write_eval_csv(path, cfg, reports):
+def _summary(reports):
+    """(mean, std) of the recognition rates and of the defined EERs; the EER
+    pair is (None, None) when no repetition has one."""
     recs = [r.recognition_rate for r in reports]
     eers = [r.eer for r in reports if r.eer is not None]
+    if not eers:
+        return np.mean(recs), np.std(recs), None, None
+    return np.mean(recs), np.std(recs), np.mean(eers), np.std(eers)
+
+
+def _write_eval_csv(path, cfg, reports):
+    rec_mean, rec_std, eer_mean, eer_std = _summary(reports)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["repetition", "train_count", "recognition_rate", "eer"])
@@ -278,10 +286,8 @@ def _write_eval_csv(path, cfg, reports):
             writer.writerow([rep, cfg.train_count if cfg.train_count is not None
                              else "all", _fmt(report.recognition_rate),
                              _fmt(report.eer)])
-        writer.writerow(["mean", "", _fmt(np.mean(recs)),
-                         _fmt(np.mean(eers)) if eers else "NA"])
-        writer.writerow(["std", "", _fmt(np.std(recs)),
-                         _fmt(np.std(eers)) if eers else "NA"])
+        writer.writerow(["mean", "", _fmt(rec_mean), _fmt(eer_mean)])
+        writer.writerow(["std", "", _fmt(rec_std), _fmt(eer_std)])
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +298,7 @@ def cmd_fit(args) -> int:
     cfg = resolve_config(args)
     if not cfg.train:
         raise ValidationError("a training dataset is required (train=...)")
-    out = _require_out(cfg.out, args.out)
+    out = _require_out(cfg)
     X, y = load_dataset(cfg.train)
     model = build_model(cfg, X, y)
     save_model(out, model, cfg)
@@ -314,7 +320,7 @@ def _write_scores_csv(path, reports):
 
 def cmd_eval(args) -> int:
     cfg = resolve_config(args)
-    out = _require_out(cfg.out, args.out)
+    out = _require_out(cfg)
     if args.model:
         if not cfg.test:
             raise ValidationError("--model evaluation needs a test dataset")
@@ -326,17 +332,16 @@ def cmd_eval(args) -> int:
     _write_eval_csv(out, cfg, reports)
     if args.scores:
         _write_scores_csv(args.scores, reports)
-    recs = [r.recognition_rate for r in reports]
-    eers = [r.eer for r in reports if r.eer is not None]
-    eer_txt = f"{np.mean(eers):.4f}" if eers else "NA"
-    print(f"{len(reports)} repetition(s): recognition {np.mean(recs):.4f}% "
+    rec_mean, _, eer_mean, _ = _summary(reports)
+    eer_txt = "NA" if eer_mean is None else f"{eer_mean:.4f}"
+    print(f"{len(reports)} repetition(s): recognition {rec_mean:.4f}% "
           f"mean, EER {eer_txt}% mean -> {out}")
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
-    out = _require_out(cfg.out, args.out)
+    out = _require_out(cfg)
     lo, hi = args.min_n, args.max_n
     if lo < 1 or hi < lo:
         raise ValidationError("need 1 <= min-n <= max-n")
@@ -345,11 +350,7 @@ def cmd_sweep(args) -> int:
     for n in range(lo, hi + 1):
         cfg.train_count = n
         reports = run_protocol(cfg, data)
-        recs = np.array([r.recognition_rate for r in reports])
-        eers = np.array([r.eer for r in reports if r.eer is not None])
-        rows.append([n, len(reports), _fmt(recs.mean()), _fmt(recs.std()),
-                     _fmt(eers.mean()) if eers.size else "NA",
-                     _fmt(eers.std()) if eers.size else "NA"])
+        rows.append([n, len(reports)] + [_fmt(v) for v in _summary(reports)])
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["train_count", "repetitions", "mean_recognition",
@@ -374,7 +375,6 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_eigencurves(args) -> int:
-    out = _require_out(None, args.out)
     C, N, L = args.classes, args.subspace_dim, args.ambient
     if L is None:
         L = 4 * C * N
@@ -389,19 +389,18 @@ def cmd_eigencurves(args) -> int:
 
     power_g = discriminant_power_curve(np.eye(vals_g.size), pair)
     power_h = discriminant_power_curve(eig_h.vectors, pair)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "eigenvalue_g", "eigenvalue_ghat",
                          "power_g", "power_ghat"])
         for i in range(vals_g.size):
             writer.writerow([i + 1, _fmt(vals_g[i]), _fmt(eig_h.values[i]),
                              _fmt(power_g[i]), _fmt(power_h[i])])
-    print(f"eigencurves for C={C}, N={N}, L={L} -> {out}")
+    print(f"eigencurves for C={C}, N={N}, L={L} -> {args.out}")
     return 0
 
 
 def cmd_synth(args) -> int:
-    out = _require_out(None, args.out)
     if args.kind == "gaussian":
         X, labels = labeled_gaussians(args.classes, args.dim, args.count,
                                       args.mean_norm, args.sigma_max,
@@ -423,10 +422,10 @@ def cmd_synth(args) -> int:
                   "anchor_spread": args.spread,
                   "sample_seed": args.sample_seed,
                   "simplex": "normalized exponential draws"}
-    save_dataset(out, X, labels)
+    save_dataset(args.out, X, labels)
     record = GenSpec(kind=args.kind, seed=args.seed, params=params)
     print(json.dumps(record.to_dict(), sort_keys=True))
-    print(f"{X.shape[0]} samples of dimension {X.shape[1]} -> {out}")
+    print(f"{X.shape[0]} samples of dimension {X.shape[1]} -> {args.out}")
     return 0
 
 

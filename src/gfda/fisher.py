@@ -142,17 +142,15 @@ def group_by_label(X, y):
 
 
 def within_scatter(groups) -> np.ndarray:
-    """Pooled within-class covariance (1/n) sum_c sum_i (x - m_c)(x - m_c)^T."""
+    """Pooled within-class covariance (1/n) sum_c sum_i (x - m_c)(x - m_c)^T,
+    one product of the stacked class-centred rows."""
     groups = [np.asarray(g, dtype=float) for g in groups]
     if any(g.shape[0] == 0 for g in groups):
         raise ValidationError("every class needs at least one sample")
-    n = sum(g.shape[0] for g in groups)
-    L = groups[0].shape[1]
-    S = np.zeros((L, L))
-    for g in groups:
-        d = g - g.mean(axis=0)
-        S += d.T @ d
-    return S / n
+    d = np.vstack([g - g.mean(axis=0) for g in groups])
+    S = d.T @ d
+    S /= d.shape[0]
+    return S
 
 
 def between_scatter(means, counts) -> np.ndarray:
@@ -364,9 +362,11 @@ def gfda_linear_form(ensemble: SubspaceEnsemble,
     per class.  The eigenproblem is restricted to the union span of the
     class subspaces; directions orthogonal to every class are null for both
     matrices and carry no discriminant information.  Selection is by index
-    (the C - 1 smallest eigenvalues); when some selected eigenvalue is not
-    near zero the class subspaces overlap and a diagnostic warning reports
-    the largest one.
+    (the C - 1 smallest eigenvalues).  A selected eigenvalue that is not
+    near zero means the class subspaces overlap; this is recorded, not
+    raised, even when no selected eigenvalue is near zero (identical
+    classes): a warning reports the largest and info["selected_eigenvalues"]
+    holds them all.
     """
     C = ensemble.n_classes
     firsts = aligned_first_vectors(ensemble)
@@ -431,29 +431,38 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None, gamma=None,
 # classical FDA and its small-sample workarounds
 # ---------------------------------------------------------------------------
 
-def _top_generalized_directions(between, within, k):
-    """Eigenvectors of the k largest generalized eigenvalues of
-    (between, within); within must be positive definite."""
-    vals = np.linalg.eigvalsh(within)
-    if vals[0] <= linalg.RANK_TOL * max(vals[-1], 0.0):
-        raise ValidationError(
-            "within-class scatter is singular; plain FDA does not apply "
-            "(small-sample regime)")
+def _class_statistics(groups):
+    """Class means, counts and pooled within-class scatter of grouped rows."""
+    means = np.array([g.mean(axis=0) for g in groups])
+    counts = np.array([g.shape[0] for g in groups])
+    return means, counts, within_scatter(groups)
+
+
+def _top_generalized_directions(between, within, k, ridge=0.0):
+    """Eigenvectors and eigenvalues of the k largest generalized eigenvalues
+    of (between, within + ridge I).  Without a ridge, within must be positive
+    definite; a ridge is added to the caller's within matrix in place."""
+    if ridge:
+        within[np.diag_indices_from(within)] += ridge
+    else:
+        vals = np.linalg.eigvalsh(within)
+        if vals[0] <= linalg.RANK_TOL * max(vals[-1], 0.0):
+            raise ValidationError(
+                "within-class scatter is singular; plain FDA does not apply "
+                "(small-sample regime)")
     w, V = scipy.linalg.eigh(between, within)
     return V[:, ::-1][:, :k], w[::-1][:k]
 
 
-def _baseline_model(X, y, directions, method, normalized, info=None):
-    labels, groups = group_by_label(X, y)
+def _baseline_model(labels, means, directions, method, normalized, info):
     basis = linalg.gram_schmidt(directions)
-    refs = np.array([basis.T @ g.mean(axis=0) for g in groups])
     return DiscriminantModel(
         projector=basis,
         method=method + ("+N" if normalized else ""),
         class_labels=tuple(labels),
-        class_refs=refs,
+        class_refs=means @ basis,
         normalized=normalized,
-        info=info or {},
+        info=info,
     )
 
 
@@ -461,12 +470,10 @@ def fda(X, y, normalized: bool = False) -> DiscriminantModel:
     """Classical Fisher discriminant analysis (requires nonsingular
     within-class scatter)."""
     labels, groups = group_by_label(X, y)
-    means = np.array([g.mean(axis=0) for g in groups])
-    counts = np.array([g.shape[0] for g in groups])
-    Sb = between_scatter(means, counts)
-    Sw = within_scatter(groups)
-    D, vals = _top_generalized_directions(Sb, Sw, len(labels) - 1)
-    return _baseline_model(X, y, D, "FDA", normalized,
+    means, counts, Sw = _class_statistics(groups)
+    D, vals = _top_generalized_directions(between_scatter(means, counts), Sw,
+                                          len(labels) - 1)
+    return _baseline_model(labels, means, D, "FDA", normalized,
                            info={"eigenvalues": vals.tolist()})
 
 
@@ -480,13 +487,10 @@ def reg_lda(X, y, delta: float = 1e-4,
     if delta <= 0:
         raise ValidationError("delta must be positive")
     labels, groups = group_by_label(X, y)
-    means = np.array([g.mean(axis=0) for g in groups])
-    counts = np.array([g.shape[0] for g in groups])
-    Sb = between_scatter(means, counts)
-    Sw = within_scatter(groups) + delta * np.eye(Sb.shape[0])
-    _, V = scipy.linalg.eigh(Sb, Sw)
-    D = V[:, ::-1][:, :len(labels) - 1]
-    return _baseline_model(X, y, D, "regLDA", normalized,
+    means, counts, Sw = _class_statistics(groups)
+    D, _ = _top_generalized_directions(between_scatter(means, counts), Sw,
+                                       len(labels) - 1, ridge=delta)
+    return _baseline_model(labels, means, D, "regLDA", normalized,
                            info={"delta": delta})
 
 
@@ -496,52 +500,47 @@ def pca_lda(X, y, residual_threshold: float = 1e-2,
 
     Keeps the smallest number of centered principal components whose
     relative sum of squared residuals drops to the threshold, then runs FDA
-    there.  If the reduced within-class scatter is still singular the
-    reduced problem falls back to a ridge with delta = 1e-8 and the model
-    is flagged (info["fallback"]).
+    there.  The components come from the thin SVD of the centered data
+    (eigenvalues s^2 / n), so at most min(n, L) of them are kept and no
+    L x L matrix is formed.  If the reduced within-class scatter is still
+    singular the reduced problem falls back to a ridge with delta = 1e-8
+    and the model is flagged (info["fallback"]).
     """
     X = np.asarray(X, dtype=float)
     if X.shape[0] < 2:
         raise ValidationError("pcaLDA needs a pooled sample count >= 2")
     if residual_threshold < 0:
         raise ValidationError("residual threshold must be >= 0")
-    labels, _ = group_by_label(X, y)
-    centered = X - X.mean(axis=0)
-    cov = centered.T @ centered / X.shape[0]
-    eig = linalg.sym_eig(cov)
-    vals = np.clip(eig.values[::-1], 0.0, None)
-    vecs = eig.vectors[:, ::-1]
+    labels, groups = group_by_label(X, y)
+    center = X.mean(axis=0)
+    _, s, vt = np.linalg.svd(X - center, full_matrices=False)
+    vals = s**2 / X.shape[0]
     total = vals.sum()
     if total <= 0:
         raise ValidationError("pooled data has no variance")
     residual = 1.0 - np.cumsum(vals) / total
     k = int(np.searchsorted(residual <= residual_threshold + 1e-15, True) + 1)
-    k = min(max(k, 1), vals.size)
-    P = vecs[:, :k]
+    k = min(k, vals.size)
+    P = linalg.fix_signs(vt[:k].T)
 
-    Z = centered @ P
-    zgroups = [Z[np.asarray(y) == label] for label in labels]
-    means = np.array([g.mean(axis=0) for g in zgroups])
-    counts = np.array([g.shape[0] for g in zgroups])
-    Sb = between_scatter(means, counts)
-    Sw = within_scatter(zgroups)
+    zmeans, zcounts, Sw = _class_statistics([(g - center) @ P for g in groups])
+    Sb = between_scatter(zmeans, zcounts)
     info = {"n_components": k, "residual_threshold": residual_threshold}
     try:
         D, _ = _top_generalized_directions(Sb, Sw, len(labels) - 1)
     except ValidationError:
-        _, V = scipy.linalg.eigh(Sb, Sw + 1e-8 * np.eye(k))
-        D = V[:, ::-1][:, :len(labels) - 1]
+        D, _ = _top_generalized_directions(Sb, Sw, len(labels) - 1, ridge=1e-8)
         info["fallback"] = "regularized reduced-space FDA (delta=1e-8)"
-    return _baseline_model(X, y, P @ D, "pcaLDA", normalized, info=info)
+    means = np.array([g.mean(axis=0) for g in groups])
+    return _baseline_model(labels, means, P @ D, "pcaLDA", normalized,
+                           info=info)
 
 
 def null_lda(X, y, normalized: bool = False) -> DiscriminantModel:
     """Discriminant directions inside the null space of the within-class
     scatter: project the between-class scatter there and diagonalize."""
     labels, groups = group_by_label(X, y)
-    means = np.array([g.mean(axis=0) for g in groups])
-    counts = np.array([g.shape[0] for g in groups])
-    Sw = within_scatter(groups)
+    means, counts, Sw = _class_statistics(groups)
     eig = linalg.sym_eig(Sw)
     null_mask = eig.values <= linalg.RANK_TOL * max(eig.values[-1], 0.0)
     if not np.any(null_mask):
@@ -549,9 +548,8 @@ def null_lda(X, y, normalized: bool = False) -> DiscriminantModel:
             "within-class scatter has no null space (sample count exceeds "
             "dimension); nullLDA does not apply")
     N = eig.vectors[:, null_mask]
-    Sb_null = N.T @ between_scatter(means, counts) @ N
-    eig_b = linalg.sym_eig(Sb_null)
-    k = len(labels) - 1
-    D = N @ eig_b.vectors[:, ::-1][:, :min(k, N.shape[1])]
-    return _baseline_model(X, y, D, "nullLDA", normalized,
+    # N^T Sb N is the between scatter of the class means projected onto N
+    eig_b = linalg.sym_eig(between_scatter(means @ N, counts))
+    D = N @ eig_b.vectors[:, ::-1][:, :len(labels) - 1]
+    return _baseline_model(labels, means, D, "nullLDA", normalized,
                            info={"null_dim": int(N.shape[1])})

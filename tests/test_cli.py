@@ -183,6 +183,29 @@ class TestFitEval:
                    "--out", str(out)) == 0
         assert "skipped" in capsys.readouterr().err
 
+    def test_identical_classes_linear_form_recorded(self, tmp_path):
+        # a fully degenerate linear form is recorded, not raised: the model
+        # is written, its selected eigenvalue is that of the doubled class
+        # projection (2), not zero, and the warning is printed once
+        import subprocess
+        import sys
+
+        rows = np.random.default_rng(13).standard_normal((4, 6))
+        path = tmp_path / "train.csv"
+        path.write_text("".join(f"{lab},{','.join(map(repr, r.tolist()))}\n"
+                                for lab in "ab" for r in rows))
+        model = tmp_path / "model.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "gfda", "fit", "--train", str(path),
+             "--method", "gfda-linear", "--out", str(model)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("Warning") == 1
+        assert "0 of 1 selected eigenvalues are near zero" in proc.stderr
+        info = json.loads(model.read_text())["model"]["info"]
+        npt.assert_allclose(info["selected_eigenvalues"], [2.0], rtol=0,
+                            atol=1e-12)
+
 
 class TestSweep:
     def test_sweep_table(self, tmp_path):
@@ -368,14 +391,16 @@ class TestModelFile:
         model_payload["format"] = "gfda-model-v0"
         text = json.dumps(model_payload)
         assert self._eval_model(gaussian_sets, tmp_path, text) == 1
-        assert f"not a {cli.MODEL_FORMAT} file" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'bad.json'}: not a {cli.MODEL_FORMAT} file\n")
 
     def test_v1_format_tag_rejected(self, gaussian_sets, tmp_path, capsys,
                                     model_payload):
         model_payload["format"] = "gfda-model-v1"
         text = json.dumps(model_payload)
         assert self._eval_model(gaussian_sets, tmp_path, text) == 1
-        assert f"not a {cli.MODEL_FORMAT} file" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'bad.json'}: not a {cli.MODEL_FORMAT} file\n")
 
     def test_round_trip_still_loads(self, gaussian_sets, tmp_path,
                                     model_payload):

@@ -42,6 +42,8 @@ class TestScatterMatrices:
                                   - np.outer(g.mean(0), g.mean(0)))
                     for g in groups) / n
         npt.assert_allclose(direct, rform, atol=1e-12)
+        loop = sum((g - g.mean(0)).T @ (g - g.mean(0)) for g in groups) / n
+        npt.assert_allclose(direct, loop, atol=1e-12)
 
     def test_between_zero_when_means_equal(self):
         means = np.tile([1.0, 2.0], (3, 1))
@@ -378,6 +380,16 @@ class TestBaselines:
         cos = linalg.canonical_angles(model.projector, plain.projector).cosines
         assert cos.min() >= 1 - 1e-8
         assert "fallback" not in model.info
+
+    def test_pca_lda_threshold_zero_keeps_at_most_min_n_l(self):
+        # n < L: the centered data have rank n - 1, the rest of the L
+        # directions carry no variance and are not kept
+        rng = np.random.default_rng(101)
+        X = rng.standard_normal((12, 40)) + np.repeat(4.0 * np.eye(3, 40), 4,
+                                                      axis=0)
+        model = gfda.pca_lda(X, list("aaaabbbbcccc"), residual_threshold=0.0)
+        assert model.info["n_components"] <= min(X.shape)
+        assert "fallback" in model.info
 
     @pytest.mark.parametrize("threshold", [1e-2, 1e-9])
     def test_pca_lda_reference_thresholds_run(self, threshold):

@@ -6,13 +6,18 @@ L x L matrices: eigendecompose the summed projection matrix G
 scatter_ladder.  The constructions under test never form an L x L matrix;
 they must give the same spans (canonical angles to 1e-8), the same GDS
 dimension, and the same eigenvalues (to 1e-10 of the spectrum's scale).
-Batched evaluation is checked against a per-sample scoring loop.
+pcaLDA, which takes its PCA step from the thin SVD of the centered data, is
+checked against the same step on the L x L covariance, and nullLDA, which
+projects the class means onto the null space of the within scatter, against
+projecting the L x L between scatter.  Batched evaluation is checked
+against a per-sample scoring loop.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -154,6 +159,92 @@ def test_gds_decomposition_closed_form(ens):
     term_b, w5 = gfda.gds_decomposition(ens)
     npt.assert_allclose(term_b, coef * B, rtol=0, atol=1e-12 * C)
     npt.assert_allclose(w5, W5, rtol=0, atol=1e-12 * C)
+
+
+def covariance_pca_lda(X, y, threshold):
+    """pcaLDA on the L x L covariance: its full spectrum, clipped at zero and
+    reversed, picks the components; the reduced FDA falls back to a 1e-8
+    ridge when the reduced within scatter is singular.  Returns
+    (n_components, fallback, basis, class_refs)."""
+    y = np.asarray(y)
+    labels = sorted(set(y.tolist()))
+    centered = X - X.mean(axis=0)
+    eig = linalg.sym_eig(centered.T @ centered / X.shape[0])
+    vals = np.clip(eig.values[::-1], 0.0, None)
+    residual = 1.0 - np.cumsum(vals) / vals.sum()
+    k = min(int(np.searchsorted(residual <= threshold + 1e-15, True)) + 1,
+            vals.size)
+    P = eig.vectors[:, ::-1][:, :k]
+    zgroups = [centered[y == lab] @ P for lab in labels]
+    zmeans = np.array([g.mean(axis=0) for g in zgroups])
+    Sb = gfda.between_scatter(zmeans, [g.shape[0] for g in zgroups])
+    Sw = sum((g - g.mean(axis=0)).T @ (g - g.mean(axis=0))
+             for g in zgroups) / X.shape[0]
+    w = np.linalg.eigvalsh(Sw)
+    fallback = bool(w[0] <= linalg.RANK_TOL * max(w[-1], 0.0))
+    if fallback:
+        Sw = Sw + 1e-8 * np.eye(k)
+    _, V = scipy.linalg.eigh(Sb, Sw)
+    basis = linalg.gram_schmidt(P @ V[:, ::-1][:, :len(labels) - 1])
+    refs = np.array([basis.T @ X[y == lab].mean(axis=0) for lab in labels])
+    return k, fallback, basis, refs
+
+
+@PROPERTY
+@given(st.integers(2, 5), st.integers(1, 6), st.booleans(),
+       st.sampled_from([1e-2, 0.3]), st.integers(0, 2**32 - 1))
+def test_pca_lda_matches_covariance_route(C, n, wide, threshold, seed):
+    # wide: n < L (the small-sample regime; one sample per class leaves no
+    # within-class scatter at all), else n > L
+    L = C * n + 1 + seed % 7 if wide else max(C, C * n - 1 - seed % 3)
+    X, y = gfda.labeled_gaussians(C, L, n, mean_norm=4.0, sigma_max=1.0,
+                                  seed=seed)
+    Xte, _ = gfda.labeled_gaussians(C, L, 3, mean_norm=4.0, sigma_max=1.0,
+                                    seed=seed, sample_seed=seed + 1)
+    k, fallback, basis, refs = covariance_pca_lda(X, y, threshold)
+
+    model = gfda.pca_lda(X, y, residual_threshold=threshold)
+    assert model.info["n_components"] == k
+    assert ("fallback" in model.info) == fallback
+    same_span(model.projector, basis)
+    # Each column is fixed only up to its sign.  Under the fallback's 1e-8
+    # ridge, rounding of order eps * ||Sw|| in the reduced within scatter is
+    # amplified by 1 / 1e-8 (both routes alike); with one sample per class
+    # Sw is exactly zero and nothing is amplified.
+    tol = 1e-10
+    if fallback:
+        _, groups = fisher.group_by_label(X, y)
+        tol += 100 * np.finfo(float).eps * np.linalg.norm(
+            gfda.within_scatter(groups), 2) / 1e-8
+    signs = np.sign(np.sum(model.projector * basis, axis=0))
+    npt.assert_allclose(model.class_refs, refs * signs, rtol=0,
+                        atol=tol * np.abs(refs).max())
+    reference = replace(model, projector=basis, class_refs=refs)
+    assert [gfda.classify_nearest_mean(model, x) for x in Xte] == \
+        [gfda.classify_nearest_mean(reference, x) for x in Xte]
+
+
+@PROPERTY
+@given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 10),
+       st.integers(0, 2**32 - 1))
+def test_null_lda_matches_full_route(C, n, extra, seed):
+    X, y = gfda.labeled_gaussians(C, C * n + extra, n, mean_norm=4.0,
+                                  sigma_max=1.0, seed=seed)
+    labels, groups = fisher.group_by_label(X, y)
+    means = np.array([g.mean(axis=0) for g in groups])
+    eig = linalg.sym_eig(gfda.within_scatter(groups))
+    N = eig.vectors[:, eig.values <= linalg.RANK_TOL * eig.values[-1]]
+    between = gfda.between_scatter(means, [g.shape[0] for g in groups])
+    top = linalg.sym_eig(N.T @ between @ N).vectors[:, ::-1][:, :C - 1]
+    basis = linalg.gram_schmidt(N @ top)
+    refs = means @ basis
+
+    model = gfda.null_lda(X, y)
+    assert model.info["null_dim"] == N.shape[1]
+    same_span(model.projector, basis)
+    signs = np.sign(np.sum(model.projector * basis, axis=0))
+    npt.assert_allclose(model.class_refs, refs * signs, rtol=0,
+                        atol=1e-10 * np.abs(refs).max())
 
 
 def per_sample_evaluate(model, X, y, rule):
