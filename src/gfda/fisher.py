@@ -21,7 +21,7 @@ any number of samples).  Both spans coincide.
 """
 
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 import scipy.linalg
@@ -91,8 +91,7 @@ class DiscriminantModel:
         return self.projector.shape[1]
 
     def effective_basis(self) -> np.ndarray:
-        """Orthonormal basis, in data space, of the subspace the model
-        actually projects onto."""
+        """Orthonormal basis of the data-space subspace the model projects onto."""
         return linalg.gram_schmidt(self.projector)
 
     def to_dict(self) -> dict:
@@ -148,9 +147,7 @@ def within_scatter(groups) -> np.ndarray:
     if any(g.shape[0] == 0 for g in groups):
         raise ValidationError("every class needs at least one sample")
     d = np.vstack([g - g.mean(axis=0) for g in groups])
-    S = d.T @ d
-    S /= d.shape[0]
-    return S
+    return d.T @ d / d.shape[0]
 
 
 def between_scatter(means, counts) -> np.ndarray:
@@ -414,16 +411,8 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None, gamma=None,
         class_labels=ensemble.labels,
         class_refs=firsts @ model.basis,
         normalized=normalized,
-        info={
-            "eigenvalues": model.eigenvalues.tolist(),
-            "selection": {
-                "rule": model.selection.rule,
-                "dims": model.selection.dims,
-                "gamma": model.selection.gamma,
-                "beta": model.selection.beta,
-                "achieved_power": model.selection.achieved_power,
-            },
-        },
+        info={"eigenvalues": model.eigenvalues.tolist(),
+              "selection": asdict(model.selection)},
     )
 
 
@@ -431,11 +420,26 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None, gamma=None,
 # classical FDA and its small-sample workarounds
 # ---------------------------------------------------------------------------
 
-def _class_statistics(groups):
-    """Class means, counts and pooled within-class scatter of grouped rows."""
-    means = np.array([g.mean(axis=0) for g in groups])
-    counts = np.array([g.shape[0] for g in groups])
-    return means, counts, within_scatter(groups)
+_SINGULAR_WITHIN = ("within-class scatter is singular; plain FDA does not "
+                    "apply (small-sample regime)")
+
+
+def _centred_frame(X, y):
+    """Labels, groups, mean m and the thin SVD X - m = U S V^T as (s, Q = V),
+    Q sign-fixed, (L, min(n, L)).  span(Q) holds every class-centred row and
+    centred class mean, so both scatters vanish on its complement."""
+    X = np.asarray(X, dtype=float)
+    labels, groups = group_by_label(X, y)
+    center = X.mean(axis=0)
+    _, s, vt = np.linalg.svd(X - center, full_matrices=False)
+    return labels, groups, center, s, linalg.fix_signs(vt.T)
+
+
+def _frame_statistics(groups, center, Q):
+    """Class means, counts and within scatter of the rows (g - center) @ Q."""
+    zgroups = [(g - center) @ Q for g in groups]
+    means = np.array([g.mean(axis=0) for g in zgroups])
+    return means, np.array([g.shape[0] for g in zgroups]), within_scatter(zgroups)
 
 
 def _top_generalized_directions(between, within, k, ridge=0.0):
@@ -447,50 +451,50 @@ def _top_generalized_directions(between, within, k, ridge=0.0):
     else:
         vals = np.linalg.eigvalsh(within)
         if vals[0] <= linalg.RANK_TOL * max(vals[-1], 0.0):
-            raise ValidationError(
-                "within-class scatter is singular; plain FDA does not apply "
-                "(small-sample regime)")
+            raise ValidationError(_SINGULAR_WITHIN)
     w, V = scipy.linalg.eigh(between, within)
     return V[:, ::-1][:, :k], w[::-1][:k]
 
 
-def _baseline_model(labels, means, directions, method, normalized, info):
-    basis = linalg.gram_schmidt(directions)
+def _baseline_model(labels, groups, frame, coords, method, normalized, info):
+    # orthonormalize in frame coordinates: Gram-Schmidt commutes with the frame
+    basis = frame @ linalg.gram_schmidt(coords)
     return DiscriminantModel(
         projector=basis,
         method=method + ("+N" if normalized else ""),
         class_labels=tuple(labels),
-        class_refs=means @ basis,
+        class_refs=np.array([g.mean(axis=0) for g in groups]) @ basis,
         normalized=normalized,
         info=info,
     )
 
 
 def fda(X, y, normalized: bool = False) -> DiscriminantModel:
-    """Classical Fisher discriminant analysis (requires nonsingular
-    within-class scatter)."""
-    labels, groups = group_by_label(X, y)
-    means, counts, Sw = _class_statistics(groups)
-    D, vals = _top_generalized_directions(between_scatter(means, counts), Sw,
+    """Classical Fisher discriminant analysis; needs a nonsingular
+    within-class scatter, so a centred-data frame Q that fills the space."""
+    labels, groups, center, _, Q = _centred_frame(X, y)
+    if Q.shape[1] < Q.shape[0]:
+        raise ValidationError(_SINGULAR_WITHIN)
+    zmeans, counts, Sw = _frame_statistics(groups, center, Q)
+    D, vals = _top_generalized_directions(between_scatter(zmeans, counts), Sw,
                                           len(labels) - 1)
-    return _baseline_model(labels, means, D, "FDA", normalized,
+    return _baseline_model(labels, groups, Q, D, "FDA", normalized,
                            info={"eigenvalues": vals.tolist()})
 
 
 def reg_lda(X, y, delta: float = 1e-4,
             normalized: bool = False) -> DiscriminantModel:
-    """FDA with a ridge term added to the within-class scatter.
-
-    delta defaults to 1e-4, the value used throughout the evaluation
-    protocol.
-    """
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
-    labels, groups = group_by_label(X, y)
-    means, counts, Sw = _class_statistics(groups)
-    D, _ = _top_generalized_directions(between_scatter(means, counts), Sw,
+    """FDA with a ridge delta (default 1e-4, the protocol's value) added to
+    the within-class scatter.  (S_b, S_w + delta I) is block-diagonal on the
+    centred-data frame and its complement, where S_b vanishes, so the
+    directions are those of (Q^T S_b Q, Q^T S_w Q + delta I) lifted by Q."""
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValidationError(f"delta must be positive and finite, got {delta}")
+    labels, groups, center, _, Q = _centred_frame(X, y)
+    zmeans, counts, Sw = _frame_statistics(groups, center, Q)
+    D, _ = _top_generalized_directions(between_scatter(zmeans, counts), Sw,
                                        len(labels) - 1, ridge=delta)
-    return _baseline_model(labels, means, D, "regLDA", normalized,
+    return _baseline_model(labels, groups, Q, D, "regLDA", normalized,
                            info={"delta": delta})
 
 
@@ -498,58 +502,54 @@ def pca_lda(X, y, residual_threshold: float = 1e-2,
             normalized: bool = False) -> DiscriminantModel:
     """PCA dimension reduction followed by FDA in the reduced space.
 
-    Keeps the smallest number of centered principal components whose
-    relative sum of squared residuals drops to the threshold, then runs FDA
-    there.  The components come from the thin SVD of the centered data
-    (eigenvalues s^2 / n), so at most min(n, L) of them are kept and no
-    L x L matrix is formed.  If the reduced within-class scatter is still
-    singular the reduced problem falls back to a ridge with delta = 1e-8
-    and the model is flagged (info["fallback"]).
+    Keeps the fewest leading columns of the centred-data frame (eigenvalues
+    s^2 / n, so at most min(n, L)) whose relative sum of squared residuals
+    drops to the threshold, then runs FDA there.  If the reduced within
+    scatter is still singular it falls back to a ridge delta = 1e-8 and
+    flags the model (info["fallback"]); that ridge amplifies rounding by
+    about ||S_w|| / 1e-8, so such a model reproduces bit for bit only on
+    the same BLAS.
     """
     X = np.asarray(X, dtype=float)
     if X.shape[0] < 2:
         raise ValidationError("pcaLDA needs a pooled sample count >= 2")
-    if residual_threshold < 0:
-        raise ValidationError("residual threshold must be >= 0")
-    labels, groups = group_by_label(X, y)
-    center = X.mean(axis=0)
-    _, s, vt = np.linalg.svd(X - center, full_matrices=False)
+    if not (np.isfinite(residual_threshold) and residual_threshold >= 0):
+        raise ValidationError("residual threshold must be finite and >= 0, "
+                              f"got {residual_threshold}")
+    labels, groups, center, s, Q = _centred_frame(X, y)
     vals = s**2 / X.shape[0]
     total = vals.sum()
     if total <= 0:
         raise ValidationError("pooled data has no variance")
     residual = 1.0 - np.cumsum(vals) / total
     k = int(np.searchsorted(residual <= residual_threshold + 1e-15, True) + 1)
-    k = min(k, vals.size)
-    P = linalg.fix_signs(vt[:k].T)
-
-    zmeans, zcounts, Sw = _class_statistics([(g - center) @ P for g in groups])
+    P = Q[:, :k]
+    zmeans, zcounts, Sw = _frame_statistics(groups, center, P)
     Sb = between_scatter(zmeans, zcounts)
-    info = {"n_components": k, "residual_threshold": residual_threshold}
+    info = {"n_components": P.shape[1], "residual_threshold": residual_threshold}
     try:
         D, _ = _top_generalized_directions(Sb, Sw, len(labels) - 1)
     except ValidationError:
         D, _ = _top_generalized_directions(Sb, Sw, len(labels) - 1, ridge=1e-8)
         info["fallback"] = "regularized reduced-space FDA (delta=1e-8)"
-    means = np.array([g.mean(axis=0) for g in groups])
-    return _baseline_model(labels, means, P @ D, "pcaLDA", normalized,
-                           info=info)
+    return _baseline_model(labels, groups, P, D, "pcaLDA", normalized, info)
 
 
 def null_lda(X, y, normalized: bool = False) -> DiscriminantModel:
     """Discriminant directions inside the null space of the within-class
-    scatter: project the between-class scatter there and diagonalize."""
-    labels, groups = group_by_label(X, y)
-    means, counts, Sw = _class_statistics(groups)
+    scatter, the frame's complement plus Q N_r for N_r the null space of
+    Q^T S_w Q.  The centred class means have no part in the complement, so
+    the directions are Q N_r times the leading eigenvectors of the between
+    scatter of the means projected onto N_r."""
+    labels, groups, center, _, Q = _centred_frame(X, y)
+    zmeans, counts, Sw = _frame_statistics(groups, center, Q)
     eig = linalg.sym_eig(Sw)
-    null_mask = eig.values <= linalg.RANK_TOL * max(eig.values[-1], 0.0)
-    if not np.any(null_mask):
-        raise NotApplicableError(
-            "within-class scatter has no null space (sample count exceeds "
-            "dimension); nullLDA does not apply")
-    N = eig.vectors[:, null_mask]
-    # N^T Sb N is the between scatter of the class means projected onto N
-    eig_b = linalg.sym_eig(between_scatter(means @ N, counts))
-    D = N @ eig_b.vectors[:, ::-1][:, :len(labels) - 1]
-    return _baseline_model(labels, means, D, "nullLDA", normalized,
-                           info={"null_dim": int(N.shape[1])})
+    Nr = eig.vectors[:, eig.values <= linalg.RANK_TOL * max(eig.values[-1], 0.0)]
+    null_dim = Q.shape[0] - Q.shape[1] + Nr.shape[1]
+    if null_dim == 0:
+        raise NotApplicableError("within-class scatter has no null space (sample "
+                                 "count exceeds dimension); nullLDA does not apply")
+    eig_b = linalg.sym_eig(between_scatter(zmeans @ Nr, counts))
+    D = Nr @ eig_b.vectors[:, ::-1][:, :len(labels) - 1]
+    return _baseline_model(labels, groups, Q, D, "nullLDA", normalized,
+                           info={"null_dim": null_dim})

@@ -373,6 +373,19 @@ class TestBaselines:
         with pytest.raises(ValidationError):
             gfda.reg_lda(X, y, delta=0.0)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_reg_lda_rejects_non_finite_delta(self, delta):
+        X, y = self._three_blobs()
+        with pytest.raises(ValidationError, match="finite"):
+            gfda.reg_lda(X, y, delta=delta)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf])
+    def test_pca_lda_rejects_non_finite_threshold(self, threshold):
+        # nan used to keep every component and write NaN into info
+        X, y = self._three_blobs()
+        with pytest.raises(ValidationError, match="finite"):
+            gfda.pca_lda(X, y, residual_threshold=threshold)
+
     def test_pca_lda_threshold_zero_equals_fda(self):
         X, y = self._three_blobs()
         model = gfda.pca_lda(X, y, residual_threshold=0.0)

@@ -7,10 +7,12 @@ scatter_ladder.  The constructions under test never form an L x L matrix;
 they must give the same spans (canonical angles to 1e-8), the same GDS
 dimension, and the same eigenvalues (to 1e-10 of the spectrum's scale).
 pcaLDA, which takes its PCA step from the thin SVD of the centered data, is
-checked against the same step on the L x L covariance, and nullLDA, which
-projects the class means onto the null space of the within scatter, against
-projecting the L x L between scatter.  Batched evaluation is checked
-against a per-sample scoring loop.
+checked against the same step on the L x L covariance.  nullLDA, regLDA
+and FDA solve in the frame of the centred training data; nullLDA is checked
+against the null space of the L x L within scatter and the L x L between
+scatter projected there, regLDA and FDA against the L x L generalized
+eigenproblem.  Batched evaluation is checked against a
+per-sample scoring loop.
 """
 
 from dataclasses import replace
@@ -245,6 +247,54 @@ def test_null_lda_matches_full_route(C, n, extra, seed):
     signs = np.sign(np.sum(model.projector * basis, axis=0))
     npt.assert_allclose(model.class_refs, refs * signs, rtol=0,
                         atol=1e-10 * np.abs(refs).max())
+
+
+def full_generalized_route(X, y, delta):
+    """The L x L generalized eigenproblem (S_b, S_w + delta I): its C - 1
+    leading eigenvectors, orthonormalized, and the class means projected
+    onto them.  Returns (eigenvalues, basis, class_refs)."""
+    labels, groups = fisher.group_by_label(X, y)
+    means = np.array([g.mean(axis=0) for g in groups])
+    between = gfda.between_scatter(means, [g.shape[0] for g in groups])
+    within = gfda.within_scatter(groups) + delta * np.eye(X.shape[1])
+    w, V = scipy.linalg.eigh(between, within)
+    k = len(labels) - 1
+    basis = linalg.gram_schmidt(V[:, ::-1][:, :k])
+    return w[::-1][:k], basis, means @ basis
+
+
+def same_model(model, basis, refs):
+    same_span(model.projector, basis)
+    signs = np.sign(np.sum(model.projector * basis, axis=0))
+    npt.assert_allclose(model.class_refs, refs * signs, rtol=0,
+                        atol=1e-10 * np.abs(refs).max())
+
+
+@PROPERTY
+@given(st.integers(2, 5), st.integers(1, 6), st.booleans(),
+       st.sampled_from([1e-4, 1.0]), st.integers(0, 2**32 - 1))
+def test_reg_lda_matches_full_route(C, n, wide, delta, seed):
+    # wide: n < L, where S_w and S_b vanish off the centred-data frame;
+    # else n > L and the frame fills the space
+    L = C * n + 1 + seed % 7 if wide else max(C, C * n - 1 - seed % 3)
+    X, y = gfda.labeled_gaussians(C, L, n, mean_norm=4.0, sigma_max=1.0,
+                                  seed=seed)
+    _, basis, refs = full_generalized_route(X, y, delta)
+    same_model(gfda.reg_lda(X, y, delta=delta), basis, refs)
+
+
+@PROPERTY
+@given(st.integers(2, 5), st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_fda_matches_full_route(C, n, seed):
+    # n >= L + C samples, so the within scatter is nonsingular
+    L = max(1, C * n - C - seed % 3)
+    X, y = gfda.labeled_gaussians(C, L, n, mean_norm=4.0, sigma_max=1.0,
+                                  seed=seed)
+    vals, basis, refs = full_generalized_route(X, y, 0.0)
+    model = gfda.fda(X, y)
+    same_model(model, basis, refs)
+    npt.assert_allclose(model.info["eigenvalues"], vals, rtol=1e-10,
+                        atol=1e-10 * vals[0])
 
 
 def per_sample_evaluate(model, X, y, rule):
