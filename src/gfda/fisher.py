@@ -24,13 +24,12 @@ import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import (NotApplicableError, OverlapError, UndefinedDirectionError,
                      ValidationError)
-from .subspace import (SubspaceEnsemble, aligned_first_vectors, gds,
-                       sum_matrix, union_span)
+from .subspace import (OVERLAP_TOL, SubspaceEnsemble, aligned_first_vectors,
+                       gds, sum_matrix, union_span)
 
 LADDER_RUNGS = ("FDA", "aFDA", "sFDA", "gFDA")
 
@@ -264,25 +263,21 @@ def scatter_ladder(ensemble: SubspaceEnsemble, rung: str) -> ScatterPair:
     return ScatterPair(between=between, within=within, rung=rung)
 
 
-def fisher_criterion(d, pair: ScatterPair, tol=1e-12) -> float:
-    """Generalized Rayleigh quotient (d^T B d) / (d^T W d).
+def fisher_criterion(d, pair: ScatterPair) -> float:
+    """Generalized Rayleigh quotient (d^T B d) / (d^T W d): the one-column
+    case of discriminant_power_curve.
 
     Scale-invariant in d.  Raises UndefinedDirectionError when d carries no
     within-class energy, i.e. the ratio is meaningless.
     """
-    d = np.asarray(d, dtype=float).ravel()
-    den = float(d @ pair.within @ d)
-    scale = float(d @ d) * max(np.linalg.norm(pair.within), 1.0)
-    if den <= tol * scale:
-        raise UndefinedDirectionError(
-            "direction has (numerically) zero within-class energy")
-    return float(d @ pair.between @ d) / den
+    d = np.asarray(d, dtype=float).reshape(-1, 1)
+    return float(discriminant_power_curve(d, pair)[0])
 
 
 def discriminant_power_curve(basis, pair: ScatterPair) -> np.ndarray:
     """Fisher-like power of each basis column under the given pair: the
-    fisher_criterion of every column at once, with the same
-    UndefinedDirectionError for a column of no within-class energy."""
+    fisher_criterion of every column at once, raising UndefinedDirectionError
+    for a column of no within-class energy."""
     basis = np.asarray(basis, dtype=float)
     num = np.sum(basis * (pair.between @ basis), axis=0)
     den = np.sum(basis * (pair.within @ basis), axis=0)
@@ -316,7 +311,7 @@ def gfda_product_form(ensemble: SubspaceEnsemble,
     pairwise-difference matrix of the whitened first basis vectors and keep
     its C - 1 leading eigenvectors.  That matrix is C X^T X for the C
     centered whitened first vectors X, so its leading eigenpairs come from
-    the thin SVD of the C x K matrix X.  The model's projector is the
+    the range basis of the K x C matrix X^T.  The model's projector is the
     whitening map followed by those eigenvectors, one (L, C - 1) map.
     Class references are the projections of the whitened first basis
     vectors, which are pairwise orthogonal in the normalized space.
@@ -336,9 +331,9 @@ def gfda_product_form(ensemble: SubspaceEnsemble,
     s = np.sqrt(s2)
     wmap = U.T / s[:, None]  # data space -> normalized space
     hats = aligned_first_vectors(ensemble) @ wmap.T  # rows: whitened first vectors
-    _, sv, vt = np.linalg.svd(hats - hats.mean(axis=0), full_matrices=False)
+    basis, sv = linalg.range_basis((hats - hats.mean(axis=0)).T)
     k = C - 1
-    basis = linalg.fix_signs(vt[:k].T)
+    basis = basis[:, :k]
     return DiscriminantModel(
         projector=wmap.T @ basis,
         method="gFDA-product" + ("+N" if normalized else ""),
@@ -350,8 +345,7 @@ def gfda_product_form(ensemble: SubspaceEnsemble,
 
 
 def gfda_linear_form(ensemble: SubspaceEnsemble,
-                     normalized: bool = False,
-                     zero_tol: float = 1e-8) -> DiscriminantModel:
+                     normalized: bool = False) -> DiscriminantModel:
     """Geometrical discriminant space as the null space of W - B/C.
 
     Solvable for any sample count (the matrix is a plain linear combination,
@@ -360,10 +354,10 @@ def gfda_linear_form(ensemble: SubspaceEnsemble,
     class subspaces; directions orthogonal to every class are null for both
     matrices and carry no discriminant information.  Selection is by index
     (the C - 1 smallest eigenvalues).  A selected eigenvalue that is not
-    near zero means the class subspaces overlap; this is recorded, not
-    raised, even when no selected eigenvalue is near zero (identical
-    classes): a warning reports the largest and info["selected_eigenvalues"]
-    holds them all.
+    near zero (OVERLAP_TOL) means the class subspaces overlap; this is
+    recorded, not raised, even when none is near zero (identical classes):
+    a warning reports the largest and info["selected_eigenvalues"] holds
+    them all.
     """
     C = ensemble.n_classes
     firsts = aligned_first_vectors(ensemble)
@@ -378,9 +372,9 @@ def gfda_linear_form(ensemble: SubspaceEnsemble,
     k = C - 1
     selected = values[:k]
     top = max(abs(values[-1]), 1.0)
-    if selected[-1] > zero_tol * top:
+    if selected[-1] > OVERLAP_TOL * top:
         warnings.warn(
-            f"only {int(np.sum(selected <= zero_tol * top))} of {k} selected "
+            f"only {int(np.sum(selected <= OVERLAP_TOL * top))} of {k} selected "
             f"eigenvalues are near zero (max selected {selected[-1]:.3e}); "
             "class subspaces overlap or are degenerate",
             RuntimeWarning, stacklevel=2)
@@ -425,14 +419,15 @@ _SINGULAR_WITHIN = ("within-class scatter is singular; plain FDA does not "
 
 
 def _centred_frame(X, y):
-    """Labels, groups, mean m and the thin SVD X - m = U S V^T as (s, Q = V),
-    Q sign-fixed, (L, min(n, L)).  span(Q) holds every class-centred row and
-    centred class mean, so both scatters vanish on its complement."""
+    """Labels, groups, mean m, and the singular values s and frame Q of
+    linalg.range_basis((X - m)^T), Q of shape (L, rank(X - m)).  span(Q)
+    holds every class-centred row and centred class mean, so both scatters
+    vanish on its complement."""
     X = np.asarray(X, dtype=float)
     labels, groups = group_by_label(X, y)
     center = X.mean(axis=0)
-    _, s, vt = np.linalg.svd(X - center, full_matrices=False)
-    return labels, groups, center, s, linalg.fix_signs(vt.T)
+    Q, s = linalg.range_basis((X - center).T)
+    return labels, groups, center, s, Q
 
 
 def _frame_statistics(groups, center, Q):
@@ -445,15 +440,15 @@ def _frame_statistics(groups, center, Q):
 def _top_generalized_directions(between, within, k, ridge=0.0):
     """Eigenvectors and eigenvalues of the k largest generalized eigenvalues
     of (between, within + ridge I).  Without a ridge, within must be positive
-    definite; a ridge is added to the caller's within matrix in place."""
+    definite; a ridge is added to the caller's within matrix in place.  With
+    within = L L^T, solves L^-1 between L^-T and lifts by L^-T."""
     if ridge:
         within[np.diag_indices_from(within)] += ridge
-    else:
-        vals = np.linalg.eigvalsh(within)
-        if vals[0] <= linalg.RANK_TOL * max(vals[-1], 0.0):
-            raise ValidationError(_SINGULAR_WITHIN)
-    w, V = scipy.linalg.eigh(between, within)
-    return V[:, ::-1][:, :k], w[::-1][:k]
+    elif not linalg.nonzero(np.linalg.eigvalsh(within)).all():
+        raise ValidationError(_SINGULAR_WITHIN)
+    Linv = np.linalg.inv(np.linalg.cholesky(within))
+    w, V = np.linalg.eigh(Linv @ between @ Linv.T)
+    return (Linv.T @ V)[:, ::-1][:, :k], w[::-1][:k]
 
 
 def _baseline_model(labels, groups, frame, coords, method, normalized, info):
@@ -540,16 +535,24 @@ def null_lda(X, y, normalized: bool = False) -> DiscriminantModel:
     scatter, the frame's complement plus Q N_r for N_r the null space of
     Q^T S_w Q.  The centred class means have no part in the complement, so
     the directions are Q N_r times the leading eigenvectors of the between
-    scatter of the means projected onto N_r."""
+    scatter of the means projected onto N_r (info["between_eigenvalues"]).
+    NotApplicableError when none of those is nonzero: the centred class
+    means then lie in the range of S_w, and any direction is arbitrary."""
     labels, groups, center, _, Q = _centred_frame(X, y)
     zmeans, counts, Sw = _frame_statistics(groups, center, Q)
     eig = linalg.sym_eig(Sw)
-    Nr = eig.vectors[:, eig.values <= linalg.RANK_TOL * max(eig.values[-1], 0.0)]
+    Nr = eig.vectors[:, ~linalg.nonzero(eig.values)]
     null_dim = Q.shape[0] - Q.shape[1] + Nr.shape[1]
     if null_dim == 0:
         raise NotApplicableError("within-class scatter has no null space (sample "
                                  "count exceeds dimension); nullLDA does not apply")
     eig_b = linalg.sym_eig(between_scatter(zmeans @ Nr, counts))
+    top = eig_b.values[::-1][:len(labels) - 1]
+    if not linalg.nonzero(top).any():
+        raise NotApplicableError(
+            "the centred class means lie in the range of the within-class "
+            "scatter, so no null direction separates them; nullLDA does not apply")
     D = Nr @ eig_b.vectors[:, ::-1][:, :len(labels) - 1]
     return _baseline_model(labels, groups, Q, D, "nullLDA", normalized,
-                           info={"null_dim": null_dim})
+                           info={"null_dim": null_dim,
+                                 "between_eigenvalues": top.tolist()})

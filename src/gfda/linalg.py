@@ -2,9 +2,12 @@
 
 All routines work on plain float ndarrays: a symmetric matrix is an (n, n)
 array, an orthonormal basis is an (L, k) array whose columns are the basis
-vectors.  Eigenvalues are always reported in ascending order and eigenvector
-signs are fixed deterministically (first nonzero component positive), so
-downstream constructions are reproducible bit for bit.
+vectors.  Only this module decides the rank rule (``nonzero``: a spectrum
+entry counts when it exceeds RANK_TOL times the largest), how a range basis
+is factorized (``range_basis``: the thin SVD cut by that rule) and the sign
+convention (``fix_signs``: first nonzero component positive).  ``sym_eig``
+reports eigenvalues ascending, ``range_basis`` singular values descending,
+both sign-fixed, so downstream constructions are reproducible bit for bit.
 """
 
 from dataclasses import dataclass
@@ -82,6 +85,22 @@ def fix_signs(V):
     return V
 
 
+def nonzero(values):
+    """Mask of the entries above RANK_TOL times the largest: the one rank
+    rule.  An all-zero (or empty) spectrum gives an all-False mask."""
+    values = np.asarray(values, dtype=float)
+    return values > RANK_TOL * values.max(initial=0.0)
+
+
+def range_basis(A):
+    """Orthonormal basis of the column span of A from its thin SVD
+    A = U S V^T.  Returns (U_r, s_r): the sign-fixed columns of U and the
+    singular values, descending, for the r entries with nonzero(s^2)."""
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    keep = nonzero(s**2)
+    return fix_signs(U[:, keep]), s[keep]
+
+
 def sym_eig(M) -> EigResult:
     """Eigendecompose a symmetric matrix.
 
@@ -93,21 +112,12 @@ def sym_eig(M) -> EigResult:
     return EigResult(values=values, vectors=fix_signs(vectors))
 
 
-def gram_schmidt(vectors, tol=RANK_TOL):
-    """Rank-revealing modified Gram-Schmidt orthonormalization.
-
-    Parameters
-    ----------
-    vectors : sequence of 1-D arrays, or a 2-D array whose columns are the
-        vectors to orthonormalize.
-    tol : float
-        A vector whose residual norm after projection falls below
-        tol * (its own norm) is treated as dependent and dropped.
-
-    Returns
-    -------
-    (L, r) array with orthonormal columns spanning the input span.
-    """
+def gram_schmidt(vectors):
+    """Rank-revealing modified Gram-Schmidt orthonormalization of a sequence
+    of 1-D arrays, or of the columns of a 2-D array.  A vector whose residual
+    norm after projection falls below RANK_TOL times its own norm is dropped
+    as dependent.  Returns an (L, r) array with orthonormal columns spanning
+    the input span."""
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
         cols = [np.asarray(vectors[:, j], dtype=float) for j in range(vectors.shape[1])]
     else:
@@ -128,7 +138,7 @@ def gram_schmidt(vectors, tol=RANK_TOL):
             for q in basis:
                 w -= (q @ w) * q
         norm = np.linalg.norm(w)
-        if norm <= tol * norm0:
+        if norm <= RANK_TOL * norm0:
             continue
         basis.append(w / norm)
     if not basis:
@@ -177,22 +187,19 @@ def canonical_angles(U, V) -> CanonicalAngles:
     )
 
 
-def whitening(S, rank_tol=RANK_TOL):
+def whitening(S):
     """Whitening map A of a positive semidefinite matrix S.
 
-    A = V_r diag(lambda_r ** -0.5) restricted to eigenvalues above
-    rank_tol * (largest eigenvalue), so that A.T @ S @ A is the identity on
-    the retained rank.  Columns follow ascending eigenvalue order.
+    A = V_r diag(lambda_r ** -0.5) restricted to the nonzero eigenvalues,
+    so that A.T @ S @ A is the identity on the retained rank.  Columns
+    follow ascending eigenvalue order.
 
     Raises ValidationError when S has an eigenvalue below
-    -rank_tol * ||S||_F (not positive semidefinite).
+    -RANK_TOL * ||S||_F (not positive semidefinite).
     """
-    S = as_sym_matrix(S)
     eig = sym_eig(S)
-    fro = np.linalg.norm(S)
-    if eig.values[0] < -rank_tol * fro:
+    if eig.values[0] < -RANK_TOL * np.linalg.norm(S):
         raise ValidationError(
             f"matrix is not positive semidefinite (min eigenvalue {eig.values[0]:.3e})")
-    largest = eig.values[-1] if eig.values.size else 0.0
-    keep = eig.values > rank_tol * max(largest, 0.0)
+    keep = nonzero(eig.values)
     return eig.vectors[:, keep] / np.sqrt(eig.values[keep])

@@ -99,8 +99,8 @@ def fit_class(samples, label=None, dim: Optional[int] = None,
         eigenvalue share reaches this fraction.
 
     With neither rule given, the full numerically nonzero spectrum is kept.
-    The eigenpairs come from the thin SVD X = U S V^T of the samples
-    (eigenvalues s^2 / n, eigenvectors V), which never forms the L x L
+    The eigenpairs come from ``linalg.range_basis(X.T)`` (eigenvectors U,
+    eigenvalues s^2 / n, cut by the rank rule), which never forms the L x L
     autocorrelation matrix.
     """
     X = np.asarray(samples, dtype=float)
@@ -116,10 +116,8 @@ def fit_class(samples, label=None, dim: Optional[int] = None,
     if not np.any(X):
         raise ValidationError("all samples are zero vectors")
 
-    _, s, vt = np.linalg.svd(X, full_matrices=False)
+    basis, s = linalg.range_basis(X.T)
     vals = s**2 / n
-    keep = vals > linalg.RANK_TOL * vals[0]
-    vals, basis = vals[keep], linalg.fix_signs(vt[keep].T)
 
     if dim is not None:
         if dim > vals.size:
@@ -186,23 +184,20 @@ def aligned_first_vectors(ensemble: SubspaceEnsemble) -> np.ndarray:
 
 
 def union_span(classes):
-    """Frame of the union span of class subspaces, from the thin SVD of the
-    pooled basis Phi = [Phi_1 ... Phi_C] = U S V^T.
+    """Frame of the union span of class subspaces: ``linalg.range_basis`` of
+    the pooled basis Phi = [Phi_1 ... Phi_C] = U S V^T.
 
-    Returns (U, s^2): the (L, K) sign-fixed columns of U and the K squared
-    singular values, ascending.  They are the eigenvectors and the nonzero
-    eigenvalues of G = sum_c P_c = U S^2 U^T; values with s^2 <= RANK_TOL *
-    s_max^2 are dropped, so K = rank(Phi) <= sum_c N_c.  gFDA and GDS work
-    on K x K matrices in the coordinates of U, at O(L K^2) cost.
+    Returns (U, s^2) in ascending order: the (L, K) sign-fixed columns of U
+    and the K squared singular values.  They are the eigenvectors and the
+    nonzero eigenvalues of G = sum_c P_c = U S^2 U^T; the rank rule drops
+    the rest, so K = rank(Phi) <= sum_c N_c.  gFDA and GDS work on K x K
+    matrices in the coordinates of U, at O(L K^2) cost.
     """
-    U, s, _ = np.linalg.svd(np.hstack([c.basis for c in classes]),
-                            full_matrices=False)
-    keep = s**2 > linalg.RANK_TOL * s[0] ** 2
-    return linalg.fix_signs(U[:, keep][:, ::-1]), s[keep][::-1] ** 2
+    U, s = linalg.range_basis(np.hstack([c.basis for c in classes]))
+    return U[:, ::-1].copy(order="K"), s[::-1] ** 2
 
 
-def difference_subspace_geometric(c1: ClassModel, c2: ClassModel,
-                                  tol=OVERLAP_TOL) -> np.ndarray:
+def difference_subspace_geometric(c1: ClassModel, c2: ClassModel) -> np.ndarray:
     """Difference subspace from normalized canonical-vector differences.
 
     For canonical pairs (u_i, v_i) of the two class subspaces the basis
@@ -213,7 +208,7 @@ def difference_subspace_geometric(c1: ClassModel, c2: ClassModel,
         raise ValidationError(
             "first argument must have the larger (or equal) dimension")
     angles = linalg.canonical_angles(c1.basis, c2.basis)
-    high = np.nonzero(angles.cosines >= 1.0 - tol)[0]
+    high = np.nonzero(angles.cosines >= 1.0 - OVERLAP_TOL)[0]
     if high.size:
         raise DegeneratePairError(
             f"canonical pair {high[0]} has cosine "
@@ -237,31 +232,32 @@ class DifferenceSubspace:
     eigenvalues: np.ndarray
 
 
-def difference_subspace_analytic(c1: ClassModel, c2: ClassModel,
-                                 tol=OVERLAP_TOL) -> DifferenceSubspace:
+def difference_subspace_analytic(c1: ClassModel,
+                                 c2: ClassModel) -> DifferenceSubspace:
     """Difference subspace as the sub-unit eigenvectors of P1 + P2.
 
     Eigenvalues above 1 span the principal component subspace, eigenvalues
     below 1 the difference subspace; together they decompose the sum
-    subspace.  An eigenvalue within tol of 2 means the subspaces share a
-    direction (degenerate); eigenvalues within tol of exactly 1 belong to
-    neither side and are excluded with a warning.
+    subspace.  An eigenvalue within OVERLAP_TOL of 2 means the subspaces
+    share a direction (degenerate); eigenvalues within OVERLAP_TOL of
+    exactly 1 belong to neither side and are excluded with a warning.
     """
     vecs, vals = union_span((c1, c2))
-    if vals.size == 0 or np.any(vals >= 2.0 - tol):
+    if vals.size == 0 or np.any(vals >= 2.0 - OVERLAP_TOL):
         hit = int(np.argmax(vals)) if vals.size else 0
         raise DegeneratePairError(
             "subspaces overlap: P1 + P2 has an eigenvalue at 2 "
             f"(index {hit})", index=hit)
 
-    near_one = np.abs(vals - 1.0) <= tol
+    near_one = np.abs(vals - 1.0) <= OVERLAP_TOL
     if np.any(near_one):
         warnings.warn(
-            f"{int(near_one.sum())} eigenvalue(s) of P1 + P2 within {tol} of "
-            "exactly 1 excluded from both the difference and principal sides",
+            f"{int(near_one.sum())} eigenvalue(s) of P1 + P2 within "
+            f"{OVERLAP_TOL} of exactly 1 excluded from both the difference "
+            "and principal sides",
             RuntimeWarning, stacklevel=2)
-    lower = vals < 1.0 - tol
-    upper = vals > 1.0 + tol
+    lower = vals < 1.0 - OVERLAP_TOL
+    upper = vals > 1.0 + OVERLAP_TOL
     return DifferenceSubspace(
         basis=vecs[:, lower],
         principal_basis=vecs[:, upper],

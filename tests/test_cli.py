@@ -207,6 +207,21 @@ class TestFitEval:
                             atol=1e-12)
 
 
+    def test_null_lda_means_in_within_range_exit_1(self, tmp_path, capsys):
+        rng = np.random.default_rng(14)
+        span = rng.standard_normal((4, 10))
+        rows = rng.standard_normal((12, 4)) @ span
+        path = tmp_path / "train.csv"
+        path.write_text("".join(f"{lab},{','.join(map(repr, r.tolist()))}\n"
+                                for lab, r in zip("aaaabbbbcccc", rows)))
+        model = tmp_path / "model.json"
+        assert run("fit", "--train", str(path), "--method", "nullLDA",
+                   "--out", str(model)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nullLDA does not apply" in err
+        assert not model.exists()
+
+
 class TestSweep:
     def test_sweep_table(self, tmp_path):
         train = tmp_path / "train.csv"
@@ -466,3 +481,15 @@ def test_corrupted_model_file_fails_cleanly(saved_model, data):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error: ")
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test dependency only; the runtime solves with numpy
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gfda.cli; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -464,6 +464,30 @@ class TestBaselines:
         with pytest.raises(NotApplicableError):
             gfda.null_lda(X, y)
 
+    @staticmethod
+    def _means_in_within_range(seed=102):
+        # 3 classes x 4 rows in one 4-dimensional subspace of L = 10: the
+        # within scatter already spans the centred data, so its null space
+        # holds no centred class mean
+        rng = np.random.default_rng(seed)
+        span = rng.standard_normal((4, 10))
+        X = rng.standard_normal((12, 4)) @ span
+        X[:4] += span[0]
+        return X, list("aaaabbbbcccc")
+
+    def test_null_lda_rejects_means_in_within_range(self):
+        X, y = self._means_in_within_range()
+        with pytest.raises(NotApplicableError,
+                           match="range of the within-class scatter"):
+            gfda.null_lda(X, y)
+
+    def test_null_lda_records_between_eigenvalues(self):
+        X = 5.0 * np.eye(3)
+        model = gfda.null_lda(X, ["a", "b", "c"])
+        vals = model.info["between_eigenvalues"]
+        assert len(vals) == 2 and min(vals) > 0
+        npt.assert_allclose(vals, [25.0 / 3] * 2, rtol=1e-12)
+
     def test_fda_requires_nonsingular_within(self):
         X = 5.0 * np.eye(3)
         with pytest.raises(ValidationError):

@@ -247,3 +247,117 @@ class TestWhitening:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValidationError):
             linalg.whitening(np.diag([1.0, -0.5]))
+
+
+class TestNonzero:
+    def test_relative_cut(self):
+        mask = linalg.nonzero([4.0, 4e-9, 4e-11, 0.0, -1e-3])
+        npt.assert_array_equal(mask, [True, True, False, False, False])
+
+    def test_all_zero_spectrum_gives_empty_mask(self):
+        assert not linalg.nonzero(np.zeros(4)).any()
+        assert linalg.nonzero(np.zeros(0)).shape == (0,)
+
+    def test_scale_invariant(self):
+        values = np.array([3.0, 1e-10, 5e-10, 2.0])
+        npt.assert_array_equal(linalg.nonzero(values),
+                               linalg.nonzero(1e-30 * values))
+
+
+def direct_svd_route(M, side):
+    """Reference factorization, written out at the call site's own
+    orientation: the thin SVD of M cut at s^2 > RANK_TOL * s_max^2, keeping
+    U ("left") or V ("right")."""
+    U, s, vt = np.linalg.svd(M, full_matrices=False)
+    keep = s**2 > linalg.RANK_TOL * s[0] ** 2
+    return (U if side == "left" else vt.T)[:, keep], s[keep]
+
+
+# (rows n, columns L, rank)
+SHAPES = {"tall": (40, 7, 7), "wide": (7, 40, 7), "rank-deficient": (30, 20, 5)}
+
+
+def sample_matrix(shape, seed):
+    n, L, r = SHAPES[shape]
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, r)) @ rng.standard_normal((r, L)) + 0.5
+
+
+def assert_same_span(A, B):
+    assert A.shape == B.shape
+    cos = linalg.canonical_angles(A, B).cosines
+    assert 1.0 - cos.min() <= 1e-8
+
+
+class TestRangeBasis:
+    def test_rank_deficient_drops_exactly_the_zero_directions(self):
+        A = sample_matrix("rank-deficient", 1)
+        U, s = linalg.range_basis(A)
+        assert U.shape == (30, np.linalg.matrix_rank(A)) and s.shape == (U.shape[1],)
+        npt.assert_allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-12)
+        assert np.linalg.norm(A - U @ (U.T @ A)) <= 1e-12 * np.linalg.norm(A)
+        npt.assert_allclose(s, np.linalg.svd(A, compute_uv=False)[:U.shape[1]],
+                            rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_sign_convention_and_order(self, shape):
+        U, s = linalg.range_basis(sample_matrix(shape, 2))
+        npt.assert_array_equal(linalg.fix_signs(U), U)
+        for col in U.T:
+            nz = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
+            assert col[nz[0]] > 0
+        assert np.all(np.diff(s) <= 0)
+
+    def test_zero_matrix_gives_empty_basis(self):
+        U, s = linalg.range_basis(np.zeros((4, 3)))
+        assert U.shape == (4, 0) and s.shape == (0,)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_fit_class_matches_direct_svd(self, shape):
+        from gfda import fit_class
+        X = sample_matrix(shape, 3)
+        model = fit_class(X)
+        basis, s = direct_svd_route(X, "right")
+        assert_same_span(model.basis, basis)
+        npt.assert_allclose(model.eigenvalues, s**2 / X.shape[0], rtol=1e-10)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_union_span_matches_direct_svd(self, shape):
+        from types import SimpleNamespace
+
+        from gfda import union_span
+        pooled = sample_matrix(shape, 4).T
+        U, s2 = union_span([SimpleNamespace(basis=pooled)])
+        basis, s = direct_svd_route(pooled, "left")
+        assert_same_span(U, basis)
+        npt.assert_allclose(s2, s[::-1] ** 2, rtol=1e-10)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_centred_frame_matches_direct_svd(self, shape):
+        # the frame stops at the rank of the centred rows; the direct SVD's
+        # leading columns up to that rank span the same space
+        from gfda import fisher
+        X = sample_matrix(shape, 5)
+        y = np.arange(X.shape[0]) % 3
+        *_, s, Q = fisher._centred_frame(X, y)
+        centred = X - X.mean(axis=0)
+        assert Q.shape[1] == np.linalg.matrix_rank(centred)
+        _, s_ref, vt = np.linalg.svd(centred, full_matrices=False)
+        assert_same_span(Q, vt[:Q.shape[1]].T)
+        npt.assert_allclose(s, s_ref[:Q.shape[1]], rtol=1e-10)
+
+    @pytest.mark.parametrize("C,N,L", [(3, 2, 6), (4, 1, 30), (5, 3, 60)])
+    def test_product_form_matches_direct_svd(self, C, N, L):
+        from gfda import (aligned_first_vectors, gfda_product_form,
+                          subspace_config, union_span)
+        ens = subspace_config(C, N, L, separation=0.5, seed=C + L)
+        U, s2 = union_span(ens.classes)
+        wmap = U.T / np.sqrt(s2)[:, None]
+        hats = aligned_first_vectors(ens) @ wmap.T
+        _, sv, vt = np.linalg.svd(hats - hats.mean(axis=0),
+                                  full_matrices=False)
+        model = gfda_product_form(ens)
+        assert_same_span(linalg.gram_schmidt(model.projector),
+                         linalg.gram_schmidt(wmap.T @ vt[:C - 1].T))
+        npt.assert_allclose(model.info["criterion_eigenvalues"],
+                            C * sv[:C - 1] ** 2, rtol=1e-10)
