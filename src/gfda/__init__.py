@@ -24,14 +24,14 @@ from .subspace import (ClassModel, GdsModel, SubspaceEnsemble,
                        difference_subspace_geometric, fit_class, fit_ensemble,
                        gds, gds_decomposition, projection_matrix, sum_matrix,
                        union_span)
-from .synth import (GenSpec, convex_mixture, gaussian_class,
-                    labeled_gaussians, labeled_mixtures, subspace_config)
+from .synth import (convex_mixture, gaussian_class, labeled_gaussians,
+                    labeled_mixtures, subspace_config)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ClassModel", "DegeneratePairError", "DiscriminantModel", "EigResult",
-    "EvalReport", "GdsModel", "GenSpec", "GfdaError", "NotApplicableError",
+    "EvalReport", "GdsModel", "GfdaError", "NotApplicableError",
     "OverlapError", "ProjectedPoint", "ScatterPair", "SubspaceEnsemble",
     "UndefinedDirectionError", "ValidationError", "aligned_first_vectors",
     "between_scatter", "between_scatter_pairwise", "canonical_angles",

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .fisher import (discriminant_power_curve, gap_index, gfda_linear_form,
-                     gfda_product_form, scatter_ladder)
+from .fisher import (between_scatter, between_scatter_pairwise,
+                     discriminant_power_curve, gap_index, gfda_linear_form,
+                     gfda_product_form, scatter_ladder, within_scatter)
 from .subspace import (difference_subspace_analytic,
-                       difference_subspace_geometric, gds_decomposition,
-                       sum_matrix)
+                       difference_subspace_geometric, fit_class,
+                       gds_decomposition, sum_matrix)
 from .synth import gaussian_class, subspace_config
 
 
@@ -105,8 +106,6 @@ def check_decomposition(classes=(2, 3, 5, 8), dims=(1, 2, 4), seed=19):
 
 def check_identities(trials=10, seed=29):
     """Scatter-matrix rewrites agree with their direct definitions."""
-    from .fisher import (between_scatter, between_scatter_pairwise,
-                         within_scatter)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -152,7 +151,6 @@ def check_heuristic(trials=20, ratio=2.0, seed=37):
     the first axis), keeping the accumulated off-mean noise bounded the
     way structured data keeps it bounded.
     """
-    from .subspace import fit_class
     configs = ((10, None, 2000), (100, 0.85, 1000))
     worst = 1.0
     for L, decay, n in configs:

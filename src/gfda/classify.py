@@ -157,17 +157,6 @@ class EvalReport:
     rule: str
     metadata: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "recognition_rate": self.recognition_rate,
-            "eer": self.eer,
-            "confusion": {f"{t}->{p}": c for (t, p), c in sorted(
-                self.confusion.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))},
-            "n_test": self.n_test,
-            "rule": self.rule,
-            "metadata": self.metadata,
-        }
-
 
 def evaluate(model: DiscriminantModel, X, y, rule: str = NEAREST_MEAN) -> EvalReport:
     """Classify a labeled test set and report recognition rate and EER.

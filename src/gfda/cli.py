@@ -24,9 +24,9 @@ from .errors import GfdaError, ValidationError
 from .fisher import (DiscriminantModel, ScatterPair, discriminant_power_curve,
                      fda, gds_discriminant, gfda_linear_form,
                      gfda_product_form, null_lda, pairwise_difference_matrix,
-                     pca_lda, reg_lda)
+                     pca_lda, reg_lda, with_normalization)
 from .subspace import aligned_first_vectors, fit_ensemble, union_span
-from .synth import (GenSpec, labeled_gaussians, labeled_mixtures,
+from .synth import (RNG_ALGORITHM, labeled_gaussians, labeled_mixtures,
                     subspace_config)
 
 METHODS = ("fda", "pcaLDA", "regLDA", "nullLDA", "gfda", "gfda-linear", "gds")
@@ -136,27 +136,27 @@ def resolve_config(args) -> ExperimentConfig:
 
 
 def build_model(cfg: ExperimentConfig, X, y) -> DiscriminantModel:
-    """Fit the configured method on labeled training data."""
+    """Fit the configured method on labeled training data; with normalize
+    set, return its "+N" variant."""
     if cfg.method == "fda":
-        return fda(X, y, normalized=cfg.normalize)
-    if cfg.method == "regLDA":
-        return reg_lda(X, y, delta=cfg.delta, normalized=cfg.normalize)
-    if cfg.method == "pcaLDA":
-        return pca_lda(X, y, residual_threshold=cfg.residual_threshold,
-                       normalized=cfg.normalize)
-    if cfg.method == "nullLDA":
-        return null_lda(X, y, normalized=cfg.normalize)
-
-    ensemble = fit_ensemble(X, y, dim=cfg.subspace_dim, energy=cfg.energy)
-    if cfg.method == "gfda":
-        return gfda_product_form(ensemble, normalized=cfg.normalize)
-    if cfg.method == "gfda-linear":
-        return gfda_linear_form(ensemble, normalized=cfg.normalize)
-    if cfg.gds_dims is not None:
-        return gds_discriminant(ensemble, dims=cfg.gds_dims,
-                                normalized=cfg.normalize)
-    gamma = cfg.gamma if cfg.gamma is not None else 0.90
-    return gds_discriminant(ensemble, gamma=gamma, normalized=cfg.normalize)
+        model = fda(X, y)
+    elif cfg.method == "regLDA":
+        model = reg_lda(X, y, delta=cfg.delta)
+    elif cfg.method == "pcaLDA":
+        model = pca_lda(X, y, residual_threshold=cfg.residual_threshold)
+    elif cfg.method == "nullLDA":
+        model = null_lda(X, y)
+    else:
+        ensemble = fit_ensemble(X, y, dim=cfg.subspace_dim, energy=cfg.energy)
+        if cfg.method == "gfda":
+            model = gfda_product_form(ensemble)
+        elif cfg.method == "gfda-linear":
+            model = gfda_linear_form(ensemble)
+        else:  # gds itself rejects dims and gamma given together
+            unset = cfg.gds_dims is None and cfg.gamma is None
+            model = gds_discriminant(ensemble, dims=cfg.gds_dims,
+                                     gamma=0.90 if unset else cfg.gamma)
+    return with_normalization(model, cfg.normalize)
 
 
 def _require_out(cfg: ExperimentConfig):
@@ -423,8 +423,8 @@ def cmd_synth(args) -> int:
                   "sample_seed": args.sample_seed,
                   "simplex": "normalized exponential draws"}
     save_dataset(args.out, X, labels)
-    record = GenSpec(kind=args.kind, seed=args.seed, params=params)
-    print(json.dumps(record.to_dict(), sort_keys=True))
+    print(json.dumps({"kind": args.kind, "seed": args.seed, "params": params,
+                      "rng": RNG_ALGORITHM}, sort_keys=True))
     print(f"{X.shape[0]} samples of dimension {X.shape[1]} -> {args.out}")
     return 0
 
@@ -442,7 +442,8 @@ def _add_config_options(p):
     p.add_argument("--residual-threshold", dest="residual_threshold",
                    type=float, help="pcaLDA residual-energy threshold")
     p.add_argument("--gamma", type=float,
-                   help="GDS cumulative-power fraction (default 0.90)")
+                   help="GDS cumulative-power fraction (default 0.90 "
+                        "unless --gds-dims is given)")
     p.add_argument("--gds-dims", dest="gds_dims", type=int,
                    help="fixed GDS dimension instead of the gamma rule")
     p.add_argument("--subspace-dim", dest="subspace_dim", type=int,

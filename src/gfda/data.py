@@ -1,8 +1,9 @@
 """Labeled-vector CSV datasets.
 
-Row format is ``label,x1,...,xL``; a header row is optional and detected by
-non-numeric fields.  Floats are written with repr so files round-trip
-exactly and identical runs produce identical bytes.
+Row format is ``label,x1,...,xL``.  load_dataset skips a header row,
+detected by non-numeric fields; save_dataset writes none.  Floats are
+written with repr so files round-trip exactly and identical runs produce
+identical bytes.
 """
 
 import csv
@@ -57,14 +58,12 @@ def load_dataset(path):
     return X, labels
 
 
-def save_dataset(path, X, labels, header=False):
+def save_dataset(path, X, labels):
     """Write a labeled dataset in the row format above."""
     X = np.asarray(X, dtype=float)
     if X.shape[0] != len(labels):
         raise ValidationError("labels do not align with rows")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow(["label"] + [f"x{i + 1}" for i in range(X.shape[1])])
         for label, row in zip(labels, X):
             writer.writerow([label] + [repr(float(v)) for v in row])

@@ -29,7 +29,7 @@ from . import linalg
 from .errors import (NotApplicableError, OverlapError, UndefinedDirectionError,
                      ValidationError)
 from .subspace import (OVERLAP_TOL, SubspaceEnsemble, aligned_first_vectors,
-                       gds, sum_matrix, union_span)
+                       gds, group_by_label, sum_matrix, union_span)
 
 LADDER_RUNGS = ("FDA", "aFDA", "sFDA", "gFDA")
 
@@ -61,7 +61,8 @@ class DiscriminantModel:
     class_refs : (C, k) reference point of each class in discriminant
         coordinates, rows aligned with class_labels
     normalized : when True, classification normalizes projections and
-        references to unit length (the "+N" variants)
+        references to unit length; every construction returns the plain
+        model, and with_normalization gives its "+N" variant
     """
 
     projector: np.ndarray
@@ -84,6 +85,8 @@ class DiscriminantModel:
             raise ValidationError("class labels must be mutually orderable") from None
         if not (np.isfinite(P).all() and np.isfinite(self.class_refs).all()):
             raise ValidationError("model arrays must be finite")
+        if not isinstance(self.normalized, bool):
+            raise ValidationError("normalized must be true or false")
 
     @property
     def dim(self) -> int:
@@ -113,14 +116,15 @@ class DiscriminantModel:
             method=d["method"],
             class_labels=tuple(d["class_labels"]),
             class_refs=np.asarray(d["class_refs"], dtype=float),
-            normalized=bool(d.get("normalized", False)),
+            normalized=d.get("normalized", False),
             info=dict(d.get("info", {})),
         )
 
 
 def with_normalization(model: DiscriminantModel,
                        normalized: bool = True) -> DiscriminantModel:
-    """Return the same model with the projection-normalization switch set."""
+    """Return the same model with the projection-normalization switch set;
+    the one place that sets ``normalized`` and the "+N" method suffix."""
     if normalized == model.normalized:
         return model
     method = model.method + "+N" if normalized else model.method.removesuffix("+N")
@@ -130,14 +134,6 @@ def with_normalization(model: DiscriminantModel,
 # ---------------------------------------------------------------------------
 # scatter matrices
 # ---------------------------------------------------------------------------
-
-def group_by_label(X, y):
-    """Split rows of X by label; returns (sorted labels, list of groups)."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    labels = sorted(set(y.tolist()))
-    return labels, [X[y == label] for label in labels]
-
 
 def within_scatter(groups) -> np.ndarray:
     """Pooled within-class covariance (1/n) sum_c sum_i (x - m_c)(x - m_c)^T,
@@ -300,8 +296,7 @@ def gap_index(C: int) -> float:
 # geometrical discriminant analysis
 # ---------------------------------------------------------------------------
 
-def gfda_product_form(ensemble: SubspaceEnsemble,
-                      normalized: bool = False) -> DiscriminantModel:
+def gfda_product_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     """Geometrical discriminant space via whitening followed by PCA.
 
     Steps: take the union-span frame U, S of the pooled class bases
@@ -336,16 +331,14 @@ def gfda_product_form(ensemble: SubspaceEnsemble,
     basis = basis[:, :k]
     return DiscriminantModel(
         projector=wmap.T @ basis,
-        method="gFDA-product" + ("+N" if normalized else ""),
+        method="gFDA-product",
         class_labels=ensemble.labels,
         class_refs=hats @ basis,
-        normalized=normalized,
         info={"criterion_eigenvalues": (C * sv[:k] ** 2).tolist()},
     )
 
 
-def gfda_linear_form(ensemble: SubspaceEnsemble,
-                     normalized: bool = False) -> DiscriminantModel:
+def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     """Geometrical discriminant space as the null space of W - B/C.
 
     Solvable for any sample count (the matrix is a plain linear combination,
@@ -381,16 +374,15 @@ def gfda_linear_form(ensemble: SubspaceEnsemble,
     basis = linalg.fix_signs(U @ vectors[:, :k])
     return DiscriminantModel(
         projector=basis,
-        method="gFDA-linear" + ("+N" if normalized else ""),
+        method="gFDA-linear",
         class_labels=ensemble.labels,
         class_refs=firsts @ basis,
-        normalized=normalized,
         info={"selected_eigenvalues": selected.tolist()},
     )
 
 
-def gds_discriminant(ensemble: SubspaceEnsemble, dims=None, gamma=None,
-                     normalized: bool = False) -> DiscriminantModel:
+def gds_discriminant(ensemble: SubspaceEnsemble, dims=None,
+                     gamma=None) -> DiscriminantModel:
     """Difference-subspace projection packaged for classification.
 
     The basis is the generalized difference subspace (smallest nonzero
@@ -401,10 +393,9 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None, gamma=None,
     firsts = aligned_first_vectors(ensemble)
     return DiscriminantModel(
         projector=model.basis,
-        method="GDS" + ("+N" if normalized else ""),
+        method="GDS",
         class_labels=ensemble.labels,
         class_refs=firsts @ model.basis,
-        normalized=normalized,
         info={"eigenvalues": model.eigenvalues.tolist(),
               "selection": asdict(model.selection)},
     )
@@ -451,20 +442,19 @@ def _top_generalized_directions(between, within, k, ridge=0.0):
     return (Linv.T @ V)[:, ::-1][:, :k], w[::-1][:k]
 
 
-def _baseline_model(labels, groups, frame, coords, method, normalized, info):
+def _baseline_model(labels, groups, frame, coords, method, info):
     # orthonormalize in frame coordinates: Gram-Schmidt commutes with the frame
     basis = frame @ linalg.gram_schmidt(coords)
     return DiscriminantModel(
         projector=basis,
-        method=method + ("+N" if normalized else ""),
+        method=method,
         class_labels=tuple(labels),
         class_refs=np.array([g.mean(axis=0) for g in groups]) @ basis,
-        normalized=normalized,
         info=info,
     )
 
 
-def fda(X, y, normalized: bool = False) -> DiscriminantModel:
+def fda(X, y) -> DiscriminantModel:
     """Classical Fisher discriminant analysis; needs a nonsingular
     within-class scatter, so a centred-data frame Q that fills the space."""
     labels, groups, center, _, Q = _centred_frame(X, y)
@@ -473,12 +463,11 @@ def fda(X, y, normalized: bool = False) -> DiscriminantModel:
     zmeans, counts, Sw = _frame_statistics(groups, center, Q)
     D, vals = _top_generalized_directions(between_scatter(zmeans, counts), Sw,
                                           len(labels) - 1)
-    return _baseline_model(labels, groups, Q, D, "FDA", normalized,
+    return _baseline_model(labels, groups, Q, D, "FDA",
                            info={"eigenvalues": vals.tolist()})
 
 
-def reg_lda(X, y, delta: float = 1e-4,
-            normalized: bool = False) -> DiscriminantModel:
+def reg_lda(X, y, delta: float = 1e-4) -> DiscriminantModel:
     """FDA with a ridge delta (default 1e-4, the protocol's value) added to
     the within-class scatter.  (S_b, S_w + delta I) is block-diagonal on the
     centred-data frame and its complement, where S_b vanishes, so the
@@ -489,12 +478,10 @@ def reg_lda(X, y, delta: float = 1e-4,
     zmeans, counts, Sw = _frame_statistics(groups, center, Q)
     D, _ = _top_generalized_directions(between_scatter(zmeans, counts), Sw,
                                        len(labels) - 1, ridge=delta)
-    return _baseline_model(labels, groups, Q, D, "regLDA", normalized,
-                           info={"delta": delta})
+    return _baseline_model(labels, groups, Q, D, "regLDA", {"delta": delta})
 
 
-def pca_lda(X, y, residual_threshold: float = 1e-2,
-            normalized: bool = False) -> DiscriminantModel:
+def pca_lda(X, y, residual_threshold: float = 1e-2) -> DiscriminantModel:
     """PCA dimension reduction followed by FDA in the reduced space.
 
     Keeps the fewest leading columns of the centred-data frame (eigenvalues
@@ -527,10 +514,10 @@ def pca_lda(X, y, residual_threshold: float = 1e-2,
     except ValidationError:
         D, _ = _top_generalized_directions(Sb, Sw, len(labels) - 1, ridge=1e-8)
         info["fallback"] = "regularized reduced-space FDA (delta=1e-8)"
-    return _baseline_model(labels, groups, P, D, "pcaLDA", normalized, info)
+    return _baseline_model(labels, groups, P, D, "pcaLDA", info)
 
 
-def null_lda(X, y, normalized: bool = False) -> DiscriminantModel:
+def null_lda(X, y) -> DiscriminantModel:
     """Discriminant directions inside the null space of the within-class
     scatter, the frame's complement plus Q N_r for N_r the null space of
     Q^T S_w Q.  The centred class means have no part in the complement, so
@@ -553,6 +540,6 @@ def null_lda(X, y, normalized: bool = False) -> DiscriminantModel:
             "the centred class means lie in the range of the within-class "
             "scatter, so no null direction separates them; nullLDA does not apply")
     D = Nr @ eig_b.vectors[:, ::-1][:, :len(labels) - 1]
-    return _baseline_model(labels, groups, Q, D, "nullLDA", normalized,
+    return _baseline_model(labels, groups, Q, D, "nullLDA",
                            info={"null_dim": null_dim,
                                  "between_eigenvalues": top.tolist()})

@@ -136,15 +136,20 @@ def fit_class(samples, label=None, dim: Optional[int] = None,
                       mean=X.mean(axis=0), count=n)
 
 
+def group_by_label(X, y):
+    """Split rows of X by label; returns (sorted labels, list of groups)."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    labels = sorted(set(y.tolist()))
+    return labels, [X[y == label] for label in labels]
+
+
 def fit_ensemble(X, labels, dim=None, energy=None) -> SubspaceEnsemble:
     """Fit one ClassModel per distinct label (sorted) and bundle them."""
     X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels)
-    classes = []
-    for label in sorted(set(labels.tolist())):
-        classes.append(fit_class(X[labels == label], label=label,
-                                 dim=dim, energy=energy))
-    return SubspaceEnsemble(classes=tuple(classes), ambient_dim=X.shape[1])
+    classes = tuple(fit_class(g, label=label, dim=dim, energy=energy)
+                    for label, g in zip(*group_by_label(X, labels)))
+    return SubspaceEnsemble(classes=classes, ambient_dim=X.shape[1])
 
 
 def projection_matrix(model: ClassModel) -> np.ndarray:

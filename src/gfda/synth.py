@@ -6,34 +6,16 @@ and platforms.  Simplex weights are drawn by normalizing exponential
 variates, the standard uniform-on-the-simplex construction.
 """
 
-import logging
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ValidationError
 from .subspace import ClassModel, SubspaceEnsemble
-
-log = logging.getLogger(__name__)
 
 RNG_ALGORITHM = "numpy-pcg64"
 
 SET1 = "Set1"
 SET2 = "Set2"
 MIXTURE_MODES = (SET1, SET2)
-
-
-@dataclass(frozen=True)
-class GenSpec:
-    """Serializable record of one generator invocation."""
-
-    kind: str
-    seed: int
-    params: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "seed": self.seed,
-                "params": self.params, "rng": RNG_ALGORITHM}
 
 
 def _unit(v):
@@ -77,7 +59,8 @@ def convex_mixture(basis_vectors, mode, count, seed) -> np.ndarray:
     around the mean.  Set2 anchors on twice one uniformly chosen basis
     vector plus a simplex-weighted mixture of the others, producing samples
     biased toward individual basis vectors.  Each sample is normalized to
-    unit length; a zero pre-normalization vector is resampled (logged).
+    unit length.  A Set2 sample has norm at least 2 - 1 = 1 before that; a
+    Set1 sample that cancels to zero raises ValidationError.
     """
     B = np.asarray(basis_vectors, dtype=float)
     if B.ndim != 2 or B.shape[0] < 2:
@@ -95,21 +78,17 @@ def convex_mixture(basis_vectors, mode, count, seed) -> np.ndarray:
     mean_vec = B.mean(axis=0)
     out = np.empty((count, B.shape[1]))
     for i in range(count):
-        for _ in range(100):
-            if mode == SET1:
-                c = _simplex(rng, k)
-                raw = 5.0 * mean_vec + c @ B
-            else:
-                j = int(rng.integers(k))
-                c = _simplex(rng, k - 1)
-                raw = 2.0 * B[j] + c @ B[np.arange(k) != j]
-            norm = np.linalg.norm(raw)
-            if norm > 1e-12:
-                out[i] = raw / norm
-                break
-            log.info("zero mixture resampled (mode=%s, sample=%d)", mode, i)
+        if mode == SET1:
+            c = _simplex(rng, k)
+            raw = 5.0 * mean_vec + c @ B
         else:
-            raise ValidationError("mixture kept collapsing to zero")
+            j = int(rng.integers(k))
+            c = _simplex(rng, k - 1)
+            raw = 2.0 * B[j] + c @ B[np.arange(k) != j]
+        norm = np.linalg.norm(raw)
+        if norm <= 1e-12:
+            raise ValidationError(f"mixture sample {i} collapsed to zero")
+        out[i] = raw / norm
     return out
 
 

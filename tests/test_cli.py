@@ -329,6 +329,18 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bad.csv:3" in err
 
+    def test_gds_dims_with_gamma_rejected(self, gaussian_sets, tmp_path,
+                                          capsys):
+        train, test = gaussian_sets
+        out = tmp_path / "e.csv"
+        assert run("eval", "--train", str(train), "--test", str(test),
+                   "--method", "gds", "--gamma", "0.5", "--gds-dims", "3",
+                   "--train-count", "5", "--repetitions", "1",
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: give exactly one of dims or gamma\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("line,message", [
         ("repetitions = abc", "repetitions: not an integer: 'abc'"),
         ("seed = 1.5", "seed: not an integer: '1.5'"),
@@ -393,6 +405,8 @@ class TestModelFile:
         ("projector", [1.0, 0.0]),
         ("projector", [[1.0, "x"]]),
         ("projector", 5),
+        ("normalized", "false"),
+        ("normalized", 1),
     ])
     def test_malformed_model_entry(self, gaussian_sets, tmp_path, capsys,
                                   model_payload, key, value):

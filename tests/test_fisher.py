@@ -311,7 +311,7 @@ class TestGfdaForms:
 
     def test_normalized_variant_tags(self):
         ens = sixty_degree_ensemble()
-        model = gfda.gfda_linear_form(ens, normalized=True)
+        model = gfda.with_normalization(gfda.gfda_linear_form(ens))
         assert model.method == "gFDA-linear+N"
         back = gfda.with_normalization(model, False)
         assert back.method == "gFDA-linear"
@@ -330,7 +330,7 @@ class TestGdsDiscriminant:
 
     def test_normalized_tag(self):
         ens = gfda.subspace_config(3, 1, 9, seed=97)
-        model = gfda.gds_discriminant(ens, dims=2, normalized=True)
+        model = gfda.with_normalization(gfda.gds_discriminant(ens, dims=2))
         assert model.method == "GDS+N"
 
 
@@ -543,7 +543,7 @@ class TestPowerAndGap:
 class TestModelSerialization:
     def test_round_trip(self):
         ens = gfda.subspace_config(3, 2, 18, seed=102)
-        model = gfda.gfda_product_form(ens, normalized=True)
+        model = gfda.with_normalization(gfda.gfda_product_form(ens))
         back = fisher.DiscriminantModel.from_dict(model.to_dict())
         npt.assert_array_equal(back.projector, model.projector)
         npt.assert_array_equal(back.class_refs, model.class_refs)

@@ -326,16 +326,17 @@ def per_sample_evaluate(model, X, y, rule):
 
 def build(method, X, y, normalized):
     if method == "regLDA":
-        return gfda.reg_lda(X, y, normalized=normalized)
+        return gfda.with_normalization(gfda.reg_lda(X, y), normalized)
     ens = gfda.fit_ensemble(X, y)
     if method == "gfda-product":
-        return gfda.gfda_product_form(ens, normalized=normalized)
-    if method == "gfda-linear":
-        return gfda.gfda_linear_form(ens, normalized=normalized)
-    if method == "gds-dims":
-        return gfda.gds_discriminant(ens, dims=ens.n_classes,
-                                     normalized=normalized)
-    return gfda.gds_discriminant(ens, gamma=0.9, normalized=normalized)
+        model = gfda.gfda_product_form(ens)
+    elif method == "gfda-linear":
+        model = gfda.gfda_linear_form(ens)
+    elif method == "gds-dims":
+        model = gfda.gds_discriminant(ens, dims=ens.n_classes)
+    else:
+        model = gfda.gds_discriminant(ens, gamma=0.9)
+    return gfda.with_normalization(model, normalized)
 
 
 @PROPERTY
