@@ -523,6 +523,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a Python warning like the CLI's own: one line, no source."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -532,6 +537,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("default")
+            warnings.showwarning = _show_warning
             return args.func(args)
     except GfdaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -87,6 +87,9 @@ class DiscriminantModel:
             raise ValidationError("model arrays must be finite")
         if not isinstance(self.normalized, bool):
             raise ValidationError("normalized must be true or false")
+        if self.normalized != str(self.method).endswith("+N"):
+            raise ValidationError(f"normalized must match the +N suffix of "
+                                  f"method {self.method!r}")
 
     @property
     def dim(self) -> int:

@@ -6,7 +6,7 @@ import gfda
 from gfda.classify import (COSINE, NEAREST_MEAN, equal_error_rate, evaluate,
                            project)
 from gfda.errors import UndefinedDirectionError, ValidationError
-from gfda.fisher import DiscriminantModel
+from gfda.fisher import DiscriminantModel, with_normalization
 
 
 def toy_model(normalized=False):
@@ -16,9 +16,9 @@ def toy_model(normalized=False):
     basis[0, 0] = 1.0
     basis[1, 1] = 1.0
     refs = np.array([[2.0, 0.0], [0.0, 1.0]])
-    return DiscriminantModel(projector=basis, method="FDA",
-                             class_labels=("a", "b"), class_refs=refs,
-                             normalized=normalized)
+    model = DiscriminantModel(projector=basis, method="FDA",
+                              class_labels=("a", "b"), class_refs=refs)
+    return with_normalization(model, normalized)
 
 
 class TestProject:

@@ -200,12 +200,26 @@ class TestFitEval:
              "--method", "gfda-linear", "--out", str(model)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.count("Warning") == 1
+        assert proc.stderr.count("warning: ") == 1
         assert "0 of 1 selected eigenvalues are near zero" in proc.stderr
         info = json.loads(model.read_text())["model"]["info"]
         npt.assert_allclose(info["selected_eigenvalues"], [2.0], rtol=0,
                             atol=1e-12)
 
+
+    def test_python_warning_printed_as_one_line(self, tmp_path, capsys):
+        # the overlap warning reads like the CLI's own warnings: no source
+        # path or echoed source line
+        train = tmp_path / "train.csv"
+        assert run("synth", "--kind", "mixture-set1", "--classes", "10",
+                   "--dim", "60", "--count", "9", "--seed", "1",
+                   "--sample-seed", "11", "--out", str(train)) == 0
+        assert run("fit", "--train", str(train), "--method", "gfda-linear",
+                   "--out", str(tmp_path / "model.json")) == 0
+        err = capsys.readouterr().err
+        assert "warning: only " in err
+        assert "cli.py:" not in err
+        assert all(line.startswith("warning: ") for line in err.splitlines())
 
     def test_null_lda_means_in_within_range_exit_1(self, tmp_path, capsys):
         rng = np.random.default_rng(14)
@@ -414,6 +428,18 @@ class TestModelFile:
         text = json.dumps(model_payload)
         assert self._eval_model(gaussian_sets, tmp_path, text) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("normalized,suffix", [(True, ""),
+                                                   (False, "+N")])
+    def test_normalized_disagrees_with_method(self, gaussian_sets, tmp_path,
+                                              capsys, model_payload,
+                                              normalized, suffix):
+        model_payload["model"]["normalized"] = normalized
+        model_payload["model"]["method"] += suffix
+        text = json.dumps(model_payload)
+        assert self._eval_model(gaussian_sets, tmp_path, text) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "+N suffix" in err
 
     def test_wrong_format_tag(self, gaussian_sets, tmp_path, capsys,
                               model_payload):
