@@ -25,7 +25,8 @@ from .fisher import (DiscriminantModel, ScatterPair, discriminant_power_curve,
                      fda, gds_discriminant, gfda_linear_form,
                      gfda_product_form, null_lda, pairwise_difference_matrix,
                      pca_lda, reg_lda, with_normalization)
-from .subspace import aligned_first_vectors, fit_ensemble, union_span
+from .subspace import (aligned_first_vectors, fit_ensemble, group_by_label,
+                       union_span)
 from .synth import (RNG_ALGORITHM, labeled_gaussians, labeled_mixtures,
                     subspace_config)
 
@@ -40,6 +41,9 @@ _PARAM_METHODS = {
     "subspace_dim": {"gfda", "gfda-linear", "gds"},
     "energy": {"gfda", "gfda-linear", "gds"},
 }
+
+_TRAINING_KEYS = {"train", "train_count", "repetitions", "method",
+                  "normalize"} | set(_PARAM_METHODS)
 
 MODEL_FORMAT = "gfda-model-v2"
 
@@ -127,11 +131,18 @@ def load_config_file(path) -> dict:
 
 
 def resolve_config(args) -> ExperimentConfig:
+    """The config file's entries, overridden by the flags given; with
+    --model, a training option is an error."""
     raw = load_config_file(args.config) if getattr(args, "config", None) else {}
     for f in fields(ExperimentConfig):
         value = getattr(args, f.name, None)
         if value is not None:
             raw[f.name] = value
+    training = sorted(raw.keys() & _TRAINING_KEYS)
+    if getattr(args, "model", None) and training:
+        raise ValidationError("--model scores the saved model as it is; "
+                              "training options do not apply: "
+                              + ", ".join(training))
     return ExperimentConfig.from_mapping(raw)
 
 
@@ -165,13 +176,8 @@ def _require_out(cfg: ExperimentConfig):
     return cfg.out
 
 
-def save_model(path, model: DiscriminantModel, cfg: ExperimentConfig):
-    payload = {
-        "format": MODEL_FORMAT,
-        "model": model.to_dict(),
-        "classifier": cfg.classifier,
-        "seed": cfg.seed,
-    }
+def save_model(path, model: DiscriminantModel):
+    payload = {"format": MODEL_FORMAT, "model": model.to_dict()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -196,46 +202,6 @@ def load_model(path) -> DiscriminantModel:
 # evaluation protocol
 # ---------------------------------------------------------------------------
 
-def _split_train_test(X, y, n, rng, external_test):
-    """Pick n training rows per class; test on the rest or an external set."""
-    y = np.asarray(y)
-    train_idx = []
-    test_idx = []
-    kept = []
-    for label in sorted(set(y.tolist())):
-        idx = np.nonzero(y == label)[0]
-        if n is not None and idx.size < n:
-            print(f"warning: class {label!r} has {idx.size} < {n} samples; "
-                  "skipped", file=sys.stderr)
-            continue
-        kept.append(label)
-        if n is None:
-            train_idx.extend(idx.tolist())
-        else:
-            chosen = np.zeros(idx.size, dtype=bool)
-            chosen[rng.choice(idx.size, size=n, replace=False)] = True
-            train_idx.extend(idx[chosen].tolist())
-            test_idx.extend(idx[~chosen].tolist())
-    if len(kept) < 2:
-        raise ValidationError("fewer than 2 classes have enough samples")
-    Xtr, ytr = X[train_idx], y[train_idx].tolist()
-    if external_test is not None:
-        Xte, yte_all = external_test
-        mask = [lab in kept for lab in yte_all]
-        if not all(mask):
-            print("warning: test samples of skipped classes ignored",
-                  file=sys.stderr)
-        Xte = Xte[np.asarray(mask)]
-        yte = [lab for lab, m in zip(yte_all, mask) if m]
-    else:
-        if not test_idx:
-            raise ValidationError(
-                "no held-out samples remain; provide a test dataset or a "
-                "train_count below the class sizes")
-        Xte, yte = X[test_idx], y[test_idx].tolist()
-    return Xtr, ytr, Xte, yte
-
-
 def load_protocol_data(cfg: ExperimentConfig):
     """The protocol's datasets: (X, y, external test set or None)."""
     if not cfg.train:
@@ -249,14 +215,44 @@ def run_protocol(cfg: ExperimentConfig, data=None):
 
     data is what load_protocol_data(cfg) returns, for callers that run
     several protocols over the same datasets; by default it is loaded here.
+    Classes with fewer than train_count rows are skipped once, with one
+    RuntimeWarning; repetition i draws from the rest with seed + i.
     """
     X, y, external = load_protocol_data(cfg) if data is None else data
+    y = np.asarray(y)
+    n = cfg.train_count
+    labels, groups = group_by_label(np.arange(len(y)), y)
+    kept = {label: idx for label, idx in zip(labels, groups)
+            if n is None or idx.size >= n}
+    for label, idx in zip(labels, groups):
+        if label not in kept:
+            warnings.warn(f"class {label!r} has {idx.size} < {n} samples; "
+                          "skipped", RuntimeWarning)
+    if len(kept) < 2:
+        raise ValidationError("fewer than 2 classes have enough samples")
+    if external is not None:
+        Xte, yte = external
+        mask = np.array([label in kept for label in yte], dtype=bool)
+        if not mask.all():
+            warnings.warn("test samples of skipped classes ignored",
+                          RuntimeWarning)
+        Xte, yte = Xte[mask], [label for label, m in zip(yte, mask) if m]
+    elif n is None or all(idx.size == n for idx in kept.values()):
+        raise ValidationError(
+            "no held-out samples remain; provide a test dataset or a "
+            "train_count below the class sizes")
+    rows = np.concatenate(list(kept.values()))  # class by class, ascending
     reports = []
     for rep in range(cfg.repetitions):
         rng = np.random.default_rng(cfg.seed + rep)
-        Xtr, ytr, Xte, yte = _split_train_test(X, y, cfg.train_count, rng,
-                                               external)
-        model = build_model(cfg, Xtr, ytr)
+        drawn = [idx if n is None else
+                 np.sort(idx[rng.choice(idx.size, size=n, replace=False)])
+                 for idx in kept.values()]
+        train = np.concatenate(drawn)
+        if external is None:
+            test = rows[~np.isin(rows, train)]
+            Xte, yte = X[test], y[test].tolist()
+        model = build_model(cfg, X[train], y[train].tolist())
         reports.append(evaluate(model, Xte, yte, rule=cfg.classifier))
     return reports
 
@@ -301,7 +297,7 @@ def cmd_fit(args) -> int:
     out = _require_out(cfg)
     X, y = load_dataset(cfg.train)
     model = build_model(cfg, X, y)
-    save_model(out, model, cfg)
+    save_model(out, model)
     print(f"fitted {model.method}: {model.dim}-dimensional discriminant "
           f"space over {len(model.class_labels)} classes -> {out}")
     return 0
@@ -401,14 +397,13 @@ def cmd_eigencurves(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    params = {"classes": args.classes, "dim": args.dim, "count": args.count,
+              "sample_seed": args.sample_seed}
     if args.kind == "gaussian":
         X, labels = labeled_gaussians(args.classes, args.dim, args.count,
                                       args.mean_norm, args.sigma_max,
                                       args.seed, sample_seed=args.sample_seed)
-        params = {"classes": args.classes, "dim": args.dim,
-                  "count": args.count, "mean_norm": args.mean_norm,
-                  "sigma_max": args.sigma_max,
-                  "sample_seed": args.sample_seed}
+        params.update(mean_norm=args.mean_norm, sigma_max=args.sigma_max)
     else:
         mode = "Set1" if args.kind == "mixture-set1" else "Set2"
         X, labels = labeled_mixtures(args.classes, args.dim, args.count,
@@ -416,12 +411,9 @@ def cmd_synth(args) -> int:
                                      basis_count=args.basis_count,
                                      anchor_spread=args.spread,
                                      sample_seed=args.sample_seed)
-        params = {"classes": args.classes, "dim": args.dim,
-                  "count": args.count, "mode": mode,
-                  "basis_count": args.basis_count,
-                  "anchor_spread": args.spread,
-                  "sample_seed": args.sample_seed,
-                  "simplex": "normalized exponential draws"}
+        params.update(mode=mode, basis_count=args.basis_count,
+                      anchor_spread=args.spread,
+                      simplex="normalized exponential draws")
     save_dataset(args.out, X, labels)
     print(json.dumps({"kind": args.kind, "seed": args.seed, "params": params,
                       "rng": RNG_ALGORITHM}, sort_keys=True))

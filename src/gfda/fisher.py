@@ -308,11 +308,12 @@ def gfda_product_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     vectors become mutually orthonormal, then diagonalize the
     pairwise-difference matrix of the whitened first basis vectors and keep
     its C - 1 leading eigenvectors.  That matrix is C X^T X for the C
-    centered whitened first vectors X, so its leading eigenpairs come from
-    the range basis of the K x C matrix X^T.  The model's projector is the
-    whitening map followed by those eigenvectors, one (L, C - 1) map.
-    Class references are the projections of the whitened first basis
-    vectors, which are pairwise orthogonal in the normalized space.
+    centered whitened first vectors X, whose C - 1 nonzero eigenvalues all
+    equal C (the whitened first vectors are orthonormal), so the data fix
+    the eigenbasis: Gram-Schmidt on the first C - 1 rows of X in class
+    order.  The model's projector is the whitening map followed by that
+    basis, one (L, C - 1) map.  Class references are the projections of
+    the whitened first basis vectors.
     """
     C = ensemble.n_classes
     total = sum(c.dim for c in ensemble.classes)
@@ -329,15 +330,15 @@ def gfda_product_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     s = np.sqrt(s2)
     wmap = U.T / s[:, None]  # data space -> normalized space
     hats = aligned_first_vectors(ensemble) @ wmap.T  # rows: whitened first vectors
-    basis, sv = linalg.range_basis((hats - hats.mean(axis=0)).T)
-    k = C - 1
-    basis = basis[:, :k]
+    centred = hats - hats.mean(axis=0)
+    basis = linalg.gram_schmidt(centred[:C - 1].T)
     return DiscriminantModel(
         projector=wmap.T @ basis,
         method="gFDA-product",
         class_labels=ensemble.labels,
         class_refs=hats @ basis,
-        info={"criterion_eigenvalues": (C * sv[:k] ** 2).tolist()},
+        info={"criterion_eigenvalues":
+              (C * np.sum((centred @ basis) ** 2, axis=0)).tolist()},
     )
 
 

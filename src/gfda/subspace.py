@@ -137,8 +137,8 @@ def fit_class(samples, label=None, dim: Optional[int] = None,
 
 
 def group_by_label(X, y):
-    """Split rows of X by label; returns (sorted labels, list of groups)."""
-    X = np.asarray(X, dtype=float)
+    """Rows of X (any dtype) split by label: (sorted labels, groups)."""
+    X = np.asarray(X)
     y = np.asarray(y)
     labels = sorted(set(y.tolist()))
     return labels, [X[y == label] for label in labels]

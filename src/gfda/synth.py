@@ -20,8 +20,8 @@ MIXTURE_MODES = (SET1, SET2)
 
 def _unit(v):
     norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise ValidationError("direction vector must be nonzero")
+    if not 0.0 < norm < np.inf:
+        raise ValidationError("direction vector must be finite and nonzero")
     return np.asarray(v, dtype=float) / norm
 
 
@@ -32,15 +32,18 @@ def gaussian_class(L, mean_direction, mean_norm, sigma_max, n, seed,
     Isotropic with per-axis deviation sigma_max by default; axis_scales (in
     (0, 1]) shrinks individual axes so sigma_max stays the largest deviation.
     """
-    if mean_norm < 0 or sigma_max <= 0 or n < 1:
-        raise ValidationError("need mean_norm >= 0, sigma_max > 0, n >= 1")
+    if not (L >= 1 and 0 <= mean_norm < np.inf and 0 < sigma_max < np.inf
+            and n >= 1):
+        raise ValidationError(
+            "need L >= 1, finite mean_norm >= 0, finite sigma_max > 0 and "
+            f"n >= 1, got {L}, {mean_norm}, {sigma_max} and {n}")
     rng = np.random.default_rng(seed)
     mean = mean_norm * _unit(np.asarray(mean_direction, dtype=float))
     if mean.size != L:
         raise ValidationError("mean_direction length must equal L")
     scales = np.full(L, sigma_max) if axis_scales is None \
         else sigma_max * np.asarray(axis_scales, dtype=float)
-    if np.any(scales <= 0) or np.any(scales > sigma_max * (1 + 1e-12)):
+    if not np.all((scales > 0) & (scales <= sigma_max * (1 + 1e-12))):
         raise ValidationError("axis scales must lie in (0, 1]")
     return mean + rng.standard_normal((n, L)) * scales
 
@@ -66,7 +69,7 @@ def convex_mixture(basis_vectors, mode, count, seed) -> np.ndarray:
     if B.ndim != 2 or B.shape[0] < 2:
         raise ValidationError("need at least 2 basis vectors (rows)")
     norms = np.linalg.norm(B, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-8:
+    if not np.all(np.abs(norms - 1.0) <= 1e-8):  # NaN fails too
         raise ValidationError("basis vectors must be unit-normalized")
     if mode not in MIXTURE_MODES:
         raise ValidationError(f"mode must be one of {MIXTURE_MODES}")
@@ -141,8 +144,8 @@ def labeled_gaussians(C, L, n_per_class, mean_norm, sigma_max, seed,
     derived from ``sample_seed`` (defaulting to ``seed``), so train/test
     pairs over the same classes come from one seed and two sample seeds.
     """
-    if C < 2:
-        raise ValidationError("need at least 2 classes")
+    if C < 2 or L < 1:
+        raise ValidationError(f"need C >= 2 and L >= 1, got {C} and {L}")
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((C, L))
     draw = seed if sample_seed is None else sample_seed
@@ -165,8 +168,11 @@ def class_mixture_bases(C, L, seed, basis_count=9, anchor_spread=0.4):
     separately so a caller can draw several mixture sample sets over the
     same families.
     """
-    if C < 2:
-        raise ValidationError("need at least 2 classes")
+    if not (C >= 2 and L >= 1 and basis_count >= 1
+            and np.isfinite(anchor_spread)):
+        raise ValidationError(
+            "need C >= 2, L >= 1, basis_count >= 1 and a finite "
+            f"anchor_spread, got {C}, {L}, {basis_count} and {anchor_spread}")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(C):

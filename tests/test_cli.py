@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +13,7 @@ import gfda as gfda_module
 from gfda import checks, cli
 from gfda.classify import evaluate
 from gfda.data import load_dataset
+from gfda.errors import ValidationError
 
 
 def run(*argv):
@@ -74,6 +76,27 @@ class TestSynth:
                        "--dim", "15", "--count", "6", "--seed", "9",
                        "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("args,message", [
+        (["--kind", "gaussian", "--dim", "-5"], "got 10 and -5"),
+        (["--kind", "mixture-set1", "--dim", "-5"], "got 10, -5, 9 and 0.4"),
+        (["--kind", "mixture-set1", "--basis-count", "-1"],
+         "got 10, 50, -1 and 0.4"),
+        (["--kind", "mixture-set2", "--spread", "nan"],
+         "got 10, 50, 9 and nan"),
+        (["--kind", "gaussian", "--mean-norm", "nan"],
+         "got 50, nan, 1.0 and 20"),
+        (["--kind", "gaussian", "--sigma-max", "inf"],
+         "got 50, 5.0, inf and 20"),
+    ])
+    def test_bad_parameters_exit_1_without_file(self, tmp_path, capsys,
+                                                args, message):
+        out = tmp_path / "s.csv"
+        assert run("synth", *args, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestFitEval:
@@ -251,6 +274,142 @@ class TestSweep:
         assert len(rows) == 1 + 8  # one row per training count 2..9
         ns = [int(r.split(",")[0]) for r in rows[1:]]
         assert ns == list(range(2, 10))
+
+
+def write_classes(path, sizes, seed):
+    """A CSV with sizes[label] rows per label, class a offset from the rest."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for lab, n in sizes.items():
+        for row in rng.standard_normal((n, 5)) + (10.0 if lab == "a" else 0.0):
+            lines.append(f"{lab},{','.join(map(repr, row.tolist()))}\n")
+    path.write_text("".join(lines))
+    return path
+
+
+class TestSkippedClassWarnings:
+    """A class below train_count is skipped once per protocol, not once per
+    repetition."""
+
+    def test_eval_warns_once_per_protocol(self, tmp_path, capsys):
+        sizes = {"a": 8, "b": 8, "tiny": 2}
+        train = write_classes(tmp_path / "train.csv", sizes, 15)
+        test = write_classes(tmp_path / "test.csv", sizes, 16)
+        out = tmp_path / "eval.csv"
+        assert run("eval", "--train", str(train), "--test", str(test),
+                   "--method", "regLDA", "--train-count", "4",
+                   "--repetitions", "5", "--seed", "0",
+                   "--out", str(out)) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning: class 'tiny' has 2 < 4 samples; skipped",
+            "warning: test samples of skipped classes ignored"]
+        assert captured.out.startswith("5 repetition(s): ")
+        assert len(out.read_text().splitlines()) == 1 + 5 + 2
+
+    def test_sweep_warns_once_per_row(self, tmp_path, capsys):
+        train = write_classes(tmp_path / "train.csv",
+                              {"a": 8, "b": 8, "tiny": 2}, 17)
+        assert run("sweep", "--train", str(train), "--method", "regLDA",
+                   "--min-n", "1", "--max-n", "6", "--repetitions", "3",
+                   "--seed", "0", "--out", str(tmp_path / "sweep.csv")) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: class 'tiny' has 2 < {n} samples; skipped"
+            for n in range(3, 7)]
+
+    def test_library_caller_gets_runtime_warnings(self, tmp_path):
+        sizes = {"a": 6, "b": 6, "tiny": 1}
+        train = write_classes(tmp_path / "train.csv", sizes, 18)
+        test = write_classes(tmp_path / "test.csv", sizes, 19)
+        cfg = cli.ExperimentConfig.from_mapping(
+            {"train": str(train), "test": str(test), "method": "regLDA",
+             "train_count": 2, "repetitions": 4})
+        with pytest.warns(RuntimeWarning) as record:
+            reports = cli.run_protocol(cfg)
+        assert len(reports) == 4
+        assert [str(w.message) for w in record] == [
+            "class 'tiny' has 1 < 2 samples; skipped",
+            "test samples of skipped classes ignored"]
+
+
+def reference_split(X, y, n, rng, external):
+    """One repetition's split as a per-class loop: n rows drawn per class
+    with at least n rows, in sorted label order; the test set is the
+    external one without the skipped classes, or the rows not drawn."""
+    y = np.asarray(y)
+    train_idx, test_idx, kept = [], [], []
+    for label in sorted(set(y.tolist())):
+        idx = np.nonzero(y == label)[0]
+        if n is not None and idx.size < n:
+            continue
+        kept.append(label)
+        if n is None:
+            train_idx.extend(idx.tolist())
+        else:
+            chosen = np.zeros(idx.size, dtype=bool)
+            chosen[rng.choice(idx.size, size=n, replace=False)] = True
+            train_idx.extend(idx[chosen].tolist())
+            test_idx.extend(idx[~chosen].tolist())
+    if len(kept) < 2:
+        return "fewer than 2 classes"
+    if external is not None:
+        Xte, yte = external
+        mask = [lab in kept for lab in yte]
+        return (X[train_idx], y[train_idx].tolist(),
+                Xte[np.asarray(mask, dtype=bool)],
+                [lab for lab, m in zip(yte, mask) if m])
+    if not test_idx:
+        return "no held-out samples"
+    return (X[train_idx], y[train_idx].tolist(), X[test_idx],
+            y[test_idx].tolist())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=2, max_size=5),
+       n=st.sampled_from([None, 1, 2, 3, 4]),
+       external=st.booleans(), repetitions=st.integers(1, 3),
+       seed=st.integers(0, 2**16), order_seed=st.integers(0, 2**16))
+def test_protocol_split_matches_reference(sizes, n, external, repetitions,
+                                          seed, order_seed):
+    # build_model and evaluate record their inputs, which must be the
+    # reference split's, bit for bit, in every repetition
+    rng = np.random.default_rng(order_seed)
+    labels = [f"c{c}" for c, k in enumerate(sizes) for _ in range(k)]
+    y = [labels[i] for i in rng.permutation(len(labels))]
+    X = rng.standard_normal((len(y), 3))
+    ext = None
+    if external:  # label c<len(sizes)> is in no training class
+        ext = (rng.standard_normal((7, 3)),
+               [f"c{c}" for c in rng.integers(0, len(sizes) + 1, 7)])
+    expected = [reference_split(X, y, n, np.random.default_rng(seed + rep),
+                                ext) for rep in range(repetitions)]
+    cfg = cli.ExperimentConfig(train_count=n, repetitions=repetitions,
+                               seed=seed)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mp.setattr(cli, "build_model", lambda cfg, Xtr, ytr:
+                   calls.append((Xtr, ytr)) or "model")
+        mp.setattr(cli, "evaluate", lambda model, Xte, yte, rule:
+                   calls.append((Xte, yte)) or model)
+        if isinstance(expected[0], str):
+            with pytest.raises(ValidationError, match=expected[0]):
+                cli.run_protocol(cfg, (X, y, ext))
+        else:
+            reports = cli.run_protocol(cfg, (X, y, ext))
+            assert reports == ["model"] * repetitions
+    if isinstance(expected[0], str):
+        assert calls == []
+    else:
+        assert len(calls) == 2 * repetitions
+        for rep, (Xtr, ytr, Xte, yte) in enumerate(expected):
+            npt.assert_array_equal(calls[2 * rep][0], Xtr)
+            assert calls[2 * rep][1] == ytr
+            npt.assert_array_equal(calls[2 * rep + 1][0], Xte)
+            assert calls[2 * rep + 1][1] == yte
+    skipped = sum(n is not None and k < n for k in sizes)
+    assert sum("samples; skipped" in str(w.message) for w in caught) == skipped
 
 
 class TestInvariantsCommand:
@@ -461,6 +620,49 @@ class TestModelFile:
                                     model_payload):
         text = json.dumps(model_payload)
         assert self._eval_model(gaussian_sets, tmp_path, text) == 0
+
+    def test_file_holds_format_and_model_only(self, model_payload):
+        # classifier and seed are options of a run, not of the model
+        assert set(model_payload) == {"format", "model"}
+
+    @pytest.mark.parametrize("args,named", [
+        (["--normalize", "--method", "gds", "--train-count", "3"],
+         "method, normalize, train_count"),
+        (["--repetitions", "5"], "repetitions"),
+        (["--train", "TRAIN"], "train"),
+        (["--delta", "1e-3"], "delta"),
+        (["--residual-threshold", "0.1"], "residual_threshold"),
+        (["--gamma", "0.5"], "gamma"),
+        (["--gds-dims", "2"], "gds_dims"),
+        (["--subspace-dim", "2"], "subspace_dim"),
+        (["--energy", "0.9"], "energy"),
+    ])
+    def test_eval_model_rejects_training_options(self, gaussian_sets,
+                                                 tmp_path, capsys,
+                                                 model_payload, args, named):
+        train, test = gaussian_sets
+        path = tmp_path / "model.json"
+        out = tmp_path / "e.csv"
+        args = [str(train) if a == "TRAIN" else a for a in args]
+        assert run("eval", "--model", str(path), "--test", str(test),
+                   *args, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: --model scores the saved model as it is; "
+                       f"training options do not apply: {named}\n")
+        assert not out.exists()
+
+    def test_eval_model_rejects_training_options_from_config(
+            self, gaussian_sets, tmp_path, capsys, model_payload):
+        _, test = gaussian_sets
+        config = tmp_path / "run.cfg"
+        config.write_text("classifier = cosine\nnormalize = true\n")
+        out = tmp_path / "e.csv"
+        assert run("eval", "--model", str(tmp_path / "model.json"),
+                   "--test", str(test), "--config", str(config),
+                   "--out", str(out)) == 1
+        assert "training options do not apply: normalize" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_test_set_of_wrong_width(self, tmp_path, capsys):
         paths = {}

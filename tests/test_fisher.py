@@ -273,6 +273,28 @@ class TestGfdaForms:
         assert model.class_refs.shape == (5, 4)
         assert model.projector.shape == (30, 4)
 
+    def test_product_form_independent_of_frame_basis(self, monkeypatch):
+        # mutually orthogonal class subspaces give G = sum_c P_c with every
+        # s^2 = 1, so U R is as valid a frame as U for any orthogonal R; the
+        # model must not depend on which one the factorization returns
+        rng = np.random.default_rng(96)
+        C, N, L = 5, 2, 24
+        Q = np.linalg.qr(rng.standard_normal((L, C * N)))[0]
+        ens = gfda.SubspaceEnsemble(tuple(
+            gfda.ClassModel(c, Q[:, c * N:(c + 1) * N], np.array([2.0, 1.0]),
+                            3.0 * Q[:, c * N], 4) for c in range(C)), L)
+        plain = gfda.gfda_product_form(ens)
+        U, s2 = fisher.union_span(ens.classes)
+        npt.assert_allclose(s2, np.ones(C * N), atol=1e-12)
+        R = np.linalg.qr(rng.standard_normal((C * N, C * N)))[0]
+        monkeypatch.setattr(fisher, "union_span",
+                            lambda classes: (U @ R, s2))
+        rotated = gfda.gfda_product_form(ens)
+        npt.assert_allclose(rotated.projector, plain.projector, atol=1e-12)
+        npt.assert_allclose(rotated.class_refs, plain.class_refs, atol=1e-12)
+        npt.assert_allclose(rotated.info["criterion_eigenvalues"],
+                            np.full(C - 1, float(C)), rtol=1e-12)
+
     def test_product_form_overlap_rejected(self):
         d = np.array([1.0, 0.0, 0.0])
         ens = gfda.SubspaceEnsemble((line_model("a", d), line_model("b", d)),

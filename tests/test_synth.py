@@ -45,6 +45,23 @@ class TestGaussianClass:
             gfda.gaussian_class(3, [1, 0, 0], 1.0, 1.0, 5, seed=0,
                                 axis_scales=[2.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("L,direction,mean_norm,sigma_max,scales", [
+        (-5, [1, 0, 0], 1.0, 1.0, None),
+        (0, [], 1.0, 1.0, None),
+        (3, [1, 0, 0], np.nan, 1.0, None),
+        (3, [1, 0, 0], np.inf, 1.0, None),
+        (3, [1, 0, 0], 1.0, np.inf, None),
+        (3, [1, 0, 0], 1.0, np.nan, None),
+        (3, [np.nan, 0, 0], 1.0, 1.0, None),
+        (3, [1, 0, 0], 1.0, 1.0, [1.0, np.nan, 1.0]),
+    ])
+    def test_non_finite_or_empty_parameters_rejected(self, L, direction,
+                                                     mean_norm, sigma_max,
+                                                     scales):
+        with pytest.raises(ValidationError):
+            gfda.gaussian_class(L, direction, mean_norm, sigma_max, 5,
+                                seed=0, axis_scales=scales)
+
 
 class TestConvexMixture:
     def test_identical_basis_vectors_return_the_direction(self):
@@ -93,6 +110,14 @@ class TestConvexMixture:
             gfda.convex_mixture(B, "Set3", 3, seed=0)
         with pytest.raises(ValidationError):
             gfda.convex_mixture(B, "Set1", 0, seed=0)
+
+    def test_non_finite_basis_rejected(self):
+        B = synth.class_mixture_bases(2, 6, seed=6)[0]
+        for bad in (np.nan, np.inf):
+            C = B.copy()
+            C[1, 2] = bad
+            with pytest.raises(ValidationError, match="unit-normalized"):
+                gfda.convex_mixture(C, "Set1", 3, seed=0)
 
 
 class TestSubspaceConfig:
@@ -159,6 +184,18 @@ class TestLabeledSets:
         X2, y2 = gfda.labeled_mixtures(3, 15, 5, "Set1", seed=13)
         npt.assert_array_equal(X1, X2)
         assert y1 == y2
+
+    @pytest.mark.parametrize("L,basis_count,spread", [
+        (-5, 9, 0.4), (0, 9, 0.4), (10, -1, 0.4), (10, 0, 0.4),
+        (10, 9, np.nan), (10, 9, np.inf)])
+    def test_mixture_bases_parameters_rejected(self, L, basis_count, spread):
+        with pytest.raises(ValidationError):
+            synth.class_mixture_bases(3, L, seed=0, basis_count=basis_count,
+                                      anchor_spread=spread)
+
+    def test_labeled_gaussians_negative_dimension_rejected(self):
+        with pytest.raises(ValidationError, match="L >= 1"):
+            gfda.labeled_gaussians(3, -5, 4, 5.0, 1.0, seed=0)
 
     def test_mixture_bases_pairwise_positive_means(self):
         fams = synth.class_mixture_bases(5, 30, seed=14)
