@@ -8,7 +8,6 @@ are both normalized.  A whole test set is projected and scored at once.
 """
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -83,7 +82,8 @@ def _scores(model: DiscriminantModel, X, rule: str) -> np.ndarray:
         if model.normalized:
             refs = refs / _reference_norms(model)[:, None]
         d = refs[None] - T[:, None]
-        return -np.sum(d * d, axis=2)
+        d *= d  # in place: the (n, C, k) differences are the largest array
+        return -np.sum(d, axis=2)
     if rule == COSINE:
         T = project(model, X, normalize=True).coords
         return T @ refs.T / _reference_norms(model)
@@ -171,20 +171,27 @@ def evaluate(model: DiscriminantModel, X, y, rule: str = NEAREST_MEAN) -> EvalRe
     y = list(y)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[0] != len(y):
         raise ValidationError("test set is empty or labels do not align")
-    unknown = sorted({str(lab) for lab in y
-                      if lab not in model.class_labels})
+    labels = model.class_labels
+    # each distinct test label is matched to a model label once, by ==
+    code = dict.fromkeys(y)
+    unknown = sorted({str(lab) for lab in code if lab not in labels})
     if unknown:
         raise ValidationError(f"test labels not in the model: {unknown}")
+    for lab in code:
+        code[lab] = labels.index(lab)
+    true = np.fromiter(map(code.__getitem__, y), dtype=np.intp, count=len(y))
 
-    labels = model.class_labels
-    true = np.array([labels.index(lab) for lab in y])
+    C = len(labels)
     scores = _scores(model, X, rule)
     pred = _predict(model, scores)
-    is_genuine = true[:, None] == np.arange(len(labels))
-    confusion = dict(Counter((t, labels[p]) for t, p in zip(y, pred)))
+    is_genuine = true[:, None] == np.arange(C)
+    counts = np.bincount(true * C + pred, minlength=C * C)
+    name = {i: lab for lab, i in code.items()}  # the test set's own labels
+    confusion = {(name[k // C], labels[k % C]): int(counts[k])
+                 for k in np.flatnonzero(counts).tolist()}
     genuine, impostor = scores[is_genuine], scores[~is_genuine]
 
-    if len(set(y)) < 2:
+    if len(code) < 2:
         warnings.warn("single-class test set: EER is undefined",
                       RuntimeWarning, stacklevel=2)
         eer = None

@@ -42,8 +42,12 @@ _PARAM_METHODS = {
     "energy": {"gfda", "gfda-linear", "gds"},
 }
 
-_TRAINING_KEYS = {"train", "train_count", "repetitions", "method",
+# Options that eval --model, which fits nothing, and fit, which evaluates
+# nothing, would ignore.
+_TRAINING_KEYS = {"train", "train_count", "repetitions", "seed", "method",
                   "normalize"} | set(_PARAM_METHODS)
+_EVALUATION_KEYS = {"train_count", "repetitions", "test", "seed",
+                    "classifier"}
 
 MODEL_FORMAT = "gfda-model-v2"
 
@@ -131,18 +135,26 @@ def load_config_file(path) -> dict:
 
 
 def resolve_config(args) -> ExperimentConfig:
-    """The config file's entries, overridden by the flags given; with
-    --model, a training option is an error."""
+    """The config file's entries, overridden by the flags given.  An option
+    the command would ignore is an error: with --model the training
+    options, for fit the evaluation options."""
     raw = load_config_file(args.config) if getattr(args, "config", None) else {}
     for f in fields(ExperimentConfig):
         value = getattr(args, f.name, None)
         if value is not None:
             raw[f.name] = value
-    training = sorted(raw.keys() & _TRAINING_KEYS)
-    if getattr(args, "model", None) and training:
-        raise ValidationError("--model scores the saved model as it is; "
-                              "training options do not apply: "
-                              + ", ".join(training))
+    if getattr(args, "model", None):
+        unused = sorted(raw.keys() & _TRAINING_KEYS)
+        if unused:
+            raise ValidationError("--model scores the saved model as it is; "
+                                  "training options do not apply: "
+                                  + ", ".join(unused))
+    elif getattr(args, "command", None) == "fit":
+        unused = sorted(raw.keys() & _EVALUATION_KEYS)
+        if unused:
+            raise ValidationError("fit trains one model on every training "
+                                  "row; evaluation options do not apply: "
+                                  + ", ".join(unused))
     return ExperimentConfig.from_mapping(raw)
 
 
@@ -216,7 +228,10 @@ def run_protocol(cfg: ExperimentConfig, data=None):
     data is what load_protocol_data(cfg) returns, for callers that run
     several protocols over the same datasets; by default it is loaded here.
     Classes with fewer than train_count rows are skipped once, with one
-    RuntimeWarning; repetition i draws from the rest with seed + i.
+    RuntimeWarning; repetition i draws from the rest with seed + i.  When
+    nothing is drawn (no train_count, or every kept class has exactly
+    train_count rows) every repetition would train on the same rows, so the
+    model is built and scored once and its report repeated.
     """
     X, y, external = load_protocol_data(cfg) if data is None else data
     y = np.asarray(y)
@@ -230,6 +245,7 @@ def run_protocol(cfg: ExperimentConfig, data=None):
                           "skipped", RuntimeWarning)
     if len(kept) < 2:
         raise ValidationError("fewer than 2 classes have enough samples")
+    whole = n is None or all(idx.size == n for idx in kept.values())
     if external is not None:
         Xte, yte = external
         mask = np.array([label in kept for label in yte], dtype=bool)
@@ -237,18 +253,20 @@ def run_protocol(cfg: ExperimentConfig, data=None):
             warnings.warn("test samples of skipped classes ignored",
                           RuntimeWarning)
         Xte, yte = Xte[mask], [label for label, m in zip(yte, mask) if m]
-    elif n is None or all(idx.size == n for idx in kept.values()):
+    elif whole:
         raise ValidationError(
             "no held-out samples remain; provide a test dataset or a "
             "train_count below the class sizes")
     rows = np.concatenate(list(kept.values()))  # class by class, ascending
+    if whole:
+        model = build_model(cfg, X[rows], y[rows].tolist())
+        return [evaluate(model, Xte, yte, rule=cfg.classifier)] * cfg.repetitions
     reports = []
     for rep in range(cfg.repetitions):
         rng = np.random.default_rng(cfg.seed + rep)
-        drawn = [idx if n is None else
-                 np.sort(idx[rng.choice(idx.size, size=n, replace=False)])
-                 for idx in kept.values()]
-        train = np.concatenate(drawn)
+        train = np.concatenate([
+            np.sort(idx[rng.choice(idx.size, size=n, replace=False)])
+            for idx in kept.values()])
         if external is None:
             test = rows[~np.isin(rows, train)]
             Xte, yte = X[test], y[test].tolist()

@@ -62,43 +62,58 @@ def as_ortho_basis(Q, name="basis"):
     if Q.shape[1] == 0:
         return Q
     gram = Q.T @ Q
-    if np.max(np.abs(np.diag(gram) - 1.0)) > UNIT_NORM_TOL * 10:
+    if np.abs(gram.diagonal() - 1.0).max() > UNIT_NORM_TOL * 10:
         raise ValidationError(f"{name} columns are not unit vectors")
-    off = gram - np.diag(np.diag(gram))
-    if off.size and np.max(np.abs(off)) > ORTHO_IP_TOL:
+    np.fill_diagonal(gram, 0.0)
+    if np.abs(gram).max() > ORTHO_IP_TOL:
         raise ValidationError(f"{name} columns are not mutually orthogonal")
     return Q
 
 
-def fix_signs(V):
+def fix_signs(V, copy=True):
     """Flip eigenvector columns so the first nonzero component is positive.
 
     A component counts as nonzero above 1e-12 of its column's largest
     magnitude.  The sign convention makes every spectral factorization in
-    the package deterministic.  Returns a copy.
+    the package deterministic.  V is one (n, k) matrix or a stack of them
+    (..., n, k); the columns of each matrix are fixed on their own.
+    Returns a copy, or flips V, a float array, in place with copy=False.
     """
-    V = np.array(V, dtype=float)
+    if copy:
+        V = np.array(V, dtype=float)
     if V.size:
-        mag = np.abs(V)
-        first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
-        V[:, V[first, np.arange(V.shape[1])] < 0] *= -1.0
+        # |V| with each column contiguous, so the reductions run along rows
+        mag = np.abs(np.swapaxes(V, -1, -2), order="C")
+        first = np.argmax(mag > 1e-12 * mag.max(axis=-1, keepdims=True),
+                          axis=-1)
+        lead = np.take_along_axis(V, first[..., None, :], axis=-2)
+        V *= np.where(lead < 0, -1.0, 1.0)
     return V
 
 
 def nonzero(values):
     """Mask of the entries above RANK_TOL times the largest: the one rank
-    rule.  An all-zero (or empty) spectrum gives an all-False mask."""
+    rule, applied along the last axis.  An all-zero (or empty) spectrum
+    gives an all-False mask."""
     values = np.asarray(values, dtype=float)
-    return values > RANK_TOL * values.max(initial=0.0)
+    return values > RANK_TOL * values.max(axis=-1, initial=0.0, keepdims=True)
 
 
 def range_basis(A):
     """Orthonormal basis of the column span of A from its thin SVD
     A = U S V^T.  Returns (U_r, s_r): the sign-fixed columns of U and the
-    singular values, descending, for the r entries with nonzero(s^2)."""
+    singular values, descending, for the r entries with nonzero(s^2).
+
+    A may be one (L, n) matrix or a (b, L, n) stack, factorized by one
+    batched LAPACK call; a stack gives a list of b (U_r, s_r) pairs, whose
+    ranks r may differ.
+    """
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     keep = nonzero(s**2)
-    return fix_signs(U[:, keep]), s[keep]
+    fix_signs(U, copy=False)
+    if U.ndim == 2:
+        return U[:, keep], s[keep]
+    return [(u[:, k], v[k]) for u, v, k in zip(U, s, keep)]
 
 
 def sym_eig(M) -> EigResult:
@@ -109,7 +124,7 @@ def sym_eig(M) -> EigResult:
     """
     M = as_sym_matrix(M)
     values, vectors = np.linalg.eigh(M)
-    return EigResult(values=values, vectors=fix_signs(vectors))
+    return EigResult(values=values, vectors=fix_signs(vectors, copy=False))
 
 
 def gram_schmidt(vectors):

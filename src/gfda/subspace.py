@@ -101,39 +101,14 @@ def fit_class(samples, label=None, dim: Optional[int] = None,
     With neither rule given, the full numerically nonzero spectrum is kept.
     The eigenpairs come from ``linalg.range_basis(X.T)`` (eigenvectors U,
     eigenvalues s^2 / n, cut by the rank rule), which never forms the L x L
-    autocorrelation matrix.
+    autocorrelation matrix.  This is the one-class case of fit_ensemble.
     """
     X = np.asarray(samples, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValidationError("fit_class needs at least one sample")
-    n, L = X.shape
-    if dim is not None and energy is not None:
-        raise ValidationError("give either dim or energy, not both")
-    if dim is not None and not (1 <= dim <= min(n, L)):
-        raise ValidationError(f"dim must be in [1, min(n={n}, L={L})]")
-    if not np.any(X):
-        raise ValidationError("all samples are zero vectors")
-
-    basis, s = linalg.range_basis(X.T)
-    vals = s**2 / n
-
-    if dim is not None:
-        if dim > vals.size:
-            raise ValidationError(
-                f"requested {dim} components but numerical rank is {vals.size}")
-        vals, basis = vals[:dim], basis[:, :dim]
-    elif energy is not None:
-        if not (0.0 < energy <= 1.0):
-            raise ValidationError("energy threshold must be in (0, 1]")
-        share = np.cumsum(vals) / np.sum(vals)
-        k = int(np.searchsorted(share, energy - 1e-15) + 1)
-        k = min(k, vals.size)
-        vals, basis = vals[:k], basis[:, :k]
-
-    return ClassModel(label=label, basis=basis, eigenvalues=vals,
-                      mean=X.mean(axis=0), count=n)
+    return _fit_classes(X, [label], [np.arange(X.shape[0])], dim, energy)[0]
 
 
 def group_by_label(X, y):
@@ -145,11 +120,57 @@ def group_by_label(X, y):
 
 
 def fit_ensemble(X, labels, dim=None, energy=None) -> SubspaceEnsemble:
-    """Fit one ClassModel per distinct label (sorted) and bundle them."""
+    """Fit one ClassModel per distinct label (sorted) and bundle them.
+
+    The classes of each distinct size share one batched SVD, so C classes
+    of equal size cost one LAPACK call; the models are bit for bit those
+    of fit_class on each class, and a failing class raises fit_class's
+    error, the first in sorted label order.
+    """
     X = np.asarray(X, dtype=float)
-    classes = tuple(fit_class(g, label=label, dim=dim, energy=energy)
-                    for label, g in zip(*group_by_label(X, labels)))
-    return SubspaceEnsemble(classes=classes, ambient_dim=X.shape[1])
+    labels, rows = group_by_label(np.arange(len(X)), labels)
+    return SubspaceEnsemble(classes=tuple(_fit_classes(X, labels, rows, dim,
+                                                       energy)),
+                            ambient_dim=X.shape[1])
+
+
+def _fit_classes(X, labels, rows, dim, energy):
+    """ClassModels of the classes X[rows[i]], i in order, checked in that
+    order after one stacked ``linalg.range_basis`` per distinct size."""
+    if dim is not None and energy is not None:
+        raise ValidationError("give either dim or energy, not both")
+    L = X.shape[1]
+    fits = [None] * len(rows)
+    for n, members in zip(*group_by_label(np.arange(len(rows)),
+                                          [r.size for r in rows])):
+        stack = X[np.stack([rows[i] for i in members])]  # (b, n, L)
+        factors = linalg.range_basis(stack.transpose(0, 2, 1))
+        for i, (basis, s), mean, any_nonzero in zip(
+                members, factors, stack.mean(axis=1), stack.any(axis=(1, 2))):
+            fits[i] = (n, basis, s**2 / n, mean, any_nonzero)
+
+    classes = []
+    for label, (n, basis, vals, mean, any_nonzero) in zip(labels, fits):
+        if dim is not None and not (1 <= dim <= min(n, L)):
+            raise ValidationError(f"dim must be in [1, min(n={n}, L={L})]")
+        if not any_nonzero:
+            raise ValidationError("all samples are zero vectors")
+        if dim is not None:
+            if dim > vals.size:
+                raise ValidationError(
+                    f"requested {dim} components but numerical rank is "
+                    f"{vals.size}")
+            vals, basis = vals[:dim], basis[:, :dim]
+        elif energy is not None:
+            if not (0.0 < energy <= 1.0):
+                raise ValidationError("energy threshold must be in (0, 1]")
+            share = np.cumsum(vals) / np.sum(vals)
+            k = int(np.searchsorted(share, energy - 1e-15) + 1)
+            k = min(k, vals.size)
+            vals, basis = vals[:k], basis[:, :k]
+        classes.append(ClassModel(label=label, basis=basis, eigenvalues=vals,
+                                  mean=mean, count=n))
+    return classes
 
 
 def projection_matrix(model: ClassModel) -> np.ndarray:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -189,6 +191,41 @@ class TestEvaluate:
         model, X, y = self._fitted()
         with pytest.raises(ValidationError):
             evaluate(model, X[:2], ["nope", "nope"])
+
+    def test_unknown_labels_listed_once_sorted_as_text(self):
+        model, X, y = self._fitted()
+        with pytest.raises(ValidationError) as caught:
+            evaluate(model, X[:5], ["nope", 5, "c00", "nope", 5])
+        assert str(caught.value) == "test labels not in the model: ['5', 'nope']"
+
+    def test_integer_unsorted_labels(self):
+        # the same model under labels (3, 1, 2), test labels as numpy ints:
+        # every number and the confusion counts carry over
+        model, X, y = self._fitted()
+        rename = {"c00": 3, "c01": 1, "c02": 2}
+        relabeled = replace(model, class_labels=(3, 1, 2))
+        y_int = np.array([rename[lab] for lab in y], dtype=np.int64)
+        rep = evaluate(model, X, y)
+        rep_int = evaluate(relabeled, X, y_int)
+        assert rep_int.recognition_rate == rep.recognition_rate
+        assert rep_int.eer == rep.eer
+        npt.assert_array_equal(rep_int.genuine_scores, rep.genuine_scores)
+        npt.assert_array_equal(rep_int.impostor_scores, rep.impostor_scores)
+        assert rep_int.confusion == {(rename[t], rename[p]): count
+                                     for (t, p), count in rep.confusion.items()}
+        assert all(isinstance(count, int) for count in rep_int.confusion.values())
+
+    def test_single_integer_class_eer_undefined(self):
+        model, X, y = self._fitted()
+        relabeled = replace(model, class_labels=(3, 1, 2))
+        keep = [i for i, lab in enumerate(y) if lab == "c01"]
+        with pytest.warns(RuntimeWarning, match="single-class"):
+            rep = evaluate(relabeled, X[keep], [1] * len(keep))
+        assert rep.eer is None
+        assert sum(rep.confusion.values()) == len(keep)
+        assert {t for t, _ in rep.confusion} == {1}
+        assert rep.recognition_rate == pytest.approx(
+            100.0 * rep.confusion.get((1, 1), 0) / len(keep))
 
     def test_eer_protocol_recorded(self):
         model, X, y = self._fitted()

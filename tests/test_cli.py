@@ -191,6 +191,33 @@ class TestFitEval:
         assert mean_row[0] == "mean"
         assert float(mean_row[2]) > 100.0 / 3.0  # well above chance
 
+    @pytest.mark.parametrize("count", [[], ["--train-count", "12"]])
+    def test_nothing_drawn_fits_once(self, gaussian_sets, tmp_path,
+                                     monkeypatch, count):
+        # every class is taken whole (no train count, or one equal to every
+        # class size): one fit serves all repetitions, and the file is the
+        # one a fit per repetition writes
+        train, test = gaussian_sets
+        out = tmp_path / "eval.csv"
+        build = cli.build_model
+        calls = []
+        monkeypatch.setattr(cli, "build_model", lambda *a: calls.append(1)
+                            or build(*a))
+        assert run("eval", "--train", str(train), "--test", str(test),
+                   "--method", "gfda-linear", *count, "--repetitions", "4",
+                   "--out", str(out)) == 0
+        assert len(calls) == 1
+
+        cfg = cli.ExperimentConfig(method="gfda-linear", repetitions=4,
+                                   train_count=12 if count else None)
+        X, y = load_dataset(train)
+        Xte, yte = load_dataset(test)
+        reports = [evaluate(build(cfg, X, y), Xte, yte, rule=cfg.classifier)
+                   for _ in range(4)]
+        expected = tmp_path / "expected.csv"
+        cli._write_eval_csv(expected, cfg, reports)
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_small_class_skipped_with_warning(self, tmp_path, capsys):
         path = tmp_path / "train.csv"
         rng = np.random.default_rng(12)
@@ -402,8 +429,12 @@ def test_protocol_split_matches_reference(sizes, n, external, repetitions,
     if isinstance(expected[0], str):
         assert calls == []
     else:
-        assert len(calls) == 2 * repetitions
-        for rep, (Xtr, ytr, Xte, yte) in enumerate(expected):
+        # with nothing drawn, one fit and one evaluation serve every
+        # repetition (the reference splits are then all equal)
+        whole = n is None or all(k == n for k in sizes if k >= n)
+        builds = 1 if whole else repetitions
+        assert len(calls) == 2 * builds
+        for rep, (Xtr, ytr, Xte, yte) in enumerate(expected[:builds]):
             npt.assert_array_equal(calls[2 * rep][0], Xtr)
             assert calls[2 * rep][1] == ytr
             npt.assert_array_equal(calls[2 * rep + 1][0], Xte)
@@ -488,6 +519,37 @@ class TestConfigHandling:
     def test_missing_out_rejected(self, gaussian_sets):
         train, _ = gaussian_sets
         assert run("fit", "--train", str(train), "--method", "regLDA") == 1
+
+    @pytest.mark.parametrize("args,named", [
+        (["--train-count", "3"], "train_count"),
+        (["--repetitions", "5"], "repetitions"),
+        (["--test", "TEST"], "test"),
+        (["--seed", "9"], "seed"),
+        (["--classifier", "cosine"], "classifier"),
+    ])
+    def test_fit_rejects_evaluation_options(self, gaussian_sets, tmp_path,
+                                            capsys, args, named):
+        train, test = gaussian_sets
+        out = tmp_path / "model.json"
+        args = [str(test) if a == "TEST" else a for a in args]
+        assert run("fit", "--train", str(train), "--method", "regLDA",
+                   *args, "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: fit trains one model on every training row; evaluation "
+            f"options do not apply: {named}\n")
+        assert not out.exists()
+
+    def test_fit_rejects_evaluation_options_from_config(
+            self, gaussian_sets, tmp_path, capsys):
+        train, test = gaussian_sets
+        config = tmp_path / "run.cfg"
+        config.write_text(f"method = regLDA\ntest = {test}\nseed = 4\n")
+        out = tmp_path / "model.json"
+        assert run("fit", "--config", str(config), "--train", str(train),
+                   "--out", str(out)) == 1
+        assert "evaluation options do not apply: seed, test" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_maps_to_one(self):
         assert run("eigencurves") == 1  # missing required arguments
@@ -636,6 +698,7 @@ class TestModelFile:
         (["--gds-dims", "2"], "gds_dims"),
         (["--subspace-dim", "2"], "subspace_dim"),
         (["--energy", "0.9"], "energy"),
+        (["--seed", "3"], "seed"),
     ])
     def test_eval_model_rejects_training_options(self, gaussian_sets,
                                                  tmp_path, capsys,

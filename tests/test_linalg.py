@@ -85,6 +85,23 @@ class TestFixSigns:
         npt.assert_array_equal(out, np.eye(2))
         npt.assert_array_equal(V, -np.eye(2))
 
+    def test_stack_fixes_each_matrix_on_its_own(self):
+        rng = np.random.default_rng(7)
+        V = rng.standard_normal((4, 9, 3))
+        V[1, :, 0] = 0.0                # a zero column in one matrix
+        V[2, :4, 2] = 0.0               # leading zeros in another
+        # a small column: its leading entry counts against its own scale
+        V[3, :, 1] = 1e-6 * np.abs(V[3, :, 1])
+        V[3, 0, 1] = -1e-16
+        out = linalg.fix_signs(V)
+        for matrix, fixed in zip(V, out):
+            npt.assert_array_equal(fixed, loop_fix_signs(matrix))
+
+    def test_in_place_without_copy(self):
+        V = -np.eye(3)[None].repeat(2, axis=0)
+        assert linalg.fix_signs(V, copy=False) is V
+        npt.assert_array_equal(V, np.eye(3)[None].repeat(2, axis=0))
+
 
 class TestGramSchmidt:
     def test_two_vector_example(self):
@@ -311,6 +328,25 @@ class TestRangeBasis:
     def test_zero_matrix_gives_empty_basis(self):
         U, s = linalg.range_basis(np.zeros((4, 3)))
         assert U.shape == (4, 0) and s.shape == (0,)
+
+    def test_stack_matches_one_call_per_matrix(self):
+        # one batched factorization, bit for bit the per-matrix results;
+        # the rank is decided per matrix (full, deficient, zero)
+        rng = np.random.default_rng(8)
+        stack = rng.standard_normal((3, 12, 4)) + 0.5
+        stack[1, :, 3] = stack[1, :, 0] + stack[1, :, 1]
+        stack[2] = 0.0
+        pairs = linalg.range_basis(stack)
+        assert [U.shape[1] for U, _ in pairs] == [4, 3, 0]
+        for A, (U, s) in zip(stack, pairs):
+            U1, s1 = linalg.range_basis(A)
+            npt.assert_array_equal(U, U1)
+            npt.assert_array_equal(s, s1)
+
+    def test_nonzero_rule_per_row(self):
+        values = np.array([[4.0, 1e-12, 0.0], [1e-20, 1e-31, 0.0]])
+        npt.assert_array_equal(linalg.nonzero(values),
+                               [[True, False, False], [True, False, False]])
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_fit_class_matches_direct_svd(self, shape):

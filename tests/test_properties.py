@@ -12,13 +12,15 @@ and FDA solve in the frame of the centred training data; nullLDA is checked
 against the null space of the L x L within scatter and the L x L between
 scatter projected there, regLDA and FDA against the L x L generalized
 eigenproblem.  Batched evaluation is checked against a
-per-sample scoring loop.
+per-sample scoring loop, and the batched ensemble fit against fit_class on
+each class and against the thin SVD of each class on its own.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -374,3 +376,72 @@ def test_batched_evaluate_matches_per_sample_loop(C, n, extra, method,
                         atol=1e-12 * scale)
     npt.assert_allclose(report.eer, gfda.equal_error_rate(genuine, impostor),
                         rtol=0, atol=1e-12)
+
+
+@st.composite
+def labeled_classes(draw):
+    """Rows of 2-5 classes of 1-7 samples in dimension 1-8, shuffled, with
+    unsorted integer or string labels; a class may be rank-deficient or,
+    rarely, all zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    L = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.integers(1, 7), min_size=2, max_size=5))
+    names = draw(st.sampled_from([[7, 3, 11, 0, 5],
+                                  ["k", "b", "x", "a", "m"]]))
+    X, y = [], []
+    for c, n in enumerate(sizes):
+        rank = draw(st.integers(1, min(n, L))) * (rng.random() > 0.05)
+        rows = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, L))
+        X.append(rows + (0.5 if rank and draw(st.booleans()) else 0.0))
+        y += [names[c]] * n
+    order = rng.permutation(len(y))
+    return np.vstack(X)[order], [y[i] for i in order]
+
+
+def first_fit_or_error(X, y, dim, energy):
+    """The per-class loop: fit_class on each class in sorted label order,
+    stopping at the first error."""
+    models = []
+    for label in sorted(set(y)):
+        rows = X[[i for i, lab in enumerate(y) if lab == label]]
+        try:
+            models.append(gfda.fit_class(rows, label=label, dim=dim,
+                                         energy=energy))
+        except gfda.ValidationError as exc:
+            return str(exc)
+    return models
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(labeled_classes(),
+       st.sampled_from([(None, None), (1, None), (2, None), (3, None),
+                        (None, 0.5), (None, 0.9), (None, 1.0), (1, 0.5)]))
+def test_fit_ensemble_matches_per_class_fit(data, rule):
+    X, y = data
+    dim, energy = rule
+    expected = first_fit_or_error(X, y, dim, energy)
+    if isinstance(expected, str):
+        with pytest.raises(gfda.ValidationError) as caught:
+            gfda.fit_ensemble(X, y, dim=dim, energy=energy)
+        assert str(caught.value) == expected
+        return
+    ens = gfda.fit_ensemble(X, y, dim=dim, energy=energy)
+    assert ens.labels == tuple(sorted(set(y)))
+    for got, want in zip(ens.classes, expected):
+        assert got.label == want.label and got.count == want.count
+        npt.assert_array_equal(got.basis, want.basis)
+        npt.assert_array_equal(got.eigenvalues, want.eigenvalues)
+        npt.assert_array_equal(got.mean, want.mean)
+        # the thin SVD of the class alone: U cut at the rank rule, each
+        # column's first nonzero entry positive, eigenvalues s^2 / n
+        rows = X[[i for i, lab in enumerate(y) if lab == got.label]]
+        U, s, _ = np.linalg.svd(rows.T, full_matrices=False)
+        keep = s**2 > linalg.RANK_TOL * s[0] ** 2
+        U = U[:, keep]
+        U *= np.where(U[np.argmax(np.abs(U) > 1e-12 * np.abs(U).max(axis=0),
+                                  axis=0), np.arange(U.shape[1])] < 0,
+                      -1.0, 1.0)
+        npt.assert_array_equal(got.basis, U[:, :got.dim])
+        npt.assert_array_equal(got.eigenvalues,
+                               (s[keep] ** 2 / rows.shape[0])[:got.dim])
+        npt.assert_array_equal(got.mean, rows.mean(axis=0))

@@ -84,6 +84,33 @@ class TestFitClass:
             gfda.fit_class(np.eye(3), dim=1, energy=0.5)
 
 
+class TestFitEnsemble:
+    # three failing classes of different sizes, so each has its own stacked
+    # SVD: rank 1 below dim 2, all zero, and one row below dim 2
+    FAILURES = {
+        "rank": (np.array([[1.0, 2.0, 0.0, 1.0]] * 2),
+                 "requested 2 components but numerical rank is 1"),
+        "zero": (np.zeros((3, 4)), "all samples are zero vectors"),
+        "short": (np.array([[0.0, 1.0, 1.0, 0.0]]),
+                  "dim must be in [1, min(n=1, L=4)]"),
+    }
+
+    @pytest.mark.parametrize("order", [("rank", "zero", "short"),
+                                       ("zero", "short", "rank"),
+                                       ("short", "rank", "zero")])
+    def test_first_bad_class_in_label_order_raises(self, order):
+        rows, y = [], []
+        for label, kind in zip(("a", "b", "c"), order):
+            rows.append(self.FAILURES[kind][0])
+            y += [label] * len(rows[-1])
+        good = np.random.default_rng(3).standard_normal((2, 4))
+        X = np.vstack(rows + [good])[::-1]  # rows out of label order
+        y = (y + ["d", "d"])[::-1]
+        with pytest.raises(ValidationError) as caught:
+            gfda.fit_ensemble(X, y, dim=2)
+        assert str(caught.value) == self.FAILURES[order[0]][1]
+
+
 class TestProjectionMatrix:
     def test_single_axis(self):
         P = gfda.projection_matrix(line_model("a", [1.0, 0.0]))
