@@ -13,17 +13,16 @@ from .errors import (DegeneratePairError, GfdaError, NotApplicableError,
                      OverlapError, UndefinedDirectionError, ValidationError)
 from .fisher import (DiscriminantModel, ScatterPair, between_scatter,
                      between_scatter_pairwise, discriminant_power_curve, fda,
-                     fisher_criterion, gap_index, gds_discriminant,
-                     gfda_linear_form, gfda_product_form, null_lda, pca_lda,
-                     reg_lda, scatter_ladder, with_normalization,
-                     within_scatter)
+                     fisher_criterion, gap_index, gds_decomposition,
+                     gds_discriminant, gfda_linear_form, gfda_product_form,
+                     null_lda, pca_lda, reg_lda, scatter_ladder, union_frame,
+                     with_normalization, within_scatter)
 from .linalg import (EigResult, canonical_angles, gram_schmidt, sym_eig,
                      whitening)
-from .subspace import (ClassModel, GdsModel, SubspaceEnsemble,
-                       aligned_first_vectors, difference_subspace_analytic,
+from .subspace import (ClassModel, SubspaceEnsemble, aligned_first_vectors,
+                       difference_subspace_analytic,
                        difference_subspace_geometric, fit_class, fit_ensemble,
-                       gds, gds_decomposition, projection_matrix, sum_matrix,
-                       union_span)
+                       projection_matrix, sum_matrix, union_span)
 from .synth import (convex_mixture, gaussian_class, labeled_gaussians,
                     labeled_mixtures, subspace_config)
 
@@ -31,18 +30,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassModel", "DegeneratePairError", "DiscriminantModel", "EigResult",
-    "EvalReport", "GdsModel", "GfdaError", "NotApplicableError",
-    "OverlapError", "ProjectedPoint", "ScatterPair", "SubspaceEnsemble",
+    "EvalReport", "GfdaError", "NotApplicableError", "OverlapError",
+    "ProjectedPoint", "ScatterPair", "SubspaceEnsemble",
     "UndefinedDirectionError", "ValidationError", "aligned_first_vectors",
     "between_scatter", "between_scatter_pairwise", "canonical_angles",
     "classify_cosine", "classify_nearest_mean", "convex_mixture",
     "difference_subspace_analytic", "difference_subspace_geometric",
     "discriminant_power_curve", "equal_error_rate", "evaluate", "fda",
     "fisher_criterion", "fit_class", "fit_ensemble", "gap_index",
-    "gaussian_class", "gds", "gds_decomposition", "gds_discriminant",
+    "gaussian_class", "gds_decomposition", "gds_discriminant",
     "gfda_linear_form", "gfda_product_form", "gram_schmidt",
     "labeled_gaussians", "labeled_mixtures", "null_lda", "pca_lda",
     "project", "projection_matrix", "reg_lda", "scatter_ladder",
-    "subspace_config", "sum_matrix", "sym_eig", "union_span", "whitening",
-    "with_normalization", "within_scatter",
+    "subspace_config", "sum_matrix", "sym_eig", "union_frame", "union_span",
+    "whitening", "with_normalization", "within_scatter",
 ]

@@ -12,11 +12,11 @@ import numpy as np
 
 from . import linalg
 from .fisher import (between_scatter, between_scatter_pairwise,
-                     discriminant_power_curve, gap_index, gfda_linear_form,
-                     gfda_product_form, scatter_ladder, within_scatter)
+                     discriminant_power_curve, gap_index, gds_decomposition,
+                     gfda_linear_form, gfda_product_form, scatter_ladder,
+                     within_scatter)
 from .subspace import (difference_subspace_analytic,
-                       difference_subspace_geometric, fit_class,
-                       gds_decomposition, sum_matrix)
+                       difference_subspace_geometric, fit_class, sum_matrix)
 from .synth import gaussian_class, subspace_config
 
 

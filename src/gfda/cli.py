@@ -23,10 +23,9 @@ from .data import load_dataset, save_dataset
 from .errors import GfdaError, ValidationError
 from .fisher import (DiscriminantModel, ScatterPair, discriminant_power_curve,
                      fda, gds_discriminant, gfda_linear_form,
-                     gfda_product_form, null_lda, pairwise_difference_matrix,
-                     pca_lda, reg_lda, with_normalization)
-from .subspace import (aligned_first_vectors, fit_ensemble, group_by_label,
-                       union_span)
+                     gfda_product_form, null_lda, pca_lda, reg_lda,
+                     union_frame, with_normalization)
+from .subspace import fit_ensemble, group_by_label
 from .synth import (RNG_ALGORITHM, labeled_gaussians, labeled_mixtures,
                     subspace_config)
 
@@ -42,12 +41,20 @@ _PARAM_METHODS = {
     "energy": {"gfda", "gfda-linear", "gds"},
 }
 
-# Options that eval --model, which fits nothing, and fit, which evaluates
-# nothing, would ignore.
-_TRAINING_KEYS = {"train", "train_count", "repetitions", "seed", "method",
-                  "normalize"} | set(_PARAM_METHODS)
-_EVALUATION_KEYS = {"train_count", "repetitions", "test", "seed",
-                    "classifier"}
+# The options a command would ignore, and how it says so: eval --model fits
+# nothing, fit evaluates nothing, and sweep sets train_count itself.
+_IGNORED_KEYS = {
+    "eval --model": ({"train", "train_count", "repetitions", "seed", "method",
+                      "normalize"} | set(_PARAM_METHODS),
+                     "--model scores the saved model as it is; training "
+                     "options do not apply"),
+    "fit": ({"train_count", "repetitions", "test", "seed", "classifier"},
+            "fit trains one model on every training row; evaluation "
+            "options do not apply"),
+    "sweep": ({"train_count"},
+              "sweep runs every train_count from --min-n to --max-n; the "
+              "option does not apply"),
+}
 
 MODEL_FORMAT = "gfda-model-v2"
 
@@ -136,25 +143,18 @@ def load_config_file(path) -> dict:
 
 def resolve_config(args) -> ExperimentConfig:
     """The config file's entries, overridden by the flags given.  An option
-    the command would ignore is an error: with --model the training
-    options, for fit the evaluation options."""
+    the command would ignore (_IGNORED_KEYS) is an error."""
     raw = load_config_file(args.config) if getattr(args, "config", None) else {}
     for f in fields(ExperimentConfig):
         value = getattr(args, f.name, None)
         if value is not None:
             raw[f.name] = value
-    if getattr(args, "model", None):
-        unused = sorted(raw.keys() & _TRAINING_KEYS)
-        if unused:
-            raise ValidationError("--model scores the saved model as it is; "
-                                  "training options do not apply: "
-                                  + ", ".join(unused))
-    elif getattr(args, "command", None) == "fit":
-        unused = sorted(raw.keys() & _EVALUATION_KEYS)
-        if unused:
-            raise ValidationError("fit trains one model on every training "
-                                  "row; evaluation options do not apply: "
-                                  + ", ".join(unused))
+    command = ("eval --model" if getattr(args, "model", None)
+               else getattr(args, "command", None))
+    ignored, reason = _IGNORED_KEYS.get(command, (set(), ""))
+    unused = sorted(raw.keys() & ignored)
+    if unused:
+        raise ValidationError(f"{reason}: " + ", ".join(unused))
     return ExperimentConfig.from_mapping(raw)
 
 
@@ -175,7 +175,7 @@ def build_model(cfg: ExperimentConfig, X, y) -> DiscriminantModel:
             model = gfda_product_form(ensemble)
         elif cfg.method == "gfda-linear":
             model = gfda_linear_form(ensemble)
-        else:  # gds itself rejects dims and gamma given together
+        else:  # gds_discriminant rejects dims and gamma given together
             unset = cfg.gds_dims is None and cfg.gamma is None
             model = gds_discriminant(ensemble, dims=cfg.gds_dims,
                                      gamma=0.90 if unset else cfg.gamma)
@@ -395,10 +395,8 @@ def cmd_eigencurves(args) -> int:
     ensemble = subspace_config(C, N, L, separation=args.separation,
                                seed=args.seed)
     # the gFDA pair (B, G) restricted to the union span, in frame coordinates
-    U, vals_g = union_span(ensemble.classes)
-    firsts = aligned_first_vectors(ensemble) @ U
-    pair = ScatterPair(between=pairwise_difference_matrix(firsts),
-                       within=np.diag(vals_g), rung="gFDA")
+    _, vals_g, _, B_U = union_frame(ensemble)
+    pair = ScatterPair(between=B_U, within=np.diag(vals_g), rung="gFDA")
     eig_h = linalg.sym_eig(pair.within - pair.between / C)
 
     power_g = discriminant_power_curve(np.eye(vals_g.size), pair)

@@ -21,7 +21,7 @@ any number of samples).  Both spans coincide.
 """
 
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from . import linalg
 from .errors import (NotApplicableError, OverlapError, UndefinedDirectionError,
                      ValidationError)
 from .subspace import (OVERLAP_TOL, SubspaceEnsemble, aligned_first_vectors,
-                       gds, group_by_label, sum_matrix, union_span)
+                       group_by_label, sum_matrix, union_span)
 
 LADDER_RUNGS = ("FDA", "aFDA", "sFDA", "gFDA")
 
@@ -262,6 +262,33 @@ def scatter_ladder(ensemble: SubspaceEnsemble, rung: str) -> ScatterPair:
     return ScatterPair(between=between, within=within, rung=rung)
 
 
+def gds_decomposition(ensemble: SubspaceEnsemble):
+    """Split G into its between-difference and residual parts.
+
+    For C classes of equal subspace dimension N, with z = phi_1^j - phi_1^k
+    and z' = phi_1^j + phi_1^k taken over sign-aligned first basis vectors,
+
+        G = (1 / (2 (C - 1))) * B + W5
+
+    where B is the pairwise-difference matrix over the first basis vectors
+    and W5 collects the z' terms plus all higher basis directions.  Returns
+    the two summands (the first already carries its coefficient).
+    """
+    dims = {c.dim for c in ensemble.classes}
+    if len(dims) != 1:
+        raise ValidationError(
+            f"classes must share one subspace dimension, got {sorted(dims)}")
+    C = ensemble.n_classes
+    firsts = aligned_first_vectors(ensemble)
+    coef = 1.0 / (2.0 * (C - 1))
+    # sum_{j<k} z' z'^T = (C - 2) F^T F + (F^T 1)(F^T 1)^T
+    total = firsts.sum(axis=0)
+    W5 = coef * ((C - 2) * (firsts.T @ firsts) + np.outer(total, total))
+    rest = np.hstack([c.basis[:, 1:] for c in ensemble.classes])
+    W5 += rest @ rest.T
+    return coef * pairwise_difference_matrix(firsts), W5
+
+
 def fisher_criterion(d, pair: ScatterPair) -> float:
     """Generalized Rayleigh quotient (d^T B d) / (d^T W d): the one-column
     case of discriminant_power_curve.
@@ -299,6 +326,23 @@ def gap_index(C: int) -> float:
 # geometrical discriminant analysis
 # ---------------------------------------------------------------------------
 
+def union_frame(ensemble: SubspaceEnsemble):
+    """The union-span frame that gFDA and GDS work in, as (U, s2, F, B_U).
+
+    U, s2 : union_span of the class subspaces, the (L, K) frame and the K
+        nonzero eigenvalues of G = sum_c P_c = U diag(s2) U^T, ascending
+    F : (C, L) aligned first basis vectors
+    B_U : (K, K) pairwise-difference matrix of F U, that is U^T B U
+
+    In the coordinates of U, GDS diagonalizes G, i.e. reads off diag(s2),
+    and gFDA-linear diagonalizes diag(s2) - B_U / C; the two differ by the
+    correction term B_U / C alone.
+    """
+    U, s2 = union_span(ensemble.classes)
+    F = aligned_first_vectors(ensemble)
+    return U, s2, F, pairwise_difference_matrix(F @ U)
+
+
 def gfda_product_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     """Geometrical discriminant space via whitening followed by PCA.
 
@@ -321,7 +365,7 @@ def gfda_product_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
         raise OverlapError(
             f"{total} pooled basis vectors cannot be independent in "
             f"dimension {ensemble.ambient_dim}")
-    U, s2 = union_span(ensemble.classes)
+    U, s2, F, _ = union_frame(ensemble)
     if s2.size < total:
         raise OverlapError(
             "class subspaces overlap: pooled basis vectors are dependent "
@@ -329,7 +373,7 @@ def gfda_product_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
 
     s = np.sqrt(s2)
     wmap = U.T / s[:, None]  # data space -> normalized space
-    hats = aligned_first_vectors(ensemble) @ wmap.T  # rows: whitened first vectors
+    hats = F @ wmap.T  # rows: whitened first vectors
     centred = hats - hats.mean(axis=0)
     basis = linalg.gram_schmidt(centred[:C - 1].T)
     return DiscriminantModel(
@@ -357,15 +401,13 @@ def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     them all.
     """
     C = ensemble.n_classes
-    firsts = aligned_first_vectors(ensemble)
-    U, s2 = union_span(ensemble.classes)
+    U, s2, F, B_U = union_frame(ensemble)
     if s2.size < C - 1:
         raise ValidationError(
             f"union span of the class subspaces has rank {s2.size}, "
             f"cannot hold a {C - 1}-dimensional discriminant space")
     # U^T (G - B/C) U = diag(s^2) - U^T B U / C
-    restricted = np.diag(s2) - pairwise_difference_matrix(firsts @ U) / C
-    values, vectors = np.linalg.eigh(restricted)
+    values, vectors = np.linalg.eigh(np.diag(s2) - B_U / C)
     k = C - 1
     selected = values[:k]
     top = max(abs(values[-1]), 1.0)
@@ -380,28 +422,63 @@ def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
         projector=basis,
         method="gFDA-linear",
         class_labels=ensemble.labels,
-        class_refs=firsts @ basis,
+        class_refs=F @ basis,
         info={"selected_eigenvalues": selected.tolist()},
     )
 
 
 def gds_discriminant(ensemble: SubspaceEnsemble, dims=None,
                      gamma=None) -> DiscriminantModel:
-    """Difference-subspace projection packaged for classification.
+    """Generalized-difference-subspace projection packaged for classification.
 
-    The basis is the generalized difference subspace (smallest nonzero
-    eigenvectors of the summed projection matrix); class references are the
-    projected, sign-aligned first basis vectors.
+    The basis is the generalized difference subspace: the eigenvectors of
+    G = sum_c P_c for its smallest eigenvalues *within the sum subspace*
+    (eigenvalue > 0), read off the union-span frame; directions orthogonal
+    to every class subspace carry no information and are never selected.
+    Class references are the projected, sign-aligned first basis vectors.
+
+    Exactly one rule must be given: ``dims`` fixes N_d, while ``gamma``
+    grows N_d until the cumulative discriminant power of the selected
+    eigenvectors reaches beta = C (C - 1) * gamma; the power of eigenvector
+    u_j is (u_j^T B u_j) / s_j^2, with B the gFDA pairwise-difference
+    matrix.  Fully degenerate spectra (e.g. mutually orthogonal classes) are
+    resolved by the deterministic order of the frame; any basis of the tied
+    eigenspace is equally valid.  info["eigenvalues"] holds the selected
+    eigenvalues of G, ascending, and info["selection"] the rule: its name,
+    dims, and for the power rule gamma, beta and the power reached.
     """
-    model = gds(ensemble, dims=dims, gamma=gamma)
-    firsts = aligned_first_vectors(ensemble)
+    if (dims is None) == (gamma is None):
+        raise ValidationError("give exactly one of dims or gamma")
+    U, s2, F, B_U = union_frame(ensemble)
+
+    if dims is not None:
+        if not (1 <= dims <= s2.size):
+            raise ValidationError(
+                f"GDS dimension {dims} outside the rank of G ({s2.size})")
+        selection = {"rule": "fixed", "dims": dims, "gamma": None,
+                     "beta": None, "achieved_power": None}
+    else:
+        if not (0.0 < gamma <= 1.0):
+            raise ValidationError("gamma must be in (0, 1]")
+        C = ensemble.n_classes
+        beta = C * (C - 1) * gamma
+        cumulative = np.cumsum(np.diag(B_U) / s2)
+        reached = np.nonzero(cumulative >= beta - 1e-9)[0]
+        if reached.size == 0:
+            raise ValidationError(
+                f"cumulative discriminant power {cumulative[-1]:.6f} never "
+                f"reaches beta = {beta:.6f}; the class subspaces overlap too much")
+        dims = int(reached[0]) + 1
+        selection = {"rule": "power", "dims": dims, "gamma": gamma,
+                     "beta": beta,
+                     "achieved_power": float(cumulative[dims - 1])}
+    basis = U[:, :dims]
     return DiscriminantModel(
-        projector=model.basis,
+        projector=basis,
         method="GDS",
         class_labels=ensemble.labels,
-        class_refs=firsts @ model.basis,
-        info={"eigenvalues": model.eigenvalues.tolist(),
-              "selection": asdict(model.selection)},
+        class_refs=F @ basis,
+        info={"eigenvalues": s2[:dims].tolist(), "selection": selection},
     )
 
 

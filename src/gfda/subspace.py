@@ -289,106 +289,3 @@ def difference_subspace_analytic(c1: ClassModel,
         principal_basis=vecs[:, upper],
         eigenvalues=vals,
     )
-
-
-@dataclass(frozen=True)
-class GdsSelection:
-    """How the GDS dimension was chosen."""
-
-    rule: str  # "fixed" or "power"
-    dims: int
-    gamma: Optional[float] = None
-    beta: Optional[float] = None
-    achieved_power: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class GdsModel:
-    """Generalized difference subspace of an ensemble.
-
-    basis : (L, N_d) eigenvectors of G for the N_d smallest nonzero
-        eigenvalues
-    eigenvalues : the corresponding eigenvalues, ascending
-    selection : record of the dimension rule
-    """
-
-    basis: np.ndarray
-    eigenvalues: np.ndarray
-    selection: GdsSelection
-
-
-def gds(ensemble: SubspaceEnsemble, dims: Optional[int] = None,
-        gamma: Optional[float] = None) -> GdsModel:
-    """Generalized difference subspace of C class subspaces.
-
-    Takes the spectrum of G = sum_c P_c from the union-span frame and keeps
-    the eigenvectors of the smallest eigenvalues *within the sum subspace*
-    (eigenvalue > 0); directions orthogonal to every class subspace carry
-    no information and are never selected.
-
-    Exactly one rule must be given: ``dims`` fixes N_d, while ``gamma``
-    grows N_d until the cumulative discriminant power of the selected
-    eigenvectors reaches beta = C (C - 1) * gamma; the power of eigenvector
-    u_j is (u_j^T B u_j) / s_j^2, with B the gFDA pairwise-difference
-    matrix.  Fully degenerate spectra (e.g. mutually orthogonal classes) are
-    resolved by the deterministic order of the frame; any basis of the tied
-    eigenspace is equally valid.
-    """
-    if (dims is None) == (gamma is None):
-        raise ValidationError("give exactly one of dims or gamma")
-    vecs, vals = union_span(ensemble.classes)
-
-    if dims is not None:
-        if not (1 <= dims <= vals.size):
-            raise ValidationError(
-                f"GDS dimension {dims} outside the rank of G ({vals.size})")
-        sel = GdsSelection(rule="fixed", dims=dims)
-    else:
-        if not (0.0 < gamma <= 1.0):
-            raise ValidationError("gamma must be in (0, 1]")
-        from .fisher import pairwise_difference_matrix
-
-        C = ensemble.n_classes
-        beta = C * (C - 1) * gamma
-        firsts = aligned_first_vectors(ensemble) @ vecs
-        powers = np.diag(pairwise_difference_matrix(firsts)) / vals
-        cumulative = np.cumsum(powers)
-        reached = np.nonzero(cumulative >= beta - 1e-9)[0]
-        if reached.size == 0:
-            raise ValidationError(
-                f"cumulative discriminant power {cumulative[-1]:.6f} never "
-                f"reaches beta = {beta:.6f}; the class subspaces overlap too much")
-        dims = int(reached[0]) + 1
-        sel = GdsSelection(rule="power", dims=dims, gamma=gamma, beta=beta,
-                           achieved_power=float(cumulative[dims - 1]))
-    return GdsModel(basis=vecs[:, :dims], eigenvalues=vals[:dims],
-                    selection=sel)
-
-
-def gds_decomposition(ensemble: SubspaceEnsemble):
-    """Split G into its between-difference and residual parts.
-
-    For C classes of equal subspace dimension N, with z = phi_1^j - phi_1^k
-    and z' = phi_1^j + phi_1^k taken over sign-aligned first basis vectors,
-
-        G = (1 / (2 (C - 1))) * B + W5
-
-    where B is the pairwise-difference matrix over the first basis vectors
-    and W5 collects the z' terms plus all higher basis directions.  Returns
-    the two summands (the first already carries its coefficient).
-    """
-    dims = {c.dim for c in ensemble.classes}
-    if len(dims) != 1:
-        raise ValidationError(
-            f"classes must share one subspace dimension, got {sorted(dims)}")
-    from .fisher import pairwise_difference_matrix
-
-    C = ensemble.n_classes
-    firsts = aligned_first_vectors(ensemble)
-    coef = 1.0 / (2.0 * (C - 1))
-    # sum_{j<k} z' z'^T = (C - 2) F^T F + (F^T 1)(F^T 1)^T
-    total = firsts.sum(axis=0)
-    W5 = coef * ((C - 2) * (firsts.T @ firsts) + np.outer(total, total))
-    rest = np.hstack([c.basis[:, 1:] for c in ensemble.classes])
-    W5 += rest @ rest.T
-    return coef * pairwise_difference_matrix(firsts), W5

@@ -257,6 +257,24 @@ class TestFitEval:
                             atol=1e-12)
 
 
+    def test_gds_selection_recorded_in_model_file(self, gaussian_sets,
+                                                  tmp_path):
+        train, _ = gaussian_sets
+        path = tmp_path / "gds.json"
+        assert run("fit", "--train", str(train), "--method", "gds",
+                   "--gds-dims", "2", "--out", str(path)) == 0
+        selection = json.loads(path.read_text())["model"]["info"]["selection"]
+        assert selection == {"rule": "fixed", "dims": 2, "gamma": None,
+                             "beta": None, "achieved_power": None}
+        assert run("fit", "--train", str(train), "--method", "gds",
+                   "--gamma", "0.5", "--out", str(path)) == 0
+        selection = json.loads(path.read_text())["model"]["info"]["selection"]
+        assert set(selection) == {"rule", "dims", "gamma", "beta",
+                                  "achieved_power"}
+        assert selection["rule"] == "power" and selection["gamma"] == 0.5
+        assert selection["beta"] == pytest.approx(4 * 3 * 0.5)
+        assert selection["achieved_power"] >= selection["beta"] - 1e-9
+
     def test_python_warning_printed_as_one_line(self, tmp_path, capsys):
         # the overlap warning reads like the CLI's own warnings: no source
         # path or echoed source line
@@ -551,6 +569,29 @@ class TestConfigHandling:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_rejects_train_count(self, gaussian_sets, tmp_path, capsys):
+        train, test = gaussian_sets
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--train", str(train), "--test", str(test),
+                   "--method", "regLDA", "--train-count", "7",
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: sweep runs every train_count from --min-n to --max-n; "
+            "the option does not apply: train_count\n")
+        assert not out.exists()
+
+    def test_sweep_rejects_train_count_from_config(self, gaussian_sets,
+                                                   tmp_path, capsys):
+        train, test = gaussian_sets
+        config = tmp_path / "run.cfg"
+        config.write_text(f"method = regLDA\ntest = {test}\ntrain_count = 7\n")
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--config", str(config), "--train", str(train),
+                   "--out", str(out)) == 1
+        assert "the option does not apply: train_count" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_maps_to_one(self):
         assert run("eigencurves") == 1  # missing required arguments
 
@@ -796,5 +837,25 @@ def test_cli_import_leaves_scipy_out():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, gfda.cli; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_eval_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma on its first call, a fixed cost of every
+    # eval process; the EER takes its knots without it
+    import subprocess
+    import sys
+
+    train = tmp_path / "train.csv"
+    assert run("synth", "--kind", "mixture-set1", "--classes", "3", "--dim",
+               "12", "--count", "6", "--seed", "4", "--out", str(train)) == 0
+    argv = ["eval", "--train", str(train), "--train-count", "3",
+            "--repetitions", "2", "--out", str(tmp_path / "eval.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\nfrom gfda import cli\n"
+         f"assert cli.main({argv!r}) == 0\n"
+         "assert 'numpy.ma' not in sys.modules"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

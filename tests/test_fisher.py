@@ -356,6 +356,51 @@ class TestGdsDiscriminant:
         assert model.method == "GDS+N"
 
 
+def count_framings(monkeypatch):
+    """Wrap fisher.union_span, the one factorization behind union_frame, with
+    a counter; returns the list that collects one entry per call."""
+    calls = []
+    real = fisher.union_span
+
+    def counted(classes):
+        calls.append(len(classes))
+        return real(classes)
+
+    monkeypatch.setattr(fisher, "union_span", counted)
+    return calls
+
+
+class TestUnionFrame:
+    def test_frame_matches_full_route(self):
+        ens = gfda.subspace_config(4, 2, 20, seed=91)
+        U, s2, F, B_U = gfda.union_frame(ens)
+        pair = gfda.scatter_ladder(ens, "gFDA")
+        npt.assert_allclose((U * s2) @ U.T, pair.within, rtol=0, atol=1e-12)
+        npt.assert_allclose(B_U, U.T @ pair.between @ U, rtol=0, atol=1e-12)
+        npt.assert_array_equal(F, gfda.aligned_first_vectors(ens))
+
+    @pytest.mark.parametrize("build", [
+        gfda.gfda_linear_form,
+        gfda.gfda_product_form,
+        lambda ens: gfda.gds_discriminant(ens, dims=3),
+        lambda ens: gfda.gds_discriminant(ens, gamma=0.9),
+    ], ids=["linear", "product", "gds-dims", "gds-gamma"])
+    def test_construction_frames_once(self, monkeypatch, build):
+        ens = gfda.subspace_config(4, 2, 20, seed=92)
+        calls = count_framings(monkeypatch)
+        build(ens)
+        assert calls == [4]
+
+    def test_eigencurves_frames_once(self, monkeypatch, tmp_path):
+        from gfda import cli
+
+        calls = count_framings(monkeypatch)
+        assert cli.main(["eigencurves", "--classes", "5", "--subspace-dim",
+                         "3", "--seed", "0", "--out",
+                         str(tmp_path / "curves.csv")]) == 0
+        assert calls == [5]
+
+
 class TestBaselines:
     @staticmethod
     def _three_blobs(seed=98, n=30, spread=1.0):

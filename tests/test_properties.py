@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfda
-from gfda import fisher, linalg
+from gfda import classify, fisher, linalg
 from gfda.classify import COSINE, NEAREST_MEAN, RULES
 
 SPAN_TOL = 1e-8
@@ -108,10 +108,10 @@ def test_product_form_matches_full_route(ens):
 def test_gds_fixed_dims_matches_full_route(ens, dims):
     vals, vecs = nonzero_spectrum_of_g(ens)
     dims = min(dims, vals.size)
-    model = gfda.gds(ens, dims=dims)
-    assert model.selection.dims == dims
-    same_span(model.basis, vecs[:, :dims])
-    npt.assert_allclose(model.eigenvalues, vals[:dims], rtol=0,
+    model = gfda.gds_discriminant(ens, dims=dims)
+    assert model.info["selection"]["dims"] == dims
+    same_span(model.projector, vecs[:, :dims])
+    npt.assert_allclose(model.info["eigenvalues"], vals[:dims], rtol=0,
                         atol=EIG_TOL * vals[-1])
 
 
@@ -125,13 +125,13 @@ def test_gds_gamma_matches_full_route(ens, gamma):
     cumulative = np.cumsum(powers)
     dims = int(np.nonzero(cumulative >= C * (C - 1) * gamma - 1e-9)[0][0]) + 1
 
-    model = gfda.gds(ens, gamma=gamma)
-    assert model.selection.dims == dims
-    same_span(model.basis, vecs[:, :dims])
-    npt.assert_allclose(model.eigenvalues, vals[:dims], rtol=0,
+    model = gfda.gds_discriminant(ens, gamma=gamma)
+    assert model.info["selection"]["dims"] == dims
+    same_span(model.projector, vecs[:, :dims])
+    npt.assert_allclose(model.info["eigenvalues"], vals[:dims], rtol=0,
                         atol=EIG_TOL * vals[-1])
-    npt.assert_allclose(model.selection.achieved_power, cumulative[dims - 1],
-                        rtol=0, atol=EIG_TOL * C * C)
+    npt.assert_allclose(model.info["selection"]["achieved_power"],
+                        cumulative[dims - 1], rtol=0, atol=EIG_TOL * C * C)
 
 
 @PROPERTY
@@ -141,6 +141,18 @@ def test_pairwise_difference_closed_form(C, L, seed):
     expected = loop_pairwise_difference(F)
     npt.assert_allclose(fisher.pairwise_difference_matrix(F), expected,
                         rtol=0, atol=1e-12 * max(np.abs(expected).max(), 1.0))
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0]),
+                          st.floats(allow_nan=False)),
+                min_size=1, max_size=60))
+def test_eer_knots_match_unique(scores):
+    # signed zeros and repeats included: the knots must be np.unique's, bytes
+    # and all, so that the EER stays bit for bit what it was
+    scores = np.array(scores)
+    assert (classify._sorted_distinct(scores).tobytes()
+            == np.unique(scores).tobytes())
 
 
 @PROPERTY

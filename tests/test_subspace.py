@@ -236,53 +236,54 @@ class TestDifferenceSubspaceAnalytic:
 class TestGds:
     def test_two_class_reduces_to_difference_subspace(self):
         ens = gfda.subspace_config(2, 1, 6, seed=31)
-        model = gfda.gds(ens, dims=1)
+        model = gfda.gds_discriminant(ens, dims=1)
         ds = gfda.difference_subspace_analytic(*ens.classes)
-        cos = linalg.canonical_angles(model.basis, ds.basis).cosines
+        cos = linalg.canonical_angles(model.projector, ds.basis).cosines
         assert cos.min() >= 1 - 1e-8
 
     def test_orthogonal_classes_degenerate_but_deterministic(self):
         classes = tuple(line_model(i, np.eye(4)[i]) for i in range(3))
         ens = gfda.SubspaceEnsemble(classes, ambient_dim=4)
-        m1 = gfda.gds(ens, dims=2)
-        m2 = gfda.gds(ens, dims=2)
-        npt.assert_allclose(m1.eigenvalues, [1.0, 1.0], atol=1e-12)
-        npt.assert_array_equal(m1.basis, m2.basis)
+        m1 = gfda.gds_discriminant(ens, dims=2)
+        m2 = gfda.gds_discriminant(ens, dims=2)
+        npt.assert_allclose(m1.info["eigenvalues"], [1.0, 1.0], atol=1e-12)
+        npt.assert_array_equal(m1.projector, m2.projector)
 
     def test_dims_beyond_rank_rejected(self):
         ens = gfda.subspace_config(2, 1, 6, seed=32)
         with pytest.raises(ValidationError):
-            gfda.gds(ens, dims=3)  # rank of G is 2
+            gfda.gds_discriminant(ens, dims=3)  # rank of G is 2
 
     def test_exactly_one_rule(self):
         ens = gfda.subspace_config(2, 1, 6, seed=33)
         with pytest.raises(ValidationError):
-            gfda.gds(ens)
+            gfda.gds_discriminant(ens)
         with pytest.raises(ValidationError):
-            gfda.gds(ens, dims=1, gamma=0.9)
+            gfda.gds_discriminant(ens, dims=1, gamma=0.9)
 
     def test_power_rule_reaches_threshold(self):
         ens = gfda.subspace_config(5, 3, 40, seed=34)
-        model = gfda.gds(ens, gamma=0.90)
-        sel = model.selection
-        assert sel.rule == "power"
-        assert sel.beta == pytest.approx(5 * 4 * 0.90)
-        assert sel.achieved_power >= sel.beta - 1e-9
-        assert model.basis.shape[1] == sel.dims
+        model = gfda.gds_discriminant(ens, gamma=0.90)
+        sel = model.info["selection"]
+        assert sel["rule"] == "power"
+        assert sel["beta"] == pytest.approx(5 * 4 * 0.90)
+        assert sel["achieved_power"] >= sel["beta"] - 1e-9
+        assert model.projector.shape[1] == sel["dims"]
 
     def test_power_rule_unreachable_for_identical_classes(self):
         d = np.array([1.0, 0.0, 0.0])
         classes = (line_model("a", d), line_model("b", d))
         ens = gfda.SubspaceEnsemble(classes, ambient_dim=3)
         with pytest.raises(ValidationError):
-            gfda.gds(ens, gamma=0.9)
+            gfda.gds_discriminant(ens, gamma=0.9)
 
     def test_basis_vectors_are_eigenvectors(self):
         ens = gfda.subspace_config(4, 2, 20, seed=35)
-        model = gfda.gds(ens, dims=3)
+        model = gfda.gds_discriminant(ens, dims=3)
         G = gfda.sum_matrix(ens)
+        basis, values = model.projector, model.info["eigenvalues"]
         for j in range(3):
-            r = G @ model.basis[:, j] - model.eigenvalues[j] * model.basis[:, j]
+            r = G @ basis[:, j] - values[j] * basis[:, j]
             assert np.linalg.norm(r) <= 1e-8
 
 
@@ -303,9 +304,9 @@ class TestSumMatrixInvariants:
     def test_two_class_gds_equals_difference_subspace_span(self):
         for seed in range(10):
             ens = gfda.subspace_config(2, 2, 10, seed=200 + seed)
-            model = gfda.gds(ens, dims=2)
+            model = gfda.gds_discriminant(ens, dims=2)
             ds = gfda.difference_subspace_analytic(*ens.classes)
-            cos = linalg.canonical_angles(model.basis, ds.basis).cosines
+            cos = linalg.canonical_angles(model.projector, ds.basis).cosines
             assert cos.min() >= 1 - 1e-8
 
 
