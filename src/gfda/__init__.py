@@ -3,45 +3,44 @@
 Fits class subspaces by uncentered PCA, builds difference and generalized
 difference subspaces, runs geometrical Fisher discriminant analysis in both
 of its equivalent forms alongside the classical FDA family, and evaluates
-classifiers by recognition rate and equal error rate.
+classifiers by recognition rate and equal error rate.  ``import gfda`` loads
+none of these modules: ``gfda.<name>`` imports the one that defines the name
+on first use.
 """
 
-from .classify import (EvalReport, ProjectedPoint, classify_cosine,
-                       classify_nearest_mean, equal_error_rate, evaluate,
-                       project)
-from .errors import (DegeneratePairError, GfdaError, NotApplicableError,
-                     OverlapError, UndefinedDirectionError, ValidationError)
-from .fisher import (DiscriminantModel, ScatterPair, between_scatter,
-                     between_scatter_pairwise, discriminant_power_curve, fda,
-                     fisher_criterion, gap_index, gds_decomposition,
-                     gds_discriminant, gfda_linear_form, gfda_product_form,
-                     null_lda, pca_lda, reg_lda, scatter_ladder, union_frame,
-                     with_normalization, within_scatter)
-from .linalg import (EigResult, canonical_angles, gram_schmidt, sym_eig,
-                     whitening)
-from .subspace import (ClassModel, SubspaceEnsemble, aligned_first_vectors,
-                       difference_subspace_analytic,
-                       difference_subspace_geometric, fit_class, fit_ensemble,
-                       projection_matrix, sum_matrix, union_span)
-from .synth import (convex_mixture, gaussian_class, labeled_gaussians,
-                    labeled_mixtures, subspace_config)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassModel", "DegeneratePairError", "DiscriminantModel", "EigResult",
-    "EvalReport", "GfdaError", "NotApplicableError", "OverlapError",
-    "ProjectedPoint", "ScatterPair", "SubspaceEnsemble",
-    "UndefinedDirectionError", "ValidationError", "aligned_first_vectors",
-    "between_scatter", "between_scatter_pairwise", "canonical_angles",
-    "classify_cosine", "classify_nearest_mean", "convex_mixture",
-    "difference_subspace_analytic", "difference_subspace_geometric",
-    "discriminant_power_curve", "equal_error_rate", "evaluate", "fda",
-    "fisher_criterion", "fit_class", "fit_ensemble", "gap_index",
-    "gaussian_class", "gds_decomposition", "gds_discriminant",
-    "gfda_linear_form", "gfda_product_form", "gram_schmidt",
-    "labeled_gaussians", "labeled_mixtures", "null_lda", "pca_lda",
-    "project", "projection_matrix", "reg_lda", "scatter_ladder",
-    "subspace_config", "sum_matrix", "sym_eig", "union_frame", "union_span",
-    "whitening", "with_normalization", "within_scatter",
-]
+# Every public name, once, under the module that defines it.
+_EXPORTS = {
+    "classify": ("EvalReport", "equal_error_rate", "evaluate", "project"),
+    "errors": ("DegeneratePairError", "GfdaError", "NotApplicableError",
+               "OverlapError", "UndefinedDirectionError", "ValidationError"),
+    "fisher": ("DiscriminantModel", "ScatterPair", "between_scatter",
+               "discriminant_power_curve", "fda", "gap_index",
+               "gds_discriminant", "gfda_linear_form", "gfda_product_form",
+               "null_lda", "pca_lda", "reg_lda", "union_frame",
+               "with_normalization", "within_scatter"),
+    "linalg": ("EigResult", "canonical_angles", "gram_schmidt", "sym_eig"),
+    "reference": ("between_scatter_pairwise", "difference_subspace_geometric",
+                  "fisher_criterion", "gds_decomposition",
+                  "projection_matrix", "scatter_ladder", "sum_matrix",
+                  "whitening"),
+    "subspace": ("ClassModel", "SubspaceEnsemble", "aligned_first_vectors",
+                 "difference_subspace_analytic", "fit_class", "fit_ensemble",
+                 "union_span"),
+    "synth": ("convex_mixture", "gaussian_class", "labeled_gaussians",
+              "labeled_mixtures", "subspace_config"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule, such as gfda.linalg
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)

@@ -11,12 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .fisher import (between_scatter, between_scatter_pairwise,
-                     discriminant_power_curve, gap_index, gds_decomposition,
-                     gfda_linear_form, gfda_product_form, scatter_ladder,
-                     within_scatter)
-from .subspace import (difference_subspace_analytic,
-                       difference_subspace_geometric, fit_class, sum_matrix)
+from .errors import ValidationError
+from .fisher import (between_scatter, discriminant_power_curve, gap_index,
+                     gfda_linear_form, gfda_product_form, within_scatter)
+from .reference import (between_scatter_pairwise,
+                        difference_subspace_geometric, gds_decomposition,
+                        scatter_ladder, sum_matrix, whitening)
+from .subspace import difference_subspace_analytic, fit_class
 from .synth import gaussian_class, subspace_config
 
 
@@ -32,7 +33,7 @@ class CheckResult:
 def _restricted_criterion_spectrum(pair):
     """Generalized eigenvalues of (between, within) on the range of the
     within matrix, through its whitening map."""
-    A = linalg.whitening(pair.within)
+    A = whitening(pair.within)
     return linalg.sym_eig(A.T @ pair.between @ A).values
 
 
@@ -199,11 +200,11 @@ BATTERIES = {
 
 
 def run(scopes=None):
-    """Run the selected batteries (all by default); returns CheckResults."""
-    names = list(BATTERIES) if not scopes else list(scopes)
-    results = []
+    """Run the selected batteries (all by default); returns CheckResults.
+    An unknown name raises ValidationError before any battery runs."""
+    names = list(scopes) if scopes else list(BATTERIES)
     for name in names:
         if name not in BATTERIES:
-            raise KeyError(f"unknown scope {name!r}; pick from {sorted(BATTERIES)}")
-        results.append(BATTERIES[name]())
-    return results
+            raise ValidationError(
+                f"unknown scope {name!r}; pick from {sorted(BATTERIES)}")
+    return [BATTERIES[name]() for name in names]

@@ -1,10 +1,11 @@
-"""Projection onto a discriminant space, classifiers, and evaluation.
+"""Projection onto a discriminant space, classification rules, evaluation.
 
 Classification maps raw vectors through the model's (L, k) projector,
 optionally normalizes each projection to unit length, and compares it
 against per-class reference points, either by squared Euclidean distance or
 by signed cosine.  The two rules coincide when projections and references
-are both normalized.  A whole test set is projected and scored at once.
+are both normalized.  ``evaluate``, the one scoring path, projects and
+scores a whole test set at once.
 """
 
 import warnings
@@ -31,17 +32,9 @@ EER_PROTOCOL = (
 )
 
 
-@dataclass(frozen=True)
-class ProjectedPoint:
-    """Coordinates of a sample in the discriminant space."""
-
-    coords: np.ndarray
-    normalized: bool
-
-
-def project(model: DiscriminantModel, x, normalize: Optional[bool] = None) -> ProjectedPoint:
+def project(model: DiscriminantModel, x, normalize: Optional[bool] = None) -> np.ndarray:
     """Project a raw vector, or each row of an (n, L) matrix, onto the
-    model's discriminant space: t = projector^T x.
+    model's discriminant space: t = projector^T x, a (k,) or (n, k) array.
 
     With normalize (defaulting to the model's own flag) each projection is
     scaled to unit length; a projection of norm at most 1e-12 ||x|| has no
@@ -63,8 +56,7 @@ def project(model: DiscriminantModel, x, normalize: Optional[bool] = None) -> Pr
             raise UndefinedDirectionError(
                 "projection is numerically zero; cannot normalize")
         T = T / norms
-    return ProjectedPoint(coords=T if x.ndim == 2 else T[0],
-                          normalized=bool(normalize))
+    return T if x.ndim == 2 else T[0]
 
 
 def _reference_norms(model: DiscriminantModel) -> np.ndarray:
@@ -78,14 +70,14 @@ def _scores(model: DiscriminantModel, X, rule: str) -> np.ndarray:
     """(n, C) per-class affinity scores of the rows of X; larger is better."""
     refs = model.class_refs
     if rule == NEAREST_MEAN:
-        T = project(model, X).coords
+        T = project(model, X)
         if model.normalized:
             refs = refs / _reference_norms(model)[:, None]
         d = refs[None] - T[:, None]
         d *= d  # in place: the (n, C, k) differences are the largest array
         return -np.sum(d, axis=2)
     if rule == COSINE:
-        T = project(model, X, normalize=True).coords
+        T = project(model, X, normalize=True)
         return T @ refs.T / _reference_norms(model)
     raise ValidationError(f"unknown rule {rule!r}; pick one of {RULES}")
 
@@ -95,22 +87,6 @@ def _predict(model: DiscriminantModel, scores) -> np.ndarray:
     labels = model.class_labels
     order = np.array(sorted(range(len(labels)), key=labels.__getitem__))
     return order[np.argmax(scores[:, order], axis=1)]
-
-
-def _classify_one(model: DiscriminantModel, x, rule: str):
-    row = np.reshape(np.asarray(x, dtype=float), (1, -1))
-    return model.class_labels[_predict(model, _scores(model, row, rule))[0]]
-
-
-def classify_nearest_mean(model: DiscriminantModel, x):
-    """Label of the reference point closest in squared L2 distance."""
-    return _classify_one(model, x, NEAREST_MEAN)
-
-
-def classify_cosine(model: DiscriminantModel, x):
-    """Label of the reference point with the largest signed cosine (plain
-    cosine rather than its square, so angles past 90 degrees count against)."""
-    return _classify_one(model, x, COSINE)
 
 
 def _sorted_distinct(values) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import checks, linalg
+from . import linalg
 from .classify import RULES, evaluate
 from .data import load_dataset, save_dataset
 from .errors import GfdaError, ValidationError
@@ -26,8 +26,6 @@ from .fisher import (DiscriminantModel, ScatterPair, discriminant_power_curve,
                      gfda_product_form, null_lda, pca_lda, reg_lda,
                      union_frame, with_normalization)
 from .subspace import fit_ensemble, group_by_label
-from .synth import (RNG_ALGORITHM, labeled_gaussians, labeled_mixtures,
-                    subspace_config)
 
 METHODS = ("fda", "pcaLDA", "regLDA", "nullLDA", "gfda", "gfda-linear", "gds")
 
@@ -120,24 +118,28 @@ class ExperimentConfig:
                 raise ValidationError(
                     f"parameter {key!r} only applies to {sorted(methods)}, "
                     f"not {self.method!r}")
-        if self.repetitions < 1:
-            raise ValidationError("repetitions must be >= 1")
-        if self.train_count is not None and self.train_count < 1:
-            raise ValidationError("train_count must be >= 1")
+        for key, low in (("repetitions", 1), ("train_count", 1), ("seed", 0)):
+            value = getattr(self, key)
+            if value is not None and value < low:
+                raise ValidationError(f"{key} must be >= {low}")
 
 
 def load_config_file(path) -> dict:
     """Flat key=value configuration; '#' starts a comment."""
-    out = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+    out = {}
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -310,10 +312,8 @@ def _write_eval_csv(path, cfg, reports):
 
 def cmd_fit(args) -> int:
     cfg = resolve_config(args)
-    if not cfg.train:
-        raise ValidationError("a training dataset is required (train=...)")
     out = _require_out(cfg)
-    X, y = load_dataset(cfg.train)
+    X, y, _ = load_protocol_data(cfg)
     model = build_model(cfg, X, y)
     save_model(out, model)
     print(f"fitted {model.method}: {model.dim}-dimensional discriminant "
@@ -375,13 +375,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    results = checks.run(args.scope or None)
-    failed = 0
+    from . import checks
+    results = checks.run(args.scope)
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.name}: max_residual={r.max_residual:.3e} "
-              f"tol={r.tolerance:.3e} ({r.detail})")
-        failed += 0 if r.passed else 1
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: max_residual="
+              f"{r.max_residual:.3e} tol={r.tolerance:.3e} ({r.detail})")
+    failed = sum(not r.passed for r in results)
     if failed:
         print(f"{failed} invariant battery(ies) failed", file=sys.stderr)
         return 2
@@ -389,6 +388,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_eigencurves(args) -> int:
+    from .synth import subspace_config
     C, N, L = args.classes, args.subspace_dim, args.ambient
     if L is None:
         L = 4 * C * N
@@ -413,6 +413,7 @@ def cmd_eigencurves(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synth import RNG_ALGORITHM, labeled_gaussians, labeled_mixtures
     params = {"classes": args.classes, "dim": args.dim, "count": args.count,
               "sample_seed": args.sample_seed}
     if args.kind == "gaussian":
@@ -495,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="run the structural invariant "
                                           "batteries")
-    p.add_argument("--scope", action="append", choices=sorted(checks.BATTERIES),
+    p.add_argument("--scope", action="append",
                    help="battery to run (repeatable; default: all)")
     p.set_defaults(func=cmd_invariants)
 
@@ -547,10 +548,7 @@ def main(argv=None) -> int:
             warnings.simplefilter("default")
             warnings.showwarning = _show_warning
             return args.func(args)
-    except GfdaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GfdaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

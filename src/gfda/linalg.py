@@ -200,21 +200,3 @@ def canonical_angles(U, V) -> CanonicalAngles:
         left=U @ fixed,
         right=V @ (Z * flips),
     )
-
-
-def whitening(S):
-    """Whitening map A of a positive semidefinite matrix S.
-
-    A = V_r diag(lambda_r ** -0.5) restricted to the nonzero eigenvalues,
-    so that A.T @ S @ A is the identity on the retained rank.  Columns
-    follow ascending eigenvalue order.
-
-    Raises ValidationError when S has an eigenvalue below
-    -RANK_TOL * ||S||_F (not positive semidefinite).
-    """
-    eig = sym_eig(S)
-    if eig.values[0] < -RANK_TOL * np.linalg.norm(S):
-        raise ValidationError(
-            f"matrix is not positive semidefinite (min eigenvalue {eig.values[0]:.3e})")
-    keep = nonzero(eig.values)
-    return eig.vectors[:, keep] / np.sqrt(eig.values[keep])

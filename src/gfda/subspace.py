@@ -173,19 +173,6 @@ def _fit_classes(X, labels, rows, dim, energy):
     return classes
 
 
-def projection_matrix(model: ClassModel) -> np.ndarray:
-    """Orthogonal projection matrix P = Phi Phi^T of the class subspace."""
-    return model.basis @ model.basis.T
-
-
-def sum_matrix(ensemble: SubspaceEnsemble) -> np.ndarray:
-    """Sum of the class projection matrices, G = sum_c P_c."""
-    G = np.zeros((ensemble.ambient_dim, ensemble.ambient_dim))
-    for c in ensemble.classes:
-        G += projection_matrix(c)
-    return G
-
-
 def aligned_first_vectors(ensemble: SubspaceEnsemble) -> np.ndarray:
     """First basis vector of each class under the package sign convention.
 
@@ -221,27 +208,6 @@ def union_span(classes):
     """
     U, s = linalg.range_basis(np.hstack([c.basis for c in classes]))
     return U[:, ::-1].copy(order="K"), s[::-1] ** 2
-
-
-def difference_subspace_geometric(c1: ClassModel, c2: ClassModel) -> np.ndarray:
-    """Difference subspace from normalized canonical-vector differences.
-
-    For canonical pairs (u_i, v_i) of the two class subspaces the basis
-    vectors are d_i = (v_i - u_i) / ||v_i - u_i||; they come out mutually
-    orthogonal.  Requires dim(c1) >= dim(c2) and no identical canonical pair.
-    """
-    if c1.dim < c2.dim:
-        raise ValidationError(
-            "first argument must have the larger (or equal) dimension")
-    angles = linalg.canonical_angles(c1.basis, c2.basis)
-    high = np.nonzero(angles.cosines >= 1.0 - OVERLAP_TOL)[0]
-    if high.size:
-        raise DegeneratePairError(
-            f"canonical pair {high[0]} has cosine "
-            f"{angles.cosines[high[0]]:.12f}; the subspaces overlap",
-            index=int(high[0]))
-    diffs = angles.right - angles.left
-    return diffs / np.linalg.norm(diffs, axis=0)
 
 
 @dataclass(frozen=True)

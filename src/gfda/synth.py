@@ -18,6 +18,12 @@ SET2 = "Set2"
 MIXTURE_MODES = (SET1, SET2)
 
 
+def _check_seeds(**seeds):
+    for name, seed in seeds.items():
+        if seed is not None and seed < 0:  # numpy's generator takes none
+            raise ValidationError(f"{name} must be >= 0, got {seed}")
+
+
 def _unit(v):
     norm = np.linalg.norm(v)
     if not 0.0 < norm < np.inf:
@@ -117,6 +123,7 @@ def subspace_config(C, N, L, separation=1.0, seed=0) -> SubspaceEnsemble:
             "the no-overlap assumption cannot hold")
     if not (0.0 < separation <= 1.0):
         raise ValidationError("separation must be in (0, 1]")
+    _check_seeds(seed=seed)
     rng = np.random.default_rng(seed)
     shared = rng.standard_normal((L, N))
     classes = []
@@ -146,6 +153,7 @@ def labeled_gaussians(C, L, n_per_class, mean_norm, sigma_max, seed,
     """
     if C < 2 or L < 1:
         raise ValidationError(f"need C >= 2 and L >= 1, got {C} and {L}")
+    _check_seeds(seed=seed, sample_seed=sample_seed)
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((C, L))
     draw = seed if sample_seed is None else sample_seed
@@ -192,6 +200,7 @@ def labeled_mixtures(C, L, n_per_class, mode, seed, basis_count=9,
     Set2 test set over the same families share the seed and differ in the
     sample seed.
     """
+    _check_seeds(seed=seed, sample_seed=sample_seed)
     families = class_mixture_bases(C, L, seed, basis_count, anchor_spread)
     draw = seed if sample_seed is None else sample_seed
     X, labels = [], []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gfda
-from gfda import linalg
+from gfda import linalg, reference
 from gfda.classify import evaluate
 from gfda.synth import class_mixture_bases, convex_mixture
 
@@ -35,7 +35,7 @@ def restricted_generalized_spectrum(pair):
     eig = linalg.sym_eig(pair.within)
     keep = eig.values > linalg.RANK_TOL * eig.values[-1]
     Q = eig.vectors[:, keep]
-    A = linalg.whitening(Q.T @ pair.within @ Q)
+    A = reference.whitening(Q.T @ pair.within @ Q)
     return linalg.sym_eig(A.T @ (Q.T @ pair.between @ Q) @ A).values
 
 

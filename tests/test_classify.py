@@ -5,10 +5,16 @@ import numpy.testing as npt
 import pytest
 
 import gfda
-from gfda.classify import (COSINE, NEAREST_MEAN, equal_error_rate, evaluate,
-                           project)
+from gfda.classify import (COSINE, NEAREST_MEAN, _predict, _scores,
+                           equal_error_rate, evaluate, project)
 from gfda.errors import UndefinedDirectionError, ValidationError
 from gfda.fisher import DiscriminantModel, with_normalization
+
+
+def classify_one(model, x, rule):
+    """Label of one vector, scored by evaluate's own path."""
+    row = np.reshape(np.asarray(x, dtype=float), (1, -1))
+    return model.class_labels[_predict(model, _scores(model, row, rule))[0]]
 
 
 def toy_model(normalized=False):
@@ -27,14 +33,13 @@ class TestProject:
     def test_orthogonal_input_projects_to_zero(self):
         m = toy_model()
         p = project(m, [0.0, 0.0, 3.0, -1.0], normalize=False)
-        npt.assert_allclose(p.coords, [0.0, 0.0])
-        assert not p.normalized
+        npt.assert_allclose(p, [0.0, 0.0])
 
     def test_reference_direction(self):
         m = toy_model(normalized=True)
         p = project(m, [5.0, 0.0, 0.0, 0.0])
-        npt.assert_allclose(p.coords, m.class_refs[0] / 2.0)
-        assert abs(np.linalg.norm(p.coords) - 1.0) <= 1e-12
+        npt.assert_allclose(p, m.class_refs[0] / 2.0)
+        assert abs(np.linalg.norm(p) - 1.0) <= 1e-12
 
     def test_projection_contracts(self):
         rng = np.random.default_rng(1)
@@ -44,7 +49,7 @@ class TestProject:
                               class_labels=("a",), class_refs=np.zeros((1, 2)))
         for _ in range(20):
             x = rng.standard_normal(6)
-            t = project(m, x, normalize=False).coords
+            t = project(m, x, normalize=False)
             assert np.linalg.norm(t) <= np.linalg.norm(W @ x) + 1e-12
 
     def test_zero_projection_cannot_normalize(self):
@@ -57,16 +62,16 @@ class TestClassifiers:
     def test_reference_point_classified_as_itself(self):
         m = toy_model()
         x = np.array([2.0, 0.0, 0.0, 0.0])
-        assert gfda.classify_nearest_mean(m, x) == "a"
-        assert gfda.classify_cosine(m, x) == "a"
+        assert classify_one(m, x, NEAREST_MEAN) == "a"
+        assert classify_one(m, x, COSINE) == "a"
 
     def test_symmetric_pair(self):
         basis = np.eye(2)
         refs = np.array([[1.0, 0.0], [-1.0, 0.0]])
         m = DiscriminantModel(projector=basis, method="FDA",
                               class_labels=("plus", "minus"), class_refs=refs)
-        assert gfda.classify_nearest_mean(m, [0.9, 0.0]) == "plus"
-        assert gfda.classify_cosine(m, [0.9, 0.0]) == "plus"
+        assert classify_one(m, [0.9, 0.0], NEAREST_MEAN) == "plus"
+        assert classify_one(m, [0.9, 0.0], COSINE) == "plus"
 
     def test_three_separable_gaussians(self):
         X, y = gfda.labeled_gaussians(3, 20, 60, mean_norm=10.0,
@@ -82,10 +87,10 @@ class TestClassifiers:
                                       sigma_max=1.0, seed=12)
         model = gfda.reg_lda(X, y)
         for x in X[::7]:
-            t = project(model, x, normalize=False).coords
+            t = project(model, x, normalize=False)
             dists = [np.sum((t - r) ** 2) for r in model.class_refs]
             expected = model.class_labels[int(np.argmin(dists))]
-            assert gfda.classify_nearest_mean(model, x) == expected
+            assert classify_one(model, x, NEAREST_MEAN) == expected
 
     def test_cosine_ignores_normalization_flag(self):
         rng = np.random.default_rng(13)
@@ -95,8 +100,8 @@ class TestClassifiers:
             x = rng.standard_normal(4)
             if np.linalg.norm(x[:2]) < 1e-6:
                 continue
-            assert gfda.classify_cosine(m_plain, x) \
-                == gfda.classify_cosine(m_norm, x)
+            assert classify_one(m_plain, x, COSINE) \
+                == classify_one(m_norm, x, COSINE)
 
     def test_normalized_nearest_mean_agrees_with_cosine(self):
         # Euclidean distance on unit vectors is monotone in the angle, so
@@ -110,14 +115,14 @@ class TestClassifiers:
                               class_refs=refs, normalized=True)
         for _ in range(50):
             x = rng.standard_normal(6)
-            assert gfda.classify_nearest_mean(m, x) == gfda.classify_cosine(m, x)
+            assert classify_one(m, x, NEAREST_MEAN) == classify_one(m, x, COSINE)
 
     def test_tie_breaks_toward_smallest_label(self):
         basis = np.eye(2)
         refs = np.array([[1.0, 0.0], [0.0, 1.0]])
         m = DiscriminantModel(projector=basis, method="FDA",
                               class_labels=("z", "a"), class_refs=refs)
-        assert gfda.classify_nearest_mean(m, [1.0, 1.0]) == "a"
+        assert classify_one(m, [1.0, 1.0], NEAREST_MEAN) == "a"
 
 
     def test_unorderable_labels_rejected(self):

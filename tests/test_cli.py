@@ -473,6 +473,14 @@ class TestInvariantsCommand:
         out = capsys.readouterr().out
         assert "gap-index" in out and "sigma(100)=1.98" in out
 
+    def test_unknown_scope_exit_1(self, capsys):
+        # the scope is checked before any battery runs
+        assert run("invariants", "--scope", "gap", "--scope", "bogus") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: unknown scope 'bogus'; pick from "
+                       f"{sorted(checks.BATTERIES)}\n")
+
     def test_failure_exit_code(self, monkeypatch, capsys):
         def fake_run(scopes=None):
             return [checks.CheckResult("forced", False, 1.0, 0.0, "test")]
@@ -630,6 +638,41 @@ class TestConfigHandling:
                    str(tmp_path / "x.csv")) == 1
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
+
+
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"method=regLDA\n\xff\xfe=1\n")
+        out = tmp_path / "x.csv"
+        assert run("eval", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: not UTF-8 text (")
+        assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--train", "{train}", "--test", "{test}", "--method", "regLDA",
+     "--train-count", "3", "--repetitions", "2", "--seed", "-1"],
+    ["sweep", "--config", "{config}", "--min-n", "2", "--max-n", "3",
+     "--repetitions", "2"],
+    ["synth", "--kind", "gaussian", "--seed", "-3"],
+    ["synth", "--kind", "mixture-set1", "--sample-seed", "-2"],
+    ["eigencurves", "--classes", "3", "--seed", "-2"],
+], ids=["eval", "sweep-config", "synth-seed", "synth-sample-seed",
+        "eigencurves"])
+def test_negative_seed_exit_1_without_file(gaussian_sets, tmp_path, capsys,
+                                           argv):
+    train, test = gaussian_sets
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"method = regLDA\ntrain = {train}\nseed = -4\n")
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    argv = [a.format(train=train, test=test, config=config) for a in argv]
+    assert run(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 class TestModelFile:

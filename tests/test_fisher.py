@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import gfda
-from gfda import fisher, linalg
+from gfda import fisher, linalg, reference
 from gfda.errors import (NotApplicableError, OverlapError,
                          UndefinedDirectionError, ValidationError)
 
@@ -206,7 +206,7 @@ class TestCriterionSpectrum:
         eig = linalg.sym_eig(pair.within)
         keep = eig.values > 1e-10 * eig.values[-1]
         Q = eig.vectors[:, keep]
-        A = linalg.whitening(Q.T @ pair.within @ Q)
+        A = reference.whitening(Q.T @ pair.within @ Q)
         vals = linalg.sym_eig(A.T @ (Q.T @ pair.between @ Q) @ A).values
         npt.assert_allclose(vals[-(C - 1):], np.full(C - 1, C), atol=1e-8 * C)
         if vals.size > C - 1:

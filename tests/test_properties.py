@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfda
-from gfda import classify, fisher, linalg
+from gfda import classify, fisher, linalg, reference
 from gfda.classify import COSINE, NEAREST_MEAN, RULES
 
 SPAN_TOL = 1e-8
@@ -91,7 +91,7 @@ def test_product_form_matches_full_route(ens):
     pooled = np.hstack([c.basis for c in ens.classes])
     reducer = linalg.gram_schmidt(pooled)
     projected = reducer.T @ pooled
-    white = linalg.whitening(projected @ projected.T)
+    white = reference.whitening(projected @ projected.T)
     wmap = white.T @ reducer.T
     hats = wmap @ gfda.aligned_first_vectors(ens).T
     eig = linalg.sym_eig(loop_pairwise_difference(hats.T))
@@ -177,6 +177,13 @@ def test_gds_decomposition_closed_form(ens):
     npt.assert_allclose(w5, W5, rtol=0, atol=1e-12 * C)
 
 
+def classify_nearest_mean(model, x):
+    """Nearest-mean label of one vector, scored by evaluate's own path."""
+    row = np.reshape(np.asarray(x, dtype=float), (1, -1))
+    scores = classify._scores(model, row, NEAREST_MEAN)
+    return model.class_labels[classify._predict(model, scores)[0]]
+
+
 def covariance_pca_lda(X, y, threshold):
     """pcaLDA on the L x L covariance: its full spectrum, clipped at zero and
     reversed, picks the components; the reduced FDA falls back to a 1e-8
@@ -235,9 +242,9 @@ def test_pca_lda_matches_covariance_route(C, n, wide, threshold, seed):
     signs = np.sign(np.sum(model.projector * basis, axis=0))
     npt.assert_allclose(model.class_refs, refs * signs, rtol=0,
                         atol=tol * np.abs(refs).max())
-    reference = replace(model, projector=basis, class_refs=refs)
-    assert [gfda.classify_nearest_mean(model, x) for x in Xte] == \
-        [gfda.classify_nearest_mean(reference, x) for x in Xte]
+    full = replace(model, projector=basis, class_refs=refs)
+    assert [classify_nearest_mean(model, x) for x in Xte] == \
+        [classify_nearest_mean(full, x) for x in Xte]
 
 
 @PROPERTY
