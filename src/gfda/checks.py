@@ -12,10 +12,11 @@ import numpy as np
 
 from . import linalg
 from .errors import ValidationError
-from .fisher import (between_scatter, discriminant_power_curve, gap_index,
-                     gfda_linear_form, gfda_product_form, within_scatter)
+from .fisher import (between_scatter, gap_index, gfda_linear_form,
+                     gfda_product_form, within_scatter)
 from .reference import (between_scatter_pairwise,
-                        difference_subspace_geometric, gds_decomposition,
+                        difference_subspace_geometric,
+                        discriminant_power_curve, gds_decomposition,
                         scatter_ladder, sum_matrix, whitening)
 from .subspace import difference_subspace_analytic, fit_class
 from .synth import gaussian_class, subspace_config

@@ -17,14 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg
 from .classify import RULES, evaluate
 from .data import load_dataset, save_dataset
 from .errors import GfdaError, ValidationError
-from .fisher import (DiscriminantModel, ScatterPair, discriminant_power_curve,
-                     fda, gds_discriminant, gfda_linear_form,
-                     gfda_product_form, null_lda, pca_lda, reg_lda,
-                     union_frame, with_normalization)
+from .fisher import (DiscriminantModel, fda, gds_discriminant,
+                     gfda_linear_form, gfda_product_form, null_lda, pca_lda,
+                     reg_lda, union_frame, with_normalization)
 from .subspace import fit_ensemble, group_by_label
 
 METHODS = ("fda", "pcaLDA", "regLDA", "nullLDA", "gfda", "gfda-linear", "gds")
@@ -97,9 +95,10 @@ class ExperimentConfig:
                 what = "an integer" if key in cls._INT else "a finite number"
                 try:
                     number = (int if key in cls._INT else float)(value)
-                except ValueError:
+                except (TypeError, ValueError, OverflowError):
                     number = math.nan
-                if not math.isfinite(number):
+                if not math.isfinite(number) or (
+                        not isinstance(value, str) and number != value):
                     raise ValidationError(f"{key}: not {what}: {value!r}")
                 value = number
             setattr(cfg, key, value)
@@ -125,7 +124,7 @@ class ExperimentConfig:
 
 
 def load_config_file(path) -> dict:
-    """Flat key=value configuration; '#' starts a comment."""
+    """Flat key=value lines, each key at most once; '#' starts a comment."""
     with open(path, encoding="utf-8") as fh:
         try:
             lines = fh.read().split("\n")
@@ -138,8 +137,10 @@ def load_config_file(path) -> dict:
             continue
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValidationError(f"{path}:{lineno}: key {key!r} repeated")
+        out[key] = value
     return out
 
 
@@ -394,19 +395,18 @@ def cmd_eigencurves(args) -> int:
         L = 4 * C * N
     ensemble = subspace_config(C, N, L, separation=args.separation,
                                seed=args.seed)
-    # the gFDA pair (B, G) restricted to the union span, in frame coordinates
+    # in frame coordinates G = diag(vals_g) and B = B_U; power is vBv / vGv
     _, vals_g, _, B_U = union_frame(ensemble)
-    pair = ScatterPair(between=B_U, within=np.diag(vals_g), rung="gFDA")
-    eig_h = linalg.sym_eig(pair.within - pair.between / C)
-
-    power_g = discriminant_power_curve(np.eye(vals_g.size), pair)
-    power_h = discriminant_power_curve(eig_h.vectors, pair)
+    vals_h, V = np.linalg.eigh(np.diag(vals_g) - B_U / C)
+    power_g = np.diag(B_U) / vals_g
+    power_h = (np.sum(V * (B_U @ V), axis=0)
+               / np.sum(V * (vals_g[:, None] * V), axis=0))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "eigenvalue_g", "eigenvalue_ghat",
                          "power_g", "power_ghat"])
         for i in range(vals_g.size):
-            writer.writerow([i + 1, _fmt(vals_g[i]), _fmt(eig_h.values[i]),
+            writer.writerow([i + 1, _fmt(vals_g[i]), _fmt(vals_h[i]),
                              _fmt(power_g[i]), _fmt(power_h[i])])
     print(f"eigencurves for C={C}, N={N}, L={L} -> {args.out}")
     return 0
@@ -443,29 +443,28 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_config_options(p):
+    # values stay strings: from_mapping checks flags and config lines alike
     p.add_argument("--config", help="flat key=value configuration file")
-    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--method", help="one of " + ", ".join(METHODS))
     p.add_argument("--normalize", action="store_const", const=True,
                    help="normalize projections and references (+N variants)")
-    p.add_argument("--delta", type=float, help="regLDA ridge strength")
+    p.add_argument("--delta", help="regLDA ridge strength")
     p.add_argument("--residual-threshold", dest="residual_threshold",
-                   type=float, help="pcaLDA residual-energy threshold")
-    p.add_argument("--gamma", type=float,
-                   help="GDS cumulative-power fraction (default 0.90 "
-                        "unless --gds-dims is given)")
-    p.add_argument("--gds-dims", dest="gds_dims", type=int,
+                   help="pcaLDA residual-energy threshold")
+    p.add_argument("--gamma", help="GDS cumulative-power fraction (default "
+                                   "0.90 unless --gds-dims is given)")
+    p.add_argument("--gds-dims", dest="gds_dims",
                    help="fixed GDS dimension instead of the gamma rule")
-    p.add_argument("--subspace-dim", dest="subspace_dim", type=int,
+    p.add_argument("--subspace-dim", dest="subspace_dim",
                    help="fixed class-subspace dimension (default: all)")
-    p.add_argument("--energy", type=float,
-                   help="class-subspace energy threshold dim rule")
-    p.add_argument("--classifier", choices=RULES)
+    p.add_argument("--energy", help="class-subspace energy threshold dim rule")
+    p.add_argument("--classifier", help="one of " + ", ".join(RULES))
     p.add_argument("--train", help="training dataset CSV")
     p.add_argument("--test", help="test dataset CSV")
-    p.add_argument("--train-count", dest="train_count", type=int,
+    p.add_argument("--train-count", dest="train_count",
                    help="training samples drawn per class and repetition")
-    p.add_argument("--repetitions", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--repetitions")
+    p.add_argument("--seed")
     p.add_argument("--out", help="output path")
 
 

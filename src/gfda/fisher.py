@@ -3,13 +3,14 @@
 The module covers three layers:
 
 * plain scatter matrices and the pairwise-difference matrix (the L x L
-  ladder of rungs FDA -> aFDA -> sFDA -> gFDA is in :mod:`gfda.reference`);
+  ladder of rungs FDA -> aFDA -> sFDA -> gFDA and the per-vector
+  discriminant power under its pairs are in :mod:`gfda.reference`);
 * the discriminant constructions themselves: classical FDA plus its three
   small-sample workarounds (pcaLDA, regLDA, nullLDA), the geometrical
   variant in both of its equivalent forms, and the generalized-difference-
   subspace projection;
-* the analysis quantities connecting the last two (per-vector discriminant
-  power and the gap index).
+* the gap index, the weight gap between the geometrical criterion and
+  plain difference-subspace projection.
 
 The geometrical criterion maximizes f(d) = (d^T B d) / (d^T W d) where B is
 the pairwise-difference matrix of the classes' first basis vectors and W is
@@ -26,30 +27,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import linalg
-from .errors import (NotApplicableError, OverlapError, UndefinedDirectionError,
-                     ValidationError)
+from .errors import NotApplicableError, OverlapError, ValidationError
 from .subspace import (OVERLAP_TOL, SubspaceEnsemble, aligned_first_vectors,
                        group_by_label, union_span)
-
-LADDER_RUNGS = ("FDA", "aFDA", "sFDA", "gFDA")
-
-
-@dataclass(frozen=True)
-class ScatterPair:
-    """A (between, within) matrix pair at one rung of the ladder."""
-
-    between: np.ndarray
-    within: np.ndarray
-    rung: str
-
-    def __post_init__(self):
-        linalg.as_sym_matrix(self.between, "between")
-        linalg.as_sym_matrix(self.within, "within")
-        if self.between.shape != self.within.shape:
-            raise ValidationError("between/within orders differ")
-        if self.rung not in LADDER_RUNGS:
-            raise ValidationError(f"unknown rung {self.rung!r}")
-
 
 @dataclass(frozen=True)
 class DiscriminantModel:
@@ -172,20 +152,6 @@ def pairwise_difference_matrix(firsts) -> np.ndarray:
     return firsts.shape[0] * (centered.T @ centered)
 
 
-def discriminant_power_curve(basis, pair: ScatterPair) -> np.ndarray:
-    """Fisher-like power of each basis column under the given pair: the
-    reference.fisher_criterion of every column at once, raising
-    UndefinedDirectionError for a column of no within-class energy."""
-    basis = np.asarray(basis, dtype=float)
-    num = np.sum(basis * (pair.between @ basis), axis=0)
-    den = np.sum(basis * (pair.within @ basis), axis=0)
-    scale = np.sum(basis * basis, axis=0) * max(np.linalg.norm(pair.within), 1.0)
-    if np.any(den <= 1e-12 * scale):
-        raise UndefinedDirectionError(
-            "direction has (numerically) zero within-class energy")
-    return num / den
-
-
 def gap_index(C: int) -> float:
     """Relative weight gap 2 (1 - 1/C) between the geometrical criterion and
     plain difference-subspace projection; 1.0 at C = 2, toward 2.0 as C grows."""
@@ -233,10 +199,6 @@ def gfda_product_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     """
     C = ensemble.n_classes
     total = sum(c.dim for c in ensemble.classes)
-    if total > ensemble.ambient_dim:
-        raise OverlapError(
-            f"{total} pooled basis vectors cannot be independent in "
-            f"dimension {ensemble.ambient_dim}")
     U, s2, F, _ = union_frame(ensemble)
     if s2.size < total:
         raise OverlapError(

@@ -5,15 +5,36 @@ against them; no runtime module imports this module.
 """
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePairError, ValidationError
-from .fisher import (LADDER_RUNGS, ScatterPair, between_scatter,
-                     discriminant_power_curve, pairwise_difference_matrix)
-from .linalg import RANK_TOL, canonical_angles, nonzero, sym_eig
+from .errors import (DegeneratePairError, UndefinedDirectionError,
+                     ValidationError)
+from .fisher import between_scatter, pairwise_difference_matrix
+from .linalg import (RANK_TOL, as_sym_matrix, canonical_angles, nonzero,
+                     sym_eig)
 from .subspace import (OVERLAP_TOL, ClassModel, SubspaceEnsemble,
                        aligned_first_vectors)
+
+LADDER_RUNGS = ("FDA", "aFDA", "sFDA", "gFDA")
+
+
+@dataclass(frozen=True)
+class ScatterPair:
+    """A (between, within) matrix pair at one rung of the ladder."""
+
+    between: np.ndarray
+    within: np.ndarray
+    rung: str
+
+    def __post_init__(self):
+        as_sym_matrix(self.between, "between")
+        as_sym_matrix(self.within, "within")
+        if self.between.shape != self.within.shape:
+            raise ValidationError("between/within orders differ")
+        if self.rung not in LADDER_RUNGS:
+            raise ValidationError(f"unknown rung {self.rung!r}")
 
 
 def projection_matrix(model: ClassModel) -> np.ndarray:
@@ -185,9 +206,23 @@ def gds_decomposition(ensemble: SubspaceEnsemble):
     return coef * pairwise_difference_matrix(firsts), W5
 
 
+def discriminant_power_curve(basis, pair: ScatterPair) -> np.ndarray:
+    """Fisher-like power of each basis column under the given pair: the
+    fisher_criterion of every column at once, raising
+    UndefinedDirectionError for a column of no within-class energy."""
+    basis = np.asarray(basis, dtype=float)
+    num = np.sum(basis * (pair.between @ basis), axis=0)
+    den = np.sum(basis * (pair.within @ basis), axis=0)
+    scale = np.sum(basis * basis, axis=0) * max(np.linalg.norm(pair.within), 1.0)
+    if np.any(den <= 1e-12 * scale):
+        raise UndefinedDirectionError(
+            "direction has (numerically) zero within-class energy")
+    return num / den
+
+
 def fisher_criterion(d, pair: ScatterPair) -> float:
     """Generalized Rayleigh quotient (d^T B d) / (d^T W d): the one-column
-    case of fisher.discriminant_power_curve.
+    case of discriminant_power_curve.
 
     Scale-invariant in d.  Raises UndefinedDirectionError when d carries no
     within-class energy, i.e. the ratio is meaningless.

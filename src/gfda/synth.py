@@ -18,10 +18,15 @@ SET2 = "Set2"
 MIXTURE_MODES = (SET1, SET2)
 
 
-def _check_seeds(**seeds):
-    for name, seed in seeds.items():
-        if seed is not None and seed < 0:  # numpy's generator takes none
-            raise ValidationError(f"{name} must be >= 0, got {seed}")
+def _check_seed(seed, name="seed"):
+    if seed is not None and seed < 0:  # numpy's generator takes none
+        raise ValidationError(f"{name} must be >= 0, got {seed}")
+
+
+def _rng(seed):
+    """numpy's PCG64 generator for a seed, which must be >= 0."""
+    _check_seed(seed)
+    return np.random.default_rng(seed)
 
 
 def _unit(v):
@@ -43,7 +48,7 @@ def gaussian_class(L, mean_direction, mean_norm, sigma_max, n, seed,
         raise ValidationError(
             "need L >= 1, finite mean_norm >= 0, finite sigma_max > 0 and "
             f"n >= 1, got {L}, {mean_norm}, {sigma_max} and {n}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     mean = mean_norm * _unit(np.asarray(mean_direction, dtype=float))
     if mean.size != L:
         raise ValidationError("mean_direction length must equal L")
@@ -82,7 +87,7 @@ def convex_mixture(basis_vectors, mode, count, seed) -> np.ndarray:
     if count < 1:
         raise ValidationError("count must be >= 1")
 
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     k = B.shape[0]
     mean_vec = B.mean(axis=0)
     out = np.empty((count, B.shape[1]))
@@ -123,8 +128,7 @@ def subspace_config(C, N, L, separation=1.0, seed=0) -> SubspaceEnsemble:
             "the no-overlap assumption cannot hold")
     if not (0.0 < separation <= 1.0):
         raise ValidationError("separation must be in (0, 1]")
-    _check_seeds(seed=seed)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     shared = rng.standard_normal((L, N))
     classes = []
     for c in range(C):
@@ -153,8 +157,8 @@ def labeled_gaussians(C, L, n_per_class, mean_norm, sigma_max, seed,
     """
     if C < 2 or L < 1:
         raise ValidationError(f"need C >= 2 and L >= 1, got {C} and {L}")
-    _check_seeds(seed=seed, sample_seed=sample_seed)
-    rng = np.random.default_rng(seed)
+    _check_seed(sample_seed, "sample_seed")
+    rng = _rng(seed)
     dirs = rng.standard_normal((C, L))
     draw = seed if sample_seed is None else sample_seed
     X, labels = [], []
@@ -181,7 +185,7 @@ def class_mixture_bases(C, L, seed, basis_count=9, anchor_spread=0.4):
         raise ValidationError(
             "need C >= 2, L >= 1, basis_count >= 1 and a finite "
             f"anchor_spread, got {C}, {L}, {basis_count} and {anchor_spread}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     out = []
     for _ in range(C):
         anchor = _unit(np.abs(rng.standard_normal(L)))
@@ -200,7 +204,7 @@ def labeled_mixtures(C, L, n_per_class, mode, seed, basis_count=9,
     Set2 test set over the same families share the seed and differ in the
     sample seed.
     """
-    _check_seeds(seed=seed, sample_seed=sample_seed)
+    _check_seed(sample_seed, "sample_seed")
     families = class_mixture_bases(C, L, seed, basis_count, anchor_spread)
     draw = seed if sample_seed is None else sample_seed
     X, labels = [], []

@@ -510,6 +510,31 @@ class TestEigencurves:
         data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
         npt.assert_allclose(data[:4, 4].sum(), 20.0, atol=1e-8)
 
+    @pytest.mark.parametrize("C,N,separation", [(3, 2, 1.0), (4, 1, 0.3),
+                                                (6, 3, 0.7)])
+    def test_curves_match_reference_route(self, tmp_path, C, N, separation):
+        """The L x L route: G = sum_c P_c and B from scatter_ladder, G's
+        range as the frame, powers from discriminant_power_curve."""
+        from gfda import reference
+        out = tmp_path / "curves.csv"
+        assert run("eigencurves", "--classes", str(C), "--subspace-dim",
+                   str(N), "--separation", str(separation), "--seed", "5",
+                   "--out", str(out)) == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        data = np.array([[float(v) for v in r.split(",")[1:]] for r in rows])
+        ens = gfda_module.subspace_config(C, N, 4 * C * N,
+                                          separation=separation, seed=5)
+        pair = reference.scatter_ladder(ens, "gFDA")
+        vals, vecs = np.linalg.eigh(pair.within)
+        U = vecs[:, -C * N:]
+        vals_h, V = np.linalg.eigh(U.T @ (pair.within - pair.between / C) @ U)
+        npt.assert_allclose(data[:, 0], vals[-C * N:], atol=1e-10)
+        npt.assert_allclose(data[:, 1], vals_h, atol=1e-10)
+        npt.assert_allclose(data[:, 2], reference.discriminant_power_curve(
+            U, pair), rtol=1e-8)
+        npt.assert_allclose(data[:, 3], reference.discriminant_power_curve(
+            U @ V, pair), rtol=1e-8)
+
 
 class TestConfigHandling:
     def test_config_file_with_overrides(self, gaussian_sets, tmp_path):
@@ -648,6 +673,57 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: not UTF-8 text (")
         assert "Traceback" not in err and not out.exists()
+
+    def test_repeated_key_rejected(self, gaussian_sets, tmp_path, capsys):
+        train, _ = gaussian_sets
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("method = regLDA\nmethod = gds\n")
+        out = tmp_path / "m.json"
+        assert run("fit", "--config", str(cfg), "--train", str(train),
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: key 'method' repeated\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", "x"), ("repetitions", "0"), ("delta", "nan"),
+        ("method", "bogus"), ("classifier", "bogus"), ("train_count", "4.5"),
+        ("gamma", "abc"), ("gds_dims", "1.5"), ("subspace_dim", "x"),
+        ("energy", "inf"), ("residual_threshold", "nan"),
+    ])
+    def test_flag_and_config_line_fail_alike(self, gaussian_sets, tmp_path,
+                                             capsys, key, value):
+        train, _ = gaussian_sets
+        out = tmp_path / "e.csv"
+        base = {"method": "regLDA", "train": str(train), "train_count": "3"}
+        base[key] = value
+        flags = [a for k, v in base.items()
+                 for a in ("--" + k.replace("_", "-"), v)]
+        capsys.readouterr()
+        assert run("eval", *flags, "--out", str(out)) == 1
+        from_flag = capsys.readouterr().err
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in base.items()))
+        assert run("eval", "--config", str(cfg), "--out", str(out)) == 1
+        from_config = capsys.readouterr().err
+        assert from_flag == from_config
+        assert from_flag.startswith("error: ") and from_flag.count("\n") == 1
+        assert "usage:" not in from_flag and not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("train_count", 4.5), ("repetitions", 2.9), ("seed", float("inf")),
+        ("gds_dims", "3.0"),
+    ])
+    def test_non_integer_number_rejected(self, key, value):
+        with pytest.raises(ValidationError,
+                           match=f"^{key}: not an integer: {value!r}$"):
+            cli.ExperimentConfig.from_mapping({"method": "gds", key: value})
+
+    def test_integral_number_accepted(self):
+        cfg = cli.ExperimentConfig.from_mapping({"train_count": 4.0,
+                                                 "repetitions": 3})
+        assert (cfg.train_count, cfg.repetitions) == (4, 3)
+        assert isinstance(cfg.train_count, int)
 
 
 @pytest.mark.parametrize("argv", [

@@ -168,8 +168,8 @@ class TestScatterLadder:
 
 class TestFisherCriterion:
     def test_zero_for_null_between_direction(self):
-        pair = fisher.ScatterPair(between=np.diag([1.0, 0.0]),
-                                  within=np.eye(2), rung="FDA")
+        pair = reference.ScatterPair(between=np.diag([1.0, 0.0]),
+                                     within=np.eye(2), rung="FDA")
         assert gfda.fisher_criterion([0.0, 1.0], pair) == 0.0
 
     def test_gfda_basis_vector_scores_c(self):
@@ -184,14 +184,15 @@ class TestFisherCriterion:
         rng = np.random.default_rng(65)
         B = rng.standard_normal((5, 5))
         W = rng.standard_normal((5, 5))
-        pair = fisher.ScatterPair(between=B @ B.T, within=W @ W.T, rung="FDA")
+        pair = reference.ScatterPair(between=B @ B.T, within=W @ W.T,
+                                     rung="FDA")
         d = rng.standard_normal(5)
         npt.assert_allclose(gfda.fisher_criterion(7.0 * d, pair),
                             gfda.fisher_criterion(d, pair), rtol=1e-12)
 
     def test_undefined_direction(self):
-        pair = fisher.ScatterPair(between=np.eye(2),
-                                  within=np.diag([1.0, 0.0]), rung="FDA")
+        pair = reference.ScatterPair(between=np.eye(2),
+                                     within=np.diag([1.0, 0.0]), rung="FDA")
         with pytest.raises(UndefinedDirectionError):
             gfda.fisher_criterion([0.0, 1.0], pair)
 

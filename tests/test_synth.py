@@ -202,3 +202,13 @@ class TestLabeledSets:
         anchors = np.array([f.mean(axis=0) for f in fams])
         gram = anchors @ anchors.T
         assert np.all(gram > 0)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: gfda.gaussian_class(3, [1.0, 0.0, 0.0], 1.0, 1.0, 5, seed=-1),
+    lambda: gfda.convex_mixture(np.eye(3), "Set1", 4, seed=-1),
+    lambda: synth.class_mixture_bases(3, 5, -1),
+], ids=["gaussian_class", "convex_mixture", "class_mixture_bases"])
+def test_negative_seed_rejected(draw):
+    with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
+        draw()
