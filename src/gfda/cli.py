@@ -468,8 +468,16 @@ def _add_config_options(p):
     p.add_argument("--out", help="output path")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each parse error as ValidationError, so main prints it as one
+    `error: ...` line; add_subparsers builds the subparsers from it too."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gfda",
         description="subspace-based discriminant analysis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -537,16 +545,14 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
+        args = build_parser().parse_args(argv)
         with warnings.catch_warnings():
             warnings.simplefilter("default")
             warnings.showwarning = _show_warning
             return args.func(args)
+    except SystemExit as exc:  # --help, the one exit argparse is left
+        return exc.code
     except (GfdaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

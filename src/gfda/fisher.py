@@ -347,14 +347,14 @@ def _top_generalized_directions(between, within, k, ridge=0.0):
     """Eigenvectors and eigenvalues of the k largest generalized eigenvalues
     of (between, within + ridge I).  Without a ridge, within must be positive
     definite; a ridge is added to the caller's within matrix in place.  With
-    within = L L^T, solves L^-1 between L^-T and lifts by L^-T."""
+    within = L L^T, solves L^-1 between L^-T, fixes signs, lifts by L^-T."""
     if ridge:
         within[np.diag_indices_from(within)] += ridge
     elif not linalg.nonzero(np.linalg.eigvalsh(within)).all():
         raise ValidationError(_SINGULAR_WITHIN)
     Linv = np.linalg.inv(np.linalg.cholesky(within))
     w, V = np.linalg.eigh(Linv @ between @ Linv.T)
-    return (Linv.T @ V)[:, ::-1][:, :k], w[::-1][:k]
+    return (Linv.T @ linalg.fix_signs(V, copy=False))[:, ::-1][:, :k], w[::-1][:k]
 
 
 def _baseline_model(labels, groups, frame, coords, method, info):

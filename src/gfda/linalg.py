@@ -4,10 +4,13 @@ All routines work on plain float ndarrays: a symmetric matrix is an (n, n)
 array, an orthonormal basis is an (L, k) array whose columns are the basis
 vectors.  Only this module decides the rank rule (``nonzero``: a spectrum
 entry counts when it exceeds RANK_TOL times the largest), how a range basis
-is factorized (``range_basis``: the thin SVD cut by that rule) and the sign
-convention (``fix_signs``: first nonzero component positive).  ``sym_eig``
-reports eigenvalues ascending, ``range_basis`` singular values descending,
-both sign-fixed, so downstream constructions are reproducible bit for bit.
+is factorized (``range_basis``: the thin SVD cut by that rule), how
+vectors are orthonormalized in order (``gram_schmidt``: one QR with a
+positive diagonal, dropping a vector whose residual is at most RANK_TOL
+times its norm) and the sign convention (``fix_signs``: first nonzero
+component positive).  ``sym_eig`` reports eigenvalues ascending,
+``range_basis`` singular values descending, both sign-fixed, so downstream
+constructions are reproducible bit for bit.
 """
 
 from dataclasses import dataclass
@@ -128,37 +131,30 @@ def sym_eig(M) -> EigResult:
 
 
 def gram_schmidt(vectors):
-    """Rank-revealing modified Gram-Schmidt orthonormalization of a sequence
-    of 1-D arrays, or of the columns of a 2-D array.  A vector whose residual
-    norm after projection falls below RANK_TOL times its own norm is dropped
-    as dependent.  Returns an (L, r) array with orthonormal columns spanning
-    the input span."""
+    """Orthonormalize a sequence of 1-D arrays, or the columns of a 2-D
+    array, in order: the Q of one QR with R's diagonal made positive.  A
+    vector whose residual |R_jj| against the vectors kept before it is at
+    most RANK_TOL times its norm is dropped, and the rest are factorized
+    again.  Returns an (L, r) array with orthonormal columns spanning them."""
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        cols = [np.asarray(vectors[:, j], dtype=float) for j in range(vectors.shape[1])]
+        A = np.asarray(vectors, dtype=float)
     else:
         cols = [np.asarray(v, dtype=float).ravel() for v in vectors]
-    if not cols:
+        if any(c.size != cols[0].size for c in cols):
+            raise ValidationError("gram_schmidt vectors must share the ambient dimension")
+        A = np.column_stack(cols) if cols else np.empty((0, 0))
+    if A.shape[1] == 0:
         raise ValidationError("gram_schmidt needs at least one vector")
-    dim = cols[0].size
-    if any(c.size != dim for c in cols):
-        raise ValidationError("gram_schmidt vectors must share the ambient dimension")
-
-    basis = []
-    for v in cols:
-        norm0 = np.linalg.norm(v)
-        if norm0 == 0.0:
-            continue
-        w = v.copy()
-        for _ in range(2):  # one re-orthogonalization pass for stability
-            for q in basis:
-                w -= (q @ w) * q
-        norm = np.linalg.norm(w)
-        if norm <= RANK_TOL * norm0:
-            continue
-        basis.append(w / norm)
-    if not basis:
-        raise ValidationError("gram_schmidt input has numerical rank 0")
-    return np.column_stack(basis)
+    norms = np.linalg.norm(A, axis=0)
+    kept = np.flatnonzero(norms != 0)  # a zero vector is dependent
+    while kept.size:
+        Q, R = np.linalg.qr(A[:, kept])
+        diag = R.diagonal()  # beyond the first L, every vector is dependent
+        dependent = np.flatnonzero(np.abs(diag) <= RANK_TOL * norms[kept[:diag.size]])
+        if not dependent.size:
+            return Q * np.sign(diag)
+        kept = np.delete(kept, dependent[0])
+    raise ValidationError("gram_schmidt input has numerical rank 0")
 
 
 @dataclass(frozen=True)

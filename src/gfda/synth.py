@@ -9,6 +9,7 @@ variates, the standard uniform-on-the-simplex construction.
 import numpy as np
 
 from .errors import ValidationError
+from .linalg import gram_schmidt
 from .subspace import ClassModel, SubspaceEnsemble
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -106,11 +107,6 @@ def convex_mixture(basis_vectors, mode, count, seed) -> np.ndarray:
     return out
 
 
-def _random_orthonormal(rng, L, N):
-    Q, R = np.linalg.qr(rng.standard_normal((L, N)))
-    return Q * np.sign(np.where(np.diag(R) == 0, 1.0, np.diag(R)))
-
-
 def subspace_config(C, N, L, separation=1.0, seed=0) -> SubspaceEnsemble:
     """Ensemble of C random N-dimensional class subspaces in dimension L.
 
@@ -134,7 +130,7 @@ def subspace_config(C, N, L, separation=1.0, seed=0) -> SubspaceEnsemble:
     for c in range(C):
         raw = separation * rng.standard_normal((L, N)) \
             + (1.0 - separation) * shared
-        Q = _random_orthonormal(rng, L, N) if separation == 1.0 \
+        Q = gram_schmidt(rng.standard_normal((L, N))) if separation == 1.0 \
             else np.linalg.qr(raw)[0]
         classes.append(ClassModel(
             label=c,

@@ -628,6 +628,28 @@ class TestConfigHandling:
     def test_usage_error_maps_to_one(self):
         assert run("eigencurves") == 1  # missing required arguments
 
+    @pytest.mark.parametrize("argv", [
+        "synth --kind gaussian --classes x --out x.csv",
+        "eval --train train.csv --method regLDA --delta -1e-3 --out e.csv",
+        "eval --train train.csv --bogus 1 --out e.csv",
+        "eigencurves --out c.csv",
+    ])
+    def test_parse_error_is_one_line(self, gaussian_sets, monkeypatch,
+                                     capsys, argv):
+        monkeypatch.chdir(gaussian_sets[0].parent)
+        before = sorted(p.name for p in gaussian_sets[0].parent.iterdir())
+        capsys.readouterr()
+        assert run(*argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert "usage:" not in captured.err
+        assert sorted(p.name for p in gaussian_sets[0].parent.iterdir()) == before
+
+    def test_help_exits_zero(self, capsys):
+        assert run("eval", "--help") == 0
+        assert capsys.readouterr().out.startswith("usage: gfda eval")
+
     def test_non_finite_dataset_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,1.0,2.0,0.5\na,1.1,2.0,0.4\nb,0.2,nan,3.0\n"

@@ -402,6 +402,43 @@ class TestUnionFrame:
         assert calls == [5]
 
 
+def _gaussians(L, n):
+    return gfda.labeled_gaussians(3, L, n, mean_norm=4.0, sigma_max=1.0,
+                                  seed=99)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gfda.gfda_product_form(gfda.fit_ensemble(*_gaussians(12, 3))),
+    lambda: gfda.gfda_linear_form(gfda.fit_ensemble(*_gaussians(12, 3))),
+    lambda: gfda.gds_discriminant(gfda.fit_ensemble(*_gaussians(12, 3)),
+                                  dims=4),
+    lambda: gfda.fda(*_gaussians(4, 10)),
+    lambda: gfda.reg_lda(*_gaussians(12, 3)),
+    lambda: gfda.pca_lda(*_gaussians(12, 3)),
+    lambda: gfda.null_lda(*_gaussians(12, 3)),
+], ids=["gfda-product", "gfda-linear", "gds", "fda", "regLDA", "pcaLDA",
+        "nullLDA"])
+def test_models_do_not_depend_on_lapack_signs(monkeypatch, build):
+    """Every eigenvector and singular vector is sign-fixed: negating what
+    numpy's eigh and svd return leaves each model bitwise unchanged."""
+    expected = build()
+    eigh, svd = np.linalg.eigh, np.linalg.svd
+
+    def negated_eigh(a):
+        w, v = eigh(a)
+        return w, -v
+
+    def negated_svd(a, **kwargs):
+        u, s, vt = svd(a, **kwargs)
+        return -u, s, -vt
+
+    monkeypatch.setattr(np.linalg, "eigh", negated_eigh)
+    monkeypatch.setattr(np.linalg, "svd", negated_svd)
+    model = build()
+    npt.assert_array_equal(model.projector, expected.projector)
+    npt.assert_array_equal(model.class_refs, expected.class_refs)
+
+
 class TestBaselines:
     @staticmethod
     def _three_blobs(seed=98, n=30, spread=1.0):

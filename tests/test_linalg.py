@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfda import linalg, reference
 from gfda.errors import ValidationError
@@ -133,6 +135,76 @@ class TestGramSchmidt:
     def test_all_zero_rejected(self):
         with pytest.raises(ValidationError):
             linalg.gram_schmidt([np.zeros(3)])
+
+
+def loop_gram_schmidt(cols):
+    """Oracle: modified Gram-Schmidt with one re-orthogonalization pass,
+    dropping a vector whose residual is at most RANK_TOL times its norm."""
+    basis = []
+    for v in cols:
+        norm0 = np.linalg.norm(v)
+        if norm0 == 0.0:
+            continue
+        w = np.array(v, dtype=float)
+        for _ in range(2):
+            for q in basis:
+                w -= (q @ w) * q
+        norm = np.linalg.norm(w)
+        if norm > linalg.RANK_TOL * norm0:
+            basis.append(w / norm)
+    return np.column_stack(basis)
+
+
+GS_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                       database=None)
+
+
+class TestGramSchmidtAgainstLoop:
+    @GS_PROPERTY
+    @given(L=st.integers(1, 12), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_full_rank_columns_agree(self, L, data, seed):
+        k = data.draw(st.integers(1, L))
+        A = np.random.default_rng(seed).standard_normal((L, k))
+        out = linalg.gram_schmidt(A)
+        assert out.shape == (L, k)
+        npt.assert_allclose(out, loop_gram_schmidt(A.T), rtol=0, atol=1e-12)
+
+    @GS_PROPERTY
+    @given(L=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from(["new", "zero", "copy", "scaled",
+                                           "near"]),
+                          min_size=1, max_size=10))
+    def test_dependent_vectors_dropped_alike(self, L, seed, kinds):
+        # zero vectors, exact duplicates, multiples of an earlier vector and
+        # ones 1e-13 off it, at any position; past L vectors all are dependent
+        rng = np.random.default_rng(seed)
+        cols = []
+        for kind in kinds:
+            if kind == "zero":
+                cols.append(np.zeros(L))
+            elif kind == "new" or not cols:
+                cols.append(rng.standard_normal(L))
+            else:
+                earlier = cols[rng.integers(len(cols))]
+                if kind == "near":
+                    earlier = earlier + 1e-13 * rng.standard_normal(L)
+                cols.append(earlier * (1.0 if kind == "copy"
+                                       else rng.choice([-3.0, 0.5, 2.5])))
+        if not any(c.any() for c in cols):
+            with pytest.raises(ValidationError, match="rank 0"):
+                linalg.gram_schmidt(cols)
+            return
+        out, oracle = linalg.gram_schmidt(cols), loop_gram_schmidt(cols)
+        assert out.shape == oracle.shape
+        npt.assert_allclose(out.T @ out, np.eye(out.shape[1]), atol=1e-12)
+        assert 1.0 - linalg.canonical_angles(out, oracle).cosines.min() <= 1e-10
+
+    def test_near_dependent_vector_leaves_later_ones(self):
+        # dropping e1 + 1e-13 e2 must not take e2's direction with it
+        e = np.eye(3)
+        cols = [e[0], e[0] + 1e-13 * e[1], e[1]]
+        npt.assert_array_equal(linalg.gram_schmidt(cols), e[:, :2])
+        assert loop_gram_schmidt(cols).shape == (3, 2)
 
 
 def alternating_projection_cosines(U, V, iters=4000):
