@@ -330,6 +330,8 @@ def _centred_frame(X, y):
     holds every class-centred row and centred class mean, so both scatters
     vanish on its complement."""
     X = np.asarray(X, dtype=float)
+    if not np.isfinite(X).all():
+        raise ValidationError("samples must be finite")
     labels, groups = group_by_label(X, y)
     center = X.mean(axis=0)
     Q, s = linalg.range_basis((X - center).T)

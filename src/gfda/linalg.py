@@ -7,8 +7,10 @@ entry counts when it exceeds RANK_TOL times the largest), how a range basis
 is factorized (``range_basis``: the thin SVD cut by that rule), how
 vectors are orthonormalized in order (``gram_schmidt``: one QR with a
 positive diagonal, dropping a vector whose residual is at most RANK_TOL
-times its norm) and the sign convention (``fix_signs``: first nonzero
-component positive).  ``sym_eig`` reports eigenvalues ascending,
+times its norm), the sign convention (``fix_signs``: first nonzero
+component positive) and when columns count as orthonormal
+(``as_ortho_basis``: one batched Q^T Q for one basis or a stack, the one
+orthonormality rule).  ``sym_eig`` reports eigenvalues ascending,
 ``range_basis`` singular values descending, both sign-fixed, so downstream
 constructions are reproducible bit for bit.
 """
@@ -56,19 +58,34 @@ def as_sym_matrix(M, name="matrix"):
 
 
 def as_ortho_basis(Q, name="basis"):
-    """Validate and return Q as an (L, k) array with orthonormal columns."""
+    """Validate and return Q as one (L, k) array, or a (b, L, k) stack of
+    them, with orthonormal columns: the one orthonormality rule.
+
+    One batched Q^T Q checks every matrix: each diagonal entry within
+    10 UNIT_NORM_TOL of 1 and every other entry within ORTHO_IP_TOL of 0,
+    so a column with a non-finite entry fails.  A 1-D Q is one column.  A
+    stack raises for its first failing matrix i, named f"{name}[{i}]", the
+    error that matrix alone would raise.
+    """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim == 1:
         Q = Q[:, None]
-    if Q.ndim != 2:
-        raise ValidationError(f"{name} must be 2-dimensional")
-    if Q.shape[1] == 0:
-        return Q
-    gram = Q.T @ Q
-    if np.abs(gram.diagonal() - 1.0).max() > UNIT_NORM_TOL * 10:
-        raise ValidationError(f"{name} columns are not unit vectors")
-    np.fill_diagonal(gram, 0.0)
-    if np.abs(gram).max() > ORTHO_IP_TOL:
+    if Q.ndim not in (2, 3):
+        raise ValidationError(f"{name} must be an (L, k) basis or a (b, L, k) "
+                              f"stack, got shape {Q.shape}")
+    eye = np.eye(Q.shape[-1])
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite Q fails below
+        gram = Q.swapaxes(-1, -2) @ Q
+    ok = np.abs(gram - eye) <= np.where(eye, UNIT_NORM_TOL * 10, ORTHO_IP_TOL)
+    bad = ~ok.all(axis=(-2, -1))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if Q.ndim == 3:
+            Q, ok, name = Q[i], ok[i], f"{name}[{i}]"
+        if not np.isfinite(Q).all():
+            raise ValidationError(f"{name} has non-finite entries")
+        if not ok.diagonal().all():
+            raise ValidationError(f"{name} columns are not unit vectors")
         raise ValidationError(f"{name} columns are not mutually orthogonal")
     return Q
 
@@ -180,6 +197,8 @@ def canonical_angles(U, V) -> CanonicalAngles:
     """
     U = as_ortho_basis(U, "U")
     V = as_ortho_basis(V, "V")
+    if U.ndim != 2 or V.ndim != 2:
+        raise ValidationError("canonical_angles takes two (L, k) bases")
     if U.shape[0] != V.shape[0]:
         raise ValidationError(
             f"ambient dimensions differ: {U.shape[0]} vs {V.shape[0]}")

@@ -9,7 +9,7 @@ in :mod:`gfda.fisher` leans on.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -38,7 +38,12 @@ class ClassModel:
     count: int
 
     def __post_init__(self):
-        linalg.as_ortho_basis(self.basis, f"class {self.label!r} basis")
+        name = f"class {self.label!r} basis"
+        if np.ndim(self.basis) != 2 or np.shape(self.basis)[1] == 0:
+            raise ValidationError(
+                f"{name} must be 2-dimensional with at least one column, "
+                f"got shape {np.shape(self.basis)}")
+        linalg.as_ortho_basis(self.basis, name)
         ev = np.asarray(self.eigenvalues, dtype=float)
         if ev.ndim != 1 or ev.size != self.basis.shape[1]:
             raise ValidationError("eigenvalues must align with basis columns")
@@ -48,6 +53,14 @@ class ClassModel:
             raise ValidationError(
                 f"class {self.label!r}: {self.dim} basis vectors exceed "
                 f"min(count={self.count}, L={self.ambient_dim})")
+
+    @classmethod
+    def _fitted(cls, **fields):
+        """A model whose __post_init__ guarantees _fit_classes has already
+        established: built without re-running them."""
+        model = object.__new__(cls)
+        model.__dict__.update(fields)
+        return model
 
     @property
     def ambient_dim(self) -> int:
@@ -136,9 +149,17 @@ def fit_ensemble(X, labels, dim=None, energy=None) -> SubspaceEnsemble:
 
 def _fit_classes(X, labels, rows, dim, energy):
     """ClassModels of the classes X[rows[i]], i in order, checked in that
-    order after one stacked ``linalg.range_basis`` per distinct size."""
+    order after one stacked ``linalg.range_basis`` per distinct size.
+
+    The bases of each width are checked by one stacked
+    ``linalg.as_ortho_basis``; the SVD order and the rank cut give every
+    other ClassModel guarantee, so the models skip __post_init__.  A
+    failing stack raises the error of its first failing class, in order.
+    """
     if dim is not None and energy is not None:
         raise ValidationError("give either dim or energy, not both")
+    if not np.isfinite(X).all():
+        raise ValidationError("samples must be finite")
     L = X.shape[1]
     fits = [None] * len(rows)
     for n, members in zip(*group_by_label(np.arange(len(rows)),
@@ -155,6 +176,8 @@ def _fit_classes(X, labels, rows, dim, energy):
             raise ValidationError(f"dim must be in [1, min(n={n}, L={L})]")
         if not any_nonzero:
             raise ValidationError("all samples are zero vectors")
+        if not vals.size:
+            raise ValidationError("samples have numerical rank 0")
         if dim is not None:
             if dim > vals.size:
                 raise ValidationError(
@@ -168,8 +191,18 @@ def _fit_classes(X, labels, rows, dim, energy):
             k = int(np.searchsorted(share, energy - 1e-15) + 1)
             k = min(k, vals.size)
             vals, basis = vals[:k], basis[:, :k]
-        classes.append(ClassModel(label=label, basis=basis, eigenvalues=vals,
-                                  mean=mean, count=n))
+        classes.append(ClassModel._fitted(label=label, basis=basis,
+                                          eigenvalues=vals, mean=mean,
+                                          count=n))
+
+    for members in group_by_label(np.arange(len(classes)),
+                                  [c.dim for c in classes])[1]:
+        try:
+            linalg.as_ortho_basis(np.stack([classes[i].basis for i in members]))
+        except ValidationError:
+            for c in classes:  # the public checks: the first failing class's error
+                replace(c)
+            raise
     return classes
 
 

@@ -130,8 +130,8 @@ def subspace_config(C, N, L, separation=1.0, seed=0) -> SubspaceEnsemble:
     for c in range(C):
         raw = separation * rng.standard_normal((L, N)) \
             + (1.0 - separation) * shared
-        Q = gram_schmidt(rng.standard_normal((L, N))) if separation == 1.0 \
-            else np.linalg.qr(raw)[0]
+        Q = gram_schmidt(rng.standard_normal((L, N)) if separation == 1.0
+                         else raw)
         classes.append(ClassModel(
             label=c,
             basis=Q,

@@ -439,6 +439,17 @@ def test_models_do_not_depend_on_lapack_signs(monkeypatch, build):
     npt.assert_array_equal(model.class_refs, expected.class_refs)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("method", [gfda.fda, gfda.reg_lda, gfda.pca_lda,
+                                    gfda.null_lda],
+                         ids=["fda", "regLDA", "pcaLDA", "nullLDA"])
+def test_non_finite_sample_rejected(method, bad):
+    X, y = _gaussians(4, 10)
+    X[7, 1] = bad
+    with pytest.raises(ValidationError, match="samples must be finite"):
+        method(X, y)
+
+
 class TestBaselines:
     @staticmethod
     def _three_blobs(seed=98, n=30, spread=1.0):

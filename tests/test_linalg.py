@@ -308,6 +308,70 @@ class TestCanonicalAngles:
             linalg.canonical_angles(np.eye(3)[:, :1], np.eye(4)[:, :1])
 
 
+class TestAsOrthoBasis:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_rejected(self, bad):
+        with pytest.raises(ValidationError, match="basis has non-finite entries"):
+            linalg.as_ortho_basis(np.full((4, 2), bad))
+        Q = np.eye(4)[:, :2]
+        Q[3, 1] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            linalg.as_ortho_basis(Q)
+
+    def test_canonical_angles_reject_nan_basis(self):
+        with pytest.raises(ValidationError, match="U has non-finite entries"):
+            linalg.canonical_angles(np.full((4, 2), np.nan), np.eye(4)[:, :1])
+
+    def test_canonical_angles_reject_a_stack(self):
+        with pytest.raises(ValidationError, match="two .L, k. bases"):
+            linalg.canonical_angles(np.eye(4)[None, :, :2], np.eye(4)[:, :1])
+
+    def test_four_dimensional_input_rejected(self):
+        with pytest.raises(ValidationError, match="got shape"):
+            linalg.as_ortho_basis(np.ones((1, 1, 2, 1)))
+
+
+def per_matrix_error(Q, name):
+    try:
+        linalg.as_ortho_basis(Q, name)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), st.data(), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(["good", "nudged", "scaled", "skewed", "nan",
+                                 "inf"]), min_size=1, max_size=5))
+def test_stack_form_agrees_with_each_matrix(L, data, seed, kinds):
+    """One batched check of a (b, L, k) stack raises exactly the error the
+    first failing matrix raises alone, named basis[i], and passes the stack
+    through unchanged when every matrix passes."""
+    k = data.draw(st.integers(0, L))
+    rng = np.random.default_rng(seed)
+    stack = []
+    for kind in kinds:
+        Q = random_orthonormal(rng, L, k) if k else np.empty((L, 0))
+        if k and kind == "nudged":  # well inside the tolerances
+            Q = Q + 1e-14 * rng.standard_normal(Q.shape)
+        elif k and kind == "scaled":
+            Q[:, -1] *= 1.0 + 1e-6
+        elif k > 1 and kind == "skewed":
+            Q[:, 1] = (Q[:, 1] + 1e-3 * Q[:, 0]) / np.hypot(1.0, 1e-3)
+        elif k and kind in ("nan", "inf"):
+            Q[rng.integers(L), rng.integers(k)] = np.nan if kind == "nan" else np.inf
+        stack.append(Q)
+    stack = np.stack(stack)
+    errors = [e for e in (per_matrix_error(Q, f"basis[{i}]")
+                          for i, Q in enumerate(stack)) if e]
+    if errors:
+        with pytest.raises(ValidationError) as caught:
+            linalg.as_ortho_basis(stack)
+        assert str(caught.value) == errors[0]
+    else:
+        npt.assert_array_equal(linalg.as_ortho_basis(stack), stack)
+
+
 class TestWhitening:
     def test_identity(self):
         npt.assert_allclose(reference.whitening(np.eye(3)), np.eye(3), atol=1e-14)

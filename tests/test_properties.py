@@ -431,6 +431,33 @@ def first_fit_or_error(X, y, dim, energy):
     return models
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(labeled_classes(),
+       st.sampled_from([(None, None), (1, None), (2, None), (None, 0.5),
+                        (None, 0.9)]))
+def test_fitted_models_pass_the_public_checks(data, rule):
+    """Fitted ClassModels skip __post_init__; each is bitwise the model the
+    public constructor builds from the same arrays, and that constructor
+    accepts it."""
+    X, y = data
+    dim, energy = rule
+    try:
+        ens = gfda.fit_ensemble(X, y, dim=dim, energy=energy)
+    except gfda.ValidationError:
+        return
+    for got in ens.classes:
+        rebuilt = gfda.ClassModel(label=got.label, basis=got.basis,
+                                  eigenvalues=got.eigenvalues, mean=got.mean,
+                                  count=got.count)
+        assert type(got) is gfda.ClassModel
+        assert rebuilt.label == got.label and rebuilt.count == got.count
+        assert type(rebuilt.count) is type(got.count)
+        for name in ("basis", "eigenvalues", "mean"):
+            want, have = getattr(rebuilt, name), getattr(got, name)
+            assert want.dtype == have.dtype
+            npt.assert_array_equal(have, want)
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(labeled_classes(),
        st.sampled_from([(None, None), (1, None), (2, None), (3, None),

@@ -110,6 +110,78 @@ class TestFitEnsemble:
             gfda.fit_ensemble(X, y, dim=2)
         assert str(caught.value) == self.FAILURES[order[0]][1]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("fit", [
+        lambda X, y: gfda.fit_class(X),
+        lambda X, y: gfda.fit_ensemble(X, y),
+    ], ids=["fit_class", "fit_ensemble"])
+    def test_non_finite_sample_rejected(self, fit, bad):
+        X = np.random.default_rng(4).standard_normal((6, 5))
+        X[4, 2] = bad
+        with pytest.raises(ValidationError, match="samples must be finite"):
+            fit(X, [0, 0, 0, 1, 1, 1])
+
+    def test_underflowing_samples_rejected(self):
+        # s^2 underflows to 0, so the rank rule keeps no direction
+        with pytest.raises(ValidationError, match="numerical rank 0"):
+            gfda.fit_ensemble(np.vstack([np.full((3, 4), 1e-170), np.eye(4)]),
+                              ["a"] * 3 + ["b"] * 4)
+
+    @pytest.mark.parametrize("sizes, corrupt", [
+        ((3, 3, 3), {"b": "scale"}),
+        ((3, 3, 3), {"b": "skew", "c": "scale"}),
+        ((2, 3, 2), {"b": "skew"}),
+        # different widths, so different stacks: label order still decides
+        ((3, 2, 2), {"a": "skew", "c": "scale"}),
+    ])
+    def test_corrupted_basis_raises_its_class_error(self, monkeypatch, sizes,
+                                                    corrupt):
+        """Each fitted stack is checked once; a failing class raises the
+        error its public constructor raises, the first in label order."""
+        labels = ("a", "b", "c")
+        rng = np.random.default_rng(5)
+        X = np.vstack([rng.standard_normal((n, 6)) for n in sizes])
+        y = [lab for lab, n in zip(labels, sizes) for _ in range(n)]
+        order = rng.permutation(len(y))  # rows out of label order
+        X, y = X[order], [y[i] for i in order]
+        range_basis = linalg.range_basis
+        sized = {n: [lab for lab, m in zip(labels, sizes) if m == n]
+                 for n in sizes}
+
+        def corrupted(A):
+            factors = range_basis(A)
+            out = []
+            for label, (U, s) in zip(sized[A.shape[-1]], factors):
+                U = U.copy()
+                if corrupt.get(label) == "scale":
+                    U[:, 0] *= 2.0
+                elif corrupt.get(label) == "skew":
+                    U[:, 1] = (U[:, 1] + U[:, 0]) / np.sqrt(2.0)
+                out.append((U, s))
+            return out
+
+        monkeypatch.setattr(linalg, "range_basis", corrupted)
+        first = min(corrupt)
+        want = "not unit vectors" if corrupt[first] == "scale" \
+            else "not mutually orthogonal"
+        with pytest.raises(ValidationError) as caught:
+            gfda.fit_ensemble(X, y)
+        assert str(caught.value) == f"class {first!r} basis columns are {want}"
+
+
+class TestClassModelChecks:
+    @pytest.mark.parametrize("basis, match", [
+        (np.array([1.0, 0.0]), "2-dimensional"),
+        (np.empty((3, 0)), "at least one column"),
+        (np.eye(3)[None, :, :1], "2-dimensional"),
+        (np.full((4, 2), np.nan), "non-finite"),
+        (np.array([[1.0], [1.0]]), "not unit vectors"),
+        (np.array([[1.0, 1.0], [0.0, 0.0]]), "not mutually orthogonal"),
+    ], ids=["1-D", "no columns", "stack", "NaN", "not unit", "not orthogonal"])
+    def test_bad_basis_rejected(self, basis, match):
+        with pytest.raises(ValidationError, match=match):
+            gfda.ClassModel("a", basis, np.ones(1), np.zeros(2), 3)
+
 
 class TestProjectionMatrix:
     def test_single_axis(self):

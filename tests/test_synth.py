@@ -164,6 +164,22 @@ class TestSubspaceConfig:
 
         assert max_cos(packed) > max_cos(spread)
 
+    @pytest.mark.parametrize("separation", [0.3, 1.0])
+    def test_bases_do_not_depend_on_lapack_qr_signs(self, monkeypatch,
+                                                    separation):
+        expected = gfda.subspace_config(4, 2, 40, separation=separation, seed=3)
+        qr = np.linalg.qr
+
+        def negated_qr(a, *args, **kwargs):
+            q, r = qr(a, *args, **kwargs)
+            return -q, -r
+
+        monkeypatch.setattr(np.linalg, "qr", negated_qr)
+        ens = gfda.subspace_config(4, 2, 40, separation=separation, seed=3)
+        for got, want in zip(ens.classes, expected.classes):
+            npt.assert_array_equal(got.basis, want.basis)
+            npt.assert_array_equal(got.mean, want.mean)
+
     def test_class_model_invariants(self):
         ens = gfda.subspace_config(4, 2, 16, seed=11)
         for c in ens.classes:
