@@ -168,7 +168,9 @@ def union_frame(ensemble: SubspaceEnsemble):
     """The union-span frame that gFDA and GDS work in, as (U, s2, F, B_U).
 
     U, s2 : union_span of the class subspaces, the (L, K) frame and the K
-        nonzero eigenvalues of G = sum_c P_c = U diag(s2) U^T, ascending
+        nonzero eigenvalues of G = sum_c P_c = U diag(s2) U^T, ascending,
+        from the eigh of the K x K Gram of the pooled bases lifted to L
+        dimensions (one CholeskyQR pass near overlap)
     F : (C, L) aligned first basis vectors
     B_U : (K, K) pairwise-difference matrix of F U, that is U^T B U
 

@@ -4,14 +4,17 @@ All routines work on plain float ndarrays: a symmetric matrix is an (n, n)
 array, an orthonormal basis is an (L, k) array whose columns are the basis
 vectors.  Only this module decides the rank rule (``nonzero``: a spectrum
 entry counts when it exceeds RANK_TOL times the largest), how a range basis
-is factorized (``range_basis``: the thin SVD cut by that rule), how
-vectors are orthonormalized in order (``gram_schmidt``: one QR with a
-positive diagonal, dropping a vector whose residual is at most RANK_TOL
-times its norm), the sign convention (``fix_signs``: first nonzero
-component positive) and when columns count as orthonormal
-(``as_ortho_basis``: one batched Q^T Q for one basis or a stack, the one
-orthonormality rule).  ``sym_eig`` reports eigenvalues ascending,
-``range_basis`` singular values descending, both sign-fixed, so downstream
+is factorized (``range_basis``: the thin SVD cut by that rule;
+``gram_range_basis``: the eigh of the small-side Gram A^T A cut by that
+rule and lifted back through A, re-orthonormalized by one CholeskyQR pass
+when the kept spectrum spans more than 1 / REORTHO_TOL), how vectors are
+orthonormalized in order (``gram_schmidt``: one QR with a positive
+diagonal, dropping a vector whose residual is at most RANK_TOL times its
+norm), the sign convention (``fix_signs``: first nonzero component
+positive) and when columns count as orthonormal (``as_ortho_basis``: one
+batched Q^T Q for one basis or a stack, the one orthonormality rule).
+``sym_eig`` and ``gram_range_basis`` report eigenvalues ascending,
+``range_basis`` singular values descending, all sign-fixed, so downstream
 constructions are reproducible bit for bit.
 """
 
@@ -23,6 +26,11 @@ from .errors import ValidationError
 
 # Relative rank threshold shared by every rank-revealing operation.
 RANK_TOL = 1e-10
+
+# gram_range_basis re-orthonormalizes its lifted columns when the smallest
+# kept eigenvalue is below REORTHO_TOL times the largest: the lift loses
+# orthonormality as about eps times their ratio.
+REORTHO_TOL = 1e-3
 
 # Tolerances for the structural invariants of the two array "types".
 SYMMETRY_TOL = 1e-12
@@ -102,11 +110,19 @@ def fix_signs(V, copy=True):
     if copy:
         V = np.array(V, dtype=float)
     if V.size:
-        # |V| with each column contiguous, so the reductions run along rows
-        mag = np.abs(np.swapaxes(V, -1, -2), order="C")
-        first = np.argmax(mag > 1e-12 * mag.max(axis=-1, keepdims=True),
-                          axis=-1)
-        lead = np.take_along_axis(V, first[..., None, :], axis=-2)
+        # a row-0 entry above 1e-12 of its whole matrix's largest magnitude
+        # is above 1e-12 of its column's, so it is the first nonzero one
+        # (max and -min, not max |V|: a second full-size array costs more
+        # than the pass it would save)
+        lead = V[..., :1, :]
+        big = np.maximum(V.max(axis=(-2, -1), keepdims=True),
+                         -V.min(axis=(-2, -1), keepdims=True))
+        if not (np.abs(lead) > 1e-12 * big).all():
+            # |V| with each column contiguous, so the reductions run along rows
+            mag = np.abs(np.swapaxes(V, -1, -2), order="C")
+            first = np.argmax(mag > 1e-12 * mag.max(axis=-1, keepdims=True),
+                              axis=-1)
+            lead = np.take_along_axis(V, first[..., None, :], axis=-2)
         V *= np.where(lead < 0, -1.0, 1.0)
     return V
 
@@ -126,14 +142,37 @@ def range_basis(A):
 
     A may be one (L, n) matrix or a (b, L, n) stack, factorized by one
     batched LAPACK call; a stack gives a list of b (U_r, s_r) pairs, whose
-    ranks r may differ.
+    ranks r may differ.  A factor the rank rule does not cut is returned
+    as is, not copied (for a stack, a view of the stacked factors).
     """
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     keep = nonzero(s**2)
     fix_signs(U, copy=False)
     if U.ndim == 2:
-        return U[:, keep], s[keep]
-    return [(u[:, k], v[k]) for u, v, k in zip(U, s, keep)]
+        return (U, s) if keep.all() else (U[:, keep], s[keep])
+    return [(u, v) if k.all() else (u[:, k], v[k])
+            for u, v, k in zip(U, s, keep)]
+
+
+def gram_range_basis(A):
+    """Orthonormal basis of the column span of the (L, K) matrix A from its
+    K x K Gram A^T A = V diag(s^2) V^T, lifted as U = A V diag(s)^-1.
+
+    Returns (U_r, s2_r): the sign-fixed (L, r) columns of U and the
+    eigenvalues s^2, ascending, for the r entries with nonzero(s^2).  They
+    are the left singular vectors and squared singular values of A, so the
+    eigenpairs of A A^T, at O(L K^2) cost and without an SVD of A.  The
+    lifted columns lose orthonormality as about eps s2_max / s2_min; when
+    s2_min < REORTHO_TOL s2_max one CholeskyQR pass, U <- U R^-1 with
+    R^T R = U^T U, restores it.
+    """
+    s2, V = np.linalg.eigh(A.T @ A)
+    keep = nonzero(s2)
+    s2 = s2[keep]
+    U = A @ (V[:, keep] / np.sqrt(s2))
+    if s2.size and s2[0] < REORTHO_TOL * s2[-1]:
+        U = U @ np.linalg.inv(np.linalg.cholesky(U.T @ U).T)
+    return fix_signs(U, copy=False), s2
 
 
 def sym_eig(M) -> EigResult:

@@ -230,17 +230,20 @@ def aligned_first_vectors(ensemble: SubspaceEnsemble) -> np.ndarray:
 
 
 def union_span(classes):
-    """Frame of the union span of class subspaces: ``linalg.range_basis`` of
-    the pooled basis Phi = [Phi_1 ... Phi_C] = U S V^T.
+    """Frame of the union span of class subspaces: ``linalg.gram_range_basis``
+    of the pooled basis Phi = [Phi_1 ... Phi_C], any objects with a .basis.
 
-    Returns (U, s^2) in ascending order: the (L, K) sign-fixed columns of U
-    and the K squared singular values.  They are the eigenvectors and the
-    nonzero eigenvalues of G = sum_c P_c = U S^2 U^T; the rank rule drops
-    the rest, so K = rank(Phi) <= sum_c N_c.  gFDA and GDS work on K x K
-    matrices in the coordinates of U, at O(L K^2) cost.
+    Returns (U, s^2) in ascending order: the (L, K) sign-fixed frame and the
+    K nonzero eigenvalues of G = sum_c P_c = Phi Phi^T = U diag(s^2) U^T,
+    read off the K x K Gram Phi^T Phi (whose off-diagonal blocks hold the
+    canonical cosines between class pairs) and lifted by U = Phi V / s.  The
+    rank rule drops the rest, so K = rank(Phi) <= sum_c N_c, and an
+    all-zero Phi gives an (L, 0) frame.  Near overlap (smallest s^2 below
+    linalg.REORTHO_TOL times the largest) one CholeskyQR pass keeps U
+    orthonormal.  gFDA and GDS work on K x K matrices in the coordinates of
+    U, at O(L K^2) cost; no L x L matrix and no SVD of Phi is formed.
     """
-    U, s = linalg.range_basis(np.hstack([c.basis for c in classes]))
-    return U[:, ::-1].copy(order="K"), s[::-1] ** 2
+    return linalg.gram_range_basis(np.hstack([c.basis for c in classes]))
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,52 @@ class TestFixSigns:
         npt.assert_array_equal(V, np.eye(3)[None].repeat(2, axis=0))
 
 
+def multipass_fix_signs(V):
+    """The vectorized rule without the row-0 test: every column's first
+    entry above 1e-12 of its column's largest magnitude, found in |V^T|."""
+    V = np.array(V, dtype=float)
+    if V.size:
+        mag = np.abs(np.swapaxes(V, -1, -2), order="C")
+        first = np.argmax(mag > 1e-12 * mag.max(axis=-1, keepdims=True),
+                          axis=-1)
+        V *= np.where(np.take_along_axis(V, first[..., None, :], axis=-2) < 0,
+                      -1.0, 1.0)
+    return V
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), st.integers(1, 5), st.integers(1, 4),
+       st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(["dense", "zero", "below", "small column",
+                                 "zero column", "leading zeros"]),
+                min_size=1, max_size=4))
+def test_fix_signs_row_zero_test_agrees_with_multipass_rule(n, k, b, seed, kinds):
+    """Row 0 decides every sign when each of its entries is above 1e-12 of
+    its matrix's largest magnitude; a (near-)zero row-0 entry anywhere in a
+    stack sends it through the column scan.  Both give the oracles' signs."""
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((b, n, k))
+    for kind in kinds:
+        i, j = rng.integers(b), rng.integers(k)
+        big = np.abs(V[i]).max()
+        if kind == "zero":
+            V[i, 0, j] = rng.choice([0.0, -0.0])
+        elif kind == "below":  # under the matrix cut, so under the column's
+            V[i, 0, j] = -1e-14 * big
+        elif kind == "small column":  # under the matrix cut, over the column's
+            V[i, :, j] = 1e-6 * big * rng.standard_normal(n)
+            V[i, 0, j] = -1e-16 * big
+        elif kind == "zero column":
+            V[i, :, j] = 0.0
+        elif kind == "leading zeros":
+            V[i, :rng.integers(n + 1), j] = 0.0
+    expected = multipass_fix_signs(V)
+    npt.assert_array_equal(linalg.fix_signs(V), expected)
+    for matrix, fixed in zip(V, expected):
+        npt.assert_array_equal(linalg.fix_signs(matrix), fixed)
+        npt.assert_array_equal(loop_fix_signs(matrix), fixed)
+
+
 class TestGramSchmidt:
     def test_two_vector_example(self):
         out = linalg.gram_schmidt([np.array([1.0, 0.0]), np.array([1.0, 1.0])])
@@ -533,3 +579,71 @@ class TestRangeBasis:
                          linalg.gram_schmidt(wmap.T @ vt[:C - 1].T))
         npt.assert_allclose(model.info["criterion_eigenvalues"],
                             C * sv[:C - 1] ** 2, rtol=1e-10)
+
+    def test_uncut_factors_are_not_copied(self):
+        # a factor the rank rule keeps whole is the SVD's own (a view of the
+        # stacked factors), bit for bit
+        rng = np.random.default_rng(9)
+        stack = rng.standard_normal((3, 12, 4))
+        stack[2, :, 3] = stack[2, :, 0]
+        U, s, _ = np.linalg.svd(stack, full_matrices=False)
+        linalg.fix_signs(U, copy=False)
+        pairs = linalg.range_basis(stack)
+        for (u, v), U_i, s_i in zip(pairs[:2], U, s):
+            assert not u.flags.owndata and not v.flags.owndata
+            npt.assert_array_equal(u, U_i)
+            npt.assert_array_equal(v, s_i)
+        assert pairs[2][0].shape == (12, 3)
+        A = stack[0]
+        npt.assert_array_equal(linalg.range_basis(A)[0], U[0])
+
+
+def sine_distance(U_ref, U):
+    """||(I - U_ref U_ref^T) U||_2: resolves angles below sqrt(2 eps)."""
+    return np.linalg.norm(U - U_ref @ (U_ref.T @ U), 2)
+
+
+class TestGramRangeBasis:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 6), st.integers(1, 3),
+           st.sampled_from([1.0, 0.3, 0.05, 0.01]), st.integers(0, 2**32 - 1))
+    def test_union_span_matches_svd_route(self, C, N, separation, seed):
+        """The Gram route's frame spans the SVD route's leading 1, C - 1 and
+        K columns (ascending s^2) to 1e-8, on the eigencurves shape
+        L = 4 C N.  s^2 agrees to 1e-10 relative; an entry far below the
+        largest is held to the eigensolver's scale, 1e-13 s^2_max, because
+        the Gram's eigh resolves s^2 only to about eps s^2_max."""
+        from gfda import subspace_config, union_span
+        ens = subspace_config(C, N, 4 * C * N, separation=separation, seed=seed)
+        U, s2 = union_span(ens.classes)
+        basis, s = direct_svd_route(np.hstack([c.basis for c in ens.classes]),
+                                    "left")
+        U_ref, s2_ref = basis[:, ::-1], s[::-1] ** 2
+        assert U.shape == U_ref.shape == (4 * C * N, C * N)
+        for k in (1, C - 1, C * N):
+            assert sine_distance(U_ref[:, :k], U[:, :k]) <= 1e-8
+        npt.assert_allclose(s2, s2_ref, rtol=1e-10, atol=1e-13 * s2_ref[-1])
+        linalg.as_ortho_basis(U)
+        npt.assert_array_equal(linalg.fix_signs(U), U)
+
+    @pytest.mark.parametrize("separation", [0.01, 0.003, 0.001])
+    def test_near_overlap_frame_is_orthonormal(self, separation):
+        # s^2 spans more than 1 / REORTHO_TOL here, so the CholeskyQR pass
+        # runs; without it 14 of these 15 frames fail as_ortho_basis
+        from gfda import subspace_config, union_span
+        for seed in range(5):
+            ens = subspace_config(6, 3, 40, separation=separation, seed=seed)
+            U, s2 = union_span(ens.classes)
+            assert s2[0] < linalg.REORTHO_TOL * s2[-1]
+            assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-14
+            linalg.as_ortho_basis(U)
+
+    def test_zero_pooled_basis_gives_empty_frame(self):
+        from types import SimpleNamespace
+
+        from gfda import union_span
+        U, s2 = union_span([SimpleNamespace(basis=np.zeros((5, 2))),
+                            SimpleNamespace(basis=np.zeros((5, 1)))])
+        assert U.shape == (5, 0) and s2.shape == (0,)
+        U, s2 = linalg.gram_range_basis(np.zeros((3, 4)))
+        assert U.shape == (3, 0) and s2.shape == (0,)
