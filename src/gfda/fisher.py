@@ -327,17 +327,26 @@ _SINGULAR_WITHIN = ("within-class scatter is singular; plain FDA does not "
 
 
 def _centred_frame(X, y):
-    """Labels, groups, mean m, and the singular values s and frame Q of
-    linalg.range_basis((X - m)^T), Q of shape (L, rank(X - m)).  span(Q)
-    holds every class-centred row and centred class mean, so both scatters
-    vanish on its complement."""
+    """Labels, groups, mean m, and the singular values s (descending) and
+    frame Q of (X - m)^T, Q of shape (L, rank(X - m)) with column i paired
+    with s[i].  span(Q) holds every class-centred row and centred class
+    mean, so both scatters vanish on its complement.
+
+    The frame is ``linalg.gram_range_basis((X - m)^T)``: the eigh of the
+    n x n Gram of the centred rows, lifted to L dimensions (one CholeskyQR
+    pass when s^2 spans more than 1 / linalg.REORTHO_TOL), so no SVD and no
+    L x L matrix.  Its eigenvalues come ascending; both are reversed once,
+    and Q is copied contiguous, because pcaLDA keeps the leading columns and
+    every per-class product against Q would copy a reversed view again.
+    """
     X = np.asarray(X, dtype=float)
     if not np.isfinite(X).all():
         raise ValidationError("samples must be finite")
     labels, groups = group_by_label(X, y)
     center = X.mean(axis=0)
-    Q, s = linalg.range_basis((X - center).T)
-    return labels, groups, center, s, Q
+    U, s2 = linalg.gram_range_basis((X - center).T)
+    return (labels, groups, center, np.sqrt(s2[::-1]),
+            np.ascontiguousarray(U[:, ::-1]))
 
 
 def _frame_statistics(groups, center, Q):
@@ -347,14 +356,16 @@ def _frame_statistics(groups, center, Q):
     return means, np.array([g.shape[0] for g in zgroups]), within_scatter(zgroups)
 
 
-def _top_generalized_directions(between, within, k, ridge=0.0):
+def _top_generalized_directions(between, within, k, ridge=0.0, scale=None):
     """Eigenvectors and eigenvalues of the k largest generalized eigenvalues
     of (between, within + ridge I).  Without a ridge, within must be positive
-    definite; a ridge is added to the caller's within matrix in place.  With
-    within = L L^T, solves L^-1 between L^-T, fixes signs, lifts by L^-T."""
+    definite: every eigenvalue nonzero against scale, the largest eigenvalue
+    of the total scatter, to which within's rounding is relative.  A ridge
+    is added to the caller's within matrix in place.  With within = L L^T,
+    solves L^-1 between L^-T, fixes signs, lifts by L^-T."""
     if ridge:
         within[np.diag_indices_from(within)] += ridge
-    elif not linalg.nonzero(np.linalg.eigvalsh(within)).all():
+    elif not linalg.nonzero(np.linalg.eigvalsh(within), scale=scale).all():
         raise ValidationError(_SINGULAR_WITHIN)
     Linv = np.linalg.inv(np.linalg.cholesky(within))
     w, V = np.linalg.eigh(Linv @ between @ Linv.T)
@@ -376,12 +387,13 @@ def _baseline_model(labels, groups, frame, coords, method, info):
 def fda(X, y) -> DiscriminantModel:
     """Classical Fisher discriminant analysis; needs a nonsingular
     within-class scatter, so a centred-data frame Q that fills the space."""
-    labels, groups, center, _, Q = _centred_frame(X, y)
+    labels, groups, center, s, Q = _centred_frame(X, y)
     if Q.shape[1] < Q.shape[0]:
         raise ValidationError(_SINGULAR_WITHIN)
     zmeans, counts, Sw = _frame_statistics(groups, center, Q)
     D, vals = _top_generalized_directions(between_scatter(zmeans, counts), Sw,
-                                          len(labels) - 1)
+                                          len(labels) - 1,
+                                          scale=s[0]**2 / counts.sum())
     return _baseline_model(labels, groups, Q, D, "FDA",
                            info={"eigenvalues": vals.tolist()})
 
@@ -429,7 +441,8 @@ def pca_lda(X, y, residual_threshold: float = 1e-2) -> DiscriminantModel:
     Sb = between_scatter(zmeans, zcounts)
     info = {"n_components": P.shape[1], "residual_threshold": residual_threshold}
     try:
-        D, _ = _top_generalized_directions(Sb, Sw, len(labels) - 1)
+        D, _ = _top_generalized_directions(Sb, Sw, len(labels) - 1,
+                                           scale=vals[0])
     except ValidationError:
         D, _ = _top_generalized_directions(Sb, Sw, len(labels) - 1, ridge=1e-8)
         info["fallback"] = "regularized reduced-space FDA (delta=1e-8)"
@@ -444,21 +457,27 @@ def null_lda(X, y) -> DiscriminantModel:
     scatter of the means projected onto N_r (info["between_eigenvalues"]).
     NotApplicableError when none of those is nonzero: the centred class
     means then lie in the range of S_w, and any direction is arbitrary."""
-    labels, groups, center, _, Q = _centred_frame(X, y)
+    labels, groups, center, s, Q = _centred_frame(X, y)
     zmeans, counts, Sw = _frame_statistics(groups, center, Q)
-    eig = linalg.sym_eig(Sw)
-    Nr = eig.vectors[:, ~linalg.nonzero(eig.values)]
+    # S_w's rounding is relative to the total scatter diag(s^2) / n >= S_w,
+    # so its null space is cut against s_max^2 / n: an S_w that is zero up
+    # to rounding (every class one repeated row) is all null
+    w, V = np.linalg.eigh(Sw)
+    Nr = V[:, ~linalg.nonzero(w, scale=s.max(initial=0.0)**2 / counts.sum())]
     null_dim = Q.shape[0] - Q.shape[1] + Nr.shape[1]
     if null_dim == 0:
         raise NotApplicableError("within-class scatter has no null space (sample "
                                  "count exceeds dimension); nullLDA does not apply")
-    eig_b = linalg.sym_eig(between_scatter(zmeans @ Nr, counts))
-    top = eig_b.values[::-1][:len(labels) - 1]
+    w, V = np.linalg.eigh(between_scatter(zmeans @ Nr, counts))
+    top = w[::-1][:len(labels) - 1]
     if not linalg.nonzero(top).any():
         raise NotApplicableError(
             "the centred class means lie in the range of the within-class "
             "scatter, so no null direction separates them; nullLDA does not apply")
-    D = Nr @ eig_b.vectors[:, ::-1][:, :len(labels) - 1]
+    # N_r is whatever basis eigh gives a repeated (zero) eigenvalue, so the
+    # signs are fixed on the directions in frame coordinates, which the
+    # data determine
+    D = linalg.fix_signs(Nr @ V[:, ::-1][:, :len(labels) - 1], copy=False)
     return _baseline_model(labels, groups, Q, D, "nullLDA",
                            info={"null_dim": null_dim,
                                  "between_eigenvalues": top.tolist()})

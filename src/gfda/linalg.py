@@ -3,11 +3,13 @@
 All routines work on plain float ndarrays: a symmetric matrix is an (n, n)
 array, an orthonormal basis is an (L, k) array whose columns are the basis
 vectors.  Only this module decides the rank rule (``nonzero``: a spectrum
-entry counts when it exceeds RANK_TOL times the largest), how a range basis
-is factorized (``range_basis``: the thin SVD cut by that rule;
-``gram_range_basis``: the eigh of the small-side Gram A^T A cut by that
-rule and lifted back through A, re-orthonormalized by one CholeskyQR pass
-when the kept spectrum spans more than 1 / REORTHO_TOL), how vectors are
+entry counts when it exceeds RANK_TOL times the largest, or times a given
+scale), how a range basis is factorized (``range_basis``: the thin SVD cut
+by that rule, for the class fits; ``gram_range_basis``: the eigh of the
+small-side Gram A^T A cut by that rule and lifted back through A,
+re-orthonormalized by one CholeskyQR pass when the kept spectrum spans more
+than 1 / REORTHO_TOL, for the union-span frame of the pooled class bases
+and the centred-data frame of the FDA family), how vectors are
 orthonormalized in order (``gram_schmidt``: one QR with a positive
 diagonal, dropping a vector whose residual is at most RANK_TOL times its
 norm), the sign convention (``fix_signs``: first nonzero component
@@ -127,31 +129,33 @@ def fix_signs(V, copy=True):
     return V
 
 
-def nonzero(values):
-    """Mask of the entries above RANK_TOL times the largest: the one rank
-    rule, applied along the last axis.  An all-zero (or empty) spectrum
-    gives an all-False mask."""
+def nonzero(values, scale=None):
+    """Mask of the entries above RANK_TOL times scale, by default the
+    largest entry: the one rank rule, applied along the last axis.  An
+    all-zero (or empty) spectrum gives an all-False mask.  Give the scale
+    when the spectrum's rounding is relative to a larger matrix's."""
     values = np.asarray(values, dtype=float)
-    return values > RANK_TOL * values.max(axis=-1, initial=0.0, keepdims=True)
+    if scale is None:
+        scale = values.max(axis=-1, initial=0.0, keepdims=True)
+    return values > RANK_TOL * scale
 
 
 def range_basis(A):
     """Orthonormal basis of the column span of A from its thin SVD
     A = U S V^T.  Returns (U_r, s_r): the sign-fixed columns of U and the
-    singular values, descending, for the r entries with nonzero(s^2).
+    singular values, descending, for the r entries with nonzero(s^2).  s
+    descends, so those are the leading r and U_r is a view of U.
 
-    A may be one (L, n) matrix or a (b, L, n) stack, factorized by one
-    batched LAPACK call; a stack gives a list of b (U_r, s_r) pairs, whose
-    ranks r may differ.  A factor the rank rule does not cut is returned
-    as is, not copied (for a stack, a view of the stacked factors).
+    A may also be a (b, L, n) stack, factorized by one batched LAPACK call.
+    It gives (U, s, r): the sign-fixed stacked factors, uncut, and each
+    matrix's rank, so matrix i's pair is U[i, :, :r[i]], s[i, :r[i]].
     """
     U, s, _ = np.linalg.svd(A, full_matrices=False)
-    keep = nonzero(s**2)
+    r = nonzero(s**2).sum(axis=-1)
     fix_signs(U, copy=False)
     if U.ndim == 2:
-        return (U, s) if keep.all() else (U[:, keep], s[keep])
-    return [(u, v) if k.all() else (u[:, k], v[k])
-            for u, v, k in zip(U, s, keep)]
+        return U[:, :r], s[:r]
+    return U, s, r
 
 
 def gram_range_basis(A):

@@ -151,10 +151,12 @@ def _fit_classes(X, labels, rows, dim, energy):
     """ClassModels of the classes X[rows[i]], i in order, checked in that
     order after one stacked ``linalg.range_basis`` per distinct size.
 
-    The bases of each width are checked by one stacked
-    ``linalg.as_ortho_basis``; the SVD order and the rank cut give every
-    other ClassModel guarantee, so the models skip __post_init__.  A
-    failing stack raises the error of its first failing class, in order.
+    Each stacked U is checked by one ``linalg.as_ortho_basis`` before it is
+    split; the rank cut and the dim/energy rules keep leading columns, so
+    every fitted basis is orthonormal too, and the SVD order and the rank
+    cut give every other ClassModel guarantee: the models skip
+    __post_init__.  After a failing stack the public checks run on each
+    class, and the first failing class's error is raised, in order.
     """
     if dim is not None and energy is not None:
         raise ValidationError("give either dim or energy, not both")
@@ -162,13 +164,19 @@ def _fit_classes(X, labels, rows, dim, energy):
         raise ValidationError("samples must be finite")
     L = X.shape[1]
     fits = [None] * len(rows)
+    failed = None
     for n, members in zip(*group_by_label(np.arange(len(rows)),
                                           [r.size for r in rows])):
         stack = X[np.stack([rows[i] for i in members])]  # (b, n, L)
-        factors = linalg.range_basis(stack.transpose(0, 2, 1))
-        for i, (basis, s), mean, any_nonzero in zip(
-                members, factors, stack.mean(axis=1), stack.any(axis=(1, 2))):
-            fits[i] = (n, basis, s**2 / n, mean, any_nonzero)
+        U, s, ranks = linalg.range_basis(stack.transpose(0, 2, 1))
+        try:
+            linalg.as_ortho_basis(U)
+        except ValidationError as exc:
+            failed = failed or exc
+        for i, u, v, r, mean, any_nonzero in zip(
+                members, U, s, ranks, stack.mean(axis=1),
+                stack.any(axis=(1, 2))):
+            fits[i] = (n, u[:, :r], v[:r]**2 / n, mean, any_nonzero)
 
     classes = []
     for label, (n, basis, vals, mean, any_nonzero) in zip(labels, fits):
@@ -195,14 +203,10 @@ def _fit_classes(X, labels, rows, dim, energy):
                                           eigenvalues=vals, mean=mean,
                                           count=n))
 
-    for members in group_by_label(np.arange(len(classes)),
-                                  [c.dim for c in classes])[1]:
-        try:
-            linalg.as_ortho_basis(np.stack([classes[i].basis for i in members]))
-        except ValidationError:
-            for c in classes:  # the public checks: the first failing class's error
-                replace(c)
-            raise
+    if failed is not None:
+        for c in classes:  # the public checks: the first failing class's error
+            replace(c)
+        raise failed
     return classes
 
 

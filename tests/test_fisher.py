@@ -597,6 +597,42 @@ class TestBaselines:
                            match="range of the within-class scatter"):
             gfda.null_lda(X, y)
 
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_repeated_rows_leave_no_within_scatter(self, seed):
+        # every class is one row repeated, so S_w is zero up to rounding,
+        # which is relative to the total scatter: all of the frame is null
+        # for nullLDA and singular for pcaLDA.  Cut against S_w's own
+        # largest eigenvalue, nullLDA lost a null direction (both seeds) or
+        # raised NotApplicableError
+        rng = np.random.default_rng(seed)
+        X = np.repeat(rng.standard_normal((3, 24)) + 3.0, 3, axis=0)
+        y = np.repeat(["a", "b", "c"], 3)
+        model = gfda.null_lda(X, y)
+        assert model.info["null_dim"] == 24 and model.dim == 2
+        assert "fallback" in gfda.pca_lda(X, y).info
+
+    @pytest.mark.parametrize("C,L,n,seed", [(10, 200, 5, 2), (5, 40, 3, 4)])
+    def test_null_lda_signs_follow_the_data(self, monkeypatch, C, L, n, seed):
+        # N_r is whatever basis eigh returns for S_w's zero eigenspace, and
+        # another frame of the same span (the thin SVD's) gives another
+        # one; the projector and class references must not follow it
+        X, y = gfda.labeled_mixtures(C, L, n, "Set1", seed=seed)
+        model = gfda.null_lda(X, y)
+
+        def svd_frame(X, y):
+            labels, groups = fisher.group_by_label(X, y)
+            center = X.mean(axis=0)
+            _, s, Vt = np.linalg.svd(X - center, full_matrices=False)
+            r = int(np.sum(linalg.nonzero(s**2)))
+            return labels, groups, center, s[:r], linalg.fix_signs(Vt[:r].T)
+
+        monkeypatch.setattr(fisher, "_centred_frame", svd_frame)
+        other = gfda.null_lda(X, y)
+        npt.assert_allclose(model.projector, other.projector, rtol=0,
+                            atol=1e-12)
+        npt.assert_allclose(model.class_refs, other.class_refs, rtol=0,
+                            atol=1e-12 * np.abs(other.class_refs).max())
+
     def test_null_lda_records_between_eigenvalues(self):
         X = 5.0 * np.eye(3)
         model = gfda.null_lda(X, ["a", "b", "c"])

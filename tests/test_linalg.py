@@ -518,12 +518,12 @@ class TestRangeBasis:
         stack = rng.standard_normal((3, 12, 4)) + 0.5
         stack[1, :, 3] = stack[1, :, 0] + stack[1, :, 1]
         stack[2] = 0.0
-        pairs = linalg.range_basis(stack)
-        assert [U.shape[1] for U, _ in pairs] == [4, 3, 0]
-        for A, (U, s) in zip(stack, pairs):
+        U, s, r = linalg.range_basis(stack)
+        assert r.tolist() == [4, 3, 0]
+        for A, u, v, k in zip(stack, U, s, r):
             U1, s1 = linalg.range_basis(A)
-            npt.assert_array_equal(U, U1)
-            npt.assert_array_equal(s, s1)
+            npt.assert_array_equal(u[:, :k], U1)
+            npt.assert_array_equal(v[:k], s1)
 
     def test_nonzero_rule_per_row(self):
         values = np.array([[4.0, 1e-12, 0.0], [1e-20, 1e-31, 0.0]])
@@ -581,21 +581,22 @@ class TestRangeBasis:
                             C * sv[:C - 1] ** 2, rtol=1e-10)
 
     def test_uncut_factors_are_not_copied(self):
-        # a factor the rank rule keeps whole is the SVD's own (a view of the
-        # stacked factors), bit for bit
+        # the factors are the SVD's own, bit for bit, and the rank cut keeps
+        # leading columns, so a basis is a view of them whether cut or not
         rng = np.random.default_rng(9)
         stack = rng.standard_normal((3, 12, 4))
         stack[2, :, 3] = stack[2, :, 0]
         U, s, _ = np.linalg.svd(stack, full_matrices=False)
         linalg.fix_signs(U, copy=False)
-        pairs = linalg.range_basis(stack)
-        for (u, v), U_i, s_i in zip(pairs[:2], U, s):
+        got_U, got_s, r = linalg.range_basis(stack)
+        npt.assert_array_equal(got_U, U)
+        npt.assert_array_equal(got_s, s)
+        assert r.tolist() == [4, 4, 3]
+        for A in stack:
+            u, v = linalg.range_basis(A)
             assert not u.flags.owndata and not v.flags.owndata
-            npt.assert_array_equal(u, U_i)
-            npt.assert_array_equal(v, s_i)
-        assert pairs[2][0].shape == (12, 3)
-        A = stack[0]
-        npt.assert_array_equal(linalg.range_basis(A)[0], U[0])
+        npt.assert_array_equal(linalg.range_basis(stack[0])[0], U[0])
+        npt.assert_array_equal(linalg.range_basis(stack[2])[0], U[2][:, :3])
 
 
 def sine_distance(U_ref, U):

@@ -11,12 +11,16 @@ checked against the same step on the L x L covariance.  nullLDA, regLDA
 and FDA solve in the frame of the centred training data; nullLDA is checked
 against the null space of the L x L within scatter and the L x L between
 scatter projected there, regLDA and FDA against the L x L generalized
-eigenproblem.  Batched evaluation is checked against a
+eigenproblem.  The centred-data frame itself, built from the n x n Gram
+of the centred rows, is checked against the thin SVD of those rows, and so
+are the regLDA, nullLDA, pcaLDA and FDA models built on either frame.
+Batched evaluation is checked against a
 per-sample scoring loop, and the batched ensemble fit against fit_class on
 each class and against the thin SVD of each class on its own.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -268,6 +272,97 @@ def test_null_lda_matches_full_route(C, n, extra, seed):
     signs = np.sign(np.sum(model.projector * basis, axis=0))
     npt.assert_allclose(model.class_refs, refs * signs, rtol=0,
                         atol=1e-10 * np.abs(refs).max())
+
+
+def svd_centred_frame(X, y):
+    """Oracle for fisher._centred_frame: the thin SVD of the centred rows,
+    X - m = W S V^T, cut where s^2 <= RANK_TOL s_max^2, with V's columns
+    sign-fixed."""
+    X = np.asarray(X, dtype=float)
+    labels, groups = fisher.group_by_label(X, y)
+    center = X.mean(axis=0)
+    _, s, Vt = np.linalg.svd(X - center, full_matrices=False)
+    r = int(np.sum(s**2 > linalg.RANK_TOL * s[0] ** 2))
+    return labels, groups, center, s[:r], linalg.fix_signs(Vt[:r].T)
+
+
+def sine_distance(U_ref, U):
+    """||(I - U_ref U_ref^T) U||_2: resolves angles below sqrt(2 eps)."""
+    return np.linalg.norm(U - U_ref @ (U_ref.T @ U), 2)
+
+
+@st.composite
+def centred_spectra(draw):
+    """Rows of 2-6 classes of 2-5 samples, n in all, in dimension L: either
+    n - 3 <= L < n, where the frame fills the space, or n <= L <= 200.  The
+    centred distinct rows have singular values falling geometrically from 1
+    to s_min/s_max in {1, 1e-2, 1e-4}.  With repeats, each class repeats
+    some of its rows, so rank(X - m) < n - 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(2, 5), min_size=2, max_size=6))
+    n = sum(sizes)
+    L = (n - draw(st.integers(1, 3)) if draw(st.booleans())
+         else draw(st.integers(n, 200)))
+    ratio = draw(st.sampled_from([1.0, 1e-2, 1e-4]))
+    repeats = draw(st.booleans())
+    distinct = [draw(st.integers(1, k - 1)) if repeats else k for k in sizes]
+    m = sum(distinct)
+    r = min(m - 1, L)
+    left = rng.standard_normal((m, r))
+    left = np.linalg.qr(left - left.mean(axis=0))[0]
+    right = np.linalg.qr(rng.standard_normal((L, r)))[0]
+    rows = (left * ratio ** (np.arange(r) / max(r - 1, 1))) @ right.T
+    rows += 3.0 * rng.standard_normal(L)
+    starts = np.cumsum([0] + distinct)
+    X = np.vstack([rows[a + np.arange(k) % d]
+                   for a, k, d in zip(starts, sizes, distinct)])
+    return X, np.repeat(np.arange(len(sizes)), sizes)
+
+
+FDA_FAMILY = (gfda.fda, gfda.reg_lda, gfda.pca_lda, gfda.null_lda)
+
+
+def built(build, X, y):
+    """The model, or the error text of a construction that does not apply."""
+    try:
+        return build(X, y)
+    except gfda.GfdaError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(centred_spectra())
+def test_centred_frame_matches_svd_route(data):
+    """The Gram route's frame has the SVD route's rank and spans its frame
+    to 1e-10 in the sine form; s^2 agrees to the eigensolver's scale,
+    1e-13 s_max^2.  Every FDA-family model built on it matches the one
+    built on the SVD frame: the same error, or the same dimension, pcaLDA
+    components, fallback and null dimension, and a projector span within
+    1e-9.  Under pcaLDA's 1e-8 ridge, rounding of order eps ||S_w|| is
+    amplified by 1 / 1e-8."""
+    X, y = data
+    *_, s, Q = fisher._centred_frame(X, y)
+    *_, s_ref, Q_ref = svd_centred_frame(X, y)
+    assert Q.shape == Q_ref.shape
+    assert Q.flags.c_contiguous
+    assert sine_distance(Q_ref, Q) <= 1e-10
+    npt.assert_allclose(s**2, s_ref**2, rtol=0, atol=1e-13 * s_ref[0] ** 2)
+
+    with mock.patch.object(fisher, "_centred_frame", svd_centred_frame):
+        want = [built(build, X, y) for build in FDA_FAMILY]
+    for got, ref in zip([built(build, X, y) for build in FDA_FAMILY], want):
+        if isinstance(ref, str):
+            assert got == ref
+            continue
+        assert got.method == ref.method and got.dim == ref.dim
+        for key in ("n_components", "null_dim"):
+            assert got.info.get(key) == ref.info.get(key)
+        assert ("fallback" in got.info) == ("fallback" in ref.info)
+        tol = 1e-9
+        if "fallback" in ref.info:
+            tol += 100 * np.finfo(float).eps * np.linalg.norm(
+                gfda.within_scatter(fisher.group_by_label(X, y)[1]), 2) / 1e-8
+        assert sine_distance(ref.projector, got.projector) <= tol
 
 
 def full_generalized_route(X, y, delta):

@@ -149,16 +149,14 @@ class TestFitEnsemble:
                  for n in sizes}
 
         def corrupted(A):
-            factors = range_basis(A)
-            out = []
-            for label, (U, s) in zip(sized[A.shape[-1]], factors):
-                U = U.copy()
+            U, s, r = range_basis(A)
+            U = U.copy()
+            for label, u in zip(sized[A.shape[-1]], U):
                 if corrupt.get(label) == "scale":
-                    U[:, 0] *= 2.0
+                    u[:, 0] *= 2.0
                 elif corrupt.get(label) == "skew":
-                    U[:, 1] = (U[:, 1] + U[:, 0]) / np.sqrt(2.0)
-                out.append((U, s))
-            return out
+                    u[:, 1] = (u[:, 1] + u[:, 0]) / np.sqrt(2.0)
+            return U, s, r
 
         monkeypatch.setattr(linalg, "range_basis", corrupted)
         first = min(corrupt)
