@@ -324,36 +324,59 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None,
 
 _SINGULAR_WITHIN = ("within-class scatter is singular; plain FDA does not "
                     "apply (small-sample regime)")
+_NO_VARIANCE = "pooled data has no variance"
 
 
 def _centred_frame(X, y):
-    """Labels, groups, mean m, and the singular values s (descending) and
-    frame Q of (X - m)^T, Q of shape (L, rank(X - m)) with column i paired
-    with s[i].  span(Q) holds every class-centred row and centred class
-    mean, so both scatters vanish on its complement.
+    """The FDA family's frame of the centred rows X - m, as (labels, rows,
+    s, Z, lift).  rows holds each class's row indices in label order, s
+    the r = rank(X - m) singular values, descending, and Z the (n, r)
+    coordinates of the centred rows in the orthonormal frame
+    Q = (X - m)^T W diag(1/s) of span(X - m), column i paired with s[i].
+    span(Q) holds every class-centred row and centred class mean, so both
+    scatters vanish on its complement.  lift(D) maps (k', k) coordinates
+    on Q's leading k' columns to the (L, k) directions Q[:, :k'] D.  Q's
+    first nonzero component in each column is positive.
 
-    The frame is ``linalg.gram_range_basis((X - m)^T)``: the eigh of the
-    n x n Gram of the centred rows, lifted to L dimensions (one CholeskyQR
-    pass when s^2 spans more than 1 / linalg.REORTHO_TOL), so no SVD and no
-    L x L matrix.  Its eigenvalues come ascending; both are reversed once,
-    and Q is copied contiguous, because pcaLDA keeps the leading columns and
-    every per-class product against Q would copy a reversed view again.
+    One eigh of the n x n Gram (X - m)(X - m)^T = W diag(s^2) W^T
+    (``linalg.gram_eigh``) gives Z = W diag(s), accurate to about
+    eps s2_max / s2_min, since the Gram squares the condition number.
+    When that is within linalg.ORTHO_IP_TOL, Q is never formed: its first
+    row (X - m)[:, 0]^T W / s fixes the signs, an entry above 1e-12
+    settling its column as ``linalg.fix_signs`` would (entries of
+    orthonormal columns are at most 1), and lift takes D through
+    (X - m)^T W diag(1/s).  Nearer the rank cut, or when a first-row entry
+    is not above 1e-12, the same eigenpairs are lifted to Q by
+    ``linalg.gram_lift`` (re-orthonormalized, sign-fixed), Z is
+    (X - m) Q and lift is Q D.
     """
     X = np.asarray(X, dtype=float)
     if not np.isfinite(X).all():
         raise ValidationError("samples must be finite")
-    labels, groups = group_by_label(X, y)
-    center = X.mean(axis=0)
-    U, s2 = linalg.gram_range_basis((X - center).T)
-    return (labels, groups, center, np.sqrt(s2[::-1]),
-            np.ascontiguousarray(U[:, ::-1]))
+    labels, rows = group_by_label(np.arange(len(X)), y)
+    A = (X - X.mean(axis=0)).T
+    V, s2 = linalg.gram_eigh(A)
+    s = np.sqrt(s2[::-1])
+    W = V[:, ::-1]
+    lead = A[0] @ W / s
+    if s2.size and (np.finfo(float).eps * s2[-1] > linalg.ORTHO_IP_TOL * s2[0]
+                    or not (np.abs(lead) > 1e-12).all()):
+        Q = np.ascontiguousarray(linalg.gram_lift(A, V, s2)[:, ::-1])
+        return labels, rows, s, A.T @ Q, lambda D: Q[:, :len(D)] @ D
+    W = W * np.where(lead < 0, -1.0, 1.0)
+    return (labels, rows, s, W * s,
+            lambda D: A @ (W[:, :len(D)] @ (D / s[:len(D), None])))
 
 
-def _frame_statistics(groups, center, Q):
-    """Class means, counts and within scatter of the rows (g - center) @ Q."""
-    zgroups = [(g - center) @ Q for g in groups]
-    means = np.array([g.mean(axis=0) for g in zgroups])
-    return means, np.array([g.shape[0] for g in zgroups]), within_scatter(zgroups)
+def _group_means(Y, rows):
+    """Mean of each row group Y[rows[i]], one row per group."""
+    return np.array([Y[r].mean(axis=0) for r in rows])
+
+
+def _frame_statistics(Z, rows):
+    """Class means, counts and within scatter of the row groups Z[rows[i]]."""
+    return (_group_means(Z, rows), np.array([len(r) for r in rows]),
+            within_scatter([Z[r] for r in rows]))
 
 
 def _top_generalized_directions(between, within, k, ridge=0.0, scale=None):
@@ -372,44 +395,50 @@ def _top_generalized_directions(between, within, k, ridge=0.0, scale=None):
     return (Linv.T @ linalg.fix_signs(V, copy=False))[:, ::-1][:, :k], w[::-1][:k]
 
 
-def _baseline_model(labels, groups, frame, coords, method, info):
-    # orthonormalize in frame coordinates: Gram-Schmidt commutes with the frame
-    basis = frame @ linalg.gram_schmidt(coords)
+def _baseline_model(X, labels, rows, lift, coords, method, info):
+    # only the C - 1 output directions reach L dimensions; lifting keeps
+    # their span, and Gram-Schmidt there equals Gram-Schmidt in the frame
+    basis = linalg.gram_schmidt(lift(coords))
     return DiscriminantModel(
         projector=basis,
         method=method,
         class_labels=tuple(labels),
-        class_refs=np.array([g.mean(axis=0) for g in groups]) @ basis,
+        class_refs=_group_means(X, rows) @ basis,
         info=info,
     )
 
 
 def fda(X, y) -> DiscriminantModel:
     """Classical Fisher discriminant analysis; needs a nonsingular
-    within-class scatter, so a centred-data frame Q that fills the space."""
-    labels, groups, center, s, Q = _centred_frame(X, y)
-    if Q.shape[1] < Q.shape[0]:
+    within-class scatter, so a centred-data frame that fills the space."""
+    X = np.asarray(X, dtype=float)
+    labels, rows, s, Z, lift = _centred_frame(X, y)
+    if Z.shape[1] < X.shape[1]:
         raise ValidationError(_SINGULAR_WITHIN)
-    zmeans, counts, Sw = _frame_statistics(groups, center, Q)
+    zmeans, counts, Sw = _frame_statistics(Z, rows)
     D, vals = _top_generalized_directions(between_scatter(zmeans, counts), Sw,
                                           len(labels) - 1,
                                           scale=s[0]**2 / counts.sum())
-    return _baseline_model(labels, groups, Q, D, "FDA",
+    return _baseline_model(X, labels, rows, lift, D, "FDA",
                            info={"eigenvalues": vals.tolist()})
 
 
 def reg_lda(X, y, delta: float = 1e-4) -> DiscriminantModel:
     """FDA with a ridge delta (default 1e-4, the protocol's value) added to
     the within-class scatter.  (S_b, S_w + delta I) is block-diagonal on the
-    centred-data frame and its complement, where S_b vanishes, so the
-    directions are those of (Q^T S_b Q, Q^T S_w Q + delta I) lifted by Q."""
+    centred-data frame Q and its complement, where S_b vanishes, so the
+    directions are those of (Q^T S_b Q, Q^T S_w Q + delta I) lifted by Q.
+    Rows with no variance leave no frame and no direction: ValidationError."""
     if not (np.isfinite(delta) and delta > 0):
         raise ValidationError(f"delta must be positive and finite, got {delta}")
-    labels, groups, center, _, Q = _centred_frame(X, y)
-    zmeans, counts, Sw = _frame_statistics(groups, center, Q)
+    X = np.asarray(X, dtype=float)
+    labels, rows, s, Z, lift = _centred_frame(X, y)
+    if not s.size:
+        raise ValidationError(_NO_VARIANCE)
+    zmeans, counts, Sw = _frame_statistics(Z, rows)
     D, _ = _top_generalized_directions(between_scatter(zmeans, counts), Sw,
                                        len(labels) - 1, ridge=delta)
-    return _baseline_model(labels, groups, Q, D, "regLDA", {"delta": delta})
+    return _baseline_model(X, labels, rows, lift, D, "regLDA", {"delta": delta})
 
 
 def pca_lda(X, y, residual_threshold: float = 1e-2) -> DiscriminantModel:
@@ -429,24 +458,24 @@ def pca_lda(X, y, residual_threshold: float = 1e-2) -> DiscriminantModel:
     if not (np.isfinite(residual_threshold) and residual_threshold >= 0):
         raise ValidationError("residual threshold must be finite and >= 0, "
                               f"got {residual_threshold}")
-    labels, groups, center, s, Q = _centred_frame(X, y)
+    labels, rows, s, Z, lift = _centred_frame(X, y)
+    if not s.size:
+        raise ValidationError(_NO_VARIANCE)
     vals = s**2 / X.shape[0]
-    total = vals.sum()
-    if total <= 0:
-        raise ValidationError("pooled data has no variance")
-    residual = 1.0 - np.cumsum(vals) / total
+    residual = 1.0 - np.cumsum(vals) / vals.sum()
     k = int(np.searchsorted(residual <= residual_threshold + 1e-15, True) + 1)
-    P = Q[:, :k]
-    zmeans, zcounts, Sw = _frame_statistics(groups, center, P)
+    Zk = Z[:, :k]
+    zmeans, zcounts, Sw = _frame_statistics(Zk, rows)
     Sb = between_scatter(zmeans, zcounts)
-    info = {"n_components": P.shape[1], "residual_threshold": residual_threshold}
+    info = {"n_components": Zk.shape[1],
+            "residual_threshold": residual_threshold}
     try:
         D, _ = _top_generalized_directions(Sb, Sw, len(labels) - 1,
                                            scale=vals[0])
     except ValidationError:
         D, _ = _top_generalized_directions(Sb, Sw, len(labels) - 1, ridge=1e-8)
         info["fallback"] = "regularized reduced-space FDA (delta=1e-8)"
-    return _baseline_model(labels, groups, P, D, "pcaLDA", info)
+    return _baseline_model(X, labels, rows, lift, D, "pcaLDA", info)
 
 
 def null_lda(X, y) -> DiscriminantModel:
@@ -457,14 +486,15 @@ def null_lda(X, y) -> DiscriminantModel:
     scatter of the means projected onto N_r (info["between_eigenvalues"]).
     NotApplicableError when none of those is nonzero: the centred class
     means then lie in the range of S_w, and any direction is arbitrary."""
-    labels, groups, center, s, Q = _centred_frame(X, y)
-    zmeans, counts, Sw = _frame_statistics(groups, center, Q)
+    X = np.asarray(X, dtype=float)
+    labels, rows, s, Z, lift = _centred_frame(X, y)
+    zmeans, counts, Sw = _frame_statistics(Z, rows)
     # S_w's rounding is relative to the total scatter diag(s^2) / n >= S_w,
     # so its null space is cut against s_max^2 / n: an S_w that is zero up
     # to rounding (every class one repeated row) is all null
     w, V = np.linalg.eigh(Sw)
     Nr = V[:, ~linalg.nonzero(w, scale=s.max(initial=0.0)**2 / counts.sum())]
-    null_dim = Q.shape[0] - Q.shape[1] + Nr.shape[1]
+    null_dim = X.shape[1] - Z.shape[1] + Nr.shape[1]
     if null_dim == 0:
         raise NotApplicableError("within-class scatter has no null space (sample "
                                  "count exceeds dimension); nullLDA does not apply")
@@ -478,6 +508,6 @@ def null_lda(X, y) -> DiscriminantModel:
     # signs are fixed on the directions in frame coordinates, which the
     # data determine
     D = linalg.fix_signs(Nr @ V[:, ::-1][:, :len(labels) - 1], copy=False)
-    return _baseline_model(labels, groups, Q, D, "nullLDA",
+    return _baseline_model(X, labels, rows, lift, D, "nullLDA",
                            info={"null_dim": null_dim,
                                  "between_eigenvalues": top.tolist()})

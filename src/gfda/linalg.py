@@ -5,19 +5,21 @@ array, an orthonormal basis is an (L, k) array whose columns are the basis
 vectors.  Only this module decides the rank rule (``nonzero``: a spectrum
 entry counts when it exceeds RANK_TOL times the largest, or times a given
 scale), how a range basis is factorized (``range_basis``: the thin SVD cut
-by that rule, for the class fits; ``gram_range_basis``: the eigh of the
-small-side Gram A^T A cut by that rule and lifted back through A,
-re-orthonormalized by one CholeskyQR pass when the kept spectrum spans more
-than 1 / REORTHO_TOL, for the union-span frame of the pooled class bases
-and the centred-data frame of the FDA family), how vectors are
-orthonormalized in order (``gram_schmidt``: one QR with a positive
-diagonal, dropping a vector whose residual is at most RANK_TOL times its
-norm), the sign convention (``fix_signs``: first nonzero component
-positive) and when columns count as orthonormal (``as_ortho_basis``: one
-batched Q^T Q for one basis or a stack, the one orthonormality rule).
-``sym_eig`` and ``gram_range_basis`` report eigenvalues ascending,
-``range_basis`` singular values descending, all sign-fixed, so downstream
-constructions are reproducible bit for bit.
+by that rule, for the class fits; ``gram_eigh``: the eigh of the
+small-side Gram A^T A cut by that rule, for the centred-data frame of the
+FDA family, which works in its coordinates; ``gram_lift``: those
+eigenpairs lifted back through A, re-orthonormalized by one CholeskyQR
+pass when the kept spectrum spans more than 1 / REORTHO_TOL;
+``gram_range_basis``: the two in turn, for the union-span frame of the
+pooled class bases), how vectors are orthonormalized in order
+(``gram_schmidt``: one QR with a positive diagonal, dropping a vector
+whose residual is at most RANK_TOL times its norm), the sign convention
+(``fix_signs``: first nonzero component positive) and when columns count
+as orthonormal (``as_ortho_basis``: one batched Q^T Q for one basis or a
+stack, the one orthonormality rule).  ``sym_eig``, ``gram_eigh`` and
+``gram_range_basis`` report eigenvalues ascending, ``range_basis``
+singular values descending, all sign-fixed but gram_eigh's vectors, so
+downstream constructions are reproducible bit for bit.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from .errors import ValidationError
 # Relative rank threshold shared by every rank-revealing operation.
 RANK_TOL = 1e-10
 
-# gram_range_basis re-orthonormalizes its lifted columns when the smallest
+# gram_lift re-orthonormalizes its lifted columns when the smallest
 # kept eigenvalue is below REORTHO_TOL times the largest: the lift loses
 # orthonormality as about eps times their ratio.
 REORTHO_TOL = 1e-3
@@ -158,25 +160,35 @@ def range_basis(A):
     return U, s, r
 
 
-def gram_range_basis(A):
-    """Orthonormal basis of the column span of the (L, K) matrix A from its
-    K x K Gram A^T A = V diag(s^2) V^T, lifted as U = A V diag(s)^-1.
-
-    Returns (U_r, s2_r): the sign-fixed (L, r) columns of U and the
-    eigenvalues s^2, ascending, for the r entries with nonzero(s^2).  They
-    are the left singular vectors and squared singular values of A, so the
-    eigenpairs of A A^T, at O(L K^2) cost and without an SVD of A.  The
-    lifted columns lose orthonormality as about eps s2_max / s2_min; when
-    s2_min < REORTHO_TOL s2_max one CholeskyQR pass, U <- U R^-1 with
-    R^T R = U^T U, restores it.
-    """
+def gram_eigh(A):
+    """Eigenpairs of the K x K Gram A^T A = V diag(s^2) V^T of the (L, K)
+    matrix A: (V_r, s2_r), the eigenvectors and eigenvalues s^2, ascending,
+    for the r entries with nonzero(s^2).  They are the right singular
+    vectors and squared singular values of A, at O(L K^2) cost and without
+    an SVD of A.  V_r is eigh's own, signs unfixed."""
     s2, V = np.linalg.eigh(A.T @ A)
     keep = nonzero(s2)
-    s2 = s2[keep]
-    U = A @ (V[:, keep] / np.sqrt(s2))
+    return V[:, keep], s2[keep]
+
+
+def gram_lift(A, V, s2):
+    """The sign-fixed (L, r) left singular vectors U = A V diag(s)^-1 of A
+    from gram_eigh's pairs (V, s2).  The lifted columns lose orthonormality
+    as about eps s2_max / s2_min; when s2_min < REORTHO_TOL s2_max one
+    CholeskyQR pass, U <- U R^-1 with R^T R = U^T U, restores it."""
+    U = A @ (V / np.sqrt(s2))
     if s2.size and s2[0] < REORTHO_TOL * s2[-1]:
         U = U @ np.linalg.inv(np.linalg.cholesky(U.T @ U).T)
-    return fix_signs(U, copy=False), s2
+    return fix_signs(U, copy=False)
+
+
+def gram_range_basis(A):
+    """Orthonormal basis of the column span of the (L, K) matrix A from its
+    K x K Gram: gram_eigh, then gram_lift.  Returns (U_r, s2_r): the
+    sign-fixed (L, r) columns of U and the eigenvalues s^2, ascending, so
+    the eigenpairs of A A^T without an SVD of A."""
+    V, s2 = gram_eigh(A)
+    return gram_lift(A, V, s2), s2
 
 
 def sym_eig(M) -> EigResult:

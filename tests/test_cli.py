@@ -303,6 +303,15 @@ class TestFitEval:
         assert err.startswith("error: ") and "nullLDA does not apply" in err
         assert not model.exists()
 
+    def test_reg_lda_rows_with_no_variance_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "train.csv"
+        path.write_text("a,1.0,2.0,3.0\n" * 3 + "b,1.0,2.0,3.0\n" * 3)
+        model = tmp_path / "model.json"
+        assert run("fit", "--train", str(path), "--method", "regLDA",
+                   "--out", str(model)) == 1
+        assert capsys.readouterr().err == "error: pooled data has no variance\n"
+        assert not model.exists()
+
 
 class TestSweep:
     def test_sweep_table(self, tmp_path):

@@ -620,11 +620,13 @@ class TestBaselines:
         model = gfda.null_lda(X, y)
 
         def svd_frame(X, y):
-            labels, groups = fisher.group_by_label(X, y)
-            center = X.mean(axis=0)
-            _, s, Vt = np.linalg.svd(X - center, full_matrices=False)
+            labels, rows = fisher.group_by_label(np.arange(len(X)), y)
+            centred = X - X.mean(axis=0)
+            _, s, Vt = np.linalg.svd(centred, full_matrices=False)
             r = int(np.sum(linalg.nonzero(s**2)))
-            return labels, groups, center, s[:r], linalg.fix_signs(Vt[:r].T)
+            Q = linalg.fix_signs(Vt[:r].T)
+            return (labels, rows, s[:r], centred @ Q,
+                    lambda D: Q[:, :len(D)] @ D)
 
         monkeypatch.setattr(fisher, "_centred_frame", svd_frame)
         other = gfda.null_lda(X, y)
@@ -644,6 +646,21 @@ class TestBaselines:
         X = 5.0 * np.eye(3)
         with pytest.raises(ValidationError):
             gfda.fda(X, ["a", "b", "c"])
+
+    def test_rows_with_no_variance(self):
+        # equal rows leave a rank-0 centred frame: regLDA and pcaLDA say so
+        # (regLDA raised gram_schmidt's internal error), FDA finds the
+        # within scatter singular and nullLDA no separating direction
+        X = np.full((6, 4), 2.5)
+        y = np.repeat(["a", "b"], 3)
+        for build in (gfda.reg_lda, gfda.pca_lda):
+            with pytest.raises(ValidationError,
+                               match="^pooled data has no variance$"):
+                build(X, y)
+        with pytest.raises(ValidationError, match="^within-class scatter is singular"):
+            gfda.fda(X, y)
+        with pytest.raises(NotApplicableError, match="^the centred class means lie"):
+            gfda.null_lda(X, y)
 
 
 class TestPowerAndGap:

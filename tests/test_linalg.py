@@ -557,12 +557,14 @@ class TestRangeBasis:
         from gfda import fisher
         X = sample_matrix(shape, 5)
         y = np.arange(X.shape[0]) % 3
-        *_, s, Q = fisher._centred_frame(X, y)
+        *_, s, Z, lift = fisher._centred_frame(X, y)
+        Q = lift(np.eye(s.size))
         centred = X - X.mean(axis=0)
         assert Q.shape[1] == np.linalg.matrix_rank(centred)
         _, s_ref, vt = np.linalg.svd(centred, full_matrices=False)
         assert_same_span(Q, vt[:Q.shape[1]].T)
         npt.assert_allclose(s, s_ref[:Q.shape[1]], rtol=1e-10)
+        npt.assert_allclose(Z, centred @ Q, rtol=0, atol=1e-10 * s[0])
 
     @pytest.mark.parametrize("C,N,L", [(3, 2, 6), (4, 1, 30), (5, 3, 60)])
     def test_product_form_matches_direct_svd(self, C, N, L):

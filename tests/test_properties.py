@@ -277,18 +277,51 @@ def test_null_lda_matches_full_route(C, n, extra, seed):
 def svd_centred_frame(X, y):
     """Oracle for fisher._centred_frame: the thin SVD of the centred rows,
     X - m = W S V^T, cut where s^2 <= RANK_TOL s_max^2, with V's columns
-    sign-fixed."""
+    sign-fixed as the frame Q, Z = (X - m) Q and lift(D) = Q D."""
     X = np.asarray(X, dtype=float)
-    labels, groups = fisher.group_by_label(X, y)
-    center = X.mean(axis=0)
-    _, s, Vt = np.linalg.svd(X - center, full_matrices=False)
+    labels, rows = fisher.group_by_label(np.arange(len(X)), y)
+    centred = X - X.mean(axis=0)
+    _, s, Vt = np.linalg.svd(centred, full_matrices=False)
     r = int(np.sum(s**2 > linalg.RANK_TOL * s[0] ** 2))
-    return labels, groups, center, s[:r], linalg.fix_signs(Vt[:r].T)
+    Q = linalg.fix_signs(Vt[:r].T)
+    return labels, rows, s[:r], centred @ Q, lambda D: Q[:, :len(D)] @ D
+
+
+def frame_of(centred_frame, X, y):
+    """(s, Q): the singular values and the (L, r) frame a _centred_frame
+    return implies, Q = lift(I)."""
+    *_, s, _, lift = centred_frame(X, y)
+    return s, lift(np.eye(s.size))
+
+
+def gram_route(s):
+    """Whether _centred_frame takes the n x n route for singular values s
+    (descending): Z = W diag(s) is then accurate to about
+    eps s_max^2 / s_min^2, within linalg.ORTHO_IP_TOL."""
+    return np.finfo(float).eps * s[0] ** 2 <= linalg.ORTHO_IP_TOL * s[-1] ** 2
 
 
 def sine_distance(U_ref, U):
     """||(I - U_ref U_ref^T) U||_2: resolves angles below sqrt(2 eps)."""
     return np.linalg.norm(U - U_ref @ (U_ref.T @ U), 2)
+
+
+def spectrum_rows(rng, sizes, L, ratio, distinct):
+    """Rows of classes of the given sizes in dimension L.  Class c has
+    distinct[c] distinct rows, repeated in turn to fill its size; the m
+    centred distinct rows have r = min(m - 1, L) singular values falling
+    geometrically from 1 to ratio = s_min/s_max, around a random offset."""
+    m = sum(distinct)
+    r = min(m - 1, L)
+    left = rng.standard_normal((m, r))
+    left = np.linalg.qr(left - left.mean(axis=0))[0]
+    right = np.linalg.qr(rng.standard_normal((L, r)))[0]
+    rows = (left * ratio ** (np.arange(r) / max(r - 1, 1))) @ right.T
+    rows += 3.0 * rng.standard_normal(L)
+    starts = np.cumsum([0] + list(distinct))
+    X = np.vstack([rows[a + np.arange(k) % d]
+                   for a, k, d in zip(starts, sizes, distinct)])
+    return X, np.repeat(np.arange(len(sizes)), sizes)
 
 
 @st.composite
@@ -306,17 +339,7 @@ def centred_spectra(draw):
     ratio = draw(st.sampled_from([1.0, 1e-2, 1e-4]))
     repeats = draw(st.booleans())
     distinct = [draw(st.integers(1, k - 1)) if repeats else k for k in sizes]
-    m = sum(distinct)
-    r = min(m - 1, L)
-    left = rng.standard_normal((m, r))
-    left = np.linalg.qr(left - left.mean(axis=0))[0]
-    right = np.linalg.qr(rng.standard_normal((L, r)))[0]
-    rows = (left * ratio ** (np.arange(r) / max(r - 1, 1))) @ right.T
-    rows += 3.0 * rng.standard_normal(L)
-    starts = np.cumsum([0] + distinct)
-    X = np.vstack([rows[a + np.arange(k) % d]
-                   for a, k, d in zip(starts, sizes, distinct)])
-    return X, np.repeat(np.arange(len(sizes)), sizes)
+    return spectrum_rows(rng, sizes, L, ratio, distinct)
 
 
 FDA_FAMILY = (gfda.fda, gfda.reg_lda, gfda.pca_lda, gfda.null_lda)
@@ -330,24 +353,12 @@ def built(build, X, y):
         return f"{type(exc).__name__}: {exc}"
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(centred_spectra())
-def test_centred_frame_matches_svd_route(data):
-    """The Gram route's frame has the SVD route's rank and spans its frame
-    to 1e-10 in the sine form; s^2 agrees to the eigensolver's scale,
-    1e-13 s_max^2.  Every FDA-family model built on it matches the one
-    built on the SVD frame: the same error, or the same dimension, pcaLDA
-    components, fallback and null dimension, and a projector span within
-    1e-9.  Under pcaLDA's 1e-8 ridge, rounding of order eps ||S_w|| is
-    amplified by 1 / 1e-8."""
-    X, y = data
-    *_, s, Q = fisher._centred_frame(X, y)
-    *_, s_ref, Q_ref = svd_centred_frame(X, y)
-    assert Q.shape == Q_ref.shape
-    assert Q.flags.c_contiguous
-    assert sine_distance(Q_ref, Q) <= 1e-10
-    npt.assert_allclose(s**2, s_ref**2, rtol=0, atol=1e-13 * s_ref[0] ** 2)
-
+def assert_same_models(X, y, tol=1e-9):
+    """Every FDA-family model built on _centred_frame matches the one built
+    on the SVD frame: the same error, or the same dimension, pcaLDA
+    components, fallback and null dimension, an orthonormal projector and a
+    projector span within tol.  Under pcaLDA's 1e-8 ridge, rounding of order
+    eps ||S_w|| is amplified by 1 / 1e-8."""
     with mock.patch.object(fisher, "_centred_frame", svd_centred_frame):
         want = [built(build, X, y) for build in FDA_FAMILY]
     for got, ref in zip([built(build, X, y) for build in FDA_FAMILY], want):
@@ -358,11 +369,53 @@ def test_centred_frame_matches_svd_route(data):
         for key in ("n_components", "null_dim"):
             assert got.info.get(key) == ref.info.get(key)
         assert ("fallback" in got.info) == ("fallback" in ref.info)
-        tol = 1e-9
+        linalg.as_ortho_basis(got.projector)
+        bound = tol
         if "fallback" in ref.info:
-            tol += 100 * np.finfo(float).eps * np.linalg.norm(
+            bound += 100 * np.finfo(float).eps * np.linalg.norm(
                 gfda.within_scatter(fisher.group_by_label(X, y)[1]), 2) / 1e-8
-        assert sine_distance(ref.projector, got.projector) <= tol
+        assert sine_distance(ref.projector, got.projector) <= bound
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(centred_spectra())
+def test_centred_frame_matches_svd_route(data):
+    """The Gram route's frame, Q = lift(I), has the SVD route's rank and
+    spans its frame to 1e-10 in the sine form; s^2 agrees to the
+    eigensolver's scale, 1e-13 s_max^2.  Only a frame near the rank cut is
+    lifted to L dimensions as a whole.  Every FDA-family model built on it
+    matches the one built on the SVD frame (assert_same_models)."""
+    X, y = data
+    with mock.patch.object(linalg, "gram_lift",
+                           wraps=linalg.gram_lift) as lift_step:
+        s, Q = frame_of(fisher._centred_frame, X, y)
+    assert lift_step.called != gram_route(s)
+    s_ref, Q_ref = frame_of(svd_centred_frame, X, y)
+    assert Q.shape == Q_ref.shape
+    assert sine_distance(Q_ref, Q) <= 1e-10
+    npt.assert_allclose(s**2, s_ref**2, rtol=0, atol=1e-13 * s_ref[0] ** 2)
+    assert_same_models(X, y)
+
+
+@pytest.mark.parametrize("L", [5, 9])
+@pytest.mark.parametrize("ratio", [1e-2, 1e-4])
+def test_centred_frame_guard(ratio, L):
+    """Nine rows in classes of 2, 2 and 5 whose centred singular values
+    fall to s_min/s_max = ratio.  At ratio 1e-2 (s^2 ratio 1e-4) the frame
+    takes the n x n route and no (L, r) frame is formed; at 1e-4 (s^2
+    ratio 1e-8, below eps / ORTHO_IP_TOL = 2.2e-6) it is lifted and
+    re-orthonormalized, because W diag(s) drifts as eps s_max^2 / s_min^2:
+    taken from the Gram there, FDA's projector at L = 5 sat 5.0e-8 and
+    nullLDA's at L = 9 1.3e-9 from the SVD route's.  FDA applies at L = 5,
+    nullLDA at L = 9."""
+    X, y = spectrum_rows(np.random.default_rng(43), [2, 2, 5], L, ratio,
+                         [2, 2, 5])
+    s, _ = frame_of(svd_centred_frame, X, y)
+    assert gram_route(s) == (ratio == 1e-2)
+    with mock.patch.object(linalg, "gram_lift",
+                           wraps=linalg.gram_lift) as lift_step:
+        assert_same_models(X, y)
+    assert lift_step.called != gram_route(s)
 
 
 def full_generalized_route(X, y, delta):
