@@ -167,10 +167,8 @@ def gap_index(C: int) -> float:
 def union_frame(ensemble: SubspaceEnsemble):
     """The union-span frame that gFDA and GDS work in, as (U, s2, F, B_U).
 
-    U, s2 : union_span of the class subspaces, the (L, K) frame and the K
-        nonzero eigenvalues of G = sum_c P_c = U diag(s2) U^T, ascending,
-        from the eigh of the K x K Gram of the pooled bases lifted to L
-        dimensions (one CholeskyQR pass near overlap)
+    U, s2 : the (L, K) frame of union_span, lifted once, and the K nonzero
+        eigenvalues of G = sum_c P_c = U diag(s2) U^T, ascending
     F : (C, L) aligned first basis vectors
     B_U : (K, K) pairwise-difference matrix of F U, that is U^T B U
 
@@ -178,9 +176,10 @@ def union_frame(ensemble: SubspaceEnsemble):
     and gFDA-linear diagonalizes diag(s2) - B_U / C; the two differ by the
     correction term B_U / C alone.
     """
-    U, s2 = union_span(ensemble.classes)
+    s, _, lift = union_span(ensemble.classes)
+    U = lift(np.eye(s.size)[::-1])
     F = aligned_first_vectors(ensemble)
-    return U, s2, F, pairwise_difference_matrix(F @ U)
+    return U, s[::-1] ** 2, F, pairwise_difference_matrix(F @ U)
 
 
 def gfda_product_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
@@ -235,6 +234,12 @@ def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     recorded, not raised, even when none is near zero (identical classes):
     a warning reports the largest and info["selected_eigenvalues"] holds
     them all.
+
+    The selected eigenvalues sit at zero, so the data pick the basis of
+    their eigenspace: Gram-Schmidt, in class order, on the first C - 1
+    centred first vectors projected onto it, as in the product form, with
+    eigenvectors completing it only where those are dependent (overlap),
+    then one ``linalg.cholesky_qr`` pass on its C - 1 columns in U.
     """
     C = ensemble.n_classes
     U, s2, F, B_U = union_frame(ensemble)
@@ -253,7 +258,14 @@ def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
             f"eigenvalues are near zero (max selected {selected[-1]:.3e}); "
             "class subspaces overlap or are degenerate",
             RuntimeWarning, stacklevel=2)
-    basis = linalg.fix_signs(U @ vectors[:, :k])
+    W = vectors[:, :k]
+    F_U = F @ U
+    P = W @ (W.T @ (F_U - F_U.mean(axis=0))[:k].T)
+    coords = linalg.gram_schmidt(P) if P.any() else W[:, :0]
+    if coords.shape[1] < k:  # overlap: sign-fixed eigenvectors complete it
+        coords = linalg.gram_schmidt(
+            np.hstack([coords, linalg.fix_signs(W)]))[:, :k]
+    basis = linalg.cholesky_qr(U @ coords)
     return DiscriminantModel(
         projector=basis,
         method="gFDA-linear",
@@ -269,8 +281,10 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None,
 
     The basis is the generalized difference subspace: the eigenvectors of
     G = sum_c P_c for its smallest eigenvalues *within the sum subspace*
-    (eigenvalue > 0), read off the union-span frame; directions orthogonal
-    to every class subspace carry no information and are never selected.
+    (eigenvalue > 0), the leading columns of the union-span frame,
+    orthonormalized by one ``linalg.cholesky_qr`` pass; directions
+    orthogonal to every class subspace carry no information and are never
+    selected.
     Class references are the projected, sign-aligned first basis vectors.
 
     Exactly one rule must be given: ``dims`` fixes N_d, while ``gamma``
@@ -308,7 +322,7 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None,
         selection = {"rule": "power", "dims": dims, "gamma": gamma,
                      "beta": beta,
                      "achieved_power": float(cumulative[dims - 1])}
-    basis = U[:, :dims]
+    basis = linalg.cholesky_qr(U[:, :dims])
     return DiscriminantModel(
         projector=basis,
         method="GDS",
@@ -328,44 +342,18 @@ _NO_VARIANCE = "pooled data has no variance"
 
 
 def _centred_frame(X, y):
-    """The FDA family's frame of the centred rows X - m, as (labels, rows,
-    s, Z, lift).  rows holds each class's row indices in label order, s
-    the r = rank(X - m) singular values, descending, and Z the (n, r)
-    coordinates of the centred rows in the orthonormal frame
-    Q = (X - m)^T W diag(1/s) of span(X - m), column i paired with s[i].
-    span(Q) holds every class-centred row and centred class mean, so both
-    scatters vanish on its complement.  lift(D) maps (k', k) coordinates
-    on Q's leading k' columns to the (L, k) directions Q[:, :k'] D.  Q's
-    first nonzero component in each column is positive.
-
-    One eigh of the n x n Gram (X - m)(X - m)^T = W diag(s^2) W^T
-    (``linalg.gram_eigh``) gives Z = W diag(s), accurate to about
-    eps s2_max / s2_min, since the Gram squares the condition number.
-    When that is within linalg.ORTHO_IP_TOL, Q is never formed: its first
-    row (X - m)[:, 0]^T W / s fixes the signs, an entry above 1e-12
-    settling its column as ``linalg.fix_signs`` would (entries of
-    orthonormal columns are at most 1), and lift takes D through
-    (X - m)^T W diag(1/s).  Nearer the rank cut, or when a first-row entry
-    is not above 1e-12, the same eigenpairs are lifted to Q by
-    ``linalg.gram_lift`` (re-orthonormalized, sign-fixed), Z is
-    (X - m) Q and lift is Q D.
+    """The FDA family's frame of the centred rows X - m: (labels, rows) and
+    ``linalg.gram_frame((X - m)^T)``.  rows holds each class's row indices
+    in label order, s the r = rank(X - m) singular values, descending, and
+    Z the (n, r) coordinates of the centred rows in the frame Q.  span(Q)
+    holds every class-centred row and centred class mean, so both scatters
+    vanish on its complement.
     """
     X = np.asarray(X, dtype=float)
     if not np.isfinite(X).all():
         raise ValidationError("samples must be finite")
     labels, rows = group_by_label(np.arange(len(X)), y)
-    A = (X - X.mean(axis=0)).T
-    V, s2 = linalg.gram_eigh(A)
-    s = np.sqrt(s2[::-1])
-    W = V[:, ::-1]
-    lead = A[0] @ W / s
-    if s2.size and (np.finfo(float).eps * s2[-1] > linalg.ORTHO_IP_TOL * s2[0]
-                    or not (np.abs(lead) > 1e-12).all()):
-        Q = np.ascontiguousarray(linalg.gram_lift(A, V, s2)[:, ::-1])
-        return labels, rows, s, A.T @ Q, lambda D: Q[:, :len(D)] @ D
-    W = W * np.where(lead < 0, -1.0, 1.0)
-    return (labels, rows, s, W * s,
-            lambda D: A @ (W[:, :len(D)] @ (D / s[:len(D), None])))
+    return (labels, rows) + linalg.gram_frame((X - X.mean(axis=0)).T)
 
 
 def _group_means(Y, rows):
@@ -384,13 +372,20 @@ def _top_generalized_directions(between, within, k, ridge=0.0, scale=None):
     of (between, within + ridge I).  Without a ridge, within must be positive
     definite: every eigenvalue nonzero against scale, the largest eigenvalue
     of the total scatter, to which within's rounding is relative.  A ridge
-    is added to the caller's within matrix in place.  With within = L L^T,
-    solves L^-1 between L^-T, fixes signs, lifts by L^-T."""
+    is added to the caller's within matrix in place; one below the
+    scatter's rounding leaves it indefinite, a ValidationError.  With
+    within = L L^T, solves L^-1 between L^-T, fixes signs, lifts by L^-T."""
     if ridge:
         within[np.diag_indices_from(within)] += ridge
     elif not linalg.nonzero(np.linalg.eigvalsh(within), scale=scale).all():
         raise ValidationError(_SINGULAR_WITHIN)
-    Linv = np.linalg.inv(np.linalg.cholesky(within))
+    try:
+        Linv = np.linalg.inv(np.linalg.cholesky(within))
+    except np.linalg.LinAlgError:
+        raise ValidationError(
+            f"within-class scatter (largest entry {np.abs(within).max():.3g}) "
+            f"plus the ridge delta = {ridge:g} is not positive definite: "
+            "delta is below the scatter's rounding; rescale the data") from None
     w, V = np.linalg.eigh(Linv @ between @ Linv.T)
     return (Linv.T @ linalg.fix_signs(V, copy=False))[:, ::-1][:, :k], w[::-1][:k]
 

@@ -5,20 +5,18 @@ array, an orthonormal basis is an (L, k) array whose columns are the basis
 vectors.  Only this module decides the rank rule (``nonzero``: a spectrum
 entry counts when it exceeds RANK_TOL times the largest, or times a given
 scale), how a range basis is factorized (``range_basis``: the thin SVD cut
-by that rule, for the class fits; ``gram_eigh``: the eigh of the
-small-side Gram A^T A cut by that rule, for the centred-data frame of the
-FDA family, which works in its coordinates; ``gram_lift``: those
-eigenpairs lifted back through A, re-orthonormalized by one CholeskyQR
-pass when the kept spectrum spans more than 1 / REORTHO_TOL;
-``gram_range_basis``: the two in turn, for the union-span frame of the
-pooled class bases), how vectors are orthonormalized in order
-(``gram_schmidt``: one QR with a positive diagonal, dropping a vector
-whose residual is at most RANK_TOL times its norm), the sign convention
-(``fix_signs``: first nonzero component positive) and when columns count
-as orthonormal (``as_ortho_basis``: one batched Q^T Q for one basis or a
-stack, the one orthonormality rule).  ``sym_eig``, ``gram_eigh`` and
-``gram_range_basis`` report eigenvalues ascending, ``range_basis``
-singular values descending, all sign-fixed but gram_eigh's vectors, so
+by that rule, for the class fits; ``gram_frame``: the eigh of the
+small-side Gram A^T A cut by that rule, for the union-span frame of the
+pooled class bases and the centred-data frame of the FDA family; its one
+guard decides when the frame must be formed, with one ``cholesky_qr``
+pass), how vectors are orthonormalized in order (``gram_schmidt``: one QR
+with a positive diagonal, dropping a vector whose residual is at most
+RANK_TOL times its norm), the sign convention (``fix_signs``: first
+nonzero component positive, which ``gram_frame`` reads off its frame row
+by row) and when columns count as orthonormal (``as_ortho_basis``: one
+batched Q^T Q for one basis or a stack, the one orthonormality rule).
+``sym_eig`` reports eigenvalues ascending, ``range_basis`` and
+``gram_frame`` singular values descending, all with sign-fixed vectors, so
 downstream constructions are reproducible bit for bit.
 """
 
@@ -30,11 +28,6 @@ from .errors import ValidationError
 
 # Relative rank threshold shared by every rank-revealing operation.
 RANK_TOL = 1e-10
-
-# gram_lift re-orthonormalizes its lifted columns when the smallest
-# kept eigenvalue is below REORTHO_TOL times the largest: the lift loses
-# orthonormality as about eps times their ratio.
-REORTHO_TOL = 1e-3
 
 # Tolerances for the structural invariants of the two array "types".
 SYMMETRY_TOL = 1e-12
@@ -160,35 +153,55 @@ def range_basis(A):
     return U, s, r
 
 
-def gram_eigh(A):
-    """Eigenpairs of the K x K Gram A^T A = V diag(s^2) V^T of the (L, K)
-    matrix A: (V_r, s2_r), the eigenvectors and eigenvalues s^2, ascending,
-    for the r entries with nonzero(s^2).  They are the right singular
-    vectors and squared singular values of A, at O(L K^2) cost and without
-    an SVD of A.  V_r is eigh's own, signs unfixed."""
+def gram_frame(A):
+    """Orthonormal frame Q of the column span of the (L, K) matrix A from
+    one eigh of its K x K Gram A^T A = V diag(s^2) V^T, the one small-side
+    factorization: (s, Z, lift) for the r entries with nonzero(s^2).  s
+    descends; Z = A^T Q = V diag(s) holds A's columns in Q = A V diag(1/s);
+    lift(D) = Q[:, :k'] D maps (k', k) coordinates to L dimensions.  Q's
+    first nonzero component in each column is positive.
+
+    Z and the lifted columns hold to about eps s_max^2 / s_min^2.  While
+    that is within ORTHO_IP_TOL, Q is not formed, and its rows are read one
+    at a time for the signs: an entry above 1e-12 settles its column, one
+    at most 1e-12 / sqrt(L) counts as zero (a unit column's largest entry
+    is between 1 / sqrt(L) and 1).  Otherwise, or on an entry between the
+    two, Q is formed (``_lifted_frame``).
+    """
     s2, V = np.linalg.eigh(A.T @ A)
-    keep = nonzero(s2)
-    return V[:, keep], s2[keep]
+    r = int(nonzero(s2).sum())  # eigh ascends, so the kept entries trail
+    s2, V = s2[s2.size - r:][::-1], V[:, V.shape[1] - r:][:, ::-1]
+    s = np.sqrt(s2)
+    signs, unread = np.ones(s.size), np.arange(s.size)
+    in_gram = not s.size or np.finfo(float).eps * s2[0] <= ORTHO_IP_TOL * s2[-1]
+    for row in A if in_gram else ():
+        lead = row @ V[:, unread] / s[unread]
+        settled = np.abs(lead) > 1e-12
+        if (np.abs(lead[~settled]) > 1e-12 / np.sqrt(len(A))).any():
+            break
+        signs[unread[settled]] = np.where(lead[settled] < 0, -1.0, 1.0)
+        unread = unread[~settled]
+        if not unread.size:
+            break
+    if unread.size:
+        return _lifted_frame(A, V, s)
+    V *= signs
+    W = V / s
+    return s, V * s, lambda D: A @ (W[:, :len(D)] @ D)
 
 
-def gram_lift(A, V, s2):
-    """The sign-fixed (L, r) left singular vectors U = A V diag(s)^-1 of A
-    from gram_eigh's pairs (V, s2).  The lifted columns lose orthonormality
-    as about eps s2_max / s2_min; when s2_min < REORTHO_TOL s2_max one
-    CholeskyQR pass, U <- U R^-1 with R^T R = U^T U, restores it."""
-    U = A @ (V / np.sqrt(s2))
-    if s2.size and s2[0] < REORTHO_TOL * s2[-1]:
-        U = U @ np.linalg.inv(np.linalg.cholesky(U.T @ U).T)
-    return fix_signs(U, copy=False)
+def _lifted_frame(A, V, s):
+    """gram_frame's fallback: Q = A V diag(1/s) formed, re-orthonormalized
+    by one cholesky_qr pass and sign-fixed, Z = A^T Q, lift(D) = Q D."""
+    Q = fix_signs(cholesky_qr(A @ (V / s)), copy=False)
+    return s, A.T @ Q, lambda D: Q[:, :len(D)] @ D
 
 
-def gram_range_basis(A):
-    """Orthonormal basis of the column span of the (L, K) matrix A from its
-    K x K Gram: gram_eigh, then gram_lift.  Returns (U_r, s2_r): the
-    sign-fixed (L, r) columns of U and the eigenvalues s^2, ascending, so
-    the eigenpairs of A A^T without an SVD of A."""
-    V, s2 = gram_eigh(A)
-    return gram_lift(A, V, s2), s2
+def cholesky_qr(Q):
+    """One CholeskyQR pass, Q R^-1 with R^T R = Q^T Q: gram_schmidt's Q
+    factor to about eps cond(Q)^2, at a third of its cost for columns
+    already near orthonormal, such as lifted frame columns."""
+    return Q @ np.linalg.inv(np.linalg.cholesky(Q.T @ Q).T)
 
 
 def sym_eig(M) -> EigResult:

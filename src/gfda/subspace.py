@@ -234,20 +234,15 @@ def aligned_first_vectors(ensemble: SubspaceEnsemble) -> np.ndarray:
 
 
 def union_span(classes):
-    """Frame of the union span of class subspaces: ``linalg.gram_range_basis``
-    of the pooled basis Phi = [Phi_1 ... Phi_C], any objects with a .basis.
-
-    Returns (U, s^2) in ascending order: the (L, K) sign-fixed frame and the
-    K nonzero eigenvalues of G = sum_c P_c = Phi Phi^T = U diag(s^2) U^T,
-    read off the K x K Gram Phi^T Phi (whose off-diagonal blocks hold the
-    canonical cosines between class pairs) and lifted by U = Phi V / s.  The
-    rank rule drops the rest, so K = rank(Phi) <= sum_c N_c, and an
-    all-zero Phi gives an (L, 0) frame.  Near overlap (smallest s^2 below
-    linalg.REORTHO_TOL times the largest) one CholeskyQR pass keeps U
-    orthonormal.  gFDA and GDS work on K x K matrices in the coordinates of
-    U, at O(L K^2) cost; no L x L matrix and no SVD of Phi is formed.
+    """``linalg.gram_frame`` of the pooled basis Phi = [Phi_1 ... Phi_C] of
+    any objects with a .basis: (s, Z, lift), s descending, for
+    G = sum_c P_c = Phi Phi^T = U diag(s^2) U^T on the frame U, Z = Phi^T U
+    the pooled basis vectors in U's coordinates and lift(D) = U D.  The
+    Gram Phi^T Phi's off-diagonal blocks hold the canonical cosines between
+    class pairs.  K = rank(Phi) <= sum_c N_c, an all-zero Phi gives an
+    empty frame, and no L x L matrix and no SVD of Phi is formed.
     """
-    return linalg.gram_range_basis(np.hstack([c.basis for c in classes]))
+    return linalg.gram_frame(np.hstack([c.basis for c in classes]))
 
 
 @dataclass(frozen=True)
@@ -274,7 +269,8 @@ def difference_subspace_analytic(c1: ClassModel,
     share a direction (degenerate); eigenvalues within OVERLAP_TOL of
     exactly 1 belong to neither side and are excluded with a warning.
     """
-    vecs, vals = union_span((c1, c2))
+    s, _, lift = union_span((c1, c2))
+    vals = s[::-1] ** 2
     if vals.size == 0 or np.any(vals >= 2.0 - OVERLAP_TOL):
         hit = int(np.argmax(vals)) if vals.size else 0
         raise DegeneratePairError(
@@ -288,10 +284,12 @@ def difference_subspace_analytic(c1: ClassModel,
             f"{OVERLAP_TOL} of exactly 1 excluded from both the difference "
             "and principal sides",
             RuntimeWarning, stacklevel=2)
-    lower = vals < 1.0 - OVERLAP_TOL
-    upper = vals > 1.0 + OVERLAP_TOL
+
+    ascending = np.eye(vals.size)[::-1]  # the frame's coordinates descend
+    lower = ascending[:, vals < 1.0 - OVERLAP_TOL]
+    upper = ascending[:, vals > 1.0 + OVERLAP_TOL]
     return DifferenceSubspace(
-        basis=vecs[:, lower],
-        principal_basis=vecs[:, upper],
+        basis=linalg.cholesky_qr(lift(lower)),
+        principal_basis=linalg.cholesky_qr(lift(upper)),
         eigenvalues=vals,
     )

@@ -313,6 +313,26 @@ class TestFitEval:
         assert not model.exists()
 
 
+    @pytest.mark.parametrize("method,delta", [("regLDA", "0.0001"),
+                                              ("pcaLDA", "1e-08")])
+    def test_ridge_below_scatter_rounding_exit_1(self, tmp_path, capsys,
+                                                 method, delta):
+        # rows of scale 1e6: the within scatter's rounding (~1e-4) swamps
+        # the ridge, which raised numpy's LinAlgError as a traceback
+        X = 1e6 * np.random.default_rng(0).standard_normal((20, 40))
+        path = tmp_path / "big.csv"
+        path.write_text("".join(f"c{i % 4},{','.join(map(repr, r.tolist()))}\n"
+                                for i, r in enumerate(X)))
+        out = tmp_path / "eval.csv"
+        assert run("eval", "--train", str(path), "--method", method,
+                   "--train-count", "3", "--repetitions", "2",
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: within-class scatter (largest entry ")
+        assert f"plus the ridge delta = {delta} is not positive" in err
+        assert err.count("\n") == 1 and not out.exists()
+
+
 class TestSweep:
     def test_sweep_table(self, tmp_path):
         train = tmp_path / "train.csv"

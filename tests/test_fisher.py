@@ -285,11 +285,12 @@ class TestGfdaForms:
             gfda.ClassModel(c, Q[:, c * N:(c + 1) * N], np.array([2.0, 1.0]),
                             3.0 * Q[:, c * N], 4) for c in range(C)), L)
         plain = gfda.gfda_product_form(ens)
-        U, s2 = fisher.union_span(ens.classes)
-        npt.assert_allclose(s2, np.ones(C * N), atol=1e-12)
+        s, Z, lift = fisher.union_span(ens.classes)
+        npt.assert_allclose(s**2, np.ones(C * N), atol=1e-12)
         R = np.linalg.qr(rng.standard_normal((C * N, C * N)))[0]
+        # the frame U R: coordinates Z R, and lift(D) = U R D
         monkeypatch.setattr(fisher, "union_span",
-                            lambda classes: (U @ R, s2))
+                            lambda classes: (s, Z @ R, lambda D: lift(R @ D)))
         rotated = gfda.gfda_product_form(ens)
         npt.assert_allclose(rotated.projector, plain.projector, atol=1e-12)
         npt.assert_allclose(rotated.class_refs, plain.class_refs, atol=1e-12)
@@ -321,6 +322,23 @@ class TestGfdaForms:
         ens = gfda.SubspaceEnsemble(tuple(classes), 8)
         with pytest.warns(RuntimeWarning, match="overlap"):
             gfda.gfda_linear_form(ens)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_linear_form_basis_follows_the_data(self, seed):
+        # the C - 1 selected eigenvalues all sit at zero, so an eigensolver
+        # may return any basis of that eigenspace; the projector is chosen
+        # from the data, and two ensembles 1e-15 apart give the same one
+        # (an eigh basis moved by 1.2-1.8x the largest entry here)
+        from dataclasses import replace
+        ens = gfda.subspace_config(6, 3, 72, seed=seed)
+        rng = np.random.default_rng(seed)
+        nudged = gfda.SubspaceEnsemble(tuple(
+            replace(c, basis=c.basis + 1e-15 * rng.standard_normal(
+                c.basis.shape)) for c in ens.classes), ens.ambient_dim)
+        P = gfda.gfda_linear_form(ens).projector
+        other = gfda.gfda_linear_form(nudged).projector
+        assert P.shape == other.shape == (72, 5)
+        npt.assert_allclose(other, P, rtol=0, atol=1e-9 * np.abs(P).max())
 
     def test_linear_form_single_sample_per_class(self):
         # the small-sample regime the linear combination form exists for
@@ -437,6 +455,24 @@ def test_models_do_not_depend_on_lapack_signs(monkeypatch, build):
     model = build()
     npt.assert_array_equal(model.projector, expected.projector)
     npt.assert_array_equal(model.class_refs, expected.class_refs)
+
+
+@pytest.mark.parametrize("build", [
+    lambda X, y: gfda.reg_lda(X, y),
+    lambda X, y: gfda.gfda_linear_form(gfda.fit_ensemble(X, y)),
+], ids=["regLDA", "gfda-linear"])
+def test_constant_first_feature_stays_in_gram_coordinates(monkeypatch, build):
+    """A constant first feature (a border pixel) zeroes the frame's first
+    row; the sign rule reads the next row instead of lifting the frame."""
+    X, y = gfda.labeled_mixtures(30, 1024, 5, "Set1", seed=1)
+    X[:, 0] = 0.0
+    lifted = []
+    real = linalg._lifted_frame
+    monkeypatch.setattr(linalg, "_lifted_frame",
+                        lambda *args: lifted.append(1) or real(*args))
+    model = build(X, y)
+    assert not lifted and model.dim == 29
+    linalg.as_ortho_basis(model.projector)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

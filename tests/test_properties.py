@@ -13,12 +13,15 @@ against the null space of the L x L within scatter and the L x L between
 scatter projected there, regLDA and FDA against the L x L generalized
 eigenproblem.  The centred-data frame itself, built from the n x n Gram
 of the centred rows, is checked against the thin SVD of those rows, and so
-are the regLDA, nullLDA, pcaLDA and FDA models built on either frame.
+are the regLDA, nullLDA, pcaLDA and FDA models built on either frame.  The
+gFDA family, built in the union Gram's coordinates, is checked against the
+same constructions on the whole thin-SVD frame of the pooled bases.
 Batched evaluation is checked against a
 per-sample scoring loop, and the batched ensemble fit against fit_class on
 each class and against the thin SVD of each class on its own.
 """
 
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -386,8 +389,8 @@ def test_centred_frame_matches_svd_route(data):
     lifted to L dimensions as a whole.  Every FDA-family model built on it
     matches the one built on the SVD frame (assert_same_models)."""
     X, y = data
-    with mock.patch.object(linalg, "gram_lift",
-                           wraps=linalg.gram_lift) as lift_step:
+    with mock.patch.object(linalg, "_lifted_frame",
+                           wraps=linalg._lifted_frame) as lift_step:
         s, Q = frame_of(fisher._centred_frame, X, y)
     assert lift_step.called != gram_route(s)
     s_ref, Q_ref = frame_of(svd_centred_frame, X, y)
@@ -412,10 +415,94 @@ def test_centred_frame_guard(ratio, L):
                          [2, 2, 5])
     s, _ = frame_of(svd_centred_frame, X, y)
     assert gram_route(s) == (ratio == 1e-2)
-    with mock.patch.object(linalg, "gram_lift",
-                           wraps=linalg.gram_lift) as lift_step:
+    with mock.patch.object(linalg, "_lifted_frame",
+                           wraps=linalg._lifted_frame) as lift_step:
         assert_same_models(X, y)
     assert lift_step.called != gram_route(s)
+
+
+def svd_union_frame(ens):
+    """Oracle for fisher.union_frame: the thin SVD of the pooled basis,
+    Phi = U S V^T, cut where s^2 <= RANK_TOL s_max^2, with U's columns
+    sign-fixed and ordered by ascending s^2, the whole (L, K) frame formed,
+    and B_U = (F U)'s pairwise-difference matrix from L-dimensional
+    products.  Returns (U, s2, F, B_U)."""
+    Phi = np.hstack([c.basis for c in ens.classes])
+    U, s, _ = np.linalg.svd(Phi, full_matrices=False)
+    r = int(np.sum(s**2 > linalg.RANK_TOL * s[0] ** 2))
+    U = linalg.fix_signs(U[:, :r][:, ::-1])
+    F = gfda.aligned_first_vectors(ens)
+    return U, s[:r][::-1] ** 2, F, fisher.pairwise_difference_matrix(F @ U)
+
+
+@st.composite
+def frame_ensembles(draw):
+    """2-6 classes of 1-3 dimensions in L = K + 2, 2 K or 4 K for K = C N,
+    at separations from well apart (1) to near overlap (0.01), where
+    s^2_min / s^2_max falls below the Gram route's guard on some draws."""
+    C = draw(st.integers(2, 6))
+    N = draw(st.integers(1, 3))
+    L = C * N + draw(st.sampled_from([2, C * N, 3 * C * N]))
+    separation = draw(st.sampled_from([1.0, 0.3, 0.05, 0.01]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return gfda.subspace_config(C, N, L, separation=separation, seed=seed)
+
+
+def test_union_frame_constructions_match_svd_oracle():
+    """gFDA-product, gFDA-linear, and GDS by dims and by gamma, built in the
+    union Gram's coordinates, match the same constructions on the whole
+    thin-SVD frame: spans to 1e-8 in the sine form, the same dims, and the
+    selected eigenvalues and achieved power to rounding.  The draws take
+    both sides of the Gram route's guard."""
+    lifted = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(frame_ensembles(), st.sampled_from([0.5, 0.9]),
+           st.sampled_from(["one", "C-1", "K"]))
+    def check(ens, gamma, which):
+        C = ens.n_classes
+        U, s2, F, B_U = svd_union_frame(ens)
+        K = s2.size
+        dims = {"one": 1, "C-1": C - 1, "K": K}[which]
+        with mock.patch.object(linalg, "_lifted_frame",
+                               wraps=linalg._lifted_frame) as lift_step:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                linear = gfda.gfda_linear_form(ens)
+            product = gfda.gfda_product_form(ens)
+            by_dims = gfda.gds_discriminant(ens, dims=dims)
+            by_gamma = gfda.gds_discriminant(ens, gamma=gamma)
+        lifted.add(lift_step.called)
+
+        values, vectors = np.linalg.eigh(np.diag(s2) - B_U / C)
+        assert sine_distance(U @ vectors[:, :C - 1], linear.projector) <= 1e-8
+        npt.assert_allclose(linear.info["selected_eigenvalues"],
+                            values[:C - 1], rtol=0,
+                            atol=EIG_TOL * max(abs(values[-1]), 1.0))
+
+        s = np.sqrt(s2)
+        hats = F @ U / s
+        centred = hats - hats.mean(axis=0)
+        basis = linalg.gram_schmidt(centred[:C - 1].T)
+        assert sine_distance(linalg.gram_schmidt(U @ (basis / s[:, None])),
+                             product.effective_basis()) <= 1e-8
+        npt.assert_allclose(product.info["criterion_eigenvalues"],
+                            C * np.sum((centred @ basis) ** 2, axis=0),
+                            rtol=EIG_TOL)
+
+        cumulative = np.cumsum(np.diag(B_U) / s2)
+        reached = int(np.argmax(cumulative >= C * (C - 1) * gamma - 1e-9))
+        for model, k in ((by_dims, dims), (by_gamma, reached + 1)):
+            assert model.info["selection"]["dims"] == k
+            assert sine_distance(U[:, :k], model.projector) <= 1e-8
+            npt.assert_allclose(model.info["eigenvalues"], s2[:k], rtol=1e-10,
+                                atol=1e-13 * s2[-1])
+        npt.assert_allclose(by_gamma.info["selection"]["achieved_power"],
+                            cumulative[reached], rtol=1e-10)
+
+    check()
+    assert lifted == {False, True}
 
 
 def full_generalized_route(X, y, delta):
