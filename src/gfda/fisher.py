@@ -167,8 +167,8 @@ def gap_index(C: int) -> float:
 def union_frame(ensemble: SubspaceEnsemble):
     """The union-span frame that gFDA and GDS work in, as (U, s2, F, B_U).
 
-    U, s2 : the (L, K) frame of union_span, lifted once, and the K nonzero
-        eigenvalues of G = sum_c P_c = U diag(s2) U^T, ascending
+    U, s2 : union_span's frame, formed whole (lift()), and the K nonzero
+        eigenvalues of G = sum_c P_c = U diag(s2) U^T, both ascending
     F : (C, L) aligned first basis vectors
     B_U : (K, K) pairwise-difference matrix of F U, that is U^T B U
 
@@ -177,7 +177,8 @@ def union_frame(ensemble: SubspaceEnsemble):
     correction term B_U / C alone.
     """
     s, _, lift = union_span(ensemble.classes)
-    U = lift(np.eye(s.size)[::-1])
+    U = lift()
+    del lift  # so the pooled basis it holds, U and F are not all alive at once
     F = aligned_first_vectors(ensemble)
     return U, s[::-1] ** 2, F, pairwise_difference_matrix(F @ U)
 
@@ -238,8 +239,7 @@ def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     The selected eigenvalues sit at zero, so the data pick the basis of
     their eigenspace: Gram-Schmidt, in class order, on the first C - 1
     centred first vectors projected onto it, as in the product form, with
-    eigenvectors completing it only where those are dependent (overlap),
-    then one ``linalg.cholesky_qr`` pass on its C - 1 columns in U.
+    eigenvectors completing it only where those are dependent (overlap).
     """
     C = ensemble.n_classes
     U, s2, F, B_U = union_frame(ensemble)
@@ -265,7 +265,7 @@ def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     if coords.shape[1] < k:  # overlap: sign-fixed eigenvectors complete it
         coords = linalg.gram_schmidt(
             np.hstack([coords, linalg.fix_signs(W)]))[:, :k]
-    basis = linalg.cholesky_qr(U @ coords)
+    basis = U @ coords
     return DiscriminantModel(
         projector=basis,
         method="gFDA-linear",
@@ -281,10 +281,9 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None,
 
     The basis is the generalized difference subspace: the eigenvectors of
     G = sum_c P_c for its smallest eigenvalues *within the sum subspace*
-    (eigenvalue > 0), the leading columns of the union-span frame,
-    orthonormalized by one ``linalg.cholesky_qr`` pass; directions
-    orthogonal to every class subspace carry no information and are never
-    selected.
+    (eigenvalue > 0), the leading columns of the union-span frame;
+    directions orthogonal to every class subspace carry no information and
+    are never selected.
     Class references are the projected, sign-aligned first basis vectors.
 
     Exactly one rule must be given: ``dims`` fixes N_d, while ``gamma``
@@ -322,7 +321,7 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None,
         selection = {"rule": "power", "dims": dims, "gamma": gamma,
                      "beta": beta,
                      "achieved_power": float(cumulative[dims - 1])}
-    basis = linalg.cholesky_qr(U[:, :dims])
+    basis = U[:, :dims]
     return DiscriminantModel(
         projector=basis,
         method="GDS",

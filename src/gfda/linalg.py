@@ -8,13 +8,13 @@ scale), how a range basis is factorized (``range_basis``: the thin SVD cut
 by that rule, for the class fits; ``gram_frame``: the eigh of the
 small-side Gram A^T A cut by that rule, for the union-span frame of the
 pooled class bases and the centred-data frame of the FDA family; its one
-guard decides when the frame must be formed, with one ``cholesky_qr``
-pass), how vectors are orthonormalized in order (``gram_schmidt``: one QR
-with a positive diagonal, dropping a vector whose residual is at most
-RANK_TOL times its norm), the sign convention (``fix_signs``: first
-nonzero component positive, which ``gram_frame`` reads off its frame row
-by row) and when columns count as orthonormal (``as_ortho_basis``: one
-batched Q^T Q for one basis or a stack, the one orthonormality rule).
+guard decides when the frame must be formed, with one CholeskyQR pass),
+how vectors are orthonormalized in order (``gram_schmidt``: one QR with a
+positive diagonal, dropping a vector whose residual is at most RANK_TOL
+times its norm), the sign convention (``fix_signs``: first nonzero
+component positive, which ``gram_frame`` reads off its frame's rows) and
+when columns count as orthonormal (``as_ortho_basis``: one batched Q^T Q
+for one basis or a stack, the one orthonormality rule).
 ``sym_eig`` reports eigenvalues ascending, ``range_basis`` and
 ``gram_frame`` singular values descending, all with sign-fixed vectors, so
 downstream constructions are reproducible bit for bit.
@@ -155,53 +155,66 @@ def range_basis(A):
 
 def gram_frame(A):
     """Orthonormal frame Q of the column span of the (L, K) matrix A from
-    one eigh of its K x K Gram A^T A = V diag(s^2) V^T, the one small-side
-    factorization: (s, Z, lift) for the r entries with nonzero(s^2).  s
-    descends; Z = A^T Q = V diag(s) holds A's columns in Q = A V diag(1/s);
-    lift(D) = Q[:, :k'] D maps (k', k) coordinates to L dimensions.  Q's
-    first nonzero component in each column is positive.
-
-    Z and the lifted columns hold to about eps s_max^2 / s_min^2.  While
-    that is within ORTHO_IP_TOL, Q is not formed, and its rows are read one
-    at a time for the signs: an entry above 1e-12 settles its column, one
-    at most 1e-12 / sqrt(L) counts as zero (a unit column's largest entry
-    is between 1 / sqrt(L) and 1).  Otherwise, or on an entry between the
-    two, Q is formed (``_lifted_frame``).
-    """
+    one eigh of its K x K Gram A^T A = V diag(s^2) V^T: (s, Z, lift) for
+    the r entries with nonzero(s^2).  s descends; Z = A^T Q = V diag(s)
+    holds A's columns in Q = A V diag(1/s); lift(D) = Q[:, :k'] D maps
+    (k', k) coordinates to L dimensions and lift() is Q formed whole, its
+    columns in ascending s (the order of A A^T's eigenvalues).  Z and the
+    lifted columns hold to about drift = eps s_max^2 / s_min^2.  The one
+    guard: within ORTHO_IP_TOL, Q is not formed and its signs are read off
+    its rows (``_frame_signs``); past it, or on ambiguous signs, Q is
+    formed at once (``_lifted_frame``).  The one CholeskyQR pass runs where
+    Q is formed: always there, in lift() past UNIT_NORM_TOL."""
     s2, V = np.linalg.eigh(A.T @ A)
     r = int(nonzero(s2).sum())  # eigh ascends, so the kept entries trail
     s2, V = s2[s2.size - r:][::-1], V[:, V.shape[1] - r:][:, ::-1]
     s = np.sqrt(s2)
-    signs, unread = np.ones(s.size), np.arange(s.size)
-    in_gram = not s.size or np.finfo(float).eps * s2[0] <= ORTHO_IP_TOL * s2[-1]
-    for row in A if in_gram else ():
-        lead = row @ V[:, unread] / s[unread]
-        settled = np.abs(lead) > 1e-12
-        if (np.abs(lead[~settled]) > 1e-12 / np.sqrt(len(A))).any():
-            break
-        signs[unread[settled]] = np.where(lead[settled] < 0, -1.0, 1.0)
-        unread = unread[~settled]
-        if not unread.size:
-            break
-    if unread.size:
-        return _lifted_frame(A, V, s)
-    V *= signs
     W = V / s
-    return s, V * s, lambda D: A @ (W[:, :len(D)] @ D)
+    drift = np.finfo(float).eps * s2[0] / s2[-1] if r else 0.0
+    signs = _frame_signs(A, W) if drift <= ORTHO_IP_TOL else None
+    if signs is None:
+        return _lifted_frame(A, W, s)
+    W *= signs
+    return s, V * signs * s, lambda D=None: (
+        _formed_frame(A, W[:, ::-1], drift > UNIT_NORM_TOL) if D is None
+        else A @ (W[:, :len(D)] @ D))
 
 
-def _lifted_frame(A, V, s):
-    """gram_frame's fallback: Q = A V diag(1/s) formed, re-orthonormalized
-    by one cholesky_qr pass and sign-fixed, Z = A^T Q, lift(D) = Q D."""
-    Q = fix_signs(cholesky_qr(A @ (V / s)), copy=False)
-    return s, A.T @ Q, lambda D: Q[:, :len(D)] @ D
+def _frame_signs(A, W):
+    """Signs that make each column of Q = A W start positive (the one sign
+    rule), read off Q's rows in blocks of 1, 2, 4, ...: entries up to
+    1e-12 / sqrt(L) count as zero, and None when a column's first other
+    entry is not above 1e-12 (a unit column has one above 1 / sqrt(L))."""
+    signs, lo, b = np.zeros(W.shape[1]), 0, 1
+    while lo < len(A) and not signs.all():
+        unread = np.flatnonzero(signs == 0)
+        lead = A[lo:lo + b] @ W[:, unread]
+        seen = np.abs(lead) > 1e-12 / np.sqrt(len(A))
+        first = lead[seen.argmax(axis=0), np.arange(unread.size)]
+        first *= seen.any(axis=0)
+        if (np.abs(first[first != 0]) <= 1e-12).any():
+            return None
+        signs[unread] = np.sign(first)
+        lo, b = lo + b, 2 * b
+    return signs if signs.all() else None
 
 
-def cholesky_qr(Q):
-    """One CholeskyQR pass, Q R^-1 with R^T R = Q^T Q: gram_schmidt's Q
-    factor to about eps cond(Q)^2, at a third of its cost for columns
-    already near orthonormal, such as lifted frame columns."""
-    return Q @ np.linalg.inv(np.linalg.cholesky(Q.T @ Q).T)
+def _lifted_frame(A, W, s):
+    """gram_frame with Q formed: Z = A^T Q, lift(D) = Q[:, :k'] D."""
+    Q = _formed_frame(A, W, True)
+    return s, A.T @ Q, lambda D=None: (
+        Q[:, ::-1].copy() if D is None else Q[:, :len(D)] @ D)
+
+
+def _formed_frame(A, W, reorthonormalize):
+    """Q = A W, W sign-fixed by _frame_signs; or, with reorthonormalize,
+    after one CholeskyQR pass Q R^-1 (R^T R = Q^T Q), orthonormal to about
+    eps cond(A W)^2, that is to rounding, and sign-fixed."""
+    Q = A @ W
+    if not reorthonormalize:
+        return Q
+    return fix_signs(Q @ np.linalg.inv(np.linalg.cholesky(Q.T @ Q).T),
+                     copy=False)
 
 
 def sym_eig(M) -> EigResult:

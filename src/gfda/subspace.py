@@ -237,10 +237,12 @@ def union_span(classes):
     """``linalg.gram_frame`` of the pooled basis Phi = [Phi_1 ... Phi_C] of
     any objects with a .basis: (s, Z, lift), s descending, for
     G = sum_c P_c = Phi Phi^T = U diag(s^2) U^T on the frame U, Z = Phi^T U
-    the pooled basis vectors in U's coordinates and lift(D) = U D.  The
-    Gram Phi^T Phi's off-diagonal blocks hold the canonical cosines between
-    class pairs.  K = rank(Phi) <= sum_c N_c, an all-zero Phi gives an
-    empty frame, and no L x L matrix and no SVD of Phi is formed.
+    the pooled basis vectors in U's coordinates, lift(D) = U D and lift()
+    the (L, K) frame U itself, orthonormal to rounding, its columns in
+    ascending s.  The Gram Phi^T Phi's off-diagonal blocks hold the
+    canonical cosines between class pairs.  K = rank(Phi) <= sum_c N_c, an
+    all-zero Phi gives an empty frame, and no L x L matrix and no SVD of
+    Phi is formed.
     """
     return linalg.gram_frame(np.hstack([c.basis for c in classes]))
 
@@ -270,7 +272,7 @@ def difference_subspace_analytic(c1: ClassModel,
     exactly 1 belong to neither side and are excluded with a warning.
     """
     s, _, lift = union_span((c1, c2))
-    vals = s[::-1] ** 2
+    vecs, vals = lift(), s[::-1] ** 2
     if vals.size == 0 or np.any(vals >= 2.0 - OVERLAP_TOL):
         hit = int(np.argmax(vals)) if vals.size else 0
         raise DegeneratePairError(
@@ -284,12 +286,10 @@ def difference_subspace_analytic(c1: ClassModel,
             f"{OVERLAP_TOL} of exactly 1 excluded from both the difference "
             "and principal sides",
             RuntimeWarning, stacklevel=2)
-
-    ascending = np.eye(vals.size)[::-1]  # the frame's coordinates descend
-    lower = ascending[:, vals < 1.0 - OVERLAP_TOL]
-    upper = ascending[:, vals > 1.0 + OVERLAP_TOL]
+    lower = vals < 1.0 - OVERLAP_TOL
+    upper = vals > 1.0 + OVERLAP_TOL
     return DifferenceSubspace(
-        basis=linalg.cholesky_qr(lift(lower)),
-        principal_basis=linalg.cholesky_qr(lift(upper)),
+        basis=vecs[:, lower],
+        principal_basis=vecs[:, upper],
         eigenvalues=vals,
     )

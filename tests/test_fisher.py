@@ -288,9 +288,10 @@ class TestGfdaForms:
         s, Z, lift = fisher.union_span(ens.classes)
         npt.assert_allclose(s**2, np.ones(C * N), atol=1e-12)
         R = np.linalg.qr(rng.standard_normal((C * N, C * N)))[0]
-        # the frame U R: coordinates Z R, and lift(D) = U R D
-        monkeypatch.setattr(fisher, "union_span",
-                            lambda classes: (s, Z @ R, lambda D: lift(R @ D)))
+        # the frame U R: coordinates Z R, lift(D) = U R D and lift() = U R
+        U = lift()
+        monkeypatch.setattr(fisher, "union_span", lambda classes: (
+            s, Z @ R, lambda D=None: U @ R if D is None else U @ (R @ D)))
         rotated = gfda.gfda_product_form(ens)
         npt.assert_allclose(rotated.projector, plain.projector, atol=1e-12)
         npt.assert_allclose(rotated.class_refs, plain.class_refs, atol=1e-12)
@@ -461,11 +462,13 @@ def test_models_do_not_depend_on_lapack_signs(monkeypatch, build):
     lambda X, y: gfda.reg_lda(X, y),
     lambda X, y: gfda.gfda_linear_form(gfda.fit_ensemble(X, y)),
 ], ids=["regLDA", "gfda-linear"])
-def test_constant_first_feature_stays_in_gram_coordinates(monkeypatch, build):
-    """A constant first feature (a border pixel) zeroes the frame's first
-    row; the sign rule reads the next row instead of lifting the frame."""
+@pytest.mark.parametrize("constant", [1, 50])
+def test_constant_first_feature_stays_in_gram_coordinates(monkeypatch, build,
+                                                          constant):
+    """Constant leading features (border pixels) zero the frame's leading
+    rows; the sign rule reads the next rows instead of lifting the frame."""
     X, y = gfda.labeled_mixtures(30, 1024, 5, "Set1", seed=1)
-    X[:, 0] = 0.0
+    X[:, :constant] = 0.0
     lifted = []
     real = linalg._lifted_frame
     monkeypatch.setattr(linalg, "_lifted_frame",

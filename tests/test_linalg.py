@@ -549,7 +549,7 @@ class TestRangeBasis:
         pooled = sample_matrix(shape, 4).T
         s, _, lift = union_span([SimpleNamespace(basis=pooled)])
         basis, s_ref = direct_svd_route(pooled, "left")
-        assert_same_span(lift(np.eye(s.size)), basis)
+        assert_same_span(lift(), basis)
         npt.assert_allclose(s**2, s_ref**2, rtol=1e-10)
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -574,7 +574,7 @@ class TestRangeBasis:
                           subspace_config, union_span)
         ens = subspace_config(C, N, L, separation=0.5, seed=C + L)
         s, _, lift = union_span(ens.classes)
-        wmap = lift(np.eye(s.size)).T / s[:, None]
+        wmap = lift().T / s[::-1, None]
         hats = aligned_first_vectors(ens) @ wmap.T
         _, sv, vt = np.linalg.svd(hats - hats.mean(axis=0),
                                   full_matrices=False)
@@ -618,10 +618,9 @@ class TestGramRangeBasis:
         L = 4 C N.  s^2 agrees to 1e-10 relative; an entry far below the
         largest is held to the eigensolver's scale, 1e-13 s^2_max, because
         the Gram's eigh resolves s^2 only to about eps s^2_max."""
-        from gfda import gds_discriminant, subspace_config, union_span
+        from gfda import subspace_config, union_frame
         ens = subspace_config(C, N, 4 * C * N, separation=separation, seed=seed)
-        s, Z, lift = union_span(ens.classes)
-        U, s2 = lift(np.eye(s.size))[:, ::-1], s[::-1] ** 2
+        U, s2, _, _ = union_frame(ens)
         basis, s = direct_svd_route(np.hstack([c.basis for c in ens.classes]),
                                     "left")
         U_ref, s2_ref = basis[:, ::-1], s[::-1] ** 2
@@ -629,36 +628,28 @@ class TestGramRangeBasis:
         for k in (1, C - 1, C * N):
             assert sine_distance(U_ref[:, :k], U[:, :k]) <= 1e-8
         npt.assert_allclose(s2, s2_ref, rtol=1e-10, atol=1e-13 * s2_ref[-1])
-        # lifted from the Gram's coordinates, the frame's columns are
-        # orthonormal only to about eps s^2_max / s^2_min; its orthonormal
-        # outputs, GDS's projector at K dims here, are orthonormalized
-        linalg.as_ortho_basis(gds_discriminant(ens, dims=C * N).projector)
+        linalg.as_ortho_basis(U)
         npt.assert_array_equal(linalg.fix_signs(U), U)
 
     @pytest.mark.parametrize("separation", [0.01, 0.003, 0.001])
     def test_near_overlap_frame_is_orthonormal(self, separation):
-        # s^2 spans more than 1e3 here, and lifted without a CholeskyQR
-        # pass 14 of these 15 frames fail as_ortho_basis.  At 0.01
-        # (s^2_min / s^2_max from 2.2e-6 to 4.1e-6) the frame stays in the
-        # Gram's coordinates; at 0.003 and 0.001 it is below
-        # eps / ORTHO_IP_TOL = 2.2e-6, so Q is lifted and the pass runs.
-        # The frame's orthonormal outputs, GDS at K dims here, take one
-        # pass on either branch and are orthonormal to 1e-14
-        from gfda import gds_discriminant, subspace_config, union_span
+        # s^2 spans more than 1e3 here; without a CholeskyQR pass 14 of
+        # these 15 frames fail as_ortho_basis.  At 0.01 (s^2_min / s^2_max
+        # from 2.2e-6 to 4.1e-6) the frame stays in the Gram's coordinates
+        # until union_frame forms it; at 0.003 and 0.001 it is below
+        # eps / ORTHO_IP_TOL = 2.2e-6, so Q is lifted at once.  Formed on
+        # either branch, it takes the one pass
+        from gfda import subspace_config, union_frame
         lifted = separation < 0.01
         for seed in range(5):
             ens = subspace_config(6, 3, 40, separation=separation, seed=seed)
             with mock.patch.object(linalg, "_lifted_frame",
                                    wraps=linalg._lifted_frame) as lift_step:
-                s, _, lift = union_span(ens.classes)
+                U, s2, _, _ = union_frame(ens)
             assert lift_step.called == lifted
-            assert s[-1] ** 2 < 1e-3 * s[0] ** 2
-            frames = [gds_discriminant(ens, dims=s.size).projector]
-            if lifted:
-                frames.append(lift(np.eye(s.size)))
-            for U in frames:
-                assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-14
-                linalg.as_ortho_basis(U)
+            assert s2[0] < 1e-3 * s2[-1]
+            assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-14
+            linalg.as_ortho_basis(U)
 
     def test_zero_pooled_basis_gives_empty_frame(self):
         from types import SimpleNamespace
@@ -666,7 +657,7 @@ class TestGramRangeBasis:
         from gfda import union_span
         s, Z, lift = union_span([SimpleNamespace(basis=np.zeros((5, 2))),
                                  SimpleNamespace(basis=np.zeros((5, 1)))])
-        assert lift(np.eye(0)).shape == (5, 0) and s.shape == (0,)
-        assert Z.shape == (3, 0)
+        assert lift().shape == (5, 0) and s.shape == (0,)
+        assert lift(np.eye(0)).shape == (5, 0) and Z.shape == (3, 0)
         s, Z, lift = linalg.gram_frame(np.zeros((3, 4)))
-        assert lift(np.eye(0)).shape == (3, 0) and s.shape == (0,)
+        assert lift().shape == (3, 0) and s.shape == (0,)
