@@ -38,8 +38,9 @@ def project(model: DiscriminantModel, x, normalize: Optional[bool] = None) -> np
 
     With normalize (defaulting to the model's own flag) each projection is
     scaled to unit length; a projection of norm at most 1e-12 ||x|| has no
-    direction and raises UndefinedDirectionError.  Vectors whose width is
-    not the model's raise ValidationError.
+    direction and raises UndefinedDirectionError, and one that is not
+    finite raises ValidationError.  Vectors whose width is not the model's
+    raise ValidationError.
     """
     if normalize is None:
         normalize = model.normalized
@@ -51,6 +52,9 @@ def project(model: DiscriminantModel, x, normalize: Optional[bool] = None) -> np
     T = X @ model.projector
     if normalize:
         norms = np.linalg.norm(T, axis=1, keepdims=True)
+        if not np.isfinite(norms).all():  # else inf would read as no direction
+            raise ValidationError("projections are not finite: the vectors "
+                                  "hold NaN or infinite values, or overflow")
         scale = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-300)
         if np.any(norms <= 1e-12 * scale):
             raise UndefinedDirectionError(
@@ -85,36 +89,41 @@ def _scores(model: DiscriminantModel, X, rule: str) -> np.ndarray:
 def _predict(model: DiscriminantModel, scores) -> np.ndarray:
     """Column of each row's top score; exact ties go to the smallest label."""
     labels = model.class_labels
+    if list(labels) == sorted(labels):  # true of every fitted model
+        return np.argmax(scores, axis=1)
     order = np.array(sorted(range(len(labels)), key=labels.__getitem__))
     return order[np.argmax(scores[:, order], axis=1)]
-
-
-def _sorted_distinct(values) -> np.ndarray:
-    """np.unique of a 1-d array without NaNs, minus the numpy.ma import that
-    np.unique costs on its first call: sort, then drop every value equal to
-    its predecessor."""
-    values = np.sort(values)
-    return values[np.concatenate([[True], values[1:] != values[:-1]])]
 
 
 def equal_error_rate(genuine, impostor) -> float:
     """Equal error rate, in percent, of pooled verification scores.
 
-    Thresholds walk the sorted scores (plus sentinels outside the range);
-    the false-accept rate P(impostor > t) falls while the false-reject rate
-    P(genuine < t) rises, and their crossing is located by linear
-    interpolation between the two adjacent thresholds where the difference
-    changes sign.
+    Thresholds walk the distinct scores; the false-accept rate
+    P(impostor > t) falls while the false-reject rate P(genuine < t) rises,
+    and their crossing is located by linear interpolation between the two
+    adjacent thresholds where the difference changes sign.  Both counts are
+    read off one merge of the two sorted sides.  A NaN or infinite score
+    raises ValidationError.
     """
     genuine = np.sort(np.asarray(genuine, dtype=float).ravel())
     impostor = np.sort(np.asarray(impostor, dtype=float).ravel())
     if genuine.size == 0 or impostor.size == 0:
         raise ValidationError("need both genuine and impostor scores")
-    knots = _sorted_distinct(np.concatenate([genuine, impostor]))
-    knots = np.concatenate([[knots[0] - 1.0], knots, [knots[-1] + 1.0]])
-    far = 1.0 - np.searchsorted(impostor, knots, side="right") / impostor.size
-    frr = np.searchsorted(genuine, knots, side="left") / genuine.size
-    diff = far - frr  # nonincreasing, starts at +1, ends at -1
+    # sorted, so -inf can only come first and +inf or NaN only last
+    ends = [genuine[0], genuine[-1], impostor[0], impostor[-1]]
+    if not np.isfinite(ends).all():
+        raise ValidationError("verification scores must be finite")
+    scores = np.concatenate([genuine, impostor])
+    order = np.argsort(scores, kind="stable")  # merges the two sorted runs
+    merged = scores[order]
+    last = np.flatnonzero(np.append(merged[1:] != merged[:-1], True))
+    imp_le = np.cumsum(order >= genuine.size)[last]  # #impostor <= t
+    gen_le = last + 1 - imp_le  # #genuine <= t
+    far = 1.0 - imp_le / impostor.size
+    frr = np.concatenate([[0], gen_le[:-1]]) / genuine.size  # #genuine < t
+    # nonincreasing; at the smallest score frr = 0 and at the largest far = 0,
+    # so it starts >= 0, ends <= 0, and k = 0 only where diff[0] == 0
+    diff = far - frr
     k = int(np.argmax(diff <= 0.0))
     if diff[k] == 0.0:
         return 100.0 * float(far[k])
@@ -167,6 +176,9 @@ def evaluate(model: DiscriminantModel, X, y, rule: str = NEAREST_MEAN) -> EvalRe
 
     C = len(labels)
     scores = _scores(model, X, rule)
+    if not np.isfinite(scores).all():
+        raise ValidationError("scores are not finite: the test set holds "
+                              "NaN or infinite values, or its scores overflow")
     pred = _predict(model, scores)
     is_genuine = true[:, None] == np.arange(C)
     counts = np.bincount(true * C + pred, minlength=C * C)

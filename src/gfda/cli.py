@@ -252,10 +252,10 @@ def run_protocol(cfg: ExperimentConfig, data=None):
     if external is not None:
         Xte, yte = external
         mask = np.array([label in kept for label in yte], dtype=bool)
-        if not mask.all():
+        if not mask.all():  # else evaluate reads the caller's arrays as given
             warnings.warn("test samples of skipped classes ignored",
                           RuntimeWarning)
-        Xte, yte = Xte[mask], [label for label, m in zip(yte, mask) if m]
+            Xte, yte = Xte[mask], [label for label, m in zip(yte, mask) if m]
     elif whole:
         raise ValidationError(
             "no held-out samples remain; provide a test dataset or a "

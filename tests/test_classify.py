@@ -157,6 +157,10 @@ class TestEqualErrorRate:
         with pytest.raises(ValidationError):
             equal_error_rate([], [1.0])
 
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            equal_error_rate([np.nan, 1.0], [0.0, 0.5])
+
 
 class TestEvaluate:
     @staticmethod
@@ -191,6 +195,16 @@ class TestEvaluate:
             rep = evaluate(model, X[keep], [y[i] for i in keep])
         assert rep.eer is None
         assert rep.recognition_rate >= 0.0
+
+    @pytest.mark.parametrize("rule", [NEAREST_MEAN, COSINE])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_test_entry_rejected(self, bad, rule):
+        # one bad entry would otherwise read as a clean, confident report
+        model, X, y = self._fitted()
+        X = X.copy()
+        X[4, 7] = bad
+        with pytest.raises(ValidationError, match="not finite"):
+            evaluate(model, X, y, rule)
 
     def test_unknown_label_rejected(self):
         model, X, y = self._fitted()

@@ -490,6 +490,29 @@ def test_protocol_split_matches_reference(sizes, n, external, repetitions,
     assert sum("samples; skipped" in str(w.message) for w in caught) == skipped
 
 
+def test_external_test_set_reaches_evaluate_uncopied():
+    # no class is skipped, so every repetition scores the caller's own test
+    # matrix, and the protocol leaves the caller's arrays as they were
+    rng = np.random.default_rng(20)
+    y = [f"c{i % 3}" for i in range(15)]
+    X = rng.standard_normal((15, 6))
+    Xte = rng.standard_normal((9, 6))
+    yte = [f"c{i % 3}" for i in range(9)]
+    before = (X.tobytes(), Xte.tobytes(), list(y), list(yte))
+    cfg = cli.ExperimentConfig(method="regLDA", train_count=3,
+                               repetitions=3, seed=4)
+    seen = []
+    real_evaluate = cli.evaluate
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")  # a skipped class would warn
+        mp.setattr(cli, "evaluate", lambda model, Xe, ye, rule:
+                   seen.append(Xe) or real_evaluate(model, Xe, ye, rule))
+        reports = cli.run_protocol(cfg, (X, y, (Xte, yte)))
+    assert len(reports) == len(seen) == 3
+    assert all(np.shares_memory(Xe, Xte) for Xe in seen)
+    assert (X.tobytes(), Xte.tobytes(), y, yte) == before
+
+
 class TestInvariantsCommand:
     def test_default_scope_passes(self, capsys):
         assert run("invariants") == 0

@@ -18,7 +18,9 @@ gFDA family, built in the union Gram's coordinates, is checked against the
 same constructions on the whole thin-SVD frame of the pooled bases.
 Batched evaluation is checked against a
 per-sample scoring loop, and the batched ensemble fit against fit_class on
-each class and against the thin SVD of each class on its own.
+each class and against the thin SVD of each class on its own.  The EER,
+read off one merge of the sorted genuine and impostor scores, is checked
+bit for bit against the same rule read at np.unique's knots.
 """
 
 import warnings
@@ -150,16 +152,51 @@ def test_pairwise_difference_closed_form(C, L, seed):
                         rtol=0, atol=1e-12 * max(np.abs(expected).max(), 1.0))
 
 
+def knot_equal_error_rate(genuine, impostor):
+    """The EER read at np.unique's knots, with a sentinel on each side and
+    one searchsorted pass per side for #impostor <= t and #genuine < t."""
+    genuine, impostor = np.sort(genuine), np.sort(impostor)
+    knots = np.unique(np.concatenate([genuine, impostor]))
+    knots = np.concatenate([[knots[0] - 1.0], knots, [knots[-1] + 1.0]])
+    far = 1.0 - np.searchsorted(impostor, knots, side="right") / impostor.size
+    frr = np.searchsorted(genuine, knots, side="left") / genuine.size
+    diff = far - frr
+    k = int(np.argmax(diff <= 0.0))
+    if diff[k] == 0.0:
+        return 100.0 * float(far[k])
+    s = diff[k - 1] / (diff[k - 1] - diff[k])
+    return 100.0 * float(far[k - 1] + s * (far[k] - far[k - 1]))
+
+
+# signed zeros, repeats and any finite float; heavy ties; one-score sides
+EER_SIDES = st.one_of(
+    st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0]),
+                       st.floats(allow_nan=False, allow_infinity=False)),
+             min_size=1, max_size=60),
+    st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]),
+             min_size=1, max_size=60),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False),
+             min_size=1, max_size=1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(EER_SIDES, EER_SIDES)
+def test_eer_matches_knot_route(genuine, impostor):
+    genuine, impostor = np.array(genuine), np.array(impostor)
+    eer = classify.equal_error_rate(genuine, impostor)
+    assert (np.float64(eer).tobytes()
+            == np.float64(knot_equal_error_rate(genuine, impostor)).tobytes())
+
+
 @PROPERTY
-@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0]),
-                          st.floats(allow_nan=False)),
-                min_size=1, max_size=60))
-def test_eer_knots_match_unique(scores):
-    # signed zeros and repeats included: the knots must be np.unique's, bytes
-    # and all, so that the EER stays bit for bit what it was
-    scores = np.array(scores)
-    assert (classify._sorted_distinct(scores).tobytes()
-            == np.unique(scores).tobytes())
+@given(EER_SIDES, st.sampled_from([np.nan, np.inf, -np.inf]),
+       st.booleans(), st.integers(0, 60))
+def test_eer_rejects_non_finite_scores(scores, bad, on_genuine, where):
+    where %= len(scores) + 1
+    scores = scores[:where] + [bad] + scores[where:]
+    sides = (scores, [0.0]) if on_genuine else ([0.0], scores)
+    with pytest.raises(gfda.ValidationError, match="finite"):
+        classify.equal_error_rate(*sides)
 
 
 @PROPERTY
