@@ -71,18 +71,28 @@ def _reference_norms(model: DiscriminantModel) -> np.ndarray:
 
 
 def _scores(model: DiscriminantModel, X, rule: str) -> np.ndarray:
-    """(n, C) per-class affinity scores of the rows of X; larger is better."""
+    """(n, C) per-class affinity scores of the rows of X; larger is better.
+    A non-finite row gives non-finite scores without a warning, for
+    evaluate to reject."""
     refs = model.class_refs
-    if rule == NEAREST_MEAN:
-        T = project(model, X)
-        if model.normalized:
-            refs = refs / _reference_norms(model)[:, None]
-        d = refs[None] - T[:, None]
-        d *= d  # in place: the (n, C, k) differences are the largest array
-        return -np.sum(d, axis=2)
-    if rule == COSINE:
-        T = project(model, X, normalize=True)
-        return T @ refs.T / _reference_norms(model)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if rule == NEAREST_MEAN:
+            T = project(model, X)
+            if model.normalized:
+                refs = refs / _reference_norms(model)[:, None]
+            # -|t - r|^2 = 2 t.r - |t|^2 - |r|^2: one (n, k) x (k, C)
+            # product.  Centred on the references' mean, the norms are of
+            # the order of the distances, so the cancellation costs
+            # rounding only
+            mu = refs.mean(axis=0)
+            T, refs = T - mu, refs - mu
+            S = T @ (2.0 * refs).T
+            S -= np.einsum("ij,ij->i", T, T)[:, None]
+            S -= np.einsum("ij,ij->i", refs, refs)
+            return np.minimum(S, 0.0, out=S)  # minus a squared distance
+        if rule == COSINE:
+            T = project(model, X, normalize=True)
+            return T @ refs.T / _reference_norms(model)
     raise ValidationError(f"unknown rule {rule!r}; pick one of {RULES}")
 
 
@@ -157,8 +167,8 @@ def evaluate(model: DiscriminantModel, X, y, rule: str = NEAREST_MEAN) -> EvalRe
     Every sample contributes one genuine score (against its true class) and
     C - 1 impostor scores.  Scores are negative squared distances under the
     nearest-mean rule and signed cosines under the cosine rule.  The test
-    set is scored in one pass, holding an (n, C, k) array under the
-    nearest-mean rule.
+    set is scored in one pass: one (n, k) x (k, C) product under either
+    rule, so scoring holds O(nC) memory beyond the projections.
     """
     X = np.asarray(X, dtype=float)
     y = list(y)

@@ -165,12 +165,13 @@ def gap_index(C: int) -> float:
 # ---------------------------------------------------------------------------
 
 def union_frame(ensemble: SubspaceEnsemble):
-    """The union-span frame that gFDA and GDS work in, as (U, s2, F, B_U).
+    """The union-span frame that gFDA and GDS work in, as (U, s2, F_U, B_U).
 
     U, s2 : union_span's frame, formed whole (lift()), and the K nonzero
         eigenvalues of G = sum_c P_c = U diag(s2) U^T, both ascending
-    F : (C, L) aligned first basis vectors
-    B_U : (K, K) pairwise-difference matrix of F U, that is U^T B U
+    F_U : (C, K) aligned first basis vectors F in the frame's coordinates,
+        F U, the one product with F; F = F_U U^T, as F lies in the span
+    B_U : (K, K) pairwise-difference matrix of F_U, that is U^T B U
 
     In the coordinates of U, GDS diagonalizes G, i.e. reads off diag(s2),
     and gFDA-linear diagonalizes diag(s2) - B_U / C; the two differ by the
@@ -179,8 +180,8 @@ def union_frame(ensemble: SubspaceEnsemble):
     s, _, lift = union_span(ensemble.classes)
     U = lift()
     del lift  # so the pooled basis it holds, U and F are not all alive at once
-    F = aligned_first_vectors(ensemble)
-    return U, s[::-1] ** 2, F, pairwise_difference_matrix(F @ U)
+    F_U = aligned_first_vectors(ensemble) @ U
+    return U, s[::-1] ** 2, F_U, pairwise_difference_matrix(F_U)
 
 
 def gfda_product_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
@@ -201,7 +202,7 @@ def gfda_product_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     """
     C = ensemble.n_classes
     total = sum(c.dim for c in ensemble.classes)
-    U, s2, F, _ = union_frame(ensemble)
+    U, s2, F_U, _ = union_frame(ensemble)
     if s2.size < total:
         raise OverlapError(
             "class subspaces overlap: pooled basis vectors are dependent "
@@ -209,7 +210,7 @@ def gfda_product_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
 
     s = np.sqrt(s2)
     wmap = U.T / s[:, None]  # data space -> normalized space
-    hats = F @ wmap.T  # rows: whitened first vectors
+    hats = F_U / s  # rows: whitened first vectors, F wmap^T
     centred = hats - hats.mean(axis=0)
     basis = linalg.gram_schmidt(centred[:C - 1].T)
     return DiscriminantModel(
@@ -242,7 +243,7 @@ def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     eigenvectors completing it only where those are dependent (overlap).
     """
     C = ensemble.n_classes
-    U, s2, F, B_U = union_frame(ensemble)
+    U, s2, F_U, B_U = union_frame(ensemble)
     if s2.size < C - 1:
         raise ValidationError(
             f"union span of the class subspaces has rank {s2.size}, "
@@ -259,18 +260,16 @@ def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
             "class subspaces overlap or are degenerate",
             RuntimeWarning, stacklevel=2)
     W = vectors[:, :k]
-    F_U = F @ U
     P = W @ (W.T @ (F_U - F_U.mean(axis=0))[:k].T)
     coords = linalg.gram_schmidt(P) if P.any() else W[:, :0]
     if coords.shape[1] < k:  # overlap: sign-fixed eigenvectors complete it
         coords = linalg.gram_schmidt(
             np.hstack([coords, linalg.fix_signs(W)]))[:, :k]
-    basis = U @ coords
     return DiscriminantModel(
-        projector=basis,
+        projector=U @ coords,
         method="gFDA-linear",
         class_labels=ensemble.labels,
-        class_refs=F @ basis,
+        class_refs=F_U @ coords,
         info={"selected_eigenvalues": selected.tolist()},
     )
 
@@ -298,7 +297,7 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None,
     """
     if (dims is None) == (gamma is None):
         raise ValidationError("give exactly one of dims or gamma")
-    U, s2, F, B_U = union_frame(ensemble)
+    U, s2, F_U, B_U = union_frame(ensemble)
 
     if dims is not None:
         if not (1 <= dims <= s2.size):
@@ -321,12 +320,11 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None,
         selection = {"rule": "power", "dims": dims, "gamma": gamma,
                      "beta": beta,
                      "achieved_power": float(cumulative[dims - 1])}
-    basis = U[:, :dims]
     return DiscriminantModel(
-        projector=basis,
+        projector=U[:, :dims],
         method="GDS",
         class_labels=ensemble.labels,
-        class_refs=F @ basis,
+        class_refs=F_U[:, :dims],
         info={"eigenvalues": s2[:dims].tolist(), "selection": selection},
     )
 

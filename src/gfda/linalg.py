@@ -144,9 +144,16 @@ def range_basis(A):
     A may also be a (b, L, n) stack, factorized by one batched LAPACK call.
     It gives (U, s, r): the sign-fixed stacked factors, uncut, and each
     matrix's rank, so matrix i's pair is U[i, :, :r[i]], s[i, :r[i]].
+    An s^2 past the float range raises ValidationError.
     """
     U, s, _ = np.linalg.svd(A, full_matrices=False)
-    r = nonzero(s**2).sum(axis=-1)
+    with np.errstate(over="ignore"):
+        s2 = s**2
+    if not np.isfinite(s2).all():
+        raise ValidationError("samples overflow: the square of their largest "
+                              f"singular value {s.max():.3g} exceeds the "
+                              "float range; rescale the data")
+    r = nonzero(s2).sum(axis=-1)
     fix_signs(U, copy=False)
     if U.ndim == 2:
         return U[:, :r], s[:r]
@@ -164,8 +171,14 @@ def gram_frame(A):
     guard: within ORTHO_IP_TOL, Q is not formed and its signs are read off
     its rows (``_frame_signs``); past it, or on ambiguous signs, Q is
     formed at once (``_lifted_frame``).  The one CholeskyQR pass runs where
-    Q is formed: always there, in lift() past UNIT_NORM_TOL."""
-    s2, V = np.linalg.eigh(A.T @ A)
+    Q is formed: always there, in lift() past UNIT_NORM_TOL.  A Gram past
+    the float range raises ValidationError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = A.T @ A
+    if not np.isfinite(G).all():
+        raise ValidationError("the Gram matrix of the data overflows: squared "
+                              "norms exceed the float range; rescale the data")
+    s2, V = np.linalg.eigh(G)
     r = int(nonzero(s2).sum())  # eigh ascends, so the kept entries trail
     s2, V = s2[s2.size - r:][::-1], V[:, V.shape[1] - r:][:, ::-1]
     s = np.sqrt(s2)

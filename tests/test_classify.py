@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -64,6 +65,16 @@ class TestClassifiers:
         x = np.array([2.0, 0.0, 0.0, 0.0])
         assert classify_one(m, x, NEAREST_MEAN) == "a"
         assert classify_one(m, x, COSINE) == "a"
+
+    def test_score_at_a_reference_is_not_positive(self):
+        # 2 t.r - |t|^2 - |r|^2 at t = r rounds to 2.2e-16 for the first
+        # reference; a nearest-mean score is minus a squared distance
+        refs = np.array([[0.9, 0.1], [-0.7, -0.9], [-0.5, 0.2]])
+        m = DiscriminantModel(projector=np.eye(2), method="FDA",
+                              class_labels=("a", "b", "c"), class_refs=refs)
+        scores = _scores(m, refs, NEAREST_MEAN)
+        assert (scores <= 0).all()
+        npt.assert_array_equal(_predict(m, scores), [0, 1, 2])
 
     def test_symmetric_pair(self):
         basis = np.eye(2)
@@ -203,8 +214,10 @@ class TestEvaluate:
         model, X, y = self._fitted()
         X = X.copy()
         X[4, 7] = bad
-        with pytest.raises(ValidationError, match="not finite"):
-            evaluate(model, X, y, rule)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way
+            with pytest.raises(ValidationError, match="not finite"):
+                evaluate(model, X, y, rule)
 
     def test_unknown_label_rejected(self):
         model, X, y = self._fitted()

@@ -332,6 +332,25 @@ class TestFitEval:
         assert f"plus the ridge delta = {delta} is not positive" in err
         assert err.count("\n") == 1 and not out.exists()
 
+    @pytest.mark.parametrize("method", ["regLDA", "pcaLDA", "nullLDA",
+                                        "gfda-linear", "gds", "gfda"])
+    def test_overflowing_rows_exit_1(self, tmp_path, capsys, method):
+        # rows of scale 1e160: the Gram of the centred rows (FDA family) and
+        # the squared singular values of the class fits overflow, which
+        # raised numpy's LinAlgError or read as rank 0
+        X = 1e160 * np.random.default_rng(0).standard_normal((20, 40))
+        path = tmp_path / "huge.csv"
+        path.write_text("".join(f"c{i % 4},{','.join(map(repr, r.tolist()))}\n"
+                                for i, r in enumerate(X)))
+        out = tmp_path / "eval.csv"
+        assert run("eval", "--train", str(path), "--method", method,
+                   "--train-count", "3", "--repetitions", "2",
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflow" in err and "rescale the data" in err
+        assert "Traceback" not in err and not out.exists()
+
 
 class TestSweep:
     def test_sweep_table(self, tmp_path):

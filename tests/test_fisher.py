@@ -393,11 +393,13 @@ def count_framings(monkeypatch):
 class TestUnionFrame:
     def test_frame_matches_full_route(self):
         ens = gfda.subspace_config(4, 2, 20, seed=91)
-        U, s2, F, B_U = gfda.union_frame(ens)
+        U, s2, F_U, B_U = gfda.union_frame(ens)
         pair = gfda.scatter_ladder(ens, "gFDA")
         npt.assert_allclose((U * s2) @ U.T, pair.within, rtol=0, atol=1e-12)
         npt.assert_allclose(B_U, U.T @ pair.between @ U, rtol=0, atol=1e-12)
-        npt.assert_array_equal(F, gfda.aligned_first_vectors(ens))
+        F = gfda.aligned_first_vectors(ens)
+        npt.assert_array_equal(F_U, F @ U)
+        npt.assert_allclose(F_U @ U.T, F, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("build", [
         gfda.gfda_linear_form,

@@ -591,13 +591,16 @@ def test_fda_matches_full_route(C, n, seed):
 
 
 def per_sample_evaluate(model, X, y, rule):
-    """One sample at a time: project, score every class, pick the smallest
-    label among exactly equal top scores, split off the genuine score."""
+    """One sample at a time: score every class by its direct difference or
+    cosine, pick the smallest label among exactly equal top scores, split
+    off the genuine score.  The rows are projected by the one product
+    evaluate takes: at a common offset of 1e6 a per-sample product rounds
+    the projections differently by about 1e-10, which alone moves O(1)
+    scores by 3e-11 of their largest."""
     refs = model.class_refs
     rnorms = np.linalg.norm(refs, axis=1)
     correct, confusion, genuine, impostor = 0, {}, [], []
-    for x, true in zip(X, y):
-        t = model.projector.T @ x
+    for t, true in zip(X @ model.projector, y):
         if rule == COSINE or model.normalized:
             t = t / np.linalg.norm(t)
         if rule == NEAREST_MEAN:
@@ -650,6 +653,15 @@ def test_batched_evaluate_matches_per_sample_loop(C, n, extra, method,
     names = data.draw(st.permutations([f"k{i}" for i in range(C)]))
     rename = dict(zip(model.class_labels, names))
     refs = model.class_refs.copy()
+    if rule == NEAREST_MEAN and not normalized:
+        # a common offset of the test rows, carried into the references
+        # (for regLDA, the projected training means) as if added to every
+        # training row: O(1) distances between projections of order 1e6,
+        # which -|t|^2 + 2 t.r - |r|^2 without centring loses to cancellation
+        u = np.random.default_rng(seed).standard_normal(L)
+        u *= data.draw(st.sampled_from([0.0, 1e6])) / np.linalg.norm(u)
+        Xte = Xte + u
+        refs += u @ model.projector
     if rule == NEAREST_MEAN and data.draw(st.booleans()):
         refs[1] = refs[0]  # the first two classes tie exactly on every sample
     model = replace(model, class_labels=tuple(names), class_refs=refs)
@@ -660,6 +672,9 @@ def test_batched_evaluate_matches_per_sample_loop(C, n, extra, method,
                                                              rule)
     assert report.recognition_rate == rate
     assert report.confusion == confusion
+    if rule == NEAREST_MEAN:  # minus a squared distance
+        assert (report.genuine_scores <= 0).all()
+        assert (report.impostor_scores <= 0).all()
     scale = max(np.abs(genuine).max(), np.abs(impostor).max())
     npt.assert_allclose(report.genuine_scores, genuine, rtol=1e-12,
                         atol=1e-12 * scale)
