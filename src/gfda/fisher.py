@@ -389,8 +389,9 @@ def _top_generalized_directions(between, within, k, ridge=0.0, scale=None):
 
 def _baseline_model(X, labels, rows, lift, coords, method, info):
     # only the C - 1 output directions reach L dimensions; lifting keeps
-    # their span, and Gram-Schmidt there equals Gram-Schmidt in the frame
-    basis = linalg.gram_schmidt(lift(coords))
+    # their span, and Gram-Schmidt there equals Gram-Schmidt in the frame;
+    # the sign rule then holds in L dimensions, whatever the frame's signs
+    basis = linalg.fix_signs(linalg.gram_schmidt(lift(coords)), copy=False)
     return DiscriminantModel(
         projector=basis,
         method=method,

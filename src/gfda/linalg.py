@@ -12,7 +12,8 @@ guard decides when the frame must be formed, with one CholeskyQR pass),
 how vectors are orthonormalized in order (``gram_schmidt``: one QR with a
 positive diagonal, dropping a vector whose residual is at most RANK_TOL
 times its norm), the sign convention (``fix_signs``: first nonzero
-component positive, which ``gram_frame`` reads off its frame's rows) and
+component positive, the one implementation, applied to every
+factorization's vectors and every formed frame) and
 when columns count as orthonormal (``as_ortho_basis``: one batched Q^T Q
 for one basis or a stack, the one orthonormality rule).
 ``sym_eig`` reports eigenvalues ascending, ``range_basis`` and
@@ -163,16 +164,16 @@ def range_basis(A):
 def gram_frame(A):
     """Orthonormal frame Q of the column span of the (L, K) matrix A from
     one eigh of its K x K Gram A^T A = V diag(s^2) V^T: (s, Z, lift) for
-    the r entries with nonzero(s^2).  s descends; Z = A^T Q = V diag(s)
-    holds A's columns in Q = A V diag(1/s); lift(D) = Q[:, :k'] D maps
-    (k', k) coordinates to L dimensions and lift() is Q formed whole, its
-    columns in ascending s (the order of A A^T's eigenvalues).  Z and the
-    lifted columns hold to about drift = eps s_max^2 / s_min^2.  The one
-    guard: within ORTHO_IP_TOL, Q is not formed and its signs are read off
-    its rows (``_frame_signs``); past it, or on ambiguous signs, Q is
-    formed at once (``_lifted_frame``).  The one CholeskyQR pass runs where
-    Q is formed: always there, in lift() past UNIT_NORM_TOL.  A Gram past
-    the float range raises ValidationError."""
+    the r entries with nonzero(s^2), V sign-fixed.  s descends; Z = A^T Q
+    = V diag(s) holds A's columns in Q = A V diag(1/s); lift(D) =
+    Q[:, :k'] D maps (k', k) coordinates to L dimensions and lift() is Q
+    formed whole (``_formed_frame``), its columns in ascending s (the
+    order of A A^T's eigenvalues) and sign-fixed in L dimensions.  Z and
+    the lifted columns hold to about drift = eps s_max^2 / s_min^2.  The
+    one guard, the only reason to form Q before lift(): past
+    ORTHO_IP_TOL, Q is formed at once (``_lifted_frame``) and Z and
+    lift(D) follow its signs.  A Gram past the float range raises
+    ValidationError."""
     with np.errstate(over="ignore", invalid="ignore"):
         G = A.T @ A
     if not np.isfinite(G).all():
@@ -181,35 +182,15 @@ def gram_frame(A):
     s2, V = np.linalg.eigh(G)
     r = int(nonzero(s2).sum())  # eigh ascends, so the kept entries trail
     s2, V = s2[s2.size - r:][::-1], V[:, V.shape[1] - r:][:, ::-1]
+    fix_signs(V, copy=False)
     s = np.sqrt(s2)
     W = V / s
     drift = np.finfo(float).eps * s2[0] / s2[-1] if r else 0.0
-    signs = _frame_signs(A, W) if drift <= ORTHO_IP_TOL else None
-    if signs is None:
+    if drift > ORTHO_IP_TOL:
         return _lifted_frame(A, W, s)
-    W *= signs
-    return s, V * signs * s, lambda D=None: (
+    return s, V * s, lambda D=None: (
         _formed_frame(A, W[:, ::-1], drift > UNIT_NORM_TOL) if D is None
         else A @ (W[:, :len(D)] @ D))
-
-
-def _frame_signs(A, W):
-    """Signs that make each column of Q = A W start positive (the one sign
-    rule), read off Q's rows in blocks of 1, 2, 4, ...: entries up to
-    1e-12 / sqrt(L) count as zero, and None when a column's first other
-    entry is not above 1e-12 (a unit column has one above 1 / sqrt(L))."""
-    signs, lo, b = np.zeros(W.shape[1]), 0, 1
-    while lo < len(A) and not signs.all():
-        unread = np.flatnonzero(signs == 0)
-        lead = A[lo:lo + b] @ W[:, unread]
-        seen = np.abs(lead) > 1e-12 / np.sqrt(len(A))
-        first = lead[seen.argmax(axis=0), np.arange(unread.size)]
-        first *= seen.any(axis=0)
-        if (np.abs(first[first != 0]) <= 1e-12).any():
-            return None
-        signs[unread] = np.sign(first)
-        lo, b = lo + b, 2 * b
-    return signs if signs.all() else None
 
 
 def _lifted_frame(A, W, s):
@@ -220,14 +201,13 @@ def _lifted_frame(A, W, s):
 
 
 def _formed_frame(A, W, reorthonormalize):
-    """Q = A W, W sign-fixed by _frame_signs; or, with reorthonormalize,
-    after one CholeskyQR pass Q R^-1 (R^T R = Q^T Q), orthonormal to about
-    eps cond(A W)^2, that is to rounding, and sign-fixed."""
+    """Q = A W, with reorthonormalize after one CholeskyQR pass Q R^-1
+    (R^T R = Q^T Q), orthonormal to about eps cond(A W)^2, that is to
+    rounding; sign-fixed in L dimensions either way."""
     Q = A @ W
-    if not reorthonormalize:
-        return Q
-    return fix_signs(Q @ np.linalg.inv(np.linalg.cholesky(Q.T @ Q).T),
-                     copy=False)
+    if reorthonormalize:
+        Q = Q @ np.linalg.inv(np.linalg.cholesky(Q.T @ Q).T)
+    return fix_signs(Q, copy=False)
 
 
 def sym_eig(M) -> EigResult:

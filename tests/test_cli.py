@@ -351,6 +351,36 @@ class TestFitEval:
         assert "overflow" in err and "rescale the data" in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--method", "nullLDA"],
+        ["--method", "nullLDA", "--normalize"],
+        ["--method", "gfda-linear", "--normalize"],
+        ["--method", "gfda-linear", "--classifier", "cosine"],
+        ["--method", "gfda", "--normalize"],
+        ["--method", "gfda", "--classifier", "cosine"],
+        ["--method", "gds", "--normalize"],
+        ["--method", "gds", "--classifier", "cosine"],
+    ], ids=["nullLDA", "nullLDA+N", "gfda-linear+N", "gfda-linear-cosine",
+            "gfda+N", "gfda-cosine", "gds+N", "gds-cosine"])
+    def test_scale_free_configurations_ignore_scale(self, tmp_path, args):
+        # rows scaled by 2^k, an exact rescale: where neither the method
+        # (no absolute ridge) nor the classifier (normalized or cosine
+        # scores) carries a scale, every eval CSV is byte-identical.
+        # Plain nearest-mean gFDA/GDS compare with unit first basis
+        # vectors, and regLDA/pcaLDA add an absolute ridge, so those move
+        X = np.random.default_rng(0).standard_normal((20, 40))
+        outs = []
+        for k in [0, -400, -60, 60, 400]:
+            path = tmp_path / f"x{k}.csv"
+            path.write_text("".join(
+                f"c{i % 4},{','.join(map(repr, r.tolist()))}\n"
+                for i, r in enumerate(np.ldexp(X, k))))
+            out = tmp_path / f"eval{k}.csv"
+            assert run("eval", "--train", str(path), "--train-count", "3",
+                       "--repetitions", "2", "--out", str(out), *args) == 0
+            outs.append(out.read_bytes())
+        assert all(o == outs[0] for o in outs[1:])
+
 
 class TestSweep:
     def test_sweep_table(self, tmp_path):

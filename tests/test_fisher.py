@@ -428,36 +428,56 @@ def _gaussians(L, n):
                                   seed=99)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: gfda.gfda_product_form(gfda.fit_ensemble(*_gaussians(12, 3))),
-    lambda: gfda.gfda_linear_form(gfda.fit_ensemble(*_gaussians(12, 3))),
-    lambda: gfda.gds_discriminant(gfda.fit_ensemble(*_gaussians(12, 3)),
-                                  dims=4),
-    lambda: gfda.fda(*_gaussians(4, 10)),
-    lambda: gfda.reg_lda(*_gaussians(12, 3)),
-    lambda: gfda.pca_lda(*_gaussians(12, 3)),
-    lambda: gfda.null_lda(*_gaussians(12, 3)),
+def _zero_lead():
+    # two constant leading features zero the centred frame's first rows
+    X, y = gfda.labeled_mixtures(10, 200, 5, "Set1", seed=3)
+    X[:, :2] = 0.0
+    return X, y
+
+
+def _negate_odd(v):
+    return v * np.where(np.arange(v.shape[-1]) % 2, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("build,signed", [
+    (lambda: gfda.gfda_product_form(gfda.fit_ensemble(*_gaussians(12, 3))),
+     False),
+    (lambda: gfda.gfda_linear_form(gfda.fit_ensemble(*_gaussians(12, 3))),
+     False),
+    (lambda: gfda.gds_discriminant(gfda.fit_ensemble(*_gaussians(12, 3)),
+                                   dims=4), True),
+    (lambda: gfda.fda(*_gaussians(4, 10)), True),
+    (lambda: gfda.reg_lda(*_gaussians(12, 3)), True),
+    (lambda: gfda.pca_lda(*_gaussians(12, 3)), True),
+    (lambda: gfda.null_lda(*_gaussians(12, 3)), True),
+    (lambda: gfda.reg_lda(*_zero_lead()), True),
+    (lambda: gfda.null_lda(*_zero_lead()), True),
 ], ids=["gfda-product", "gfda-linear", "gds", "fda", "regLDA", "pcaLDA",
-        "nullLDA"])
-def test_models_do_not_depend_on_lapack_signs(monkeypatch, build):
+        "nullLDA", "regLDA-zero-lead", "nullLDA-zero-lead"])
+def test_models_do_not_depend_on_lapack_signs(monkeypatch, build, signed):
     """Every eigenvector and singular vector is sign-fixed: negating what
-    numpy's eigh and svd return leaves each model bitwise unchanged."""
+    numpy's eigh and svd return, in every column or only in the odd ones,
+    leaves each model bitwise unchanged.  GDS and the FDA family follow the
+    sign rule in L dimensions: their projectors are their own fix_signs."""
     expected = build()
+    if signed:
+        npt.assert_array_equal(linalg.fix_signs(expected.projector),
+                               expected.projector)
     eigh, svd = np.linalg.eigh, np.linalg.svd
+    for negate in (np.negative, _negate_odd):
+        def negated_eigh(a):
+            w, v = eigh(a)
+            return w, negate(v)
 
-    def negated_eigh(a):
-        w, v = eigh(a)
-        return w, -v
+        def negated_svd(a, **kwargs):
+            u, s, vt = svd(a, **kwargs)
+            return negate(u), s, negate(vt.swapaxes(-1, -2)).swapaxes(-1, -2)
 
-    def negated_svd(a, **kwargs):
-        u, s, vt = svd(a, **kwargs)
-        return -u, s, -vt
-
-    monkeypatch.setattr(np.linalg, "eigh", negated_eigh)
-    monkeypatch.setattr(np.linalg, "svd", negated_svd)
-    model = build()
-    npt.assert_array_equal(model.projector, expected.projector)
-    npt.assert_array_equal(model.class_refs, expected.class_refs)
+        monkeypatch.setattr(np.linalg, "eigh", negated_eigh)
+        monkeypatch.setattr(np.linalg, "svd", negated_svd)
+        model = build()
+        npt.assert_array_equal(model.projector, expected.projector)
+        npt.assert_array_equal(model.class_refs, expected.class_refs)
 
 
 @pytest.mark.parametrize("build", [
@@ -468,7 +488,8 @@ def test_models_do_not_depend_on_lapack_signs(monkeypatch, build):
 def test_constant_first_feature_stays_in_gram_coordinates(monkeypatch, build,
                                                           constant):
     """Constant leading features (border pixels) zero the frame's leading
-    rows; the sign rule reads the next rows instead of lifting the frame."""
+    rows; the sign rule acts on the Gram's eigenvectors, not on those rows,
+    so the frame stays in Gram coordinates and is not lifted."""
     X, y = gfda.labeled_mixtures(30, 1024, 5, "Set1", seed=1)
     X[:, :constant] = 0.0
     lifted = []
@@ -652,13 +673,18 @@ class TestBaselines:
         assert model.info["null_dim"] == 24 and model.dim == 2
         assert "fallback" in gfda.pca_lda(X, y).info
 
-    @pytest.mark.parametrize("C,L,n,seed", [(10, 200, 5, 2), (5, 40, 3, 4)])
-    def test_null_lda_signs_follow_the_data(self, monkeypatch, C, L, n, seed):
+    @pytest.mark.parametrize("build,C,L,n,seed", [
+        (gfda.null_lda, 10, 200, 5, 2), (gfda.null_lda, 5, 40, 3, 4),
+        (gfda.reg_lda, 10, 200, 5, 2), (gfda.reg_lda, 5, 40, 3, 4),
+    ], ids=["10-200-5-2", "5-40-3-4", "regLDA-10-200-5-2", "regLDA-5-40-3-4"])
+    def test_null_lda_signs_follow_the_data(self, monkeypatch, build, C, L, n,
+                                            seed):
         # N_r is whatever basis eigh returns for S_w's zero eigenspace, and
         # another frame of the same span (the thin SVD's) gives another
-        # one; the projector and class references must not follow it
+        # one; the projector and class references must not follow it, nor
+        # the signs of either frame's columns
         X, y = gfda.labeled_mixtures(C, L, n, "Set1", seed=seed)
-        model = gfda.null_lda(X, y)
+        model = build(X, y)
 
         def svd_frame(X, y):
             labels, rows = fisher.group_by_label(np.arange(len(X)), y)
@@ -670,7 +696,7 @@ class TestBaselines:
                     lambda D: Q[:, :len(D)] @ D)
 
         monkeypatch.setattr(fisher, "_centred_frame", svd_frame)
-        other = gfda.null_lda(X, y)
+        other = build(X, y)
         npt.assert_allclose(model.projector, other.projector, rtol=0,
                             atol=1e-12)
         npt.assert_allclose(model.class_refs, other.class_refs, rtol=0,
