@@ -300,15 +300,17 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
         d = tmp_path / tag
         d.mkdir()
         train = d / "train.csv"
-        model = d / "model.json"
         ev = d / "eval.csv"
+        fits = [["gfda-linear", "--normalize"], ["regLDA"], ["pcaLDA"],
+                ["gds", "--gds-dims", "3"], ["nullLDA"]]
+        models = [d / f"model_{fit[0]}.json" for fit in fits]
         # fresh interpreter per command: determinism must survive restarts
         for argv in (
             ["synth", "--kind", "mixture-set1", "--classes", "5",
              "--dim", "50", "--count", "8", "--seed", "77",
              "--out", str(train)],
-            ["fit", "--train", str(train), "--method", "gfda-linear",
-             "--normalize", "--out", str(model)],
+            *(["fit", "--train", str(train), "--method", *fit,
+               "--out", str(model)] for fit, model in zip(fits, models)),
             ["eval", "--train", str(train), "--method", "gfda-linear",
              "--normalize", "--train-count", "4", "--repetitions", "3",
              "--seed", "13", "--out", str(ev)],
@@ -316,7 +318,7 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
             proc = subprocess.run([sys.executable, "-m", "gfda"] + argv,
                                   capture_output=True)
             assert proc.returncode == 0, proc.stderr.decode()
-        files[tag] = (train.read_bytes(), model.read_bytes(), ev.read_bytes())
+        files[tag] = [p.read_bytes() for p in (train, *models, ev)]
     ok = files["one"] == files["two"]
     report(10, "byte-identical reruns", ok,
            "synth + fit + eval reproduced exactly across fresh processes"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfda as gfda_module
-from gfda import checks, cli
+from gfda import checks, cli, linalg
 from gfda.classify import evaluate
 from gfda.data import load_dataset
 from gfda.errors import ValidationError
@@ -110,27 +110,35 @@ class TestFitEval:
         assert payload["model"]["method"] == "regLDA"
 
     def test_fit_load_eval_matches_in_process(self, gaussian_sets, tmp_path):
+        # a saved model scores as the model built in process does, normalized
+        # (+N) or not, under either rule
         train, test = gaussian_sets
+        X, y = load_dataset(train)
+        Xte, yte = load_dataset(test)
         model_path = tmp_path / "model.json"
         out_path = tmp_path / "eval.csv"
-        assert run("fit", "--train", str(train), "--method", "gfda-linear",
-                   "--subspace-dim", "5", "--normalize",
-                   "--out", str(model_path)) == 0
-        assert run("eval", "--model", str(model_path), "--test", str(test),
-                   "--classifier", "cosine", "--out", str(out_path)) == 0
-        rows = out_path.read_text().strip().splitlines()
-        rec_file = float(rows[1].split(",")[2])
-        eer_file = float(rows[1].split(",")[3])
+        for options, classifier in (
+                ({"method": "gfda-linear", "subspace_dim": "5",
+                  "normalize": "true"}, "cosine"),
+                ({"method": "regLDA", "normalize": "true"}, "nearest-mean"),
+                ({"method": "gds", "gamma": "0.5"}, "nearest-mean")):
+            flags = [a for k, v in options.items()
+                     for a in (["--normalize"] if k == "normalize" else
+                               ["--" + k.replace("_", "-"), v])]
+            assert run("fit", "--train", str(train), *flags,
+                       "--out", str(model_path)) == 0
+            assert run("eval", "--model", str(model_path), "--test",
+                       str(test), "--classifier", classifier,
+                       "--out", str(out_path)) == 0
+            rows = out_path.read_text().strip().splitlines()
+            rec_file = float(rows[1].split(",")[2])
+            eer_file = float(rows[1].split(",")[3])
 
-        X, y = load_dataset(train)
-        cfg = cli.ExperimentConfig.from_mapping(
-            {"method": "gfda-linear", "subspace_dim": "5",
-             "normalize": "true"})
-        model = cli.build_model(cfg, X, y)
-        Xte, yte = load_dataset(test)
-        rep = evaluate(model, Xte, yte, rule="cosine")
-        assert rec_file == pytest.approx(rep.recognition_rate, abs=1e-12)
-        assert eer_file == pytest.approx(rep.eer, abs=1e-12)
+            model = cli.build_model(
+                cli.ExperimentConfig.from_mapping(options), X, y)
+            rep = evaluate(model, Xte, yte, rule=classifier)
+            assert rec_file == pytest.approx(rep.recognition_rate, abs=1e-12)
+            assert eer_file == pytest.approx(rep.eer, abs=1e-12)
 
     def test_protocol_rows_and_summary(self, gaussian_sets, tmp_path):
         train, test = gaussian_sets
@@ -157,14 +165,21 @@ class TestFitEval:
         train, test = gaussian_sets
         out = tmp_path / "eval.csv"
         scores = tmp_path / "scores.csv"
-        assert run("eval", "--train", str(train), "--test", str(test),
-                   "--method", "regLDA", "--train-count", "5",
-                   "--repetitions", "2", "--seed", "3", "--out", str(out),
-                   "--scores", str(scores)) == 0
-        rows = scores.read_text().strip().splitlines()
-        assert rows[0] == "repetition,kind,score"
-        # 48 test samples per repetition: one genuine and C-1 impostor each
-        assert len(rows) == 1 + 2 * (48 + 48 * 3)
+        for args in (["--method", "regLDA"], ["--method", "gds"],
+                     ["--method", "gds", "--normalize",
+                      "--classifier", "cosine"]):
+            assert run("eval", "--train", str(train), "--test", str(test),
+                       *args, "--train-count", "5", "--repetitions", "2",
+                       "--seed", "3", "--out", str(out),
+                       "--scores", str(scores)) == 0
+            rows = scores.read_text().strip().splitlines()
+            assert rows[0] == "repetition,kind,score"
+            # 48 test samples per repetition: one genuine and C-1 impostor
+            assert len(rows) == 1 + 2 * (48 + 48 * 3)
+            values = np.array([float(r.split(",")[2]) for r in rows[1:]])
+            assert np.isfinite(values).all()
+            if "cosine" not in args:  # minus a squared distance
+                assert values.max() <= 0
 
     def test_repeat_run_byte_identical(self, gaussian_sets, tmp_path):
         train, test = gaussian_sets
@@ -207,6 +222,8 @@ class TestFitEval:
                    "--method", "gfda-linear", *count, "--repetitions", "4",
                    "--out", str(out)) == 0
         assert len(calls) == 1
+        rows = out.read_text().splitlines()[1:5]
+        assert len({row.split(",", 1)[1] for row in rows}) == 1
 
         cfg = cli.ExperimentConfig(method="gfda-linear", repetitions=4,
                                    train_count=12 if count else None)
@@ -380,6 +397,96 @@ class TestFitEval:
                        "--repetitions", "2", "--out", str(out), *args) == 0
             outs.append(out.read_bytes())
         assert all(o == outs[0] for o in outs[1:])
+
+
+def write_rows(path, rows, labels):
+    path.write_text("".join(f"{lab},{','.join(map(repr, r.tolist()))}\n"
+                            for lab, r in zip(labels, rows)))
+    return path
+
+
+def synth_mixture(path, kind, count, sample_seed):
+    assert run("synth", "--kind", kind, "--classes", "5", "--dim", "40",
+               "--count", count, "--seed", "1", "--sample-seed", sample_seed,
+               "--out", str(path)) == 0
+    return path
+
+
+def edge_set(tmp_path, family):
+    """The training set, test set and protocol options of one family."""
+    if family == "near-overlap":
+        # six 3-dimensional classes at separation 0.01 in L = 20, 8 rows each
+        # in its class subspace: the union span's s^2_min / s^2_max is below
+        # the guard's eps / ORTHO_IP_TOL = 2.2e-6
+        ens = gfda_module.subspace_config(6, 3, 20, separation=0.01, seed=5)
+        rng = np.random.default_rng(5)
+        rows = np.vstack([rng.standard_normal((8, 3)) @ c.basis.T
+                          for c in ens.classes])
+        labels = [f"c{c.label}" for c in ens.classes for _ in range(8)]
+        train = write_rows(tmp_path / "train.csv", rows, labels)
+        return train, train, ["--repetitions", "1"]
+    if family == "near-cut":
+        # 20 rows in 4 classes, 40 features; the centred rows' singular
+        # values fall geometrically to 1e-4 of the largest, so s^2 spans
+        # 1e-8, below the guard's 2.2e-6
+        rng = np.random.default_rng(1)
+        left = rng.standard_normal((20, 19))
+        left = np.linalg.qr(left - left.mean(axis=0))[0]
+        right = np.linalg.qr(rng.standard_normal((40, 19)))[0]
+        rows = (left * 1e-4 ** (np.arange(19) / 18)) @ right.T + 3.0
+        train = write_rows(tmp_path / "train.csv", rows,
+                           [f"c{i % 4}" for i in range(20)])
+        return train, train, ["--repetitions", "1"]
+    test = synth_mixture(tmp_path / "test.csv", "mixture-set2", "10", "12")
+    if family == "mixture":
+        train = synth_mixture(tmp_path / "train.csv", "mixture-set1", "24",
+                              "11")
+        return train, test, ["--train-count", "20", "--repetitions", "2"]
+    # repeated: 20 rows, each appended a second time, so n = 40 rows whose
+    # centred rank is at most 19 < n - 1 = L - 1
+    rows = synth_mixture(tmp_path / "rows.csv", "mixture-set1", "4", "13")
+    train = tmp_path / "train.csv"
+    train.write_text(rows.read_text() * 2)
+    return train, test, ["--repetitions", "1"]
+
+
+@pytest.mark.parametrize("family,method,error", [
+    ("mixture", ["fda"], None),
+    ("mixture", ["fda", "--normalize"], None),
+    ("near-overlap", ["gds", "--gds-dims", "5"], None),
+    ("near-overlap", ["gfda-linear"], None),
+    ("near-cut", ["regLDA"], None),
+    ("near-cut", ["pcaLDA"], None),
+    ("near-cut", ["nullLDA"], None),
+    ("repeated", ["regLDA"], None),
+    ("repeated", ["pcaLDA"], None),
+    ("repeated", ["nullLDA"], None),
+    ("repeated", ["fda"], "error: within-class scatter is singular"),
+], ids=["mixture-fda", "mixture-fda+N", "near-overlap-gds",
+        "near-overlap-gfda-linear", "near-cut-regLDA", "near-cut-pcaLDA",
+        "near-cut-nullLDA", "repeated-regLDA", "repeated-pcaLDA",
+        "repeated-nullLDA", "repeated-fda"])
+def test_eval_on_edge_sets(tmp_path, capsys, monkeypatch, family, method,
+                           error):
+    # each eval writes every row, or prints one error line and no file; only
+    # the near sets' frames take the guard's lifted route (CholeskyQR pass)
+    train, test, options = edge_set(tmp_path, family)
+    lifted = []
+    real = linalg._lifted_frame
+    monkeypatch.setattr(linalg, "_lifted_frame",
+                        lambda *args: lifted.append(1) or real(*args))
+    out = tmp_path / "eval.csv"
+    capsys.readouterr()
+    code = run("eval", "--train", str(train), "--test", str(test),
+               "--method", *method, *options, "--out", str(out))
+    err = capsys.readouterr().err
+    if error:
+        assert code == 1 and not out.exists()
+        assert err.startswith(error) and err.count("\n") == 1
+    else:
+        assert code == 0, err
+        assert len(out.read_text().splitlines()) == 1 + int(options[-1]) + 2
+    assert bool(lifted) == family.startswith("near")
 
 
 class TestSweep:
@@ -562,6 +669,46 @@ def test_external_test_set_reaches_evaluate_uncopied():
     assert (X.tobytes(), Xte.tobytes(), y, yte) == before
 
 
+def test_interleaved_protocols_match_fresh_evals(tmp_path):
+    # perfbench's warm loop on small-protocol's shape: one repetition per
+    # call, configurations interleaved over shared read-only arrays, forward
+    # and reversed.  Each report must print as the same repetition of a fresh
+    # eval does, so no call writes into an input or leaves state behind
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    for kind, count, sample_seed, path in (
+            ("mixture-set1", "9", "101", train),
+            ("mixture-set2", "50", "102", test)):
+        assert run("synth", "--kind", kind, "--classes", "10", "--dim", "60",
+                   "--count", count, "--seed", "1", "--sample-seed",
+                   sample_seed, "--out", str(path)) == 0
+    configs = [{"method": method, "normalize": normalize, "classifier": rule}
+               for method in ("pcaLDA", "regLDA", "nullLDA", "gfda",
+                              "gfda-linear", "gds")
+               for normalize in (False, True)
+               for rule in ("nearest-mean", "cosine")]
+    expected = []
+    for c, config in enumerate(configs):
+        out = tmp_path / f"eval{c}.csv"
+        assert run("eval", "--train", str(train), "--test", str(test),
+                   "--method", config["method"], "--classifier",
+                   config["classifier"], *["--normalize"] * config["normalize"],
+                   "--train-count", "4", "--repetitions", "4", "--seed", "1",
+                   "--out", str(out)) == 0
+        expected.append([row.split(",")[2:] for row in
+                         out.read_text().splitlines()[1:5]])
+    X, y = load_dataset(train)
+    Xte, yte = load_dataset(test)
+    X.flags.writeable = Xte.flags.writeable = False
+    order = list(range(len(configs)))
+    for rep, sequence in enumerate([order, order[::-1]] * 2):
+        for c in sequence:
+            cfg = cli.ExperimentConfig.from_mapping(
+                dict(configs[c], train_count=4, repetitions=1, seed=1 + rep))
+            report, = cli.run_protocol(cfg, (X, y, (Xte, yte)))
+            assert [cli._fmt(report.recognition_rate),
+                    cli._fmt(report.eer)] == expected[c][rep], configs[c]
+
+
 class TestInvariantsCommand:
     def test_default_scope_passes(self, capsys):
         assert run("invariants") == 0
@@ -608,7 +755,9 @@ class TestEigencurves:
         assert run("eigencurves", "--classes", "5", "--subspace-dim", "3",
                    "--seed", "3", "--out", str(out)) == 0
         rows = out.read_text().strip().splitlines()
+        assert rows[0] == "index,eigenvalue_g,eigenvalue_ghat,power_g,power_ghat"
         data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+        assert data.shape[0] == 15  # the rank of G: C N
         npt.assert_allclose(data[:4, 4].sum(), 20.0, atol=1e-8)
 
     @pytest.mark.parametrize("C,N,separation", [(3, 2, 1.0), (4, 1, 0.3),
