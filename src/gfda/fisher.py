@@ -1,16 +1,15 @@
-"""Scatter matrices, the Fisher criterion, and the discriminant family.
+"""Scatter matrices and the discriminant family.
 
-The module covers three layers:
+The module covers two layers:
 
 * plain scatter matrices and the pairwise-difference matrix (the L x L
-  ladder of rungs FDA -> aFDA -> sFDA -> gFDA and the per-vector
-  discriminant power under its pairs are in :mod:`gfda.reference`);
+  ladder of rungs FDA -> aFDA -> sFDA -> gFDA, the per-vector
+  discriminant power under its pairs and the gap index are in
+  :mod:`gfda.reference`);
 * the discriminant constructions themselves: classical FDA plus its three
   small-sample workarounds (pcaLDA, regLDA, nullLDA), the geometrical
   variant in both of its equivalent forms, and the generalized-difference-
-  subspace projection;
-* the gap index, the weight gap between the geometrical criterion and
-  plain difference-subspace projection.
+  subspace projection.
 
 The geometrical criterion maximizes f(d) = (d^T B d) / (d^T W d) where B is
 the pairwise-difference matrix of the classes' first basis vectors and W is
@@ -74,10 +73,6 @@ class DiscriminantModel:
     @property
     def dim(self) -> int:
         return self.projector.shape[1]
-
-    def effective_basis(self) -> np.ndarray:
-        """Orthonormal basis of the data-space subspace the model projects onto."""
-        return linalg.gram_schmidt(self.projector)
 
     def to_dict(self) -> dict:
         return {
@@ -150,14 +145,6 @@ def pairwise_difference_matrix(firsts) -> np.ndarray:
     firsts = np.asarray(firsts, dtype=float)
     centered = firsts - firsts.mean(axis=0)
     return firsts.shape[0] * (centered.T @ centered)
-
-
-def gap_index(C: int) -> float:
-    """Relative weight gap 2 (1 - 1/C) between the geometrical criterion and
-    plain difference-subspace projection; 1.0 at C = 2, toward 2.0 as C grows."""
-    if C < 2:
-        raise ValidationError("gap index needs C >= 2")
-    return 2.0 * (1.0 - 1.0 / C)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ entry counts when it exceeds RANK_TOL times the largest, or times a given
 scale), how a range basis is factorized (``range_basis``: the thin SVD cut
 by that rule, for the class fits; ``gram_frame``: the eigh of the
 small-side Gram A^T A cut by that rule, for the union-span frame of the
-pooled class bases and the centred-data frame of the FDA family; its one
-guard decides when the frame must be formed, with one CholeskyQR pass),
+pooled class bases and the centred-data frame of the FDA family, with
+one CholeskyQR pass where the frame is formed; past its one guard the
+thin SVD is taken instead),
 how vectors are orthonormalized in order (``gram_schmidt``: one QR with a
 positive diagonal, dropping a vector whose residual is at most RANK_TOL
 times its norm), the sign convention (``fix_signs``: first nonzero
@@ -168,12 +169,12 @@ def gram_frame(A):
     = V diag(s) holds A's columns in Q = A V diag(1/s); lift(D) =
     Q[:, :k'] D maps (k', k) coordinates to L dimensions and lift() is Q
     formed whole (``_formed_frame``), its columns in ascending s (the
-    order of A A^T's eigenvalues) and sign-fixed in L dimensions.  Z and
-    the lifted columns hold to about drift = eps s_max^2 / s_min^2.  The
-    one guard, the only reason to form Q before lift(): past
-    ORTHO_IP_TOL, Q is formed at once (``_lifted_frame``) and Z and
-    lift(D) follow its signs.  A Gram past the float range raises
-    ValidationError."""
+    order of A A^T's eigenvalues) and sign-fixed in L dimensions.  Z, the
+    lifted columns and the small s hold to about drift = eps s_max^2 /
+    s_min^2.  The one guard, the only reason to form Q before lift():
+    past ORTHO_IP_TOL, s and Q are the thin SVD's, ``range_basis(A)``
+    (``_lifted_frame``), and Z = A^T Q and lift(D) follow its signs.  A
+    Gram past the float range raises ValidationError."""
     with np.errstate(over="ignore", invalid="ignore"):
         G = A.T @ A
     if not np.isfinite(G).all():
@@ -182,20 +183,21 @@ def gram_frame(A):
     s2, V = np.linalg.eigh(G)
     r = int(nonzero(s2).sum())  # eigh ascends, so the kept entries trail
     s2, V = s2[s2.size - r:][::-1], V[:, V.shape[1] - r:][:, ::-1]
+    drift = np.finfo(float).eps * s2[0] / s2[-1] if r else 0.0
+    if drift > ORTHO_IP_TOL:
+        return _lifted_frame(A)
     fix_signs(V, copy=False)
     s = np.sqrt(s2)
     W = V / s
-    drift = np.finfo(float).eps * s2[0] / s2[-1] if r else 0.0
-    if drift > ORTHO_IP_TOL:
-        return _lifted_frame(A, W, s)
     return s, V * s, lambda D=None: (
         _formed_frame(A, W[:, ::-1], drift > UNIT_NORM_TOL) if D is None
         else A @ (W[:, :len(D)] @ D))
 
 
-def _lifted_frame(A, W, s):
-    """gram_frame with Q formed: Z = A^T Q, lift(D) = Q[:, :k'] D."""
-    Q = _formed_frame(A, W, True)
+def _lifted_frame(A):
+    """gram_frame with (Q, s) from ``range_basis(A)``: Z = A^T Q,
+    lift(D) = Q[:, :k'] D."""
+    Q, s = range_basis(A)
     return s, A.T @ Q, lambda D=None: (
         Q[:, ::-1].copy() if D is None else Q[:, :len(D)] @ D)
 
@@ -247,45 +249,3 @@ def gram_schmidt(vectors):
         kept = np.delete(kept, dependent[0])
     raise ValidationError("gram_schmidt input has numerical rank 0")
 
-
-@dataclass(frozen=True)
-class CanonicalAngles:
-    """Canonical (principal) angles between two subspaces.
-
-    cosines : min(dim U, dim V) values in [0, 1], descending
-    left, right : paired canonical vectors, columns aligned with cosines;
-        left[:, i] lies in U, right[:, i] in V and left[:, i].T @ right[:, i]
-        equals cosines[i] (>= 0).
-    """
-
-    cosines: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-
-def canonical_angles(U, V) -> CanonicalAngles:
-    """Canonical angle cosines between span(U) and span(V).
-
-    The cosines are the singular values of U.T @ V; the canonical vector
-    pairs are recovered from the corresponding singular vectors.
-    """
-    U = as_ortho_basis(U, "U")
-    V = as_ortho_basis(V, "V")
-    if U.ndim != 2 or V.ndim != 2:
-        raise ValidationError("canonical_angles takes two (L, k) bases")
-    if U.shape[0] != V.shape[0]:
-        raise ValidationError(
-            f"ambient dimensions differ: {U.shape[0]} vs {V.shape[0]}")
-    W, s, Zt = np.linalg.svd(U.T @ V)
-    k = s.size  # = min(dim U, dim V)
-    W = W[:, :k]
-    Z = Zt.T[:, :k]
-    # Fix the joint sign of each pair deterministically; flipping both
-    # members leaves the inner product (the cosine) unchanged.
-    fixed = fix_signs(W)
-    flips = np.sign(np.sum(W * fixed, axis=0))
-    return CanonicalAngles(
-        cosines=np.clip(s, 0.0, 1.0),
-        left=U @ fixed,
-        right=V @ (Z * flips),
-    )

@@ -1,7 +1,9 @@
-"""The L x L reference routes: the summed projection matrix, the scatter
-ladder, the split of G, whitening and the pairwise forms.  The invariant
-batteries and the tests check the union-span and centred-data constructions
-against them; no runtime module imports this module.
+"""The L x L reference routes and the oracles that no command runs: the
+summed projection matrix, the scatter ladder, the split of G, whitening,
+the pairwise forms, canonical angles, both constructions of the two-class
+difference subspace and the gap index.  The invariant batteries and the
+tests check the union-span and centred-data constructions against them; no
+runtime module imports this module.
 """
 
 import warnings
@@ -12,10 +14,10 @@ import numpy as np
 from .errors import (DegeneratePairError, UndefinedDirectionError,
                      ValidationError)
 from .fisher import between_scatter, pairwise_difference_matrix
-from .linalg import (RANK_TOL, as_sym_matrix, canonical_angles, nonzero,
-                     sym_eig)
+from .linalg import (RANK_TOL, as_ortho_basis, as_sym_matrix, fix_signs,
+                     nonzero, sym_eig)
 from .subspace import (OVERLAP_TOL, ClassModel, SubspaceEnsemble,
-                       aligned_first_vectors)
+                       aligned_first_vectors, union_span)
 
 LADDER_RUNGS = ("FDA", "aFDA", "sFDA", "gFDA")
 
@@ -50,6 +52,97 @@ def sum_matrix(ensemble: SubspaceEnsemble) -> np.ndarray:
     return G
 
 
+@dataclass(frozen=True)
+class CanonicalAngles:
+    """Canonical (principal) angles between two subspaces.
+
+    cosines : min(dim U, dim V) values in [0, 1], descending
+    left, right : paired canonical vectors, columns aligned with cosines;
+        left[:, i] lies in U, right[:, i] in V and left[:, i].T @ right[:, i]
+        equals cosines[i] (>= 0).
+    """
+
+    cosines: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+
+def canonical_angles(U, V) -> CanonicalAngles:
+    """Canonical angle cosines between span(U) and span(V).
+
+    The cosines are the singular values of U.T @ V; the canonical vector
+    pairs are recovered from the corresponding singular vectors.
+    """
+    U = as_ortho_basis(U, "U")
+    V = as_ortho_basis(V, "V")
+    if U.ndim != 2 or V.ndim != 2:
+        raise ValidationError("canonical_angles takes two (L, k) bases")
+    if U.shape[0] != V.shape[0]:
+        raise ValidationError(
+            f"ambient dimensions differ: {U.shape[0]} vs {V.shape[0]}")
+    W, s, Zt = np.linalg.svd(U.T @ V)
+    k = s.size  # = min(dim U, dim V)
+    W = W[:, :k]
+    Z = Zt.T[:, :k]
+    # Fix the joint sign of each pair deterministically; flipping both
+    # members leaves the inner product (the cosine) unchanged.
+    fixed = fix_signs(W)
+    flips = np.sign(np.sum(W * fixed, axis=0))
+    return CanonicalAngles(
+        cosines=np.clip(s, 0.0, 1.0),
+        left=U @ fixed,
+        right=V @ (Z * flips),
+    )
+
+
+@dataclass(frozen=True)
+class DifferenceSubspace:
+    """Analytic difference subspace of two class subspaces.
+
+    basis : eigenvectors of P1 + P2 with eigenvalue in (0, 1), ascending
+    principal_basis : eigenvectors with eigenvalue in (1, 2), ascending
+    eigenvalues : the full nonzero spectrum of P1 + P2, ascending
+    """
+
+    basis: np.ndarray
+    principal_basis: np.ndarray
+    eigenvalues: np.ndarray
+
+
+def difference_subspace_analytic(c1: ClassModel,
+                                 c2: ClassModel) -> DifferenceSubspace:
+    """Difference subspace as the sub-unit eigenvectors of P1 + P2.
+
+    Eigenvalues above 1 span the principal component subspace, eigenvalues
+    below 1 the difference subspace; together they decompose the sum
+    subspace.  An eigenvalue within OVERLAP_TOL of 2 means the subspaces
+    share a direction (degenerate); eigenvalues within OVERLAP_TOL of
+    exactly 1 belong to neither side and are excluded with a warning.
+    """
+    s, _, lift = union_span((c1, c2))
+    vecs, vals = lift(), s[::-1] ** 2
+    if vals.size == 0 or np.any(vals >= 2.0 - OVERLAP_TOL):
+        hit = int(np.argmax(vals)) if vals.size else 0
+        raise DegeneratePairError(
+            "subspaces overlap: P1 + P2 has an eigenvalue at 2 "
+            f"(index {hit})", index=hit)
+
+    near_one = np.abs(vals - 1.0) <= OVERLAP_TOL
+    if np.any(near_one):
+        warnings.warn(
+            f"{int(near_one.sum())} eigenvalue(s) of P1 + P2 within "
+            f"{OVERLAP_TOL} of exactly 1 excluded from both the difference "
+            "and principal sides",
+            RuntimeWarning, stacklevel=2)
+    lower = vals < 1.0 - OVERLAP_TOL
+    upper = vals > 1.0 + OVERLAP_TOL
+    return DifferenceSubspace(
+        basis=vecs[:, lower],
+        principal_basis=vecs[:, upper],
+        eigenvalues=vals,
+    )
+
+
 def difference_subspace_geometric(c1: ClassModel, c2: ClassModel) -> np.ndarray:
     """Difference subspace from normalized canonical-vector differences.
 
@@ -69,6 +162,14 @@ def difference_subspace_geometric(c1: ClassModel, c2: ClassModel) -> np.ndarray:
             index=int(high[0]))
     diffs = angles.right - angles.left
     return diffs / np.linalg.norm(diffs, axis=0)
+
+
+def gap_index(C: int) -> float:
+    """Relative weight gap 2 (1 - 1/C) between the geometrical criterion and
+    plain difference-subspace projection; 1.0 at C = 2, toward 2.0 as C grows."""
+    if C < 2:
+        raise ValidationError("gap index needs C >= 2")
+    return 2.0 * (1.0 - 1.0 / C)
 
 
 def whitening(S):

@@ -1,21 +1,21 @@
-"""Class-subspace fitting and difference-subspace constructions.
+"""Class-subspace fitting and the union span of the class subspaces.
 
 A class subspace is the span of the leading eigenvectors of the class
 autocorrelation matrix R_c = (1/n_c) sum_i x_i x_i^T, i.e. PCA *without*
 mean subtraction.  Because no centering is applied, the first basis vector
 of a class tracks the direction of its sample mean whenever the mean
 dominates the spread, which is what the whole discriminant construction
-in :mod:`gfda.fisher` leans on.
+in :mod:`gfda.fisher` leans on.  The two-class difference subspace, in
+both of its constructions, is in :mod:`gfda.reference`.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import linalg
-from .errors import DegeneratePairError, ValidationError
+from .errors import ValidationError
 
 OVERLAP_TOL = 1e-8
 
@@ -246,50 +246,3 @@ def union_span(classes):
     """
     return linalg.gram_frame(np.hstack([c.basis for c in classes]))
 
-
-@dataclass(frozen=True)
-class DifferenceSubspace:
-    """Analytic difference subspace of two class subspaces.
-
-    basis : eigenvectors of P1 + P2 with eigenvalue in (0, 1), ascending
-    principal_basis : eigenvectors with eigenvalue in (1, 2), ascending
-    eigenvalues : the full nonzero spectrum of P1 + P2, ascending
-    """
-
-    basis: np.ndarray
-    principal_basis: np.ndarray
-    eigenvalues: np.ndarray
-
-
-def difference_subspace_analytic(c1: ClassModel,
-                                 c2: ClassModel) -> DifferenceSubspace:
-    """Difference subspace as the sub-unit eigenvectors of P1 + P2.
-
-    Eigenvalues above 1 span the principal component subspace, eigenvalues
-    below 1 the difference subspace; together they decompose the sum
-    subspace.  An eigenvalue within OVERLAP_TOL of 2 means the subspaces
-    share a direction (degenerate); eigenvalues within OVERLAP_TOL of
-    exactly 1 belong to neither side and are excluded with a warning.
-    """
-    s, _, lift = union_span((c1, c2))
-    vecs, vals = lift(), s[::-1] ** 2
-    if vals.size == 0 or np.any(vals >= 2.0 - OVERLAP_TOL):
-        hit = int(np.argmax(vals)) if vals.size else 0
-        raise DegeneratePairError(
-            "subspaces overlap: P1 + P2 has an eigenvalue at 2 "
-            f"(index {hit})", index=hit)
-
-    near_one = np.abs(vals - 1.0) <= OVERLAP_TOL
-    if np.any(near_one):
-        warnings.warn(
-            f"{int(near_one.sum())} eigenvalue(s) of P1 + P2 within "
-            f"{OVERLAP_TOL} of exactly 1 excluded from both the difference "
-            "and principal sides",
-            RuntimeWarning, stacklevel=2)
-    lower = vals < 1.0 - OVERLAP_TOL
-    upper = vals > 1.0 + OVERLAP_TOL
-    return DifferenceSubspace(
-        basis=vecs[:, lower],
-        principal_basis=vecs[:, upper],
-        eigenvalues=vals,
-    )

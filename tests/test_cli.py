@@ -673,7 +673,9 @@ def test_interleaved_protocols_match_fresh_evals(tmp_path):
     # perfbench's warm loop on small-protocol's shape: one repetition per
     # call, configurations interleaved over shared read-only arrays, forward
     # and reversed.  Each report must print as the same repetition of a fresh
-    # eval does, so no call writes into an input or leaves state behind
+    # eval does, so no call writes into an input or leaves state behind.
+    # gfda-linear at train count 6 (K = C n = 60 = L) lifts the union-span
+    # frame past gram_frame's guard at protocol seed 4
     train, test = tmp_path / "train.csv", tmp_path / "test.csv"
     for kind, count, sample_seed, path in (
             ("mixture-set1", "9", "101", train),
@@ -681,18 +683,22 @@ def test_interleaved_protocols_match_fresh_evals(tmp_path):
         assert run("synth", "--kind", kind, "--classes", "10", "--dim", "60",
                    "--count", count, "--seed", "1", "--sample-seed",
                    sample_seed, "--out", str(path)) == 0
-    configs = [{"method": method, "normalize": normalize, "classifier": rule}
+    configs = [{"method": method, "normalize": normalize, "classifier": rule,
+                "train_count": 4}
                for method in ("pcaLDA", "regLDA", "nullLDA", "gfda",
                               "gfda-linear", "gds")
                for normalize in (False, True)
                for rule in ("nearest-mean", "cosine")]
+    configs.append({"method": "gfda-linear", "normalize": False,
+                    "classifier": "nearest-mean", "train_count": 6})
     expected = []
     for c, config in enumerate(configs):
         out = tmp_path / f"eval{c}.csv"
         assert run("eval", "--train", str(train), "--test", str(test),
                    "--method", config["method"], "--classifier",
                    config["classifier"], *["--normalize"] * config["normalize"],
-                   "--train-count", "4", "--repetitions", "4", "--seed", "1",
+                   "--train-count", str(config["train_count"]),
+                   "--repetitions", "4", "--seed", "1",
                    "--out", str(out)) == 0
         expected.append([row.split(",")[2:] for row in
                          out.read_text().splitlines()[1:5]])
@@ -703,7 +709,7 @@ def test_interleaved_protocols_match_fresh_evals(tmp_path):
     for rep, sequence in enumerate([order, order[::-1]] * 2):
         for c in sequence:
             cfg = cli.ExperimentConfig.from_mapping(
-                dict(configs[c], train_count=4, repetitions=1, seed=1 + rep))
+                dict(configs[c], repetitions=1, seed=1 + rep))
             report, = cli.run_protocol(cfg, (X, y, (Xte, yte)))
             assert [cli._fmt(report.recognition_rate),
                     cli._fmt(report.eer)] == expected[c][rep], configs[c]

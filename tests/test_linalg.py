@@ -245,7 +245,7 @@ class TestGramSchmidtAgainstLoop:
         out, oracle = linalg.gram_schmidt(cols), loop_gram_schmidt(cols)
         assert out.shape == oracle.shape
         npt.assert_allclose(out.T @ out, np.eye(out.shape[1]), atol=1e-12)
-        assert 1.0 - linalg.canonical_angles(out, oracle).cosines.min() <= 1e-10
+        assert 1.0 - reference.canonical_angles(out, oracle).cosines.min() <= 1e-10
 
     def test_near_dependent_vector_leaves_later_ones(self):
         # dropping e1 + 1e-13 e2 must not take e2's direction with it
@@ -296,7 +296,7 @@ class TestCanonicalAngles:
     def test_plane_at_60_degrees(self):
         U = np.array([[1.0], [0.0]])
         V = np.array([[0.5], [np.sqrt(3) / 2]])
-        res = linalg.canonical_angles(U, V)
+        res = reference.canonical_angles(U, V)
         npt.assert_allclose(res.cosines, [0.5], atol=1e-14)
         npt.assert_allclose(res.left[:, 0], [1.0, 0.0], atol=1e-14)
         npt.assert_allclose(res.right[:, 0], [0.5, np.sqrt(3) / 2], atol=1e-14)
@@ -305,29 +305,29 @@ class TestCanonicalAngles:
         rng = np.random.default_rng(3)
         U = random_orthonormal(rng, 8, 3)
         R, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        res = linalg.canonical_angles(U, U @ R)
+        res = reference.canonical_angles(U, U @ R)
         npt.assert_allclose(res.cosines, np.ones(3), atol=1e-12)
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(4)
         U = random_orthonormal(rng, 10, 3)
         V = random_orthonormal(rng, 10, 3)
-        npt.assert_allclose(linalg.canonical_angles(U, V).cosines,
-                            linalg.canonical_angles(V, U).cosines, atol=1e-12)
+        npt.assert_allclose(reference.canonical_angles(U, V).cosines,
+                            reference.canonical_angles(V, U).cosines, atol=1e-12)
 
     def test_invariant_under_basis_change(self):
         rng = np.random.default_rng(6)
         U = random_orthonormal(rng, 10, 4)
         V = random_orthonormal(rng, 10, 2)
         RU, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        npt.assert_allclose(linalg.canonical_angles(U @ RU, V).cosines,
-                            linalg.canonical_angles(U, V).cosines, atol=1e-12)
+        npt.assert_allclose(reference.canonical_angles(U @ RU, V).cosines,
+                            reference.canonical_angles(U, V).cosines, atol=1e-12)
 
     def test_matches_alternating_projection_oracle(self):
         rng = np.random.default_rng(7)
         U = random_orthonormal(rng, 10, 3)
         V = random_orthonormal(rng, 10, 3)
-        res = linalg.canonical_angles(U, V)
+        res = reference.canonical_angles(U, V)
         oracle = alternating_projection_cosines(U, V)
         npt.assert_allclose(res.cosines, oracle, atol=1e-6)
 
@@ -335,7 +335,7 @@ class TestCanonicalAngles:
         rng = np.random.default_rng(8)
         U = random_orthonormal(rng, 12, 4)
         V = random_orthonormal(rng, 12, 3)
-        res = linalg.canonical_angles(U, V)
+        res = reference.canonical_angles(U, V)
         for i, cos in enumerate(res.cosines):
             assert res.left[:, i] @ res.right[:, i] >= 0
             npt.assert_allclose(res.left[:, i] @ res.right[:, i], cos,
@@ -347,13 +347,13 @@ class TestCanonicalAngles:
         rng = np.random.default_rng(9)
         U = random_orthonormal(rng, 12, 4)
         V = random_orthonormal(rng, 12, 3)
-        res = linalg.canonical_angles(U, V)
+        res = reference.canonical_angles(U, V)
         W = U.T @ res.left
         npt.assert_allclose(linalg.fix_signs(W), W, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            linalg.canonical_angles(np.eye(3)[:, :1], np.eye(4)[:, :1])
+            reference.canonical_angles(np.eye(3)[:, :1], np.eye(4)[:, :1])
 
 
 class TestAsOrthoBasis:
@@ -368,11 +368,11 @@ class TestAsOrthoBasis:
 
     def test_canonical_angles_reject_nan_basis(self):
         with pytest.raises(ValidationError, match="U has non-finite entries"):
-            linalg.canonical_angles(np.full((4, 2), np.nan), np.eye(4)[:, :1])
+            reference.canonical_angles(np.full((4, 2), np.nan), np.eye(4)[:, :1])
 
     def test_canonical_angles_reject_a_stack(self):
         with pytest.raises(ValidationError, match="two .L, k. bases"):
-            linalg.canonical_angles(np.eye(4)[None, :, :2], np.eye(4)[:, :1])
+            reference.canonical_angles(np.eye(4)[None, :, :2], np.eye(4)[:, :1])
 
     def test_four_dimensional_input_rejected(self):
         with pytest.raises(ValidationError, match="got shape"):
@@ -486,7 +486,7 @@ def sample_matrix(shape, seed):
 
 def assert_same_span(A, B):
     assert A.shape == B.shape
-    cos = linalg.canonical_angles(A, B).cosines
+    cos = reference.canonical_angles(A, B).cosines
     assert 1.0 - cos.min() <= 1e-8
 
 
@@ -633,12 +633,12 @@ class TestGramRangeBasis:
 
     @pytest.mark.parametrize("separation", [0.01, 0.003, 0.001])
     def test_near_overlap_frame_is_orthonormal(self, separation):
-        # s^2 spans more than 1e3 here; without a CholeskyQR pass 14 of
-        # these 15 frames fail as_ortho_basis.  At 0.01 (s^2_min / s^2_max
-        # from 2.2e-6 to 4.1e-6) the frame stays in the Gram's coordinates
-        # until union_frame forms it; at 0.003 and 0.001 it is below
-        # eps / ORTHO_IP_TOL = 2.2e-6, so Q is lifted at once.  Formed on
-        # either branch, it takes the one pass
+        # s^2 spans more than 1e3 here; formed from the Gram without a
+        # CholeskyQR pass, 14 of these 15 frames fail as_ortho_basis.  At
+        # 0.01 (s^2_min / s^2_max from 2.2e-6 to 4.1e-6) the frame stays in
+        # the Gram's coordinates until union_frame forms it with that pass;
+        # at 0.003 and 0.001 it is below eps / ORTHO_IP_TOL = 2.2e-6, so Q
+        # is the thin SVD's, formed at once
         from gfda import subspace_config, union_frame
         lifted = separation < 0.01
         for seed in range(5):
@@ -650,6 +650,23 @@ class TestGramRangeBasis:
             assert s2[0] < 1e-3 * s2[-1]
             assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-14
             linalg.as_ortho_basis(U)
+
+    def test_lifted_frame_keeps_the_svd_spectrum(self):
+        # s^2_min / s^2_max = 4.5e-8 here, so the Gram's eigh holds s^2_min
+        # to about 5e-9 relative: taken from it, GDS's eigenvalues sat
+        # 2.7e-9 and the product form's criterion eigenvalues 1.1e-9 off
+        from gfda import gds_discriminant, gfda_product_form, subspace_config
+        ens = subspace_config(6, 3, 20, separation=0.01, seed=2827025930)
+        with mock.patch.object(linalg, "_lifted_frame",
+                               wraps=linalg._lifted_frame) as lift_step:
+            gds = gds_discriminant(ens, dims=18)
+            product = gfda_product_form(ens)
+        assert lift_step.called
+        s = np.linalg.svd(np.hstack([c.basis for c in ens.classes]),
+                          compute_uv=False)
+        npt.assert_allclose(gds.info["eigenvalues"], s[::-1] ** 2, rtol=1e-12)
+        npt.assert_allclose(product.info["criterion_eigenvalues"], 6.0,
+                            rtol=1e-12)
 
     def test_zero_pooled_basis_gives_empty_frame(self):
         from types import SimpleNamespace

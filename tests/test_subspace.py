@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import gfda
-from gfda import linalg
+from gfda import linalg, reference
 from gfda.errors import DegeneratePairError, ValidationError
 
 
@@ -286,7 +286,7 @@ class TestDifferenceSubspaceAnalytic:
         c2 = gfda.fit_class(rng.standard_normal((2, 6)), label="b")
         geo = gfda.difference_subspace_geometric(c1, c2)
         ana = gfda.difference_subspace_analytic(c1, c2)
-        cos = linalg.canonical_angles(geo, ana.basis).cosines
+        cos = reference.canonical_angles(geo, ana.basis).cosines
         assert cos.min() >= 1 - 1e-8
 
     def test_sum_space_direct_sum(self):
@@ -308,7 +308,7 @@ class TestGds:
         ens = gfda.subspace_config(2, 1, 6, seed=31)
         model = gfda.gds_discriminant(ens, dims=1)
         ds = gfda.difference_subspace_analytic(*ens.classes)
-        cos = linalg.canonical_angles(model.projector, ds.basis).cosines
+        cos = reference.canonical_angles(model.projector, ds.basis).cosines
         assert cos.min() >= 1 - 1e-8
 
     def test_orthogonal_classes_degenerate_but_deterministic(self):
@@ -376,7 +376,7 @@ class TestSumMatrixInvariants:
             ens = gfda.subspace_config(2, 2, 10, seed=200 + seed)
             model = gfda.gds_discriminant(ens, dims=2)
             ds = gfda.difference_subspace_analytic(*ens.classes)
-            cos = linalg.canonical_angles(model.projector, ds.basis).cosines
+            cos = reference.canonical_angles(model.projector, ds.basis).cosines
             assert cos.min() >= 1 - 1e-8
 
 

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import gfda
-from gfda import linalg, synth
+from gfda import reference, synth
 from gfda.errors import ValidationError
 
 
@@ -157,8 +157,8 @@ class TestSubspaceConfig:
             worst = 0.0
             for i in range(3):
                 for j in range(i + 1, 3):
-                    cos = linalg.canonical_angles(ens.classes[i].basis,
-                                                  ens.classes[j].basis).cosines
+                    cos = reference.canonical_angles(ens.classes[i].basis,
+                                                     ens.classes[j].basis).cosines
                     worst = max(worst, cos.max())
             return worst
 
