@@ -27,8 +27,8 @@ _EXPORTS = {
                   "difference_subspace_analytic",
                   "difference_subspace_geometric", "discriminant_power_curve",
                   "fisher_criterion", "gap_index", "gds_decomposition",
-                  "projection_matrix", "scatter_ladder", "sum_matrix",
-                  "whitening"),
+                  "gfda_null_space", "projection_matrix", "scatter_ladder",
+                  "sum_matrix", "whitening"),
     "subspace": ("ClassModel", "SubspaceEnsemble", "aligned_first_vectors",
                  "fit_class", "fit_ensemble", "union_span"),
     "synth": ("convex_mixture", "gaussian_class", "labeled_gaussians",

@@ -18,8 +18,8 @@ from .reference import (between_scatter_pairwise, canonical_angles,
                         difference_subspace_analytic,
                         difference_subspace_geometric,
                         discriminant_power_curve, gap_index,
-                        gds_decomposition, scatter_ladder, sum_matrix,
-                        whitening)
+                        gds_decomposition, gfda_null_space, scatter_ladder,
+                        sum_matrix, whitening)
 from .subspace import fit_class
 from .synth import gaussian_class, subspace_config
 
@@ -58,15 +58,19 @@ def check_c1(classes=(2, 3, 5, 7), dims=(1, 3), seed=7):
 
 
 def check_duality(classes=(2, 3, 5, 7), dims=(1, 3), seed=11):
-    """Product-form and linear-form discriminant spaces coincide."""
+    """Product-form and linear-form discriminant spaces coincide, each with
+    the L x L null space of W - B/C (reference.gfda_null_space) and with
+    each other."""
     worst = 0.0
     for C in classes:
         for N in dims:
             ens = subspace_config(C, N, 4 * C * N, seed=seed + 17 * C + N)
+            oracle = gfda_null_space(ens)
             prod = linalg.gram_schmidt(gfda_product_form(ens).projector)
             lin = linalg.gram_schmidt(gfda_linear_form(ens).projector)
-            cos = canonical_angles(prod, lin).cosines
-            worst = max(worst, float(1.0 - cos.min()))
+            for a, b in ((prod, oracle), (lin, oracle), (prod, lin)):
+                cos = canonical_angles(a, b).cosines
+                worst = max(worst, float(1.0 - cos.min()))
     tol = 1e-8
     return CheckResult("c2-duality", worst <= tol, worst, tol,
                        f"C in {classes}, N in {dims}")
@@ -176,18 +180,19 @@ def check_heuristic(trials=20, ratio=2.0, seed=37):
 
 
 def check_power(classes=(3, 5), dims=(2,), seed=41):
-    """Every geometrical discriminant vector carries power exactly C."""
+    """Every geometrical discriminant vector of either form carries power
+    exactly C under the L x L gFDA pair."""
     worst = 0.0
     for C in classes:
         for N in dims:
             ens = subspace_config(C, N, 4 * C * N, seed=seed + C + N)
             pair = scatter_ladder(ens, "gFDA")
-            powers = discriminant_power_curve(
-                gfda_linear_form(ens).projector, pair)
-            worst = max(worst, float(np.max(np.abs(powers - C)) / C))
+            for build in (gfda_linear_form, gfda_product_form):
+                powers = discriminant_power_curve(build(ens).projector, pair)
+                worst = max(worst, float(np.max(np.abs(powers - C)) / C))
     tol = 1e-8
     return CheckResult("gfda-power", worst <= tol, worst, tol,
-                       f"C in {classes}")
+                       f"C in {classes}, both forms")
 
 
 BATTERIES = {

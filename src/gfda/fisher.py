@@ -16,8 +16,10 @@ the pairwise-difference matrix of the classes' first basis vectors and W is
 the sum of the class projection matrices.  Its maximizers can be found
 either by whitening W and diagonalizing the transformed B (the "product"
 route, a generalized eigenproblem) or as the null space of W - B/C (the
-"linear" route, an ordinary symmetric eigenproblem that stays solvable with
-any number of samples).  Both spans coincide.
+"linear" route, which stays solvable with any number of samples).  Both
+spans coincide, span{W^+ (f_c - f_bar)} when the pooled bases are
+independent: one solve of their Gram where a Cholesky certifies it
+(``_gfda_closed_form``), the union frame's eigh elsewhere.
 """
 
 import warnings
@@ -151,11 +153,13 @@ def pairwise_difference_matrix(firsts) -> np.ndarray:
 # geometrical discriminant analysis
 # ---------------------------------------------------------------------------
 
-def union_frame(ensemble: SubspaceEnsemble):
-    """The union-span frame that gFDA and GDS work in, as (U, s2, F_U, B_U).
+def union_frame(ensemble: SubspaceEnsemble, Phi=None):
+    """The union-span frame that GDS, eigencurves and the gFDA fallback
+    work in, as (U, s2, F_U, B_U).
 
     U, s2 : union_span's frame, formed whole (lift()), and the K nonzero
-        eigenvalues of G = sum_c P_c = U diag(s2) U^T, both ascending
+        eigenvalues of G = sum_c P_c = U diag(s2) U^T, both ascending; the
+        frame is of Phi, the pooled basis, when the caller has stacked it
     F_U : (C, K) aligned first basis vectors F in the frame's coordinates,
         F U, the one product with F; F = F_U U^T, as F lies in the span
     B_U : (K, K) pairwise-difference matrix of F_U, that is U^T B U
@@ -164,49 +168,95 @@ def union_frame(ensemble: SubspaceEnsemble):
     and gFDA-linear diagonalizes diag(s2) - B_U / C; the two differ by the
     correction term B_U / C alone.
     """
-    s, _, lift = union_span(ensemble.classes)
+    s, _, lift = union_span(ensemble.classes if Phi is None else Phi)
     U = lift()
     del lift  # so the pooled basis it holds, U and F are not all alive at once
     F_U = aligned_first_vectors(ensemble) @ U
     return U, s[::-1] ** 2, F_U, pairwise_difference_matrix(F_U)
 
 
+def _helmert(C):
+    """Q_H, the (C, C - 1) Gram-Schmidt basis of the first C - 1 columns of
+    the centring matrix I - 1 1^T / C: column k is
+    (m e_k - sum_{i > k} e_i) / sqrt(m (m + 1)) with m = C - 1 - k."""
+    m = np.arange(C - 1, 0, -1.0)
+    Q = np.tril(np.full((C, C - 1), -1.0), -1)
+    np.fill_diagonal(Q, m)
+    return Q / np.sqrt(m * (m + 1))
+
+
+def _gfda_closed_form(ensemble: SubspaceEnsemble):
+    """(Phi, F, Y): the pooled basis Phi = [Phi_1 ... Phi_C], the aligned
+    first basis vectors F and, when a Cholesky certifies the pooled Gram
+    M = Phi^T Phi, the (K, C - 1) solution of M Y = E Q_H, else None.
+    F^T = Phi E: E holds the sign sigma_c that aligned class c's first
+    vector in the row of that basis column, and Q_H is ``_helmert(C)``.
+    With Phi of full column rank, G^+ = Phi M^-2 Phi^T, so
+    Phi Y = G^+ F^T Q_H spans the gFDA space, span{G^+ (f_c - f_bar)}.
+
+    The certificate is Rump's test of positive definiteness (BIT 2006):
+    M - tau I has a Cholesky factor for tau = eps / ORTHO_IP_TOL times the
+    largest row sum of |M|, a bound on s^2_max.  Then
+    s^2_min / s^2_max >= 2.2e-6, so gram_frame(Phi) would keep all K
+    columns in its coordinate branch.
+    """
+    Phi = np.hstack([c.basis for c in ensemble.classes])
+    F = aligned_first_vectors(ensemble)
+    M = Phi.T @ Phi
+    K, C = M.shape[0], ensemble.n_classes
+    tau = (np.finfo(float).eps / linalg.ORTHO_IP_TOL
+           * np.abs(M).sum(axis=1).max())
+    try:
+        np.linalg.cholesky(M - tau * np.eye(K))
+    except np.linalg.LinAlgError:
+        return Phi, F, None
+    firsts = np.cumsum([0] + [c.dim for c in ensemble.classes[:-1]])
+    # row c of F is sigma_c times the unit basis column firsts[c]
+    sigma = np.sign(np.sum(F * Phi[:, firsts].T, axis=1))
+    rhs = np.zeros((K, C - 1))
+    rhs[firsts] = sigma[:, None] * _helmert(C)
+    return Phi, F, np.linalg.solve(M, rhs)
+
+
 def gfda_product_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     """Geometrical discriminant space via whitening followed by PCA.
 
-    Steps: take the union-span frame U, S of the pooled class bases
-    (whose rank must equal the number of pooled vectors), whiten the summed
-    projection matrix G = U S^2 U^T with the map diag(1/s) U^T so all basis
-    vectors become mutually orthonormal, then diagonalize the
-    pairwise-difference matrix of the whitened first basis vectors and keep
-    its C - 1 leading eigenvectors.  That matrix is C X^T X for the C
-    centered whitened first vectors X, whose C - 1 nonzero eigenvalues all
-    equal C (the whitened first vectors are orthonormal), so the data fix
-    the eigenbasis: Gram-Schmidt on the first C - 1 rows of X in class
-    order.  The model's projector is the whitening map followed by that
-    basis, one (L, C - 1) map.  Class references are the projections of
-    the whitened first basis vectors.
+    Whitening G = sum_c P_c on its range makes the pooled basis vectors
+    mutually orthonormal, so the pairwise-difference matrix of the C
+    whitened first vectors is C X^T X for their centred rows X, and its
+    C - 1 nonzero eigenvalues all equal C.  The data fix the eigenbasis:
+    Gram-Schmidt on the first C - 1 rows of X in class order.  The
+    projector is the whitening map followed by that basis, one (L, C - 1)
+    map: Phi Y from ``_gfda_closed_form``, with no eigensolver, or where
+    the Cholesky does not certify the pooled Gram, U diag(1/s) times that
+    basis on the union frame U, S, whose rank must equal the number of
+    pooled vectors (OverlapError otherwise).  Class references are the
+    projections of the aligned first basis vectors, and
+    info["criterion_eigenvalues"] C times the squared norms of their
+    centred columns.
     """
     C = ensemble.n_classes
-    total = sum(c.dim for c in ensemble.classes)
-    U, s2, F_U, _ = union_frame(ensemble)
-    if s2.size < total:
-        raise OverlapError(
-            "class subspaces overlap: pooled basis vectors are dependent "
-            f"(rank {s2.size} < {total})")
-
-    s = np.sqrt(s2)
-    wmap = U.T / s[:, None]  # data space -> normalized space
-    hats = F_U / s  # rows: whitened first vectors, F wmap^T
-    centred = hats - hats.mean(axis=0)
-    basis = linalg.gram_schmidt(centred[:C - 1].T)
+    Phi, F, Y = _gfda_closed_form(ensemble)
+    if Y is not None:
+        projector = Phi @ Y
+    else:
+        U, s2, F_U, _ = union_frame(ensemble, Phi)
+        if s2.size < Phi.shape[1]:
+            raise OverlapError(
+                "class subspaces overlap: pooled basis vectors are dependent "
+                f"(rank {s2.size} < {Phi.shape[1]})")
+        s = np.sqrt(s2)
+        hats = F_U / s  # rows: whitened first vectors
+        basis = linalg.gram_schmidt((hats - hats.mean(axis=0))[:C - 1].T)
+        projector = U @ (basis / s[:, None])
+    refs = F @ projector
     return DiscriminantModel(
-        projector=wmap.T @ basis,
+        projector=projector,
         method="gFDA-product",
         class_labels=ensemble.labels,
-        class_refs=hats @ basis,
+        class_refs=refs,
         info={"criterion_eigenvalues":
-              (C * np.sum((centred @ basis) ** 2, axis=0)).tolist()},
+              (C * np.sum((refs - refs.mean(axis=0)) ** 2, axis=0)).tolist()},
     )
 
 
@@ -215,48 +265,61 @@ def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
 
     Solvable for any sample count (the matrix is a plain linear combination,
     never inverted), which is what lets the method run with a single sample
-    per class.  The eigenproblem is restricted to the union span of the
-    class subspaces; directions orthogonal to every class are null for both
-    matrices and carry no discriminant information.  Selection is by index
-    (the C - 1 smallest eigenvalues).  A selected eigenvalue that is not
-    near zero (OVERLAP_TOL) means the class subspaces overlap; this is
-    recorded, not raised, even when none is near zero (identical classes):
-    a warning reports the largest and info["selected_eigenvalues"] holds
-    them all.
+    per class.  Directions orthogonal to every class are null for both
+    matrices and carry no discriminant information, so the space is taken
+    in the union span.  The data pick its basis: Gram-Schmidt, in class
+    order, on the first C - 1 centred first vectors projected onto it.
 
-    The selected eigenvalues sit at zero, so the data pick the basis of
-    their eigenspace: Gram-Schmidt, in class order, on the first C - 1
-    centred first vectors projected onto it, as in the product form, with
-    eigenvectors completing it only where those are dependent (overlap).
+    Where a Cholesky certifies the pooled Gram the space is span(Phi Y)
+    (``_gfda_closed_form``), with no eigensolver, and
+    info["selected_eigenvalues"] holds the Rayleigh quotients of the
+    projector's columns on W - B/C, zero to rounding.  Elsewhere the C - 1
+    smallest eigenvalues of U^T (W - B/C) U on the union frame U select
+    it, and info["selected_eigenvalues"] holds them.  One that is not near
+    zero (OVERLAP_TOL) means the class subspaces overlap; this is
+    recorded, not raised, even when none is near zero (identical classes):
+    a warning reports the largest, and eigenvectors complete the basis
+    where the projected first vectors are dependent.
     """
     C = ensemble.n_classes
-    U, s2, F_U, B_U = union_frame(ensemble)
-    if s2.size < C - 1:
-        raise ValidationError(
-            f"union span of the class subspaces has rank {s2.size}, "
-            f"cannot hold a {C - 1}-dimensional discriminant space")
-    # U^T (G - B/C) U = diag(s^2) - U^T B U / C
-    values, vectors = np.linalg.eigh(np.diag(s2) - B_U / C)
-    k = C - 1
-    selected = values[:k]
-    top = max(abs(values[-1]), 1.0)
-    if selected[-1] > OVERLAP_TOL * top:
-        warnings.warn(
-            f"only {int(np.sum(selected <= OVERLAP_TOL * top))} of {k} selected "
-            f"eigenvalues are near zero (max selected {selected[-1]:.3e}); "
-            "class subspaces overlap or are degenerate",
-            RuntimeWarning, stacklevel=2)
-    W = vectors[:, :k]
-    P = W @ (W.T @ (F_U - F_U.mean(axis=0))[:k].T)
-    coords = linalg.gram_schmidt(P) if P.any() else W[:, :0]
-    if coords.shape[1] < k:  # overlap: sign-fixed eigenvectors complete it
-        coords = linalg.gram_schmidt(
-            np.hstack([coords, linalg.fix_signs(W)]))[:, :k]
+    Phi, F, Y = _gfda_closed_form(ensemble)
+    if Y is not None:
+        Q = np.linalg.qr(Phi @ Y)[0]
+        centred = (F - F.mean(axis=0))[:C - 1]
+        projector = Q @ linalg.gram_schmidt(Q.T @ centred.T)
+        refs = F @ projector
+        # p^T W p = |Phi^T p|^2 and p^T B p / C = |H F p|^2, H the centring
+        selected = (np.sum((Phi.T @ projector) ** 2, axis=0)
+                    - np.sum((refs - refs.mean(axis=0)) ** 2, axis=0))
+    else:
+        U, s2, F_U, B_U = union_frame(ensemble, Phi)
+        if s2.size < C - 1:
+            raise ValidationError(
+                f"union span of the class subspaces has rank {s2.size}, "
+                f"cannot hold a {C - 1}-dimensional discriminant space")
+        # U^T (G - B/C) U = diag(s^2) - U^T B U / C
+        values, vectors = np.linalg.eigh(np.diag(s2) - B_U / C)
+        k = C - 1
+        selected = values[:k]
+        top = max(abs(values[-1]), 1.0)
+        if selected[-1] > OVERLAP_TOL * top:
+            warnings.warn(
+                f"only {int(np.sum(selected <= OVERLAP_TOL * top))} of {k} "
+                f"selected eigenvalues are near zero (max selected "
+                f"{selected[-1]:.3e}); class subspaces overlap or are "
+                "degenerate", RuntimeWarning, stacklevel=2)
+        W = vectors[:, :k]
+        P = W @ (W.T @ (F_U - F_U.mean(axis=0))[:k].T)
+        coords = linalg.gram_schmidt(P) if P.any() else W[:, :0]
+        if coords.shape[1] < k:  # overlap: sign-fixed eigenvectors complete it
+            coords = linalg.gram_schmidt(
+                np.hstack([coords, linalg.fix_signs(W)]))[:, :k]
+        projector, refs = U @ coords, F_U @ coords
     return DiscriminantModel(
-        projector=U @ coords,
+        projector=projector,
         method="gFDA-linear",
         class_labels=ensemble.labels,
-        class_refs=F_U @ coords,
+        class_refs=refs,
         info={"selected_eigenvalues": selected.tolist()},
     )
 

@@ -280,6 +280,21 @@ def scatter_ladder(ensemble: SubspaceEnsemble, rung: str) -> ScatterPair:
     return ScatterPair(between=between, within=within, rung=rung)
 
 
+def gfda_null_space(ensemble: SubspaceEnsemble) -> np.ndarray:
+    """The gFDA space by the L x L route, the oracle of both forms: the
+    (L, C - 1) eigenvectors of the C - 1 smallest eigenvalues of
+    Q^T (W - B/C) Q, lifted by Q, for (B, W) the gFDA rung of the scatter
+    ladder and Q the eigenvectors of W's nonzero eigenvalues, each from
+    sym_eig.  Directions orthogonal to every class are null for both
+    matrices, so the null space is taken on the range of W."""
+    C = ensemble.n_classes
+    pair = scatter_ladder(ensemble, "gFDA")
+    eig = sym_eig(pair.within)
+    Q = eig.vectors[:, nonzero(eig.values)]
+    ghat = Q.T @ (pair.within - pair.between / C) @ Q
+    return Q @ sym_eig(ghat).vectors[:, :C - 1]
+
+
 def gds_decomposition(ensemble: SubspaceEnsemble):
     """Split G into its between-difference and residual parts.
 

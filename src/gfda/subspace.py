@@ -235,7 +235,8 @@ def aligned_first_vectors(ensemble: SubspaceEnsemble) -> np.ndarray:
 
 def union_span(classes):
     """``linalg.gram_frame`` of the pooled basis Phi = [Phi_1 ... Phi_C] of
-    any objects with a .basis: (s, Z, lift), s descending, for
+    any objects with a .basis, or of Phi itself, stacked already by the
+    caller and not copied again: (s, Z, lift), s descending, for
     G = sum_c P_c = Phi Phi^T = U diag(s^2) U^T on the frame U, Z = Phi^T U
     the pooled basis vectors in U's coordinates, lift(D) = U D and lift()
     the (L, K) frame U itself, orthonormal to rounding, its columns in
@@ -244,5 +245,7 @@ def union_span(classes):
     all-zero Phi gives an empty frame, and no L x L matrix and no SVD of
     Phi is formed.
     """
-    return linalg.gram_frame(np.hstack([c.basis for c in classes]))
+    if not isinstance(classes, np.ndarray):
+        classes = np.hstack([c.basis for c in classes])
+    return linalg.gram_frame(classes)
 

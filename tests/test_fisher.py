@@ -1,6 +1,12 @@
+import warnings
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gfda
 from gfda import fisher, linalg, reference
@@ -15,6 +21,12 @@ def line_model(label, direction, mean=None):
                            eigenvalues=np.array([1.0]),
                            mean=d.copy() if mean is None else np.asarray(mean, float),
                            count=1)
+
+
+def uncertified(ens, closed_form=fisher._gfda_closed_form):
+    """fisher._gfda_closed_form with the Cholesky's certificate withheld,
+    so both gFDA forms take the union frame's eigh route."""
+    return closed_form(ens)[:2] + (None,)
 
 
 def sixty_degree_ensemble():
@@ -216,11 +228,11 @@ class TestCriterionSpectrum:
     @pytest.mark.parametrize("C,N", [(2, 1), (3, 2), (5, 1), (7, 3)])
     def test_duality_of_forms(self, C, N):
         ens = gfda.subspace_config(C, N, 4 * C * N, seed=80 + C + N)
-        prod = gfda.gfda_product_form(ens)
-        lin = gfda.gfda_linear_form(ens)
-        cos = reference.canonical_angles(linalg.gram_schmidt(prod.projector),
-                                         linalg.gram_schmidt(lin.projector)).cosines
-        assert cos.min() >= 1 - 1e-8
+        prod = linalg.gram_schmidt(gfda.gfda_product_form(ens).projector)
+        lin = linalg.gram_schmidt(gfda.gfda_linear_form(ens).projector)
+        oracle = reference.gfda_null_space(ens)
+        for a, b in ((prod, oracle), (lin, oracle), (prod, lin)):
+            assert reference.canonical_angles(a, b).cosines.min() >= 1 - 1e-8
 
     @pytest.mark.parametrize("C", range(2, 9))
     def test_reference_difference_matrix_spectrum(self, C):
@@ -277,14 +289,19 @@ class TestGfdaForms:
     def test_product_form_independent_of_frame_basis(self, monkeypatch):
         # mutually orthogonal class subspaces give G = sum_c P_c with every
         # s^2 = 1, so U R is as valid a frame as U for any orthogonal R; the
-        # model must not depend on which one the factorization returns
+        # model must not depend on which one the factorization returns.
+        # Their pooled Gram is I, certified, so the frame is the eigh
+        # route's, taken here by withholding the certificate
         rng = np.random.default_rng(96)
         C, N, L = 5, 2, 24
         Q = np.linalg.qr(rng.standard_normal((L, C * N)))[0]
         ens = gfda.SubspaceEnsemble(tuple(
             gfda.ClassModel(c, Q[:, c * N:(c + 1) * N], np.array([2.0, 1.0]),
                             3.0 * Q[:, c * N], 4) for c in range(C)), L)
+        closed = gfda.gfda_product_form(ens)
+        monkeypatch.setattr(fisher, "_gfda_closed_form", uncertified)
         plain = gfda.gfda_product_form(ens)
+        npt.assert_allclose(plain.projector, closed.projector, atol=1e-12)
         s, Z, lift = fisher.union_span(ens.classes)
         npt.assert_allclose(s**2, np.ones(C * N), atol=1e-12)
         R = np.linalg.qr(rng.standard_normal((C * N, C * N)))[0]
@@ -330,7 +347,6 @@ class TestGfdaForms:
         # may return any basis of that eigenspace; the projector is chosen
         # from the data, and two ensembles 1e-15 apart give the same one
         # (an eigh basis moved by 1.2-1.8x the largest entry here)
-        from dataclasses import replace
         ens = gfda.subspace_config(6, 3, 72, seed=seed)
         rng = np.random.default_rng(seed)
         nudged = gfda.SubspaceEnsemble(tuple(
@@ -390,6 +406,45 @@ def count_framings(monkeypatch):
     return calls
 
 
+def watch_pooling(monkeypatch):
+    """Mark every array np.hstack returns as a pooled basis, and log: the
+    marked arrays ("stacked"), the number of products of a marked array
+    with a marked one, that is of pooled Grams ("grams"), the arguments of
+    fisher.union_span ("framed"), and the eigh, eigvalsh and svd calls
+    ("factorized")."""
+    log = {"stacked": [], "grams": 0, "framed": [], "factorized": []}
+
+    class Pooled(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and all(isinstance(x, Pooled)
+                                          for x in inputs):
+                log["grams"] += 1
+            def plain(arrays):
+                return [x.view(np.ndarray) if isinstance(x, Pooled) else x
+                        for x in arrays]
+            if "out" in kwargs:
+                kwargs["out"] = tuple(plain(kwargs["out"]))
+            return getattr(ufunc, method)(*plain(inputs), **kwargs)
+
+    def logged(record, real, mark=False):
+        def call(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if mark:
+                out = out.view(Pooled)
+            record.append(out if mark else args[0])
+            return out
+        return call
+
+    monkeypatch.setattr(np, "hstack", logged(log["stacked"], np.hstack,
+                                             mark=True))
+    monkeypatch.setattr(fisher, "union_span",
+                        logged(log["framed"], fisher.union_span))
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, logged(
+            log["factorized"], getattr(np.linalg, name)))
+    return log
+
+
 class TestUnionFrame:
     def test_frame_matches_full_route(self):
         ens = gfda.subspace_config(4, 2, 20, seed=91)
@@ -401,17 +456,33 @@ class TestUnionFrame:
         npt.assert_array_equal(F_U, F @ U)
         npt.assert_allclose(F_U @ U.T, F, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("build", [
-        gfda.gfda_linear_form,
-        gfda.gfda_product_form,
-        lambda ens: gfda.gds_discriminant(ens, dims=3),
-        lambda ens: gfda.gds_discriminant(ens, gamma=0.9),
+    @pytest.mark.parametrize("build,frames", [
+        (gfda.gfda_linear_form, False),
+        (gfda.gfda_product_form, False),
+        (lambda ens: gfda.gds_discriminant(ens, dims=3), True),
+        (lambda ens: gfda.gds_discriminant(ens, gamma=0.9), True),
     ], ids=["linear", "product", "gds-dims", "gds-gamma"])
-    def test_construction_frames_once(self, monkeypatch, build):
-        ens = gfda.subspace_config(4, 2, 20, seed=92)
-        calls = count_framings(monkeypatch)
-        build(ens)
-        assert calls == [4]
+    def test_construction_frames_once(self, monkeypatch, build, frames):
+        """Every construction stacks the pooled basis Phi once.  GDS frames
+        it once, by union_span.  The gFDA forms, on an ensemble whose pooled
+        Gram the Cholesky certifies, form that Gram once and call no
+        union_span, no eigensolver and no SVD; on one it does not certify
+        (separation 0.003, s^2_min / s^2_max = 3.1e-7), union_span frames
+        the Phi already stacked, once."""
+        for separation, certified in ((1.0, True), (0.003, False)):
+            ens = gfda.subspace_config(4, 2, 20, separation=separation,
+                                       seed=92)
+            with monkeypatch.context() as patch:
+                log = watch_pooling(patch)
+                build(ens)
+            (Phi,) = log["stacked"]
+            if frames or not certified:
+                (framed,) = log["framed"]
+                assert framed is (ens.classes if frames else Phi)
+            else:
+                assert log["framed"] == []
+                assert log["grams"] == 1
+                assert log["factorized"] == []
 
     def test_eigencurves_frames_once(self, monkeypatch, tmp_path):
         from gfda import cli
@@ -421,6 +492,86 @@ class TestUnionFrame:
                          "3", "--seed", "0", "--out",
                          str(tmp_path / "curves.csv")]) == 0
         assert calls == [5]
+
+
+def sine_distance(U_ref, U):
+    """||(I - U_ref U_ref^T) U||_2 for orthonormal U_ref and U."""
+    return np.linalg.norm(U - U_ref @ (U_ref.T @ U), 2)
+
+
+def eigh_route(ens):
+    """Both gFDA forms by the union frame's eigh route, the one an ensemble
+    takes when the Cholesky does not certify its pooled Gram; the product
+    form is None where the union span's rank falls below K
+    (OverlapError)."""
+    with mock.patch.object(fisher, "_gfda_closed_form", uncertified):
+        linear = gfda.gfda_linear_form(ens)
+        try:
+            return linear, gfda.gfda_product_form(ens)
+        except OverlapError:
+            return linear, None
+
+
+def spans(models):
+    """Orthonormal bases of the models' projectors, None skipped."""
+    return [linalg.gram_schmidt(m.projector) for m in models if m is not None]
+
+
+@st.composite
+def near_overlap_ensembles(draw):
+    """2-6 classes of 1-3 dimensions in L = K, K + 2 or 2 K for K = C N,
+    at separations from near overlap (0.05) to nearer the rank cut
+    (0.001), where most pooled Grams are not certified.  Some classes
+    have their basis negated, so that their first vector points away from
+    the class mean and its aligned copy is flipped back."""
+    C = draw(st.integers(2, 6))
+    N = draw(st.integers(1, 3))
+    L = C * N + draw(st.sampled_from([0, 2, C * N]))
+    separation = draw(st.sampled_from([0.05, 0.01, 0.003, 0.001]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    flips = draw(st.lists(st.booleans(), min_size=C, max_size=C))
+    ens = gfda.subspace_config(C, N, L, separation=separation, seed=seed)
+    return gfda.SubspaceEnsemble(tuple(
+        replace(c, basis=-c.basis) if flip else c
+        for c, flip in zip(ens.classes, flips)), L)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(near_overlap_ensembles())
+def test_closed_form_and_eigh_route_match_the_full_route(ens):
+    """A certified pooled Gram is one that gram_frame keeps whole (K
+    columns) in its coordinate branch.  There both gFDA forms, by the
+    closed form and by the eigh route alike, span the L x L null space of
+    W - B/C (reference.gfda_null_space) to 1e-8 in the sine form, and
+    gFDA-linear's Rayleigh quotients on W - B/C are at most 1e-14
+    (measured: at most 3.5e-17 on 600 such draws, 3.0e-15 at C = 30,
+    L = 1024), six orders below OVERLAP_TOL, so the closed form has no
+    overlap warning to give.  Every other draw takes the eigh route, bit
+    for bit, and is held to the L x L route by the canonical-angle test
+    (cosines within 1e-8 of 1): below the guard the L x L route itself
+    resolves the space only to about eps s^2_max / s^2_min in the sine
+    form, and it differs from the eigh route there by up to about 1e-7, as
+    a rule the further of the two from the thin-SVD closed form."""
+    Phi, _, Y = fisher._gfda_closed_form(ens)
+    oracle = reference.gfda_null_space(ens)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        by_eigh = eigh_route(ens)
+        if Y is None:
+            npt.assert_array_equal(gfda.gfda_linear_form(ens).projector,
+                                   by_eigh[0].projector)
+            for basis in spans(by_eigh):
+                cos = reference.canonical_angles(oracle, basis).cosines
+                assert 1.0 - cos.min() <= 1e-8
+            return
+    closed = gfda.gfda_linear_form(ens), gfda.gfda_product_form(ens)
+    with mock.patch.object(linalg, "_lifted_frame",
+                           wraps=linalg._lifted_frame) as lift_step:
+        s, _, _ = linalg.gram_frame(Phi)
+    assert s.size == Phi.shape[1] and not lift_step.called
+    for basis in spans(by_eigh + closed):
+        assert sine_distance(oracle, basis) <= 1e-8
+    assert np.abs(closed[0].info["selected_eigenvalues"]).max() <= 1e-14
 
 
 def _gaussians(L, n):
