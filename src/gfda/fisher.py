@@ -17,9 +17,9 @@ the sum of the class projection matrices.  Its maximizers can be found
 either by whitening W and diagonalizing the transformed B (the "product"
 route, a generalized eigenproblem) or as the null space of W - B/C (the
 "linear" route, which stays solvable with any number of samples).  Both
-spans coincide, span{W^+ (f_c - f_bar)} when the pooled bases are
-independent: one solve of their Gram where a Cholesky certifies it
-(``_gfda_closed_form``), the union frame's eigh elsewhere.
+spans coincide: span{W^+ (f_c - f_bar)}, one closed form (``_gfda_map``)
+whenever the pooled bases are independent; the union frame's eigh serves
+only overlap.
 """
 
 import warnings
@@ -153,13 +153,12 @@ def pairwise_difference_matrix(firsts) -> np.ndarray:
 # geometrical discriminant analysis
 # ---------------------------------------------------------------------------
 
-def union_frame(ensemble: SubspaceEnsemble, Phi=None):
-    """The union-span frame that GDS, eigencurves and the gFDA fallback
-    work in, as (U, s2, F_U, B_U).
+def union_frame(ensemble: SubspaceEnsemble):
+    """The union-span frame that GDS and eigencurves work in, as
+    (U, s2, F_U, B_U).
 
     U, s2 : union_span's frame, formed whole (lift()), and the K nonzero
-        eigenvalues of G = sum_c P_c = U diag(s2) U^T, both ascending; the
-        frame is of Phi, the pooled basis, when the caller has stacked it
+        eigenvalues of G = sum_c P_c = U diag(s2) U^T, both ascending
     F_U : (C, K) aligned first basis vectors F in the frame's coordinates,
         F U, the one product with F; F = F_U U^T, as F lies in the span
     B_U : (K, K) pairwise-difference matrix of F_U, that is U^T B U
@@ -168,7 +167,7 @@ def union_frame(ensemble: SubspaceEnsemble, Phi=None):
     and gFDA-linear diagonalizes diag(s2) - B_U / C; the two differ by the
     correction term B_U / C alone.
     """
-    s, _, lift = union_span(ensemble.classes if Phi is None else Phi)
+    s, _, lift = union_span(ensemble.classes)
     U = lift()
     del lift  # so the pooled basis it holds, U and F are not all alive at once
     F_U = aligned_first_vectors(ensemble) @ U
@@ -185,37 +184,44 @@ def _helmert(C):
     return Q / np.sqrt(m * (m + 1))
 
 
-def _gfda_closed_form(ensemble: SubspaceEnsemble):
-    """(Phi, F, Y): the pooled basis Phi = [Phi_1 ... Phi_C], the aligned
-    first basis vectors F and, when a Cholesky certifies the pooled Gram
-    M = Phi^T Phi, the (K, C - 1) solution of M Y = E Q_H, else None.
-    F^T = Phi E: E holds the sign sigma_c that aligned class c's first
-    vector in the row of that basis column, and Q_H is ``_helmert(C)``.
-    With Phi of full column rank, G^+ = Phi M^-2 Phi^T, so
-    Phi Y = G^+ F^T Q_H spans the gFDA space, span{G^+ (f_c - f_bar)}.
+def _certified(M):
+    """Rump's test of positive definiteness (BIT 2006): a Cholesky of
+    M - tau I, tau = eps / ORTHO_IP_TOL times M's largest absolute row sum
+    (>= s^2_max).  It certifies s^2_min / s^2_max >= 2.2e-6, so
+    gram_frame would keep all K columns in its coordinate branch."""
+    tau = np.finfo(float).eps / linalg.ORTHO_IP_TOL * np.abs(M).sum(1).max()
+    try:
+        np.linalg.cholesky(M - tau * np.eye(len(M)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
-    The certificate is Rump's test of positive definiteness (BIT 2006):
-    M - tau I has a Cholesky factor for tau = eps / ORTHO_IP_TOL times the
-    largest row sum of |M|, a bound on s^2_max.  Then
-    s^2_min / s^2_max >= 2.2e-6, so gram_frame(Phi) would keep all K
-    columns in its coordinate branch.
-    """
+
+def _gfda_map(ensemble: SubspaceEnsemble):
+    """(Phi, F, P, frame) for the pooled basis Phi = [Phi_1 ... Phi_C] and
+    the aligned first basis vectors F: P = G^+ F^T Q_H, the (L, C - 1) map
+    onto the gFDA space span{G^+ (f_c - f_bar)}, where Phi has full column
+    rank K, else None with frame union_span(Phi)'s (s, lift).  F^T = Phi E,
+    E holding each class's alignment sign sigma_c at the row of its first
+    basis column; Q_H = ``_helmert(C)``.  M = Phi^T Phi is formed once:
+    where ``_certified(M)``, P = Phi M^-1 E Q_H, one solve; elsewhere
+    P = lift(Z^T E Q_H / s^2) on union_span(Phi, M), as G^+ =
+    U diag(1/s^2) U^T and Z = Phi^T U on any frame U of Phi."""
     Phi = np.hstack([c.basis for c in ensemble.classes])
     F = aligned_first_vectors(ensemble)
     M = Phi.T @ Phi
     K, C = M.shape[0], ensemble.n_classes
-    tau = (np.finfo(float).eps / linalg.ORTHO_IP_TOL
-           * np.abs(M).sum(axis=1).max())
-    try:
-        np.linalg.cholesky(M - tau * np.eye(K))
-    except np.linalg.LinAlgError:
-        return Phi, F, None
     firsts = np.cumsum([0] + [c.dim for c in ensemble.classes[:-1]])
     # row c of F is sigma_c times the unit basis column firsts[c]
     sigma = np.sign(np.sum(F * Phi[:, firsts].T, axis=1))
     rhs = np.zeros((K, C - 1))
     rhs[firsts] = sigma[:, None] * _helmert(C)
-    return Phi, F, np.linalg.solve(M, rhs)
+    if _certified(M):
+        return Phi, F, Phi @ np.linalg.solve(M, rhs), None
+    s, Z, lift = union_span(Phi, M)
+    if s.size < K:
+        return Phi, F, None, (s, lift)
+    return Phi, F, lift(Z.T @ rhs / s[:, None] ** 2), None
 
 
 def gfda_product_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
@@ -225,30 +231,20 @@ def gfda_product_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     mutually orthonormal, so the pairwise-difference matrix of the C
     whitened first vectors is C X^T X for their centred rows X, and its
     C - 1 nonzero eigenvalues all equal C.  The data fix the eigenbasis:
-    Gram-Schmidt on the first C - 1 rows of X in class order.  The
-    projector is the whitening map followed by that basis, one (L, C - 1)
-    map: Phi Y from ``_gfda_closed_form``, with no eigensolver, or where
-    the Cholesky does not certify the pooled Gram, U diag(1/s) times that
-    basis on the union frame U, S, whose rank must equal the number of
-    pooled vectors (OverlapError otherwise).  Class references are the
-    projections of the aligned first basis vectors, and
-    info["criterion_eigenvalues"] C times the squared norms of their
-    centred columns.
+    Gram-Schmidt on the first C - 1 rows of X in class order, Q_H carried
+    by the orthonormal whitened first vectors.  The whitening map followed
+    by that basis is ``_gfda_map``'s P = G^+ F^T Q_H, the projector, which
+    needs independent pooled basis vectors (OverlapError otherwise).
+    Class references are the projections of the aligned first basis
+    vectors, and info["criterion_eigenvalues"] C times the squared norms
+    of their centred columns.
     """
     C = ensemble.n_classes
-    Phi, F, Y = _gfda_closed_form(ensemble)
-    if Y is not None:
-        projector = Phi @ Y
-    else:
-        U, s2, F_U, _ = union_frame(ensemble, Phi)
-        if s2.size < Phi.shape[1]:
-            raise OverlapError(
-                "class subspaces overlap: pooled basis vectors are dependent "
-                f"(rank {s2.size} < {Phi.shape[1]})")
-        s = np.sqrt(s2)
-        hats = F_U / s  # rows: whitened first vectors
-        basis = linalg.gram_schmidt((hats - hats.mean(axis=0))[:C - 1].T)
-        projector = U @ (basis / s[:, None])
+    Phi, F, projector, frame = _gfda_map(ensemble)
+    if projector is None:
+        raise OverlapError(
+            "class subspaces overlap: pooled basis vectors are dependent "
+            f"(rank {frame[0].size} < {Phi.shape[1]})")
     refs = F @ projector
     return DiscriminantModel(
         projector=projector,
@@ -270,21 +266,20 @@ def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     in the union span.  The data pick its basis: Gram-Schmidt, in class
     order, on the first C - 1 centred first vectors projected onto it.
 
-    Where a Cholesky certifies the pooled Gram the space is span(Phi Y)
-    (``_gfda_closed_form``), with no eigensolver, and
-    info["selected_eigenvalues"] holds the Rayleigh quotients of the
-    projector's columns on W - B/C, zero to rounding.  Elsewhere the C - 1
-    smallest eigenvalues of U^T (W - B/C) U on the union frame U select
-    it, and info["selected_eigenvalues"] holds them.  One that is not near
-    zero (OVERLAP_TOL) means the class subspaces overlap; this is
-    recorded, not raised, even when none is near zero (identical classes):
-    a warning reports the largest, and eigenvectors complete the basis
-    where the projected first vectors are dependent.
+    With independent pooled basis vectors the space is span(P), P from
+    ``_gfda_map``, and info["selected_eigenvalues"] holds the Rayleigh
+    quotients of the projector's columns on W - B/C, zero to rounding.
+    With dependent ones the C - 1 smallest eigenvalues of U^T (W - B/C) U
+    on the union frame U already taken select it and are recorded there.
+    One that is not near zero (OVERLAP_TOL) means the class subspaces
+    overlap; this is recorded, not raised, even when none is near zero
+    (identical classes): a warning reports the largest, and eigenvectors
+    complete the basis where the projected first vectors are dependent.
     """
     C = ensemble.n_classes
-    Phi, F, Y = _gfda_closed_form(ensemble)
-    if Y is not None:
-        Q = np.linalg.qr(Phi @ Y)[0]
+    Phi, F, P, frame = _gfda_map(ensemble)
+    if P is not None:
+        Q = np.linalg.qr(P)[0]
         centred = (F - F.mean(axis=0))[:C - 1]
         projector = Q @ linalg.gram_schmidt(Q.T @ centred.T)
         refs = F @ projector
@@ -292,13 +287,16 @@ def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
         selected = (np.sum((Phi.T @ projector) ** 2, axis=0)
                     - np.sum((refs - refs.mean(axis=0)) ** 2, axis=0))
     else:
-        U, s2, F_U, B_U = union_frame(ensemble, Phi)
-        if s2.size < C - 1:
+        s, lift = frame
+        if s.size < C - 1:
             raise ValidationError(
-                f"union span of the class subspaces has rank {s2.size}, "
+                f"union span of the class subspaces has rank {s.size}, "
                 f"cannot hold a {C - 1}-dimensional discriminant space")
+        U = lift()
+        F_U = F @ U
         # U^T (G - B/C) U = diag(s^2) - U^T B U / C
-        values, vectors = np.linalg.eigh(np.diag(s2) - B_U / C)
+        values, vectors = np.linalg.eigh(
+            np.diag(s[::-1] ** 2) - pairwise_difference_matrix(F_U) / C)
         k = C - 1
         selected = values[:k]
         top = max(abs(values[-1]), 1.0)

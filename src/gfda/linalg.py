@@ -162,21 +162,21 @@ def range_basis(A):
     return U, s, r
 
 
-def gram_frame(A):
+def gram_frame(A, G=None):
     """Orthonormal frame Q of the column span of the (L, K) matrix A from
-    one eigh of its K x K Gram A^T A = V diag(s^2) V^T: (s, Z, lift) for
-    the r entries with nonzero(s^2), V sign-fixed.  s descends; Z = A^T Q
-    = V diag(s) holds A's columns in Q = A V diag(1/s); lift(D) =
-    Q[:, :k'] D maps (k', k) coordinates to L dimensions and lift() is Q
-    formed whole (``_formed_frame``), its columns in ascending s (the
-    order of A A^T's eigenvalues) and sign-fixed in L dimensions.  Z, the
-    lifted columns and the small s hold to about drift = eps s_max^2 /
-    s_min^2.  The one guard, the only reason to form Q before lift():
-    past ORTHO_IP_TOL, s and Q are the thin SVD's, ``range_basis(A)``
-    (``_lifted_frame``), and Z = A^T Q and lift(D) follow its signs.  A
-    Gram past the float range raises ValidationError."""
+    one eigh of its K x K Gram G = A^T A = V diag(s^2) V^T (the caller's,
+    if given): (s, Z, lift) for the r entries with nonzero(s^2), V
+    sign-fixed.  s descends; Z = A^T Q = V diag(s) holds A's columns in
+    Q = A V diag(1/s); lift(D) = Q[:, :k'] D maps (k', k) coordinates to
+    L dimensions and lift() is Q formed whole (``_formed_frame``), its
+    columns in ascending s (the order of A A^T's eigenvalues), sign-fixed
+    in L dimensions.  Z, the lifted columns and the small s hold to about
+    drift = eps s_max^2 / s_min^2.  The one guard, the only reason to form
+    Q before lift(): past ORTHO_IP_TOL, s and Q are the thin SVD's,
+    ``range_basis(A)`` (``_lifted_frame``), and Z = A^T Q and lift(D)
+    follow its signs.  A Gram past the float range raises ValidationError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        G = A.T @ A
+        G = A.T @ A if G is None else G
     if not np.isfinite(G).all():
         raise ValidationError("the Gram matrix of the data overflows: squared "
                               "norms exceed the float range; rescale the data")

@@ -233,19 +233,19 @@ def aligned_first_vectors(ensemble: SubspaceEnsemble) -> np.ndarray:
     return np.array(out)
 
 
-def union_span(classes):
+def union_span(classes, gram=None):
     """``linalg.gram_frame`` of the pooled basis Phi = [Phi_1 ... Phi_C] of
     any objects with a .basis, or of Phi itself, stacked already by the
-    caller and not copied again: (s, Z, lift), s descending, for
-    G = sum_c P_c = Phi Phi^T = U diag(s^2) U^T on the frame U, Z = Phi^T U
-    the pooled basis vectors in U's coordinates, lift(D) = U D and lift()
-    the (L, K) frame U itself, orthonormal to rounding, its columns in
-    ascending s.  The Gram Phi^T Phi's off-diagonal blocks hold the
-    canonical cosines between class pairs.  K = rank(Phi) <= sum_c N_c, an
-    all-zero Phi gives an empty frame, and no L x L matrix and no SVD of
-    Phi is formed.
+    caller and not copied again, as is its Gram Phi^T Phi if given:
+    (s, Z, lift), s descending, for G = sum_c P_c = Phi Phi^T =
+    U diag(s^2) U^T on the frame U, Z = Phi^T U the pooled basis vectors in
+    U's coordinates, lift(D) = U D and lift() the (L, K) frame U itself,
+    orthonormal to rounding, its columns in ascending s.  The Gram's
+    off-diagonal blocks hold the canonical cosines between class pairs.
+    K = rank(Phi) <= sum_c N_c, an all-zero Phi gives an empty frame, and
+    no L x L matrix is formed; Phi's thin SVD is taken only past
+    gram_frame's guard.
     """
     if not isinstance(classes, np.ndarray):
         classes = np.hstack([c.basis for c in classes])
-    return linalg.gram_frame(classes)
-
+    return linalg.gram_frame(classes, gram)

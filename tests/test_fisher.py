@@ -23,10 +23,25 @@ def line_model(label, direction, mean=None):
                            count=1)
 
 
-def uncertified(ens, closed_form=fisher._gfda_closed_form):
-    """fisher._gfda_closed_form with the Cholesky's certificate withheld,
-    so both gFDA forms take the union frame's eigh route."""
-    return closed_form(ens)[:2] + (None,)
+def uncertified(ens, closed_form=fisher._gfda_map):
+    """fisher._gfda_map with the Cholesky's certificate withheld, so both
+    gFDA forms take the closed form on the frame of union_span."""
+    with mock.patch.object(fisher, "_certified", lambda M: False):
+        return closed_form(ens)
+
+
+def rank_deficient_ensemble():
+    """Three 2-dimensional classes in R^8 whose second basis vector is the
+    same e_1: the pooled basis has rank 4 < K = 6, while the first basis
+    vectors are independent."""
+    rng = np.random.default_rng(94)
+    e1 = np.eye(8)[0]
+    classes = []
+    for i in range(3):
+        B = linalg.gram_schmidt(
+            np.column_stack([e1, rng.standard_normal(8)]))[:, ::-1]
+        classes.append(gfda.ClassModel(i, B, np.array([2.0, 1.0]), B[:, 0], 5))
+    return gfda.SubspaceEnsemble(tuple(classes), 8)
 
 
 def sixty_degree_ensemble():
@@ -290,8 +305,8 @@ class TestGfdaForms:
         # mutually orthogonal class subspaces give G = sum_c P_c with every
         # s^2 = 1, so U R is as valid a frame as U for any orthogonal R; the
         # model must not depend on which one the factorization returns.
-        # Their pooled Gram is I, certified, so the frame is the eigh
-        # route's, taken here by withholding the certificate
+        # Their pooled Gram is I, certified, so the frame is the closed
+        # form's on union_span, taken here by withholding the certificate
         rng = np.random.default_rng(96)
         C, N, L = 5, 2, 24
         Q = np.linalg.qr(rng.standard_normal((L, C * N)))[0]
@@ -299,15 +314,16 @@ class TestGfdaForms:
             gfda.ClassModel(c, Q[:, c * N:(c + 1) * N], np.array([2.0, 1.0]),
                             3.0 * Q[:, c * N], 4) for c in range(C)), L)
         closed = gfda.gfda_product_form(ens)
-        monkeypatch.setattr(fisher, "_gfda_closed_form", uncertified)
+        monkeypatch.setattr(fisher, "_gfda_map", uncertified)
         plain = gfda.gfda_product_form(ens)
         npt.assert_allclose(plain.projector, closed.projector, atol=1e-12)
         s, Z, lift = fisher.union_span(ens.classes)
         npt.assert_allclose(s**2, np.ones(C * N), atol=1e-12)
         R = np.linalg.qr(rng.standard_normal((C * N, C * N)))[0]
-        # the frame U R: coordinates Z R, lift(D) = U R D and lift() = U R
-        U = lift()
-        monkeypatch.setattr(fisher, "union_span", lambda classes: (
+        # the frame U R: coordinates Z R, lift(D) = U R D and lift() = U R,
+        # with U = lift(I), the frame in the column order of Z
+        U = lift(np.eye(C * N))
+        monkeypatch.setattr(fisher, "union_span", lambda *args: (
             s, Z @ R, lambda D=None: U @ R if D is None else U @ (R @ D)))
         rotated = gfda.gfda_product_form(ens)
         npt.assert_allclose(rotated.projector, plain.projector, atol=1e-12)
@@ -426,6 +442,11 @@ def watch_pooling(monkeypatch):
                 kwargs["out"] = tuple(plain(kwargs["out"]))
             return getattr(ufunc, method)(*plain(inputs), **kwargs)
 
+        def __array_wrap__(self, array, context=None, return_scalar=False):
+            # np.linalg wraps its factors of a marked array (svd's U, say)
+            # in the array's type: they are not the pooled basis
+            return array.view(np.ndarray)
+
     def logged(record, real, mark=False):
         def call(*args, **kwargs):
             out = real(*args, **kwargs)
@@ -464,25 +485,34 @@ class TestUnionFrame:
     ], ids=["linear", "product", "gds-dims", "gds-gamma"])
     def test_construction_frames_once(self, monkeypatch, build, frames):
         """Every construction stacks the pooled basis Phi once.  GDS frames
-        it once, by union_span.  The gFDA forms, on an ensemble whose pooled
-        Gram the Cholesky certifies, form that Gram once and call no
-        union_span, no eigensolver and no SVD; on one it does not certify
-        (separation 0.003, s^2_min / s^2_max = 3.1e-7), union_span frames
-        the Phi already stacked, once."""
-        for separation, certified in ((1.0, True), (0.003, False)):
-            ens = gfda.subspace_config(4, 2, 20, separation=separation,
-                                       seed=92)
+        it once, by union_span.  The gFDA forms form the pooled Gram once.
+        On an ensemble whose pooled Gram the Cholesky certifies they call
+        no union_span, no eigensolver and no SVD; on one it does not
+        certify (separation 0.003, s^2_min / s^2_max = 3.1e-7), and on one
+        of rank K - 2 (rank_deficient_ensemble, where the product form
+        raises OverlapError), union_span frames the Phi already stacked,
+        once, from that Gram."""
+        ensembles = [(gfda.subspace_config(4, 2, 20, separation=separation,
+                                           seed=92), separation == 1.0)
+                     for separation in (1.0, 0.003)]
+        if not frames:
+            ensembles.append((rank_deficient_ensemble(), False))
+        for i, (ens, certified) in enumerate(ensembles):
             with monkeypatch.context() as patch:
                 log = watch_pooling(patch)
-                build(ens)
+                try:
+                    build(ens)
+                except OverlapError:
+                    assert build is gfda.gfda_product_form and i == 2
             (Phi,) = log["stacked"]
             if frames or not certified:
                 (framed,) = log["framed"]
                 assert framed is (ens.classes if frames else Phi)
             else:
                 assert log["framed"] == []
-                assert log["grams"] == 1
                 assert log["factorized"] == []
+            if not frames:
+                assert log["grams"] == 1
 
     def test_eigencurves_frames_once(self, monkeypatch, tmp_path):
         from gfda import cli
@@ -499,12 +529,12 @@ def sine_distance(U_ref, U):
     return np.linalg.norm(U - U_ref @ (U_ref.T @ U), 2)
 
 
-def eigh_route(ens):
-    """Both gFDA forms by the union frame's eigh route, the one an ensemble
-    takes when the Cholesky does not certify its pooled Gram; the product
-    form is None where the union span's rank falls below K
-    (OverlapError)."""
-    with mock.patch.object(fisher, "_gfda_closed_form", uncertified):
+def frame_route(ens):
+    """Both gFDA forms with the Cholesky's certificate withheld: the closed
+    form on the frame of union_span where the pooled basis has full column
+    rank K, the union frame's eigh route where it does not; the product
+    form is None there (OverlapError)."""
+    with mock.patch.object(fisher, "_gfda_map", uncertified):
         linear = gfda.gfda_linear_form(ens)
         try:
             return linear, gfda.gfda_product_form(ens)
@@ -515,6 +545,24 @@ def eigh_route(ens):
 def spans(models):
     """Orthonormal bases of the models' projectors, None skipped."""
     return [linalg.gram_schmidt(m.projector) for m in models if m is not None]
+
+
+def thin_svd_closed_form(ens):
+    """Orthonormal basis of the gFDA space G^+ F^T Q_H = U diag(1/s) V^T
+    E Q_H from the thin SVD Phi = U S V^T of a pooled basis of full column
+    rank, which resolves it to about eps s_max / s_min.  E holds each
+    class's alignment sign (its first basis vector against its mean) at
+    the row of that basis column, and the first C - 1 columns of the
+    centring matrix I - 1 1^T / C stand for Q_H, whose span they share."""
+    C = ens.n_classes
+    firsts = np.cumsum([0] + [c.dim for c in ens.classes[:-1]])
+    E = np.zeros((sum(c.dim for c in ens.classes), C))
+    E[firsts, np.arange(C)] = [-1.0 if c.basis[:, 0] @ c.mean < 0 else 1.0
+                               for c in ens.classes]
+    U, s, Vt = np.linalg.svd(np.hstack([c.basis for c in ens.classes]),
+                             full_matrices=False)
+    EQ = (E - E.mean(axis=1, keepdims=True))[:, :C - 1]
+    return linalg.gram_schmidt(U @ (Vt @ EQ / s[:, None]))
 
 
 @st.composite
@@ -541,35 +589,46 @@ def near_overlap_ensembles(draw):
 def test_closed_form_and_eigh_route_match_the_full_route(ens):
     """A certified pooled Gram is one that gram_frame keeps whole (K
     columns) in its coordinate branch.  There both gFDA forms, by the
-    closed form and by the eigh route alike, span the L x L null space of
-    W - B/C (reference.gfda_null_space) to 1e-8 in the sine form, and
-    gFDA-linear's Rayleigh quotients on W - B/C are at most 1e-14
+    solve and by the closed form on that frame alike, span the L x L null
+    space of W - B/C (reference.gfda_null_space) to 1e-8 in the sine form,
+    and gFDA-linear's Rayleigh quotients on W - B/C are at most 1e-14
     (measured: at most 3.5e-17 on 600 such draws, 3.0e-15 at C = 30,
     L = 1024), six orders below OVERLAP_TOL, so the closed form has no
-    overlap warning to give.  Every other draw takes the eigh route, bit
-    for bit, and is held to the L x L route by the canonical-angle test
-    (cosines within 1e-8 of 1): below the guard the L x L route itself
-    resolves the space only to about eps s^2_max / s^2_min in the sine
-    form, and it differs from the eigh route there by up to about 1e-7, as
-    a rule the further of the two from the thin-SVD closed form."""
-    Phi, _, Y = fisher._gfda_closed_form(ens)
+    overlap warning to give.  Every other draw of full rank takes the
+    closed form on the frame, bit for bit, and is held to the thin-SVD
+    closed form (thin_svd_closed_form) to 1e-9 in the sine form, and to
+    the L x L route by the canonical-angle test (cosines within 1e-8 of
+    1): below the guard the L x L route itself resolves the space only to
+    about eps s^2_max / s^2_min in the sine form.  A rank-deficient draw
+    takes the eigh route, bit for bit, held to the L x L route by the
+    canonical-angle test."""
+    Phi, _, P, _ = fisher._gfda_map(ens)
     oracle = reference.gfda_null_space(ens)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        by_eigh = eigh_route(ens)
-        if Y is None:
+        by_frame = frame_route(ens)
+        if P is None:
             npt.assert_array_equal(gfda.gfda_linear_form(ens).projector,
-                                   by_eigh[0].projector)
-            for basis in spans(by_eigh):
+                                   by_frame[0].projector)
+            for basis in spans(by_frame):
                 cos = reference.canonical_angles(oracle, basis).cosines
                 assert 1.0 - cos.min() <= 1e-8
             return
     closed = gfda.gfda_linear_form(ens), gfda.gfda_product_form(ens)
+    if not fisher._certified(Phi.T @ Phi):
+        for model, framed in zip(closed, by_frame):
+            npt.assert_array_equal(model.projector, framed.projector)
+        svd_basis = thin_svd_closed_form(ens)
+        for basis in spans(closed):
+            assert sine_distance(svd_basis, basis) <= 1e-9
+            cos = reference.canonical_angles(oracle, basis).cosines
+            assert 1.0 - cos.min() <= 1e-8
+        return
     with mock.patch.object(linalg, "_lifted_frame",
                            wraps=linalg._lifted_frame) as lift_step:
         s, _, _ = linalg.gram_frame(Phi)
     assert s.size == Phi.shape[1] and not lift_step.called
-    for basis in spans(by_eigh + closed):
+    for basis in spans(by_frame + closed):
         assert sine_distance(oracle, basis) <= 1e-8
     assert np.abs(closed[0].info["selected_eigenvalues"]).max() <= 1e-14
 

@@ -30,7 +30,6 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -234,6 +233,8 @@ def covariance_pca_lda(X, y, threshold):
     reversed, picks the components; the reduced FDA falls back to a 1e-8
     ridge when the reduced within scatter is singular.  Returns
     (n_components, fallback, basis, class_refs)."""
+    import scipy.linalg  # here, so the file runs without scipy elsewhere
+
     y = np.asarray(y)
     labels = sorted(set(y.tolist()))
     centered = X - X.mean(axis=0)
@@ -547,6 +548,8 @@ def full_generalized_route(X, y, delta):
     """The L x L generalized eigenproblem (S_b, S_w + delta I): its C - 1
     leading eigenvectors, orthonormalized, and the class means projected
     onto them.  Returns (eigenvalues, basis, class_refs)."""
+    import scipy.linalg  # here, so the file runs without scipy elsewhere
+
     labels, groups = fisher.group_by_label(X, y)
     means = np.array([g.mean(axis=0) for g in groups])
     between = gfda.between_scatter(means, [g.shape[0] for g in groups])
