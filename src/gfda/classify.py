@@ -111,9 +111,9 @@ def equal_error_rate(genuine, impostor) -> float:
     Thresholds walk the distinct scores; the false-accept rate
     P(impostor > t) falls while the false-reject rate P(genuine < t) rises,
     and their crossing is located by linear interpolation between the two
-    adjacent thresholds where the difference changes sign.  Both counts are
-    read off one merge of the two sorted sides.  A NaN or infinite score
-    raises ValidationError.
+    adjacent thresholds where the difference changes sign.  As it never
+    rises, searches of the two sorted sides find them without a merge.  A
+    NaN or infinite score raises ValidationError.
     """
     genuine = np.sort(np.asarray(genuine, dtype=float).ravel())
     impostor = np.sort(np.asarray(impostor, dtype=float).ravel())
@@ -123,23 +123,25 @@ def equal_error_rate(genuine, impostor) -> float:
     ends = [genuine[0], genuine[-1], impostor[0], impostor[-1]]
     if not np.isfinite(ends).all():
         raise ValidationError("verification scores must be finite")
-    scores = np.concatenate([genuine, impostor])
-    order = np.argsort(scores, kind="stable")  # merges the two sorted runs
-    merged = scores[order]
-    last = np.flatnonzero(np.append(merged[1:] != merged[:-1], True))
-    imp_le = np.cumsum(order >= genuine.size)[last]  # #impostor <= t
-    gen_le = last + 1 - imp_le  # #genuine <= t
-    far = 1.0 - imp_le / impostor.size
-    frr = np.concatenate([[0], gen_le[:-1]]) / genuine.size  # #genuine < t
-    # nonincreasing; at the smallest score frr = 0 and at the largest far = 0,
-    # so it starts >= 0, ends <= 0, and k = 0 only where diff[0] == 0
-    diff = far - frr
-    k = int(np.argmax(diff <= 0.0))
-    if diff[k] == 0.0:
-        return 100.0 * float(far[k])
-    s = diff[k - 1] / (diff[k - 1] - diff[k])
-    eer = far[k - 1] + s * (far[k] - far[k - 1])
-    return 100.0 * float(eer)
+    def rates(imp_le, gen_lt):  # far, far - frr: #impostor <= t, #genuine < t
+        far = 1.0 - imp_le / impostor.size
+        return far, far - gen_lt / genuine.size
+    # far - frr at each genuine score; at m, the first one <= 0 (or past the
+    # last), t_k is g_m or an impostor in (g_{m-1}, g_m), #genuine < t = m
+    imp_le = np.searchsorted(impostor, genuine, side="right")
+    crossed = rates(imp_le, np.searchsorted(genuine, genuine))[1] <= 0.0
+    m = int(np.argmax(np.append(crossed, True)))
+    lo = imp_le[m - 1] if m else 0
+    hi = np.searchsorted(impostor, genuine[m] if m < genuine.size else np.inf)
+    inside = rates(np.arange(lo + 1, hi + 1), m)[1] <= 0.0
+    t = impostor[lo + int(np.argmax(inside))] if inside.any() else genuine[m]
+    far, diff = rates(np.searchsorted(impostor, t, side="right"), m)
+    if diff == 0.0:  # far - frr >= 0 at the smallest score, so t_k follows one
+        return 100.0 * float(far)
+    below = np.searchsorted(impostor, t)
+    prev = max([*genuine[m - 1:m], *impostor[below - 1:below]])  # t_{k-1}
+    far0, diff0 = rates(below, np.searchsorted(genuine, prev))
+    return 100.0 * float(far0 + diff0 / (diff0 - diff) * (far - far0))
 
 
 @dataclass(frozen=True)

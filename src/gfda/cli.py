@@ -117,6 +117,8 @@ class ExperimentConfig:
                 raise ValidationError(
                     f"parameter {key!r} only applies to {sorted(methods)}, "
                     f"not {self.method!r}")
+        if self.gamma is not None and self.gds_dims is not None:
+            raise ValidationError("give exactly one of dims or gamma")
         for key, low in (("repetitions", 1), ("train_count", 1), ("seed", 0)):
             value = getattr(self, key)
             if value is not None and value < low:
@@ -178,7 +180,7 @@ def build_model(cfg: ExperimentConfig, X, y) -> DiscriminantModel:
             model = gfda_product_form(ensemble)
         elif cfg.method == "gfda-linear":
             model = gfda_linear_form(ensemble)
-        else:  # gds_discriminant rejects dims and gamma given together
+        else:  # the config rejects dims and gamma given together
             unset = cfg.gds_dims is None and cfg.gamma is None
             model = gds_discriminant(ensemble, dims=cfg.gds_dims,
                                      gamma=0.90 if unset else cfg.gamma)
@@ -273,8 +275,12 @@ def run_protocol(cfg: ExperimentConfig, data=None):
         if external is None:
             test = rows[~np.isin(rows, train)]
             Xte, yte = X[test], y[test].tolist()
-        model = build_model(cfg, X[train], y[train].tolist())
-        reports.append(evaluate(model, Xte, yte, rule=cfg.classifier))
+        try:
+            model = build_model(cfg, X[train], y[train].tolist())
+            reports.append(evaluate(model, Xte, yte, rule=cfg.classifier))
+        except GfdaError as exc:
+            exc.args = (f"{exc} (train_count {n}, repetition {rep})",)
+            raise
     return reports
 
 
@@ -361,16 +367,15 @@ def cmd_sweep(args) -> int:
     if lo < 1 or hi < lo:
         raise ValidationError("need 1 <= min-n <= max-n")
     data = load_protocol_data(cfg)
-    rows = []
-    for n in range(lo, hi + 1):
-        cfg.train_count = n
-        reports = run_protocol(cfg, data)
-        rows.append([n, len(reports)] + [_fmt(v) for v in _summary(reports)])
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["train_count", "repetitions", "mean_recognition",
                          "std_recognition", "mean_eer", "std_eer"])
-        writer.writerows(rows)
+        for n in range(lo, hi + 1):  # a failing count keeps the rows before it
+            cfg.train_count = n
+            reports = run_protocol(cfg, data)
+            writer.writerow([n, len(reports), *map(_fmt, _summary(reports))])
+            fh.flush()
     print(f"swept train_count {lo}..{hi} ({cfg.method}) -> {out}")
     return 0
 

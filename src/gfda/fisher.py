@@ -17,13 +17,14 @@ the sum of the class projection matrices.  Its maximizers can be found
 either by whitening W and diagonalizing the transformed B (the "product"
 route, a generalized eigenproblem) or as the null space of W - B/C (the
 "linear" route, which stays solvable with any number of samples).  Both
-spans coincide: span{W^+ (f_c - f_bar)}, one closed form (``_gfda_map``)
-whenever the pooled bases are independent; the union frame's eigh serves
-only overlap.
+spans coincide: span{W^+ (f_c - f_bar)}, whose one solve (``_gfda_map``)
+gives both forms' bases whenever the pooled bases are independent; the
+union frame's eigh serves only overlap.
 """
 
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 
 import numpy as np
 
@@ -174,6 +175,7 @@ def union_frame(ensemble: SubspaceEnsemble):
     return U, s[::-1] ** 2, F_U, pairwise_difference_matrix(F_U)
 
 
+@cache  # one read-only array per C
 def _helmert(C):
     """Q_H, the (C, C - 1) Gram-Schmidt basis of the first C - 1 columns of
     the centring matrix I - 1 1^T / C: column k is
@@ -181,7 +183,9 @@ def _helmert(C):
     m = np.arange(C - 1, 0, -1.0)
     Q = np.tril(np.full((C, C - 1), -1.0), -1)
     np.fill_diagonal(Q, m)
-    return Q / np.sqrt(m * (m + 1))
+    Q /= np.sqrt(m * (m + 1))
+    Q.flags.writeable = False
+    return Q
 
 
 def _certified(M):
@@ -198,30 +202,32 @@ def _certified(M):
 
 
 def _gfda_map(ensemble: SubspaceEnsemble):
-    """(Phi, F, P, frame) for the pooled basis Phi = [Phi_1 ... Phi_C] and
-    the aligned first basis vectors F: P = G^+ F^T Q_H, the (L, C - 1) map
-    onto the gFDA space span{G^+ (f_c - f_bar)}, where Phi has full column
-    rank K, else None with frame union_span(Phi)'s (s, lift).  F^T = Phi E,
-    E holding each class's alignment sign sigma_c at the row of its first
-    basis column; Q_H = ``_helmert(C)``.  M = Phi^T Phi is formed once:
-    where ``_certified(M)``, P = Phi M^-1 E Q_H, one solve; elsewhere
-    P = lift(Z^T E Q_H / s^2) on union_span(Phi, M), as G^+ =
-    U diag(1/s^2) U^T and Z = Phi^T U on any frame U of Phi."""
+    """(Phi, F_of, lift, Y, S, frame) for the pooled basis Phi, with
+    F^T = Phi E, E holding each class's sign sigma_c (its first basis
+    column against its mean) at that column's row, and F_of(A) = E^T A.
+    With full column rank K, P = lift(Y) = G^+ F^T Q_H, Q_H = ``_helmert(C)``,
+    maps onto the gFDA space span{G^+ (f_c - f_bar)}, F P = Q_H, S = P^T P
+    and frame is None; else Y = S = None, frame = union_span(Phi)'s (s, Z).
+    M = Phi^T Phi is formed once: where ``_certified(M)``, Y = M^-1 E Q_H,
+    one solve, and lift(D) = Phi D; elsewhere Y = Z^T E Q_H / s^2 on
+    union_span(Phi, M), as G^+ = U diag(1/s^2) U^T and Z = Phi^T U."""
     Phi = np.hstack([c.basis for c in ensemble.classes])
-    F = aligned_first_vectors(ensemble)
     M = Phi.T @ Phi
     K, C = M.shape[0], ensemble.n_classes
     firsts = np.cumsum([0] + [c.dim for c in ensemble.classes[:-1]])
-    # row c of F is sigma_c times the unit basis column firsts[c]
-    sigma = np.sign(np.sum(F * Phi[:, firsts].T, axis=1))
+    sigma = np.where(np.einsum("ij,ji->i", [c.mean for c in ensemble.classes],
+                               Phi[:, firsts]) < 0, -1.0, 1.0)
     rhs = np.zeros((K, C - 1))
     rhs[firsts] = sigma[:, None] * _helmert(C)
+    F_of = lambda A: sigma[:, None] * A[firsts]
     if _certified(M):
-        return Phi, F, Phi @ np.linalg.solve(M, rhs), None
+        Y = np.linalg.solve(M, rhs)
+        return Phi, F_of, lambda D: Phi @ D, Y, rhs.T @ Y, None
     s, Z, lift = union_span(Phi, M)
     if s.size < K:
-        return Phi, F, None, (s, lift)
-    return Phi, F, lift(Z.T @ rhs / s[:, None] ** 2), None
+        return Phi, F_of, lift, None, None, (s, Z)
+    Y = Z.T @ rhs / s[:, None] ** 2
+    return Phi, F_of, lift, Y, Y.T @ Y, None
 
 
 def gfda_product_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
@@ -239,20 +245,20 @@ def gfda_product_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     vectors, and info["criterion_eigenvalues"] C times the squared norms
     of their centred columns.
     """
-    C = ensemble.n_classes
-    Phi, F, projector, frame = _gfda_map(ensemble)
-    if projector is None:
+    Phi, F_of, lift, Y, _, frame = _gfda_map(ensemble)
+    if Y is None:
         raise OverlapError(
             "class subspaces overlap: pooled basis vectors are dependent "
             f"(rank {frame[0].size} < {Phi.shape[1]})")
-    refs = F @ projector
+    projector = lift(Y)
+    refs = F_of(Phi.T) @ projector
     return DiscriminantModel(
         projector=projector,
         method="gFDA-product",
         class_labels=ensemble.labels,
         class_refs=refs,
-        info={"criterion_eigenvalues":
-              (C * np.sum((refs - refs.mean(axis=0)) ** 2, axis=0)).tolist()},
+        info={"criterion_eigenvalues": (len(refs) * np.sum(
+            (refs - refs.mean(axis=0)) ** 2, axis=0)).tolist()},
     )
 
 
@@ -266,37 +272,35 @@ def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     in the union span.  The data pick its basis: Gram-Schmidt, in class
     order, on the first C - 1 centred first vectors projected onto it.
 
-    With independent pooled basis vectors the space is span(P), P from
-    ``_gfda_map``, and info["selected_eigenvalues"] holds the Rayleigh
-    quotients of the projector's columns on W - B/C, zero to rounding.
-    With dependent ones the C - 1 smallest eigenvalues of U^T (W - B/C) U
-    on the union frame U already taken select it and are recorded there.
-    One that is not near zero (OVERLAP_TOL) means the class subspaces
-    overlap; this is recorded, not raised, even when none is near zero
-    (identical classes): a warning reports the largest, and eigenvectors
-    complete the basis where the projected first vectors are dependent.
+    With independent pooled basis vectors the space is span(P), P =
+    lift(Y) from ``_gfda_map``.  As F P = Q_H, the projections are
+    P S^-1 Q_k^T, Q_k the first C - 1 rows of Q_H, with Gram-Schmidt basis
+    P N, N = S^-1 Q_k^T R^-1 for the Cholesky factor R^T R = Q_k S^-1 Q_k^T
+    and references Q_H N; info["selected_eigenvalues"] holds their Rayleigh
+    quotients on W - B/C, zero to rounding.  With dependent ones the C - 1
+    smallest eigenvalues of diag(s^2) - B_Z / C in the union frame select
+    it and are recorded there.  One that is not near zero (OVERLAP_TOL)
+    means the class subspaces overlap; this is recorded, not raised, even
+    when none is near zero (identical classes): a warning reports the
+    largest, and eigenvectors complete the basis where the projected first
+    vectors are dependent.  A CholeskyQR pass follows past UNIT_NORM_TOL.
     """
     C = ensemble.n_classes
-    Phi, F, P, frame = _gfda_map(ensemble)
-    if P is not None:
-        Q = np.linalg.qr(P)[0]
-        centred = (F - F.mean(axis=0))[:C - 1]
-        projector = Q @ linalg.gram_schmidt(Q.T @ centred.T)
-        refs = F @ projector
-        # p^T W p = |Phi^T p|^2 and p^T B p / C = |H F p|^2, H the centring
-        selected = (np.sum((Phi.T @ projector) ** 2, axis=0)
-                    - np.sum((refs - refs.mean(axis=0)) ** 2, axis=0))
+    Phi, F_of, lift, Y, S, frame = _gfda_map(ensemble)
+    if Y is not None:
+        Q_H = _helmert(C)
+        T = np.linalg.solve(S, Q_H[:-1].T)  # S^-1 Q_k^T
+        N = T @ np.linalg.inv(np.linalg.cholesky(Q_H[:-1] @ T).T)
+        coords, refs = Y @ N, Q_H @ N
     else:
-        s, lift = frame
+        s, Z = frame
         if s.size < C - 1:
             raise ValidationError(
                 f"union span of the class subspaces has rank {s.size}, "
                 f"cannot hold a {C - 1}-dimensional discriminant space")
-        U = lift()
-        F_U = F @ U
-        # U^T (G - B/C) U = diag(s^2) - U^T B U / C
+        F_Z = F_of(Z)
         values, vectors = np.linalg.eigh(
-            np.diag(s[::-1] ** 2) - pairwise_difference_matrix(F_U) / C)
+            np.diag(s ** 2) - pairwise_difference_matrix(F_Z) / C)
         k = C - 1
         selected = values[:k]
         top = max(abs(values[-1]), 1.0)
@@ -307,12 +311,20 @@ def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
                 f"{selected[-1]:.3e}); class subspaces overlap or are "
                 "degenerate", RuntimeWarning, stacklevel=2)
         W = vectors[:, :k]
-        P = W @ (W.T @ (F_U - F_U.mean(axis=0))[:k].T)
+        P = W @ (W.T @ (F_Z - F_Z.mean(axis=0))[:k].T)
         coords = linalg.gram_schmidt(P) if P.any() else W[:, :0]
         if coords.shape[1] < k:  # overlap: sign-fixed eigenvectors complete it
             coords = linalg.gram_schmidt(
                 np.hstack([coords, linalg.fix_signs(W)]))[:, :k]
-        projector, refs = U @ coords, F_U @ coords
+        refs = F_Z @ coords
+    projector = lift(coords)
+    gram = projector.T @ projector
+    if np.abs(gram - np.eye(C - 1)).max() > linalg.UNIT_NORM_TOL:
+        inv = np.linalg.inv(np.linalg.cholesky(gram).T)
+        projector, refs = projector @ inv, refs @ inv
+    if Y is not None:  # p^T W p = |Phi^T p|^2, p^T B p / C = C var(F p)
+        Zp = Phi.T @ projector
+        selected = np.sum(Zp ** 2, axis=0) - C * np.var(F_of(Zp), axis=0)
     return DiscriminantModel(
         projector=projector,
         method="gFDA-linear",

@@ -224,13 +224,9 @@ def aligned_first_vectors(ensemble: SubspaceEnsemble) -> np.ndarray:
     each difference vector enters the between matrix, and the class mean is
     the only meaningful reference for that choice.
     """
-    out = []
-    for c in ensemble.classes:
-        v = c.basis[:, 0].copy()
-        if v @ c.mean < 0:
-            v = -v
-        out.append(v)
-    return np.array(out)
+    F = np.array([c.basis[:, 0] for c in ensemble.classes])
+    dots = np.einsum("ij,ij->i", F, [c.mean for c in ensemble.classes])
+    return F * np.where(dots < 0, -1.0, 1.0)[:, None]
 
 
 def union_span(classes, gram=None):

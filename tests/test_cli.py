@@ -505,6 +505,38 @@ class TestSweep:
         ns = [int(r.split(",")[0]) for r in rows[1:]]
         assert ns == list(range(2, 10))
 
+    def test_failing_count_keeps_the_finished_rows(self, tmp_path, capsys):
+        """The benchmark's README-scale inputs at seed 1: the gFDA product
+        form's repetition 34 at train_count 6 draws a rank-deficient pooled
+        basis.  The sweep writes the rows of 1..5 as a sweep stopping at 5
+        does, byte for byte, no row for 6, and one error line naming the
+        count and the repetition; eval at 6 names them too."""
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        for kind, path, count, sample_seed in (("set1", train, "9", "101"),
+                                               ("set2", test, "50", "102")):
+            assert run("synth", "--kind", f"mixture-{kind}", "--classes",
+                       "10", "--dim", "60", "--count", count, "--seed", "1",
+                       "--sample-seed", sample_seed, "--out", str(path)) == 0
+        common = ["--train", str(train), "--test", str(test), "--method",
+                  "gfda", "--repetitions", "60", "--seed", "1"]
+        full, short = tmp_path / "full.csv", tmp_path / "short.csv"
+        capsys.readouterr()
+        assert run("sweep", *common, "--min-n", "1", "--max-n", "6",
+                   "--out", str(full)) == 1
+        failure = ("(rank 59 < 60) (train_count 6, repetition 34)\n")
+        err = capsys.readouterr().err
+        assert err.startswith("error: class subspaces overlap: ")
+        assert err.endswith(failure) and err.count("\n") == 1
+        assert run("sweep", *common, "--min-n", "1", "--max-n", "5",
+                   "--out", str(short)) == 0
+        assert full.read_bytes() == short.read_bytes()
+        assert len(short.read_text().splitlines()) == 1 + 5
+        capsys.readouterr()
+        assert run("eval", *common, "--train-count", "6",
+                   "--out", str(tmp_path / "eval.csv")) == 1
+        assert capsys.readouterr().err.endswith(failure)
+        assert not (tmp_path / "eval.csv").exists()
+
 
 def write_classes(path, sizes, seed):
     """A CSV with sizes[label] rows per label, class a offset from the rest."""

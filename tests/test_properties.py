@@ -19,8 +19,8 @@ same constructions on the whole thin-SVD frame of the pooled bases.
 Batched evaluation is checked against a
 per-sample scoring loop, and the batched ensemble fit against fit_class on
 each class and against the thin SVD of each class on its own.  The EER,
-read off one merge of the sorted genuine and impostor scores, is checked
-bit for bit against the same rule read at np.unique's knots.
+found by searches of the sorted genuine scores into the sorted impostors,
+is checked bit for bit against the same rule read at np.unique's knots.
 """
 
 import warnings
@@ -183,6 +183,26 @@ EER_SIDES = st.one_of(
 @given(EER_SIDES, EER_SIDES)
 def test_eer_matches_knot_route(genuine, impostor):
     genuine, impostor = np.array(genuine), np.array(impostor)
+    eer = classify.equal_error_rate(genuine, impostor)
+    assert (np.float64(eer).tobytes()
+            == np.float64(knot_equal_error_rate(genuine, impostor)).tobytes())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5000), st.integers(1, 5000),
+       st.sampled_from([1e-3, 0.1, 0.5, 2.0]),
+       st.sampled_from([-100.0, -1.0, 0.0, 0.5, 1.0, 100.0]),
+       st.integers(0, 2**32 - 1))
+def test_eer_on_long_quantized_sides(n_genuine, n_impostor, quantum, shift,
+                                     seed):
+    """Sides of up to 5000 normal scores rounded to a quantum: coarse quanta
+    give long runs of ties within and across the sides, uneven sizes give
+    many impostors between two genuine neighbours, and a shift of +-100
+    puts every genuine score above every impostor score, or below."""
+    rng = np.random.default_rng(seed)
+    genuine = np.round(rng.standard_normal(n_genuine) / quantum) * quantum
+    impostor = np.round(rng.standard_normal(n_impostor) / quantum) * quantum
+    genuine += shift
     eer = classify.equal_error_rate(genuine, impostor)
     assert (np.float64(eer).tobytes()
             == np.float64(knot_equal_error_rate(genuine, impostor)).tobytes())

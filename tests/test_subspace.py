@@ -217,6 +217,22 @@ class TestAlignedFirstVectors:
         firsts = gfda.aligned_first_vectors(ens)
         npt.assert_allclose(firsts[0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_class_loop(self, seed):
+        """The batched orientation equals a per-class loop bit for bit, with
+        half the bases negated so that both signs occur."""
+        ens = gfda.fit_ensemble(*gfda.labeled_mixtures(6, 40, 4, "Set1",
+                                                       seed=seed))
+        ens = gfda.SubspaceEnsemble(tuple(
+            gfda.ClassModel(c.label, -c.basis if i % 2 else c.basis,
+                            c.eigenvalues, c.mean, c.count)
+            for i, c in enumerate(ens.classes)), ens.ambient_dim)
+        loop = []
+        for c in ens.classes:
+            v = c.basis[:, 0].copy()
+            loop.append(-v if v @ c.mean < 0 else v)
+        npt.assert_array_equal(gfda.aligned_first_vectors(ens), loop)
+
 
 class TestDifferenceSubspaceGeometric:
     def test_sixty_degrees(self):
