@@ -19,18 +19,18 @@ _EXPORTS = {
                "OverlapError", "UndefinedDirectionError", "ValidationError"),
     "fisher": ("DiscriminantModel", "between_scatter", "fda",
                "gds_discriminant", "gfda_linear_form", "gfda_product_form",
-               "null_lda", "pca_lda", "reg_lda", "union_frame",
-               "with_normalization", "within_scatter"),
+               "null_lda", "pca_lda", "reg_lda", "with_normalization",
+               "within_scatter"),
     "linalg": ("EigResult", "gram_schmidt", "sym_eig"),
     "reference": ("CanonicalAngles", "DifferenceSubspace", "ScatterPair",
-                  "between_scatter_pairwise", "canonical_angles",
-                  "difference_subspace_analytic",
+                  "aligned_first_vectors", "between_scatter_pairwise",
+                  "canonical_angles", "difference_subspace_analytic",
                   "difference_subspace_geometric", "discriminant_power_curve",
                   "fisher_criterion", "gap_index", "gds_decomposition",
                   "gfda_null_space", "projection_matrix", "scatter_ladder",
                   "sum_matrix", "whitening"),
-    "subspace": ("ClassModel", "SubspaceEnsemble", "aligned_first_vectors",
-                 "fit_class", "fit_ensemble", "union_span"),
+    "subspace": ("ClassModel", "SubspaceEnsemble", "fit_class",
+                 "fit_ensemble", "union_span"),
     "synth": ("convex_mixture", "gaussian_class", "labeled_gaussians",
               "labeled_mixtures", "subspace_config"),
 }

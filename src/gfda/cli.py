@@ -20,10 +20,10 @@ import numpy as np
 from .classify import RULES, evaluate
 from .data import load_dataset, save_dataset
 from .errors import GfdaError, ValidationError
-from .fisher import (DiscriminantModel, fda, gds_discriminant,
+from .fisher import (DiscriminantModel, _pooled, fda, gds_discriminant,
                      gfda_linear_form, gfda_product_form, null_lda, pca_lda,
-                     reg_lda, union_frame, with_normalization)
-from .subspace import fit_ensemble, group_by_label
+                     pairwise_difference_matrix, reg_lda, with_normalization)
+from .subspace import fit_ensemble, group_by_label, union_span
 
 METHODS = ("fda", "pcaLDA", "regLDA", "nullLDA", "gfda", "gfda-linear", "gds")
 
@@ -248,8 +248,9 @@ def run_protocol(cfg: ExperimentConfig, data=None):
         if label not in kept:
             warnings.warn(f"class {label!r} has {idx.size} < {n} samples; "
                           "skipped", RuntimeWarning)
+    count = "" if n is None else f" (train_count {n})"
     if len(kept) < 2:
-        raise ValidationError("fewer than 2 classes have enough samples")
+        raise ValidationError(f"fewer than 2 classes have enough samples{count}")
     whole = n is None or all(idx.size == n for idx in kept.values())
     if external is not None:
         Xte, yte = external
@@ -261,7 +262,7 @@ def run_protocol(cfg: ExperimentConfig, data=None):
     elif whole:
         raise ValidationError(
             "no held-out samples remain; provide a test dataset or a "
-            "train_count below the class sizes")
+            "train_count below the class sizes" + count)
     rows = np.concatenate(list(kept.values()))  # class by class, ascending
     if whole:
         model = build_model(cfg, X[rows], y[rows].tolist())
@@ -290,14 +291,18 @@ def _fmt(value):
     return repr(float(value))
 
 
+def _mean_std(values):
+    # equal values give their value and 0.0, which np.mean and np.std round
+    return ((values[0], 0.0) if min(values) == max(values)
+            else (np.mean(values), np.std(values)))
+
+
 def _summary(reports):
     """(mean, std) of the recognition rates and of the defined EERs; the EER
     pair is (None, None) when no repetition has one."""
-    recs = [r.recognition_rate for r in reports]
     eers = [r.eer for r in reports if r.eer is not None]
-    if not eers:
-        return np.mean(recs), np.std(recs), None, None
-    return np.mean(recs), np.std(recs), np.mean(eers), np.std(eers)
+    return (*_mean_std([r.recognition_rate for r in reports]),
+            *(_mean_std(eers) if eers else (None, None)))
 
 
 def _write_eval_csv(path, cfg, reports):
@@ -400,8 +405,10 @@ def cmd_eigencurves(args) -> int:
         L = 4 * C * N
     ensemble = subspace_config(C, N, L, separation=args.separation,
                                seed=args.seed)
-    # in frame coordinates G = diag(vals_g) and B = B_U; power is vBv / vGv
-    _, vals_g, _, B_U = union_frame(ensemble)
+    # frame coordinates, ascending: G = diag(vals_g), B = B_U; power vBv / vGv
+    Phi, M, F_of, _ = _pooled(ensemble)
+    s, Z, _ = union_span(Phi, M)
+    vals_g, B_U = s[::-1] ** 2, pairwise_difference_matrix(F_of(Z)[:, ::-1])
     vals_h, V = np.linalg.eigh(np.diag(vals_g) - B_U / C)
     power_g = np.diag(B_U) / vals_g
     power_h = (np.sum(V * (B_U @ V), axis=0)

@@ -19,7 +19,8 @@ route, a generalized eigenproblem) or as the null space of W - B/C (the
 "linear" route, which stays solvable with any number of samples).  Both
 spans coincide: span{W^+ (f_c - f_bar)}, whose one solve (``_gfda_map``)
 gives both forms' bases whenever the pooled bases are independent; the
-union frame's eigh serves only overlap.
+union frame's eigh serves only overlap.  Every union-span construction
+reads the pooled basis, its Gram and the first vectors from ``_pooled``.
 """
 
 import warnings
@@ -30,8 +31,8 @@ import numpy as np
 
 from . import linalg
 from .errors import NotApplicableError, OverlapError, ValidationError
-from .subspace import (OVERLAP_TOL, SubspaceEnsemble, aligned_first_vectors,
-                       group_by_label, union_span)
+from .subspace import (OVERLAP_TOL, SubspaceEnsemble, group_by_label,
+                       union_span)
 
 @dataclass(frozen=True)
 class DiscriminantModel:
@@ -154,27 +155,6 @@ def pairwise_difference_matrix(firsts) -> np.ndarray:
 # geometrical discriminant analysis
 # ---------------------------------------------------------------------------
 
-def union_frame(ensemble: SubspaceEnsemble):
-    """The union-span frame that GDS and eigencurves work in, as
-    (U, s2, F_U, B_U).
-
-    U, s2 : union_span's frame, formed whole (lift()), and the K nonzero
-        eigenvalues of G = sum_c P_c = U diag(s2) U^T, both ascending
-    F_U : (C, K) aligned first basis vectors F in the frame's coordinates,
-        F U, the one product with F; F = F_U U^T, as F lies in the span
-    B_U : (K, K) pairwise-difference matrix of F_U, that is U^T B U
-
-    In the coordinates of U, GDS diagonalizes G, i.e. reads off diag(s2),
-    and gFDA-linear diagonalizes diag(s2) - B_U / C; the two differ by the
-    correction term B_U / C alone.
-    """
-    s, _, lift = union_span(ensemble.classes)
-    U = lift()
-    del lift  # so the pooled basis it holds, U and F are not all alive at once
-    F_U = aligned_first_vectors(ensemble) @ U
-    return U, s[::-1] ** 2, F_U, pairwise_difference_matrix(F_U)
-
-
 @cache  # one read-only array per C
 def _helmert(C):
     """Q_H, the (C, C - 1) Gram-Schmidt basis of the first C - 1 columns of
@@ -201,30 +181,40 @@ def _certified(M):
     return True
 
 
-def _gfda_map(ensemble: SubspaceEnsemble):
-    """(Phi, F_of, lift, Y, S, frame) for the pooled basis Phi, with
-    F^T = Phi E, E holding each class's sign sigma_c (its first basis
-    column against its mean) at that column's row, and F_of(A) = E^T A.
-    With full column rank K, P = lift(Y) = G^+ F^T Q_H, Q_H = ``_helmert(C)``,
-    maps onto the gFDA space span{G^+ (f_c - f_bar)}, F P = Q_H, S = P^T P
-    and frame is None; else Y = S = None, frame = union_span(Phi)'s (s, Z).
-    M = Phi^T Phi is formed once: where ``_certified(M)``, Y = M^-1 E Q_H,
-    one solve, and lift(D) = Phi D; elsewhere Y = Z^T E Q_H / s^2 on
-    union_span(Phi, M), as G^+ = U diag(1/s^2) U^T and Z = Phi^T U."""
+def _pooled(ensemble: SubspaceEnsemble):
+    """(Phi, M, F_of, E_of): the pooled basis Phi = [Phi_1 ... Phi_C], its
+    Gram M = Phi^T Phi, and the aligned first vectors F^T = Phi E, E holding
+    each class's sign sigma_c (its first basis column against its mean) at
+    that column's row: F_of(A) = E^T A and E_of(D) = E D, so F = F_of(Phi^T)
+    and F U = F_of(Z) on a frame U with Z = Phi^T U, in coordinates."""
     Phi = np.hstack([c.basis for c in ensemble.classes])
-    M = Phi.T @ Phi
-    K, C = M.shape[0], ensemble.n_classes
     firsts = np.cumsum([0] + [c.dim for c in ensemble.classes[:-1]])
     sigma = np.where(np.einsum("ij,ji->i", [c.mean for c in ensemble.classes],
-                               Phi[:, firsts]) < 0, -1.0, 1.0)
-    rhs = np.zeros((K, C - 1))
-    rhs[firsts] = sigma[:, None] * _helmert(C)
-    F_of = lambda A: sigma[:, None] * A[firsts]
+                               Phi[:, firsts]) < 0, -1.0, 1.0)[:, None]
+
+    def E_of(D):
+        ED = np.zeros((Phi.shape[1],) + D.shape[1:])
+        ED[firsts] = sigma * D
+        return ED
+
+    return Phi, Phi.T @ Phi, lambda A: sigma * A[firsts], E_of
+
+
+def _gfda_map(ensemble: SubspaceEnsemble):
+    """(Phi, F_of, lift, Y, S, frame) on ``_pooled(ensemble)``.  With full
+    column rank K, P = lift(Y) = G^+ F^T Q_H, Q_H = ``_helmert(C)``, maps
+    onto the gFDA space span{G^+ (f_c - f_bar)}, F P = Q_H, S = P^T P and
+    frame is None; else Y = S = None, frame = union_span(Phi)'s (s, Z).
+    Where ``_certified(M)``, Y = M^-1 E Q_H, one solve, and lift(D) = Phi D;
+    elsewhere Y = Z^T E Q_H / s^2 on union_span(Phi, M), as
+    G^+ = U diag(1/s^2) U^T and Z = Phi^T U."""
+    Phi, M, F_of, E_of = _pooled(ensemble)
+    rhs = E_of(_helmert(ensemble.n_classes))
     if _certified(M):
         Y = np.linalg.solve(M, rhs)
         return Phi, F_of, lambda D: Phi @ D, Y, rhs.T @ Y, None
     s, Z, lift = union_span(Phi, M)
-    if s.size < K:
+    if s.size < len(M):
         return Phi, F_of, lift, None, None, (s, Z)
     Y = Z.T @ rhs / s[:, None] ** 2
     return Phi, F_of, lift, Y, Y.T @ Y, None
@@ -340,25 +330,27 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None,
 
     The basis is the generalized difference subspace: the eigenvectors of
     G = sum_c P_c for its smallest eigenvalues *within the sum subspace*
-    (eigenvalue > 0), the leading columns of the union-span frame;
-    directions orthogonal to every class subspace carry no information and
-    are never selected.
+    (eigenvalue > 0), the leading columns of the union-span frame (the only
+    ones formed); directions orthogonal to every class subspace carry no
+    information and are never selected.
     Class references are the projected, sign-aligned first basis vectors.
 
     Exactly one rule must be given: ``dims`` fixes N_d, while ``gamma``
     grows N_d until the cumulative discriminant power of the selected
     eigenvectors reaches beta = C (C - 1) * gamma; the power of eigenvector
-    u_j is (u_j^T B u_j) / s_j^2, with B the gFDA pairwise-difference
-    matrix.  Fully degenerate spectra (e.g. mutually orthogonal classes) are
-    resolved by the deterministic order of the frame; any basis of the tied
-    eigenspace is equally valid.  info["eigenvalues"] holds the selected
-    eigenvalues of G, ascending, and info["selection"] the rule: its name,
-    dims, and for the power rule gamma, beta and the power reached.
+    u_j is (u_j^T B u_j) / s_j^2 = C^2 var(F u_j) / s_j^2, with B the gFDA
+    pairwise-difference matrix.  Fully degenerate spectra (e.g. mutually
+    orthogonal classes) are resolved by the deterministic order of the
+    frame; any basis of the tied eigenspace is equally valid.
+    info["eigenvalues"] holds the selected eigenvalues of G, ascending, and
+    info["selection"] the rule: its name, dims, and for the power rule
+    gamma, beta and the power reached.
     """
     if (dims is None) == (gamma is None):
         raise ValidationError("give exactly one of dims or gamma")
-    U, s2, F_U, B_U = union_frame(ensemble)
-
+    Phi, M, F_of, _ = _pooled(ensemble)
+    s, Z, lift = union_span(Phi, M)
+    s2 = s[::-1] ** 2
     if dims is not None:
         if not (1 <= dims <= s2.size):
             raise ValidationError(
@@ -370,7 +362,7 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None,
             raise ValidationError("gamma must be in (0, 1]")
         C = ensemble.n_classes
         beta = C * (C - 1) * gamma
-        cumulative = np.cumsum(np.diag(B_U) / s2)
+        cumulative = np.cumsum(C * C * np.var(F_of(Z), axis=0)[::-1] / s2)
         reached = np.nonzero(cumulative >= beta - 1e-9)[0]
         if reached.size == 0:
             raise ValidationError(
@@ -380,11 +372,13 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None,
         selection = {"rule": "power", "dims": dims, "gamma": gamma,
                      "beta": beta,
                      "achieved_power": float(cumulative[dims - 1])}
+    del M, Z  # the lift sets the peak memory: free these, and form F first
+    F, projector = F_of(Phi.T), lift(columns=dims)
     return DiscriminantModel(
-        projector=U[:, :dims],
+        projector=projector,
         method="GDS",
         class_labels=ensemble.labels,
-        class_refs=F_U[:, :dims],
+        class_refs=F @ projector,
         info={"eigenvalues": s2[:dims].tolist(), "selection": selection},
     )
 

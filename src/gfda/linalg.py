@@ -168,9 +168,9 @@ def gram_frame(A, G=None):
     if given): (s, Z, lift) for the r entries with nonzero(s^2), V
     sign-fixed.  s descends; Z = A^T Q = V diag(s) holds A's columns in
     Q = A V diag(1/s); lift(D) = Q[:, :k'] D maps (k', k) coordinates to
-    L dimensions and lift() is Q formed whole (``_formed_frame``), its
-    columns in ascending s (the order of A A^T's eigenvalues), sign-fixed
-    in L dimensions.  Z, the lifted columns and the small s hold to about
+    L dimensions and lift(columns=k) forms Q's k smallest-s columns (all r
+    by default, ``_formed_frame``) in ascending s, sign-fixed in L
+    dimensions.  Z, the lifted columns and the small s hold to about
     drift = eps s_max^2 / s_min^2.  The one guard, the only reason to form
     Q before lift(): past ORTHO_IP_TOL, s and Q are the thin SVD's,
     ``range_basis(A)`` (``_lifted_frame``), and Z = A^T Q and lift(D)
@@ -189,23 +189,23 @@ def gram_frame(A, G=None):
     fix_signs(V, copy=False)
     s = np.sqrt(s2)
     W = V / s
-    return s, V * s, lambda D=None: (
-        _formed_frame(A, W[:, ::-1], drift > UNIT_NORM_TOL) if D is None
-        else A @ (W[:, :len(D)] @ D))
+    return s, V * s, lambda D=None, columns=None: (
+        _formed_frame(A, W[:, ::-1][:, :columns], drift > UNIT_NORM_TOL)
+        if D is None else A @ (W[:, :len(D)] @ D))
 
 
 def _lifted_frame(A):
     """gram_frame with (Q, s) from ``range_basis(A)``: Z = A^T Q,
-    lift(D) = Q[:, :k'] D."""
+    lift(D) = Q[:, :k'] D, lift(columns=k) Q's last k columns reversed."""
     Q, s = range_basis(A)
-    return s, A.T @ Q, lambda D=None: (
-        Q[:, ::-1].copy() if D is None else Q[:, :len(D)] @ D)
+    return s, A.T @ Q, lambda D=None, columns=None: (
+        Q[:, ::-1][:, :columns].copy() if D is None else Q[:, :len(D)] @ D)
 
 
 def _formed_frame(A, W, reorthonormalize):
-    """Q = A W, with reorthonormalize after one CholeskyQR pass Q R^-1
-    (R^T R = Q^T Q), orthonormal to about eps cond(A W)^2, that is to
-    rounding; sign-fixed in L dimensions either way."""
+    """Q = A W for the kept columns W, with reorthonormalize after one
+    CholeskyQR pass Q R^-1 (R^T R = Q^T Q; column j needs W's first j + 1),
+    orthonormal to eps cond(A W)^2; sign-fixed in L dimensions either way."""
     Q = A @ W
     if reorthonormalize:
         Q = Q @ np.linalg.inv(np.linalg.cholesky(Q.T @ Q).T)

@@ -1,9 +1,9 @@
 """The L x L reference routes and the oracles that no command runs: the
-summed projection matrix, the scatter ladder, the split of G, whitening,
-the pairwise forms, canonical angles, both constructions of the two-class
-difference subspace and the gap index.  The invariant batteries and the
-tests check the union-span and centred-data constructions against them; no
-runtime module imports this module.
+summed projection matrix, the aligned first vectors, the scatter ladder,
+the split of G, whitening, the pairwise forms, canonical angles, both
+constructions of the two-class difference subspace and the gap index.
+The invariant batteries and the tests check the union-span and
+centred-data constructions against them; no runtime module imports it.
 """
 
 import warnings
@@ -16,8 +16,7 @@ from .errors import (DegeneratePairError, UndefinedDirectionError,
 from .fisher import between_scatter, pairwise_difference_matrix
 from .linalg import (RANK_TOL, as_ortho_basis, as_sym_matrix, fix_signs,
                      nonzero, sym_eig)
-from .subspace import (OVERLAP_TOL, ClassModel, SubspaceEnsemble,
-                       aligned_first_vectors, union_span)
+from .subspace import OVERLAP_TOL, ClassModel, SubspaceEnsemble, union_span
 
 LADDER_RUNGS = ("FDA", "aFDA", "sFDA", "gFDA")
 
@@ -205,6 +204,25 @@ def between_scatter_pairwise(means, counts) -> np.ndarray:
             d = means[i] - means[j]
             S += counts[i] * counts[j] * np.outer(d, d)
     return S / n**2
+
+
+def aligned_first_vectors(ensemble: SubspaceEnsemble) -> np.ndarray:
+    """First basis vector of each class under the package sign convention.
+
+    Returns a (C, L) array of working copies, each oriented toward its own
+    class mean (a zero inner product keeps the fitted sign).  This is the
+    orientation the mean/first-component correspondence refers to, and it
+    makes the pairwise inner products of the working copies positive
+    whenever the class means are positively correlated, the image-data
+    regime in which the pairwise-positive convention is stated.  Any
+    per-class orientation leaves the criterion spectrum and all
+    decomposition identities untouched; it decides which representative of
+    each difference vector enters the between matrix, and the class mean is
+    the only meaningful reference for that choice.
+    """
+    F = np.array([c.basis[:, 0] for c in ensemble.classes])
+    dots = np.einsum("ij,ij->i", F, [c.mean for c in ensemble.classes])
+    return F * np.where(dots < 0, -1.0, 1.0)[:, None]
 
 
 def scatter_ladder(ensemble: SubspaceEnsemble, rung: str) -> ScatterPair:

@@ -210,37 +210,18 @@ def _fit_classes(X, labels, rows, dim, energy):
     return classes
 
 
-def aligned_first_vectors(ensemble: SubspaceEnsemble) -> np.ndarray:
-    """First basis vector of each class under the package sign convention.
-
-    Returns a (C, L) array of working copies, each oriented toward its own
-    class mean (a zero inner product keeps the fitted sign).  This is the
-    orientation the mean/first-component correspondence refers to, and it
-    makes the pairwise inner products of the working copies positive
-    whenever the class means are positively correlated, the image-data
-    regime in which the pairwise-positive convention is stated.  Any
-    per-class orientation leaves the criterion spectrum and all
-    decomposition identities untouched; it decides which representative of
-    each difference vector enters the between matrix, and the class mean is
-    the only meaningful reference for that choice.
-    """
-    F = np.array([c.basis[:, 0] for c in ensemble.classes])
-    dots = np.einsum("ij,ij->i", F, [c.mean for c in ensemble.classes])
-    return F * np.where(dots < 0, -1.0, 1.0)[:, None]
-
-
 def union_span(classes, gram=None):
     """``linalg.gram_frame`` of the pooled basis Phi = [Phi_1 ... Phi_C] of
     any objects with a .basis, or of Phi itself, stacked already by the
     caller and not copied again, as is its Gram Phi^T Phi if given:
     (s, Z, lift), s descending, for G = sum_c P_c = Phi Phi^T =
     U diag(s^2) U^T on the frame U, Z = Phi^T U the pooled basis vectors in
-    U's coordinates, lift(D) = U D and lift() the (L, K) frame U itself,
-    orthonormal to rounding, its columns in ascending s.  The Gram's
-    off-diagonal blocks hold the canonical cosines between class pairs.
-    K = rank(Phi) <= sum_c N_c, an all-zero Phi gives an empty frame, and
-    no L x L matrix is formed; Phi's thin SVD is taken only past
-    gram_frame's guard.
+    U's coordinates, lift(D) = U D and lift(columns=k) the k columns of U
+    with the smallest s (lift() all K), orthonormal to rounding, in
+    ascending s.  The Gram's off-diagonal blocks hold the canonical cosines
+    between class pairs.  K = rank(Phi) <= sum_c N_c, an all-zero Phi gives
+    an empty frame, and no L x L matrix is formed; Phi's thin SVD is taken
+    only past gram_frame's guard.
     """
     if not isinstance(classes, np.ndarray):
         classes = np.hstack([c.basis for c in classes])

@@ -505,18 +505,25 @@ class TestSweep:
         ns = [int(r.split(",")[0]) for r in rows[1:]]
         assert ns == list(range(2, 10))
 
-    def test_failing_count_keeps_the_finished_rows(self, tmp_path, capsys):
-        """The benchmark's README-scale inputs at seed 1: the gFDA product
-        form's repetition 34 at train_count 6 draws a rank-deficient pooled
-        basis.  The sweep writes the rows of 1..5 as a sweep stopping at 5
-        does, byte for byte, no row for 6, and one error line naming the
-        count and the repetition; eval at 6 names them too."""
+    @staticmethod
+    def readme_scale_sets(tmp_path):
+        """The benchmark's README-scale inputs at seed 1: 9 training rows
+        and 50 test rows in each of 10 classes, L = 60."""
         train, test = tmp_path / "train.csv", tmp_path / "test.csv"
         for kind, path, count, sample_seed in (("set1", train, "9", "101"),
                                                ("set2", test, "50", "102")):
             assert run("synth", "--kind", f"mixture-{kind}", "--classes",
                        "10", "--dim", "60", "--count", count, "--seed", "1",
                        "--sample-seed", sample_seed, "--out", str(path)) == 0
+        return train, test
+
+    def test_failing_count_keeps_the_finished_rows(self, tmp_path, capsys):
+        """The benchmark's README-scale inputs at seed 1: the gFDA product
+        form's repetition 34 at train_count 6 draws a rank-deficient pooled
+        basis.  The sweep writes the rows of 1..5 as a sweep stopping at 5
+        does, byte for byte, no row for 6, and one error line naming the
+        count and the repetition; eval at 6 names them too."""
+        train, test = self.readme_scale_sets(tmp_path)
         common = ["--train", str(train), "--test", str(test), "--method",
                   "gfda", "--repetitions", "60", "--seed", "1"]
         full, short = tmp_path / "full.csv", tmp_path / "short.csv"
@@ -536,6 +543,32 @@ class TestSweep:
                    "--out", str(tmp_path / "eval.csv")) == 1
         assert capsys.readouterr().err.endswith(failure)
         assert not (tmp_path / "eval.csv").exists()
+
+    def test_count_failing_before_its_draws_is_named(self, tmp_path, capsys):
+        """On the same inputs every class has 9 rows.  At train_count 9
+        nothing is drawn, so the one report repeats: its row reads that
+        report's rates and a std of exactly 0.  At 10 every class is
+        skipped, and the error names the count; without a test set, 9
+        leaves no held-out row, and that error names the count too."""
+        train, test = self.readme_scale_sets(tmp_path)
+        out = tmp_path / "sweep.csv"
+        capsys.readouterr()
+        assert run("sweep", "--train", str(train), "--test", str(test),
+                   "--method", "gfda-linear", "--min-n", "8", "--max-n", "10",
+                   "--repetitions", "3", "--seed", "1", "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: fewer than 2 classes have enough samples (train_count 10)")
+        assert out.read_text().splitlines() == [
+            "train_count,repetitions,mean_recognition,std_recognition,"
+            "mean_eer,std_eer",
+            "8,3,89.60000000000001,2.286190426597628,8.486666666666666,"
+            "1.5245837318939086",
+            "9,3,91.4,0.0,5.4,0.0"]
+        assert run("eval", "--train", str(train), "--method", "gfda-linear",
+                   "--train-count", "9", "--out", str(tmp_path / "e.csv")) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: no held-out samples remain; provide a test dataset or a "
+            "train_count below the class sizes (train_count 9)")
 
 
 def write_classes(path, sizes, seed):

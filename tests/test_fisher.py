@@ -409,26 +409,34 @@ class TestGdsDiscriminant:
 
 
 def count_framings(monkeypatch):
-    """Wrap fisher.union_span, the one factorization behind union_frame, with
-    a counter; returns the list that collects one entry per call."""
-    calls = []
-    real = fisher.union_span
+    """Wrap linalg.gram_frame, the one factorization behind every union-span
+    frame, and linalg._formed_frame, which forms frame columns in L
+    dimensions; returns the log of each call's (A, Gram) argument pair
+    ("framed") and of the number of columns formed ("formed")."""
+    log = {"framed": [], "formed": []}
+    frame, form = linalg.gram_frame, linalg._formed_frame
 
-    def counted(classes):
-        calls.append(len(classes))
-        return real(classes)
+    def framed(A, G=None):
+        log["framed"].append((A, G))
+        return frame(A, G)
 
-    monkeypatch.setattr(fisher, "union_span", counted)
-    return calls
+    def formed(A, W, reorthonormalize):
+        log["formed"].append(W.shape[1])
+        return form(A, W, reorthonormalize)
+
+    monkeypatch.setattr(linalg, "gram_frame", framed)
+    monkeypatch.setattr(linalg, "_formed_frame", formed)
+    return log
 
 
 def watch_pooling(monkeypatch):
     """Mark every array np.hstack returns as a pooled basis, and log: the
     marked arrays ("stacked"), the number of products of a marked array
-    with a marked one, that is of pooled Grams ("grams"), the arguments of
-    fisher.union_span ("framed"), and the eigh, eigvalsh and svd calls
+    with a marked one, that is of pooled Grams ("grams"), count_framings'
+    "framed" and "formed", and the eigh, eigvalsh and svd calls
     ("factorized")."""
-    log = {"stacked": [], "grams": 0, "framed": [], "factorized": []}
+    log = {"stacked": [], "grams": 0, "factorized": [],
+           **count_framings(monkeypatch)}
 
     class Pooled(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -458,8 +466,6 @@ def watch_pooling(monkeypatch):
 
     monkeypatch.setattr(np, "hstack", logged(log["stacked"], np.hstack,
                                              mark=True))
-    monkeypatch.setattr(fisher, "union_span",
-                        logged(log["framed"], fisher.union_span))
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, logged(
             log["factorized"], getattr(np.linalg, name)))
@@ -468,8 +474,14 @@ def watch_pooling(monkeypatch):
 
 class TestUnionFrame:
     def test_frame_matches_full_route(self):
+        # GDS at dims = K keeps the whole union frame U: its projector, the
+        # K nonzero eigenvalues of G, F U as class_refs, and their
+        # pairwise-difference matrix B_U
         ens = gfda.subspace_config(4, 2, 20, seed=91)
-        U, s2, F_U, B_U = gfda.union_frame(ens)
+        gds = gfda.gds_discriminant(ens, dims=8)
+        U, s2, F_U = (gds.projector, np.array(gds.info["eigenvalues"]),
+                      gds.class_refs)
+        B_U = fisher.pairwise_difference_matrix(F_U)
         pair = gfda.scatter_ladder(ens, "gFDA")
         npt.assert_allclose((U * s2) @ U.T, pair.within, rtol=0, atol=1e-12)
         npt.assert_allclose(B_U, U.T @ pair.between @ U, rtol=0, atol=1e-12)
@@ -484,14 +496,17 @@ class TestUnionFrame:
         (lambda ens: gfda.gds_discriminant(ens, gamma=0.9), True),
     ], ids=["linear", "product", "gds-dims", "gds-gamma"])
     def test_construction_frames_once(self, monkeypatch, build, frames):
-        """Every construction stacks the pooled basis Phi once.  GDS frames
-        it once, by union_span.  The gFDA forms form the pooled Gram once.
-        On an ensemble whose pooled Gram the Cholesky certifies they call
-        no union_span, no eigensolver and no SVD; on one it does not
-        certify (separation 0.003, s^2_min / s^2_max = 3.1e-7), and on one
-        of rank K - 2 (rank_deficient_ensemble, where the product form
-        raises OverlapError), union_span frames the Phi already stacked,
-        once, from that Gram."""
+        """Every construction stacks the pooled basis Phi once and forms its
+        Gram once.  GDS frames that Phi once, from that Gram, and forms in
+        L dimensions only the columns it keeps (dims = 3 < K = 8 by dims),
+        and those only in the Gram's coordinates: past the guard they are
+        the thin SVD's.  On an ensemble whose pooled Gram the Cholesky
+        certifies the gFDA forms frame nothing and call no eigensolver and
+        no SVD; on one it does not certify (separation 0.003,
+        s^2_min / s^2_max = 3.1e-7), and on one of rank K - 2
+        (rank_deficient_ensemble, where the product form raises
+        OverlapError), they frame the Phi already stacked, once, from that
+        Gram.  No gFDA form forms frame columns."""
         ensembles = [(gfda.subspace_config(4, 2, 20, separation=separation,
                                            seed=92), separation == 1.0)
                      for separation in (1.0, 0.003)]
@@ -501,27 +516,35 @@ class TestUnionFrame:
             with monkeypatch.context() as patch:
                 log = watch_pooling(patch)
                 try:
-                    build(ens)
+                    model = build(ens)
                 except OverlapError:
                     assert build is gfda.gfda_product_form and i == 2
             (Phi,) = log["stacked"]
             if frames or not certified:
-                (framed,) = log["framed"]
-                assert framed is (ens.classes if frames else Phi)
+                ((framed, gram),) = log["framed"]
+                assert framed is Phi and gram.shape == (Phi.shape[1],) * 2
             else:
                 assert log["framed"] == []
                 assert log["factorized"] == []
-            if not frames:
-                assert log["grams"] == 1
+            assert log["grams"] == 1
+            assert log["formed"] == ([model.dim] if frames and certified
+                                     else [])
+            if frames and model.info["selection"]["rule"] == "fixed":
+                assert model.dim == 3
 
     def test_eigencurves_frames_once(self, monkeypatch, tmp_path):
+        """eigencurves frames the pooled basis once, from its Gram, and
+        reads its curves from the frame's coordinates: no frame column is
+        formed in L dimensions."""
         from gfda import cli
 
-        calls = count_framings(monkeypatch)
+        log = count_framings(monkeypatch)
         assert cli.main(["eigencurves", "--classes", "5", "--subspace-dim",
                          "3", "--seed", "0", "--out",
                          str(tmp_path / "curves.csv")]) == 0
-        assert calls == [5]
+        ((Phi, gram),) = log["framed"]
+        assert Phi.shape == (60, 15) and gram.shape == (15, 15)
+        assert log["formed"] == []
 
 
 def sine_distance(U_ref, U):

@@ -617,10 +617,12 @@ class TestGramRangeBasis:
         K columns (ascending s^2) to 1e-8, on the eigencurves shape
         L = 4 C N.  s^2 agrees to 1e-10 relative; an entry far below the
         largest is held to the eigensolver's scale, 1e-13 s^2_max, because
-        the Gram's eigh resolves s^2 only to about eps s^2_max."""
-        from gfda import subspace_config, union_frame
+        the Gram's eigh resolves s^2 only to about eps s^2_max.  GDS at
+        dims = K holds the whole frame and the K eigenvalues."""
+        from gfda import gds_discriminant, subspace_config
         ens = subspace_config(C, N, 4 * C * N, separation=separation, seed=seed)
-        U, s2, _, _ = union_frame(ens)
+        gds = gds_discriminant(ens, dims=C * N)
+        U, s2 = gds.projector, np.array(gds.info["eigenvalues"])
         basis, s = direct_svd_route(np.hstack([c.basis for c in ens.classes]),
                                     "left")
         U_ref, s2_ref = basis[:, ::-1], s[::-1] ** 2
@@ -636,20 +638,25 @@ class TestGramRangeBasis:
         # s^2 spans more than 1e3 here; formed from the Gram without a
         # CholeskyQR pass, 14 of these 15 frames fail as_ortho_basis.  At
         # 0.01 (s^2_min / s^2_max from 2.2e-6 to 4.1e-6) the frame stays in
-        # the Gram's coordinates until union_frame forms it with that pass;
-        # at 0.003 and 0.001 it is below eps / ORTHO_IP_TOL = 2.2e-6, so Q
-        # is the thin SVD's, formed at once
-        from gfda import subspace_config, union_frame
+        # the Gram's coordinates until GDS forms the columns it keeps with
+        # that pass, run on those columns alone; at 0.003 and 0.001 it is
+        # below eps / ORTHO_IP_TOL = 2.2e-6, so Q is the thin SVD's, formed
+        # at once.  GDS keeps 1, C - 1 and K = 18 columns
+        from gfda import gds_discriminant, subspace_config
         lifted = separation < 0.01
         for seed in range(5):
             ens = subspace_config(6, 3, 40, separation=separation, seed=seed)
-            with mock.patch.object(linalg, "_lifted_frame",
-                                   wraps=linalg._lifted_frame) as lift_step:
-                U, s2, _, _ = union_frame(ens)
-            assert lift_step.called == lifted
-            assert s2[0] < 1e-3 * s2[-1]
-            assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-14
-            linalg.as_ortho_basis(U)
+            for dims in (1, 5, 18):
+                with mock.patch.object(linalg, "_lifted_frame",
+                                       wraps=linalg._lifted_frame) as lift_step:
+                    gds = gds_discriminant(ens, dims=dims)
+                U, s2 = gds.projector, gds.info["eigenvalues"]
+                assert lift_step.called == lifted
+                assert U.shape == (40, dims)
+                if dims == 18:
+                    assert s2[0] < 1e-3 * s2[-1]
+                assert np.abs(U.T @ U - np.eye(dims)).max() <= 1e-14
+                linalg.as_ortho_basis(U)
 
     def test_lifted_frame_keeps_the_svd_spectrum(self):
         # s^2_min / s^2_max = 4.5e-8 here, so the Gram's eigh holds s^2_min
