@@ -30,7 +30,7 @@ _EXPORTS = {
                   "gfda_null_space", "projection_matrix", "scatter_ladder",
                   "sum_matrix", "whitening"),
     "subspace": ("ClassModel", "SubspaceEnsemble", "fit_class",
-                 "fit_ensemble", "union_span"),
+                 "fit_ensemble"),
     "synth": ("convex_mixture", "gaussian_class", "labeled_gaussians",
               "labeled_mixtures", "subspace_config"),
 }

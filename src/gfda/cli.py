@@ -17,13 +17,14 @@ from typing import Optional
 
 import numpy as np
 
+from . import linalg
 from .classify import RULES, evaluate
 from .data import load_dataset, save_dataset
 from .errors import GfdaError, ValidationError
 from .fisher import (DiscriminantModel, _pooled, fda, gds_discriminant,
                      gfda_linear_form, gfda_product_form, null_lda, pca_lda,
                      pairwise_difference_matrix, reg_lda, with_normalization)
-from .subspace import fit_ensemble, group_by_label, union_span
+from .subspace import fit_ensemble, group_by_label
 
 METHODS = ("fda", "pcaLDA", "regLDA", "nullLDA", "gfda", "gfda-linear", "gds")
 
@@ -265,8 +266,13 @@ def run_protocol(cfg: ExperimentConfig, data=None):
             "train_count below the class sizes" + count)
     rows = np.concatenate(list(kept.values()))  # class by class, ascending
     if whole:
-        model = build_model(cfg, X[rows], y[rows].tolist())
-        return [evaluate(model, Xte, yte, rule=cfg.classifier)] * cfg.repetitions
+        try:
+            model = build_model(cfg, X[rows], y[rows].tolist())
+            report = evaluate(model, Xte, yte, rule=cfg.classifier)
+        except GfdaError as exc:
+            exc.args = (f"{exc}{count}",)
+            raise
+        return [report] * cfg.repetitions
     reports = []
     for rep in range(cfg.repetitions):
         rng = np.random.default_rng(cfg.seed + rep)
@@ -407,7 +413,7 @@ def cmd_eigencurves(args) -> int:
                                seed=args.seed)
     # frame coordinates, ascending: G = diag(vals_g), B = B_U; power vBv / vGv
     Phi, M, F_of, _ = _pooled(ensemble)
-    s, Z, _ = union_span(Phi, M)
+    s, Z, _ = linalg.gram_frame(Phi, M)
     vals_g, B_U = s[::-1] ** 2, pairwise_difference_matrix(F_of(Z)[:, ::-1])
     vals_h, V = np.linalg.eigh(np.diag(vals_g) - B_U / C)
     power_g = np.diag(B_U) / vals_g

@@ -19,8 +19,8 @@ route, a generalized eigenproblem) or as the null space of W - B/C (the
 "linear" route, which stays solvable with any number of samples).  Both
 spans coincide: span{W^+ (f_c - f_bar)}, whose one solve (``_gfda_map``)
 gives both forms' bases whenever the pooled bases are independent; the
-union frame's eigh serves only overlap.  Every union-span construction
-reads the pooled basis, its Gram and the first vectors from ``_pooled``.
+union-span frame ``linalg.gram_frame(Phi, M)`` serves only overlap.  Every
+union-span construction reads Phi, M and the first vectors from ``_pooled``.
 """
 
 import warnings
@@ -31,8 +31,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotApplicableError, OverlapError, ValidationError
-from .subspace import (OVERLAP_TOL, SubspaceEnsemble, group_by_label,
-                       union_span)
+from .subspace import OVERLAP_TOL, SubspaceEnsemble, group_by_label
 
 @dataclass(frozen=True)
 class DiscriminantModel:
@@ -204,16 +203,16 @@ def _gfda_map(ensemble: SubspaceEnsemble):
     """(Phi, F_of, lift, Y, S, frame) on ``_pooled(ensemble)``.  With full
     column rank K, P = lift(Y) = G^+ F^T Q_H, Q_H = ``_helmert(C)``, maps
     onto the gFDA space span{G^+ (f_c - f_bar)}, F P = Q_H, S = P^T P and
-    frame is None; else Y = S = None, frame = union_span(Phi)'s (s, Z).
+    frame is None; else Y = S = None, frame = gram_frame(Phi, M)'s (s, Z).
     Where ``_certified(M)``, Y = M^-1 E Q_H, one solve, and lift(D) = Phi D;
-    elsewhere Y = Z^T E Q_H / s^2 on union_span(Phi, M), as
+    elsewhere Y = Z^T E Q_H / s^2 on ``linalg.gram_frame(Phi, M)``, as
     G^+ = U diag(1/s^2) U^T and Z = Phi^T U."""
     Phi, M, F_of, E_of = _pooled(ensemble)
     rhs = E_of(_helmert(ensemble.n_classes))
     if _certified(M):
         Y = np.linalg.solve(M, rhs)
         return Phi, F_of, lambda D: Phi @ D, Y, rhs.T @ Y, None
-    s, Z, lift = union_span(Phi, M)
+    s, Z, lift = linalg.gram_frame(Phi, M)
     if s.size < len(M):
         return Phi, F_of, lift, None, None, (s, Z)
     Y = Z.T @ rhs / s[:, None] ** 2
@@ -349,7 +348,7 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None,
     if (dims is None) == (gamma is None):
         raise ValidationError("give exactly one of dims or gamma")
     Phi, M, F_of, _ = _pooled(ensemble)
-    s, Z, lift = union_span(Phi, M)
+    s, Z, lift = linalg.gram_frame(Phi, M)
     s2 = s[::-1] ** 2
     if dims is not None:
         if not (1 <= dims <= s2.size):

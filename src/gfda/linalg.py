@@ -4,10 +4,10 @@ All routines work on plain float ndarrays: a symmetric matrix is an (n, n)
 array, an orthonormal basis is an (L, k) array whose columns are the basis
 vectors.  Only this module decides the rank rule (``nonzero``: a spectrum
 entry counts when it exceeds RANK_TOL times the largest, or times a given
-scale), how a range basis is factorized (``range_basis``: the thin SVD cut
-by that rule, for the class fits; ``gram_frame``: the eigh of the
-small-side Gram A^T A cut by that rule, for the union-span frame of the
-pooled class bases and the centred-data frame of the FDA family, with
+scale), how a range basis is factorized (``range_basis``: the thin SVD
+and its rank by that rule, for the class fits; ``gram_frame``: the eigh
+of the small-side Gram A^T A cut by that rule, for the union-span frame
+gram_frame(Phi, M) and the centred-data frame of the FDA family, with
 one CholeskyQR pass where the frame is formed; past its one guard the
 thin SVD is taken instead),
 how vectors are orthonormalized in order (``gram_schmidt``: one QR with a
@@ -70,13 +70,11 @@ def as_ortho_basis(Q, name="basis"):
 
     One batched Q^T Q checks every matrix: each diagonal entry within
     10 UNIT_NORM_TOL of 1 and every other entry within ORTHO_IP_TOL of 0,
-    so a column with a non-finite entry fails.  A 1-D Q is one column.  A
-    stack raises for its first failing matrix i, named f"{name}[{i}]", the
-    error that matrix alone would raise.
+    so a column with a non-finite entry fails.  A stack raises for its
+    first failing matrix i, named f"{name}[{i}]", the error that matrix
+    alone would raise.
     """
     Q = np.asarray(Q, dtype=float)
-    if Q.ndim == 1:
-        Q = Q[:, None]
     if Q.ndim not in (2, 3):
         raise ValidationError(f"{name} must be an (L, k) basis or a (b, L, k) "
                               f"stack, got shape {Q.shape}")
@@ -138,15 +136,14 @@ def nonzero(values, scale=None):
 
 
 def range_basis(A):
-    """Orthonormal basis of the column span of A from its thin SVD
-    A = U S V^T.  Returns (U_r, s_r): the sign-fixed columns of U and the
-    singular values, descending, for the r entries with nonzero(s^2).  s
-    descends, so those are the leading r and U_r is a view of U.
-
-    A may also be a (b, L, n) stack, factorized by one batched LAPACK call.
-    It gives (U, s, r): the sign-fixed stacked factors, uncut, and each
-    matrix's rank, so matrix i's pair is U[i, :, :r[i]], s[i, :r[i]].
-    An s^2 past the float range raises ValidationError.
+    """Orthonormal basis of the column span of the (L, n) matrix A, or of
+    each matrix of a (b, L, n) stack, from one (batched) LAPACK thin SVD
+    A = U S V^T.  Returns (U, s, r): the sign-fixed U and the singular
+    values, descending, both uncut, and the rank r, the count of entries
+    with nonzero(s^2), one per matrix of a stack.  s descends, so the
+    basis is U[:, :r] with singular values s[:r] (U[i, :, :r[i]],
+    s[i, :r[i]] for matrix i).  An s^2 past the float range raises
+    ValidationError.
     """
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     with np.errstate(over="ignore"):
@@ -157,8 +154,6 @@ def range_basis(A):
                               "float range; rescale the data")
     r = nonzero(s2).sum(axis=-1)
     fix_signs(U, copy=False)
-    if U.ndim == 2:
-        return U[:, :r], s[:r]
     return U, s, r
 
 
@@ -174,7 +169,8 @@ def gram_frame(A, G=None):
     drift = eps s_max^2 / s_min^2.  The one guard, the only reason to form
     Q before lift(): past ORTHO_IP_TOL, s and Q are the thin SVD's,
     ``range_basis(A)`` (``_lifted_frame``), and Z = A^T Q and lift(D)
-    follow its signs.  A Gram past the float range raises ValidationError."""
+    follow its signs.  A Gram past the float range raises ValidationError.
+    gram_frame(Phi, M) of the pooled class bases is the union-span frame."""
     with np.errstate(over="ignore", invalid="ignore"):
         G = A.T @ A if G is None else G
     if not np.isfinite(G).all():
@@ -195,9 +191,10 @@ def gram_frame(A, G=None):
 
 
 def _lifted_frame(A):
-    """gram_frame with (Q, s) from ``range_basis(A)``: Z = A^T Q,
+    """gram_frame with (Q, s) ``range_basis(A)``'s rank-r cut: Z = A^T Q,
     lift(D) = Q[:, :k'] D, lift(columns=k) Q's last k columns reversed."""
-    Q, s = range_basis(A)
+    U, s, r = range_basis(A)
+    Q, s = U[:, :r], s[:r]
     return s, A.T @ Q, lambda D=None, columns=None: (
         Q[:, ::-1][:, :columns].copy() if D is None else Q[:, :len(D)] @ D)
 

@@ -15,8 +15,8 @@ from .errors import (DegeneratePairError, UndefinedDirectionError,
                      ValidationError)
 from .fisher import between_scatter, pairwise_difference_matrix
 from .linalg import (RANK_TOL, as_ortho_basis, as_sym_matrix, fix_signs,
-                     nonzero, sym_eig)
-from .subspace import OVERLAP_TOL, ClassModel, SubspaceEnsemble, union_span
+                     gram_frame, nonzero, sym_eig)
+from .subspace import OVERLAP_TOL, ClassModel, SubspaceEnsemble
 
 LADDER_RUNGS = ("FDA", "aFDA", "sFDA", "gFDA")
 
@@ -118,7 +118,7 @@ def difference_subspace_analytic(c1: ClassModel,
     share a direction (degenerate); eigenvalues within OVERLAP_TOL of
     exactly 1 belong to neither side and are excluded with a warning.
     """
-    s, _, lift = union_span((c1, c2))
+    s, _, lift = gram_frame(np.hstack([c1.basis, c2.basis]))
     vecs, vals = lift(), s[::-1] ** 2
     if vals.size == 0 or np.any(vals >= 2.0 - OVERLAP_TOL):
         hit = int(np.argmax(vals)) if vals.size else 0

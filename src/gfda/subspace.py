@@ -1,12 +1,13 @@
-"""Class-subspace fitting and the union span of the class subspaces.
+"""Class-subspace fitting.
 
 A class subspace is the span of the leading eigenvectors of the class
 autocorrelation matrix R_c = (1/n_c) sum_i x_i x_i^T, i.e. PCA *without*
 mean subtraction.  Because no centering is applied, the first basis vector
 of a class tracks the direction of its sample mean whenever the mean
 dominates the spread, which is what the whole discriminant construction
-in :mod:`gfda.fisher` leans on.  The two-class difference subspace, in
-both of its constructions, is in :mod:`gfda.reference`.
+in :mod:`gfda.fisher` leans on.  The union span of the class subspaces is
+``linalg.gram_frame(Phi, M)`` on the pooled bases of ``fisher._pooled``.
+Both two-class difference subspace constructions are in :mod:`gfda.reference`.
 """
 
 from dataclasses import dataclass, replace
@@ -208,21 +209,3 @@ def _fit_classes(X, labels, rows, dim, energy):
             replace(c)
         raise failed
     return classes
-
-
-def union_span(classes, gram=None):
-    """``linalg.gram_frame`` of the pooled basis Phi = [Phi_1 ... Phi_C] of
-    any objects with a .basis, or of Phi itself, stacked already by the
-    caller and not copied again, as is its Gram Phi^T Phi if given:
-    (s, Z, lift), s descending, for G = sum_c P_c = Phi Phi^T =
-    U diag(s^2) U^T on the frame U, Z = Phi^T U the pooled basis vectors in
-    U's coordinates, lift(D) = U D and lift(columns=k) the k columns of U
-    with the smallest s (lift() all K), orthonormal to rounding, in
-    ascending s.  The Gram's off-diagonal blocks hold the canonical cosines
-    between class pairs.  K = rank(Phi) <= sum_c N_c, an all-zero Phi gives
-    an empty frame, and no L x L matrix is formed; Phi's thin SVD is taken
-    only past gram_frame's guard.
-    """
-    if not isinstance(classes, np.ndarray):
-        classes = np.hstack([c.basis for c in classes])
-    return linalg.gram_frame(classes, gram)

@@ -570,6 +570,26 @@ class TestSweep:
             "error: no held-out samples remain; provide a test dataset or a "
             "train_count below the class sizes (train_count 9)")
 
+    def test_failing_build_of_the_whole_classes_is_named(self, tmp_path,
+                                                         capsys):
+        """Two classes of 3 rows in L = 5: at train_count 3 nothing is
+        drawn, and the one build's error names the count, as a drawn
+        build's does; with no count it is the construction's own."""
+        sizes = {"a": 3, "b": 3}
+        train = write_classes(tmp_path / "train.csv", sizes, 20)
+        test = write_classes(tmp_path / "test.csv", sizes, 21)
+        common = ["eval", "--train", str(train), "--test", str(test),
+                  "--method", "gfda", "--repetitions", "3",
+                  "--out", str(tmp_path / "eval.csv")]
+        failure = ("error: class subspaces overlap: pooled basis vectors are "
+                   "dependent (rank 5 < 6)")
+        capsys.readouterr()
+        assert run(*common, "--train-count", "3") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            failure + " (train_count 3)"]
+        assert run(*common) == 1
+        assert capsys.readouterr().err.splitlines() == [failure]
+
 
 def write_classes(path, sizes, seed):
     """A CSV with sizes[label] rows per label, class a offset from the rest."""

@@ -25,7 +25,7 @@ def line_model(label, direction, mean=None):
 
 def uncertified(ens, closed_form=fisher._gfda_map):
     """fisher._gfda_map with the Cholesky's certificate withheld, so both
-    gFDA forms take the closed form on the frame of union_span."""
+    gFDA forms take the closed form on the frame gram_frame(Phi, M)."""
     with mock.patch.object(fisher, "_certified", lambda M: False):
         return closed_form(ens)
 
@@ -306,7 +306,7 @@ class TestGfdaForms:
         # s^2 = 1, so U R is as valid a frame as U for any orthogonal R; the
         # model must not depend on which one the factorization returns.
         # Their pooled Gram is I, certified, so the frame is the closed
-        # form's on union_span, taken here by withholding the certificate
+        # form's on gram_frame(Phi, M), taken by withholding the certificate
         rng = np.random.default_rng(96)
         C, N, L = 5, 2, 24
         Q = np.linalg.qr(rng.standard_normal((L, C * N)))[0]
@@ -317,13 +317,13 @@ class TestGfdaForms:
         monkeypatch.setattr(fisher, "_gfda_map", uncertified)
         plain = gfda.gfda_product_form(ens)
         npt.assert_allclose(plain.projector, closed.projector, atol=1e-12)
-        s, Z, lift = fisher.union_span(ens.classes)
+        s, Z, lift = linalg.gram_frame(*fisher._pooled(ens)[:2])
         npt.assert_allclose(s**2, np.ones(C * N), atol=1e-12)
         R = np.linalg.qr(rng.standard_normal((C * N, C * N)))[0]
         # the frame U R: coordinates Z R, lift(D) = U R D and lift() = U R,
         # with U = lift(I), the frame in the column order of Z
         U = lift(np.eye(C * N))
-        monkeypatch.setattr(fisher, "union_span", lambda *args: (
+        monkeypatch.setattr(linalg, "gram_frame", lambda *args: (
             s, Z @ R, lambda D=None: U @ R if D is None else U @ (R @ D)))
         rotated = gfda.gfda_product_form(ens)
         npt.assert_allclose(rotated.projector, plain.projector, atol=1e-12)
@@ -554,8 +554,8 @@ def sine_distance(U_ref, U):
 
 def frame_route(ens):
     """Both gFDA forms with the Cholesky's certificate withheld: the closed
-    form on the frame of union_span where the pooled basis has full column
-    rank K, the union frame's eigh route where it does not; the product
+    form on the frame gram_frame(Phi, M) where the pooled basis has full
+    column rank K, the union frame's eigh route where it does not; the product
     form is None there (OverlapError)."""
     with mock.patch.object(fisher, "_gfda_map", uncertified):
         linear = gfda.gfda_linear_form(ens)

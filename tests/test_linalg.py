@@ -378,6 +378,11 @@ class TestAsOrthoBasis:
         with pytest.raises(ValidationError, match="got shape"):
             linalg.as_ortho_basis(np.ones((1, 1, 2, 1)))
 
+    def test_one_dimensional_input_rejected(self):
+        # a unit vector is not read as one column
+        with pytest.raises(ValidationError, match=r"got shape \(3,\)"):
+            linalg.as_ortho_basis(np.eye(3)[0])
+
 
 def per_matrix_error(Q, name):
     try:
@@ -490,10 +495,16 @@ def assert_same_span(A, B):
     assert 1.0 - cos.min() <= 1e-8
 
 
+def cut_range_basis(A):
+    """range_basis(A)'s basis and singular values, cut at its rank r."""
+    U, s, r = linalg.range_basis(A)
+    return U[:, :r], s[:r]
+
+
 class TestRangeBasis:
     def test_rank_deficient_drops_exactly_the_zero_directions(self):
         A = sample_matrix("rank-deficient", 1)
-        U, s = linalg.range_basis(A)
+        U, s = cut_range_basis(A)
         assert U.shape == (30, np.linalg.matrix_rank(A)) and s.shape == (U.shape[1],)
         npt.assert_allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-12)
         assert np.linalg.norm(A - U @ (U.T @ A)) <= 1e-12 * np.linalg.norm(A)
@@ -502,7 +513,7 @@ class TestRangeBasis:
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_sign_convention_and_order(self, shape):
-        U, s = linalg.range_basis(sample_matrix(shape, 2))
+        U, s = cut_range_basis(sample_matrix(shape, 2))
         npt.assert_array_equal(linalg.fix_signs(U), U)
         for col in U.T:
             nz = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
@@ -510,7 +521,9 @@ class TestRangeBasis:
         assert np.all(np.diff(s) <= 0)
 
     def test_zero_matrix_gives_empty_basis(self):
-        U, s = linalg.range_basis(np.zeros((4, 3)))
+        U, s, r = linalg.range_basis(np.zeros((4, 3)))
+        assert r == 0 and U.shape == (4, 3) and s.tolist() == [0.0] * 3
+        U, s = cut_range_basis(np.zeros((4, 3)))
         assert U.shape == (4, 0) and s.shape == (0,)
 
     def test_stack_matches_one_call_per_matrix(self):
@@ -523,7 +536,7 @@ class TestRangeBasis:
         U, s, r = linalg.range_basis(stack)
         assert r.tolist() == [4, 3, 0]
         for A, u, v, k in zip(stack, U, s, r):
-            U1, s1 = linalg.range_basis(A)
+            U1, s1 = cut_range_basis(A)
             npt.assert_array_equal(u[:, :k], U1)
             npt.assert_array_equal(v[:k], s1)
 
@@ -543,11 +556,8 @@ class TestRangeBasis:
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_union_span_matches_direct_svd(self, shape):
-        from types import SimpleNamespace
-
-        from gfda import union_span
         pooled = sample_matrix(shape, 4).T
-        s, _, lift = union_span([SimpleNamespace(basis=pooled)])
+        s, _, lift = linalg.gram_frame(pooled)
         basis, s_ref = direct_svd_route(pooled, "left")
         assert_same_span(lift(), basis)
         npt.assert_allclose(s**2, s_ref**2, rtol=1e-10)
@@ -571,9 +581,10 @@ class TestRangeBasis:
     @pytest.mark.parametrize("C,N,L", [(3, 2, 6), (4, 1, 30), (5, 3, 60)])
     def test_product_form_matches_direct_svd(self, C, N, L):
         from gfda import (aligned_first_vectors, gfda_product_form,
-                          subspace_config, union_span)
+                          subspace_config)
         ens = subspace_config(C, N, L, separation=0.5, seed=C + L)
-        s, _, lift = union_span(ens.classes)
+        s, _, lift = linalg.gram_frame(np.hstack([c.basis
+                                                  for c in ens.classes]))
         wmap = lift().T / s[::-1, None]
         hats = aligned_first_vectors(ens) @ wmap.T
         _, sv, vt = np.linalg.svd(hats - hats.mean(axis=0),
@@ -597,10 +608,10 @@ class TestRangeBasis:
         npt.assert_array_equal(got_s, s)
         assert r.tolist() == [4, 4, 3]
         for A in stack:
-            u, v = linalg.range_basis(A)
+            u, v = cut_range_basis(A)
             assert not u.flags.owndata and not v.flags.owndata
         npt.assert_array_equal(linalg.range_basis(stack[0])[0], U[0])
-        npt.assert_array_equal(linalg.range_basis(stack[2])[0], U[2][:, :3])
+        npt.assert_array_equal(cut_range_basis(stack[2])[0], U[2][:, :3])
 
 
 def sine_distance(U_ref, U):
@@ -676,11 +687,8 @@ class TestGramRangeBasis:
                             rtol=1e-12)
 
     def test_zero_pooled_basis_gives_empty_frame(self):
-        from types import SimpleNamespace
-
-        from gfda import union_span
-        s, Z, lift = union_span([SimpleNamespace(basis=np.zeros((5, 2))),
-                                 SimpleNamespace(basis=np.zeros((5, 1)))])
+        s, Z, lift = linalg.gram_frame(np.hstack([np.zeros((5, 2)),
+                                                  np.zeros((5, 1))]))
         assert lift().shape == (5, 0) and s.shape == (0,)
         assert lift(np.eye(0)).shape == (5, 0) and Z.shape == (3, 0)
         s, Z, lift = linalg.gram_frame(np.zeros((3, 4)))
