@@ -21,12 +21,21 @@ from . import linalg
 from .classify import RULES, evaluate
 from .data import load_dataset, save_dataset
 from .errors import GfdaError, ValidationError
-from .fisher import (DiscriminantModel, _pooled, fda, gds_discriminant,
-                     gfda_linear_form, gfda_product_form, null_lda, pca_lda,
-                     pairwise_difference_matrix, reg_lda, with_normalization)
-from .subspace import fit_ensemble, group_by_label
+from .fisher import (DiscriminantModel, _check_delta, _check_gamma,
+                     _check_residual_threshold, _pooled, fda,
+                     gds_discriminant, gfda_linear_form, gfda_product_form,
+                     null_lda, pca_lda, pairwise_difference_matrix, reg_lda,
+                     with_normalization)
+from .subspace import _check_energy, fit_ensemble, group_by_label
 
 METHODS = ("fda", "pcaLDA", "regLDA", "nullLDA", "gfda", "gfda-linear", "gds")
+
+# The constructions' own range check of each parameter they take a number
+# for; subspace_dim and gds_dims have only their lower bound here, as
+# their upper bounds depend on the data.
+_PARAM_CHECKS = {"delta": _check_delta, "gamma": _check_gamma,
+                 "energy": _check_energy,
+                 "residual_threshold": _check_residual_threshold}
 
 # Which optional parameters make sense for which method.
 _PARAM_METHODS = {
@@ -120,10 +129,14 @@ class ExperimentConfig:
                     f"not {self.method!r}")
         if self.gamma is not None and self.gds_dims is not None:
             raise ValidationError("give exactly one of dims or gamma")
-        for key, low in (("repetitions", 1), ("train_count", 1), ("seed", 0)):
+        for key, low in (("repetitions", 1), ("train_count", 1), ("seed", 0),
+                         ("subspace_dim", 1), ("gds_dims", 1)):
             value = getattr(self, key)
             if value is not None and value < low:
                 raise ValidationError(f"{key} must be >= {low}")
+        for key, check in _PARAM_CHECKS.items():
+            if getattr(self, key) is not None:
+                check(getattr(self, key))
 
 
 def load_config_file(path) -> dict:
@@ -412,8 +425,8 @@ def cmd_eigencurves(args) -> int:
     ensemble = subspace_config(C, N, L, separation=args.separation,
                                seed=args.seed)
     # frame coordinates, ascending: G = diag(vals_g), B = B_U; power vBv / vGv
-    Phi, M, F_of, _ = _pooled(ensemble)
-    s, Z, _ = linalg.gram_frame(Phi, M)
+    A, Mc, M, F_of, _ = _pooled(ensemble)
+    s, Z, _ = linalg.gram_frame(A, M, Mc)
     vals_g, B_U = s[::-1] ** 2, pairwise_difference_matrix(F_of(Z)[:, ::-1])
     vals_h, V = np.linalg.eigh(np.diag(vals_g) - B_U / C)
     power_g = np.diag(B_U) / vals_g

@@ -19,8 +19,11 @@ route, a generalized eigenproblem) or as the null space of W - B/C (the
 "linear" route, which stays solvable with any number of samples).  Both
 spans coincide: span{W^+ (f_c - f_bar)}, whose one solve (``_gfda_map``)
 gives both forms' bases whenever the pooled bases are independent; the
-union-span frame ``linalg.gram_frame(Phi, M)`` serves only overlap.  Every
-union-span construction reads Phi, M and the first vectors from ``_pooled``.
+union-span frame ``linalg.gram_frame`` of the pooled bases serves only
+overlap.  Every union-span construction reads the pooled bases, their
+Gram M and the first vectors from ``_pooled``: for a fitted ensemble, in
+the coordinates of its sample rows, with only the output columns lifted
+to L dimensions.
 """
 
 import warnings
@@ -31,7 +34,8 @@ import numpy as np
 
 from . import linalg
 from .errors import NotApplicableError, OverlapError, ValidationError
-from .subspace import OVERLAP_TOL, SubspaceEnsemble, group_by_label
+from .subspace import (OVERLAP_TOL, SubspaceEnsemble, _pooled_gram,
+                       group_by_label)
 
 @dataclass(frozen=True)
 class DiscriminantModel:
@@ -181,42 +185,50 @@ def _certified(M):
 
 
 def _pooled(ensemble: SubspaceEnsemble):
-    """(Phi, M, F_of, E_of): the pooled basis Phi = [Phi_1 ... Phi_C], its
-    Gram M = Phi^T Phi, and the aligned first vectors F^T = Phi E, E holding
-    each class's sign sigma_c (its first basis column against its mean) at
-    that column's row: F_of(A) = E^T A and E_of(D) = E D, so F = F_of(Phi^T)
-    and F U = F_of(Z) on a frame U with Z = Phi^T U, in coordinates."""
-    Phi = np.hstack([c.basis for c in ensemble.classes])
-    firsts = np.cumsum([0] + [c.dim for c in ensemble.classes[:-1]])
-    sigma = np.where(np.einsum("ij,ji->i", [c.mean for c in ensemble.classes],
-                               Phi[:, firsts]) < 0, -1.0, 1.0)[:, None]
+    """(A, Mc, M, F_of, E_of): the pooled basis Phi = [Phi_1 ... Phi_C] as
+    A Mc (A itself where Mc is None) and its Gram M = Phi^T Phi
+    (``subspace._pooled_gram``: for a fitted ensemble, in its rows'
+    coordinates, with Phi never formed), and the aligned first vectors
+    F^T = Phi E, E holding each class's sign sigma_c (its first basis
+    column against its mean) at that column's row: F_of(A) = E^T A and
+    E_of(D) = E D, so F U = F_of(Z) on a frame U with Z = Phi^T U, in
+    coordinates."""
+    A, Mc, M, firsts, lead = _pooled_gram(ensemble)
+    sigma = np.where(lead < 0, -1.0, 1.0)[:, None]
 
     def E_of(D):
-        ED = np.zeros((Phi.shape[1],) + D.shape[1:])
+        ED = np.zeros((len(M),) + D.shape[1:])
         ED[firsts] = sigma * D
         return ED
 
-    return Phi, Phi.T @ Phi, lambda A: sigma * A[firsts], E_of
+    return A, Mc, M, lambda Z: sigma * Z[firsts], E_of
 
 
 def _gfda_map(ensemble: SubspaceEnsemble):
-    """(Phi, F_of, lift, Y, S, frame) on ``_pooled(ensemble)``.  With full
-    column rank K, P = lift(Y) = G^+ F^T Q_H, Q_H = ``_helmert(C)``, maps
-    onto the gFDA space span{G^+ (f_c - f_bar)}, F P = Q_H, S = P^T P and
-    frame is None; else Y = S = None, frame = gram_frame(Phi, M)'s (s, Z).
-    Where ``_certified(M)``, Y = M^-1 E Q_H, one solve, and lift(D) = Phi D;
-    elsewhere Y = Z^T E Q_H / s^2 on ``linalg.gram_frame(Phi, M)``, as
-    G^+ = U diag(1/s^2) U^T and Z = Phi^T U."""
-    Phi, M, F_of, E_of = _pooled(ensemble)
+    """(F_of, lift, PhiT_of, Y, S, frame) on ``_pooled(ensemble)``, with
+    PhiT_of(D) = Phi^T lift(D) in the pooled coordinates.  With full column
+    rank K, P = lift(Y) = G^+ F^T Q_H, Q_H = ``_helmert(C)``, maps onto the
+    gFDA space span{G^+ (f_c - f_bar)}, F P = Q_H, S = P^T P and frame is
+    None; else Y = S = None, frame = gram_frame(A, M, Mc)'s (s, Z).  Where
+    ``_certified(M)``, Y = M^-1 E Q_H, one solve, lift(D) = Phi D and
+    PhiT_of(D) = M D; elsewhere Y = Z^T E Q_H / s^2 on ``linalg.gram_frame``
+    of Phi, as G^+ = U diag(1/s^2) U^T and Z = Phi^T U, and PhiT_of(D) =
+    Z D.  Only lift forms L-dimensional columns."""
+    A, Mc, M, F_of, E_of = _pooled(ensemble)
     rhs = E_of(_helmert(ensemble.n_classes))
     if _certified(M):
         Y = np.linalg.solve(M, rhs)
-        return Phi, F_of, lambda D: Phi @ D, Y, rhs.T @ Y, None
-    s, Z, lift = linalg.gram_frame(Phi, M)
+        return (F_of, lambda D: A @ (D if Mc is None else Mc @ D),
+                lambda D: M @ D, Y, rhs.T @ Y, None)
+    s, Z, lift = linalg.gram_frame(A, M, Mc)
+
+    def PhiT_of(D):
+        return Z[:, :len(D)] @ D
+
     if s.size < len(M):
-        return Phi, F_of, lift, None, None, (s, Z)
+        return F_of, lift, PhiT_of, None, None, (s, Z)
     Y = Z.T @ rhs / s[:, None] ** 2
-    return Phi, F_of, lift, Y, Y.T @ Y, None
+    return F_of, lift, PhiT_of, Y, Y.T @ Y, None
 
 
 def gfda_product_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
@@ -234,13 +246,13 @@ def gfda_product_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     vectors, and info["criterion_eigenvalues"] C times the squared norms
     of their centred columns.
     """
-    Phi, F_of, lift, Y, _, frame = _gfda_map(ensemble)
+    F_of, lift, PhiT_of, Y, _, frame = _gfda_map(ensemble)
     if Y is None:
         raise OverlapError(
             "class subspaces overlap: pooled basis vectors are dependent "
-            f"(rank {frame[0].size} < {Phi.shape[1]})")
+            f"(rank {frame[0].size} < {len(frame[1])})")
     projector = lift(Y)
-    refs = F_of(Phi.T) @ projector
+    refs = F_of(PhiT_of(Y))
     return DiscriminantModel(
         projector=projector,
         method="gFDA-product",
@@ -275,7 +287,7 @@ def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     vectors are dependent.  A CholeskyQR pass follows past UNIT_NORM_TOL.
     """
     C = ensemble.n_classes
-    Phi, F_of, lift, Y, S, frame = _gfda_map(ensemble)
+    F_of, lift, PhiT_of, Y, S, frame = _gfda_map(ensemble)
     if Y is not None:
         Q_H = _helmert(C)
         T = np.linalg.solve(S, Q_H[:-1].T)  # S^-1 Q_k^T
@@ -310,9 +322,9 @@ def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     gram = projector.T @ projector
     if np.abs(gram - np.eye(C - 1)).max() > linalg.UNIT_NORM_TOL:
         inv = np.linalg.inv(np.linalg.cholesky(gram).T)
-        projector, refs = projector @ inv, refs @ inv
+        projector, refs, coords = projector @ inv, refs @ inv, coords @ inv
     if Y is not None:  # p^T W p = |Phi^T p|^2, p^T B p / C = C var(F p)
-        Zp = Phi.T @ projector
+        Zp = PhiT_of(coords)
         selected = np.sum(Zp ** 2, axis=0) - C * np.var(F_of(Zp), axis=0)
     return DiscriminantModel(
         projector=projector,
@@ -321,6 +333,12 @@ def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
         class_refs=refs,
         info={"selected_eigenvalues": selected.tolist()},
     )
+
+
+def _check_gamma(gamma):
+    """The GDS power rule's own range check."""
+    if not (0.0 < gamma <= 1.0):
+        raise ValidationError("gamma must be in (0, 1]")
 
 
 def gds_discriminant(ensemble: SubspaceEnsemble, dims=None,
@@ -347,8 +365,8 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None,
     """
     if (dims is None) == (gamma is None):
         raise ValidationError("give exactly one of dims or gamma")
-    Phi, M, F_of, _ = _pooled(ensemble)
-    s, Z, lift = linalg.gram_frame(Phi, M)
+    A, Mc, M, F_of, _ = _pooled(ensemble)
+    s, Z, lift = linalg.gram_frame(A, M, Mc)
     s2 = s[::-1] ** 2
     if dims is not None:
         if not (1 <= dims <= s2.size):
@@ -357,8 +375,7 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None,
         selection = {"rule": "fixed", "dims": dims, "gamma": None,
                      "beta": None, "achieved_power": None}
     else:
-        if not (0.0 < gamma <= 1.0):
-            raise ValidationError("gamma must be in (0, 1]")
+        _check_gamma(gamma)
         C = ensemble.n_classes
         beta = C * (C - 1) * gamma
         cumulative = np.cumsum(C * C * np.var(F_of(Z), axis=0)[::-1] / s2)
@@ -371,13 +388,12 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None,
         selection = {"rule": "power", "dims": dims, "gamma": gamma,
                      "beta": beta,
                      "achieved_power": float(cumulative[dims - 1])}
-    del M, Z  # the lift sets the peak memory: free these, and form F first
-    F, projector = F_of(Phi.T), lift(columns=dims)
+    projector, Z = lift(columns=dims)
     return DiscriminantModel(
         projector=projector,
         method="GDS",
         class_labels=ensemble.labels,
-        class_refs=F @ projector,
+        class_refs=F_of(Z),
         info={"eigenvalues": s2[:dims].tolist(), "selection": selection},
     )
 
@@ -469,14 +485,26 @@ def fda(X, y) -> DiscriminantModel:
                            info={"eigenvalues": vals.tolist()})
 
 
+def _check_delta(delta):
+    """regLDA's own check of its ridge."""
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValidationError(f"delta must be positive and finite, got {delta}")
+
+
+def _check_residual_threshold(threshold):
+    """pcaLDA's own check of its residual threshold."""
+    if not (np.isfinite(threshold) and threshold >= 0):
+        raise ValidationError("residual threshold must be finite and >= 0, "
+                              f"got {threshold}")
+
+
 def reg_lda(X, y, delta: float = 1e-4) -> DiscriminantModel:
     """FDA with a ridge delta (default 1e-4, the protocol's value) added to
     the within-class scatter.  (S_b, S_w + delta I) is block-diagonal on the
     centred-data frame Q and its complement, where S_b vanishes, so the
     directions are those of (Q^T S_b Q, Q^T S_w Q + delta I) lifted by Q.
     Rows with no variance leave no frame and no direction: ValidationError."""
-    if not (np.isfinite(delta) and delta > 0):
-        raise ValidationError(f"delta must be positive and finite, got {delta}")
+    _check_delta(delta)
     X = np.asarray(X, dtype=float)
     labels, rows, s, Z, lift = _centred_frame(X, y)
     if not s.size:
@@ -501,9 +529,7 @@ def pca_lda(X, y, residual_threshold: float = 1e-2) -> DiscriminantModel:
     X = np.asarray(X, dtype=float)
     if X.shape[0] < 2:
         raise ValidationError("pcaLDA needs a pooled sample count >= 2")
-    if not (np.isfinite(residual_threshold) and residual_threshold >= 0):
-        raise ValidationError("residual threshold must be finite and >= 0, "
-                              f"got {residual_threshold}")
+    _check_residual_threshold(residual_threshold)
     labels, rows, s, Z, lift = _centred_frame(X, y)
     if not s.size:
         raise ValidationError(_NO_VARIANCE)

@@ -5,16 +5,17 @@ array, an orthonormal basis is an (L, k) array whose columns are the basis
 vectors.  Only this module decides the rank rule (``nonzero``: a spectrum
 entry counts when it exceeds RANK_TOL times the largest, or times a given
 scale), how a range basis is factorized (``range_basis``: the thin SVD
-and its rank by that rule, for the class fits; ``gram_frame``: the eigh
-of the small-side Gram A^T A cut by that rule, for the union-span frame
-gram_frame(Phi, M) and the centred-data frame of the FDA family, with
-one CholeskyQR pass where the frame is formed; past its one guard the
-thin SVD is taken instead),
+and its rank by that rule, for the class fits past their Gram's guard or
+with more rows than features; ``gram_frame``: the eigh of the small-side
+Gram cut by that rule, for the union-span frame of the pooled bases
+Phi = A C and the centred-data frame of the FDA family, with one
+CholeskyQR pass where the frame is formed; past its one guard the thin
+SVD is taken instead),
 how vectors are orthonormalized in order (``gram_schmidt``: one QR with a
 positive diagonal, dropping a vector whose residual is at most RANK_TOL
 times its norm), the sign convention (``fix_signs``: first nonzero
-component positive, the one implementation, applied to every
-factorization's vectors and every formed frame) and
+component positive, the one implementation, ``column_signs``, applied to
+every factorization's vectors and every formed frame or basis) and
 when columns count as orthonormal (``as_ortho_basis``: one batched Q^T Q
 for one basis or a stack, the one orthonormality rule).
 ``sym_eig`` reports eigenvalues ascending, ``range_basis`` and
@@ -106,22 +107,29 @@ def fix_signs(V, copy=True):
     """
     if copy:
         V = np.array(V, dtype=float)
-    if V.size:
-        # a row-0 entry above 1e-12 of its whole matrix's largest magnitude
-        # is above 1e-12 of its column's, so it is the first nonzero one
-        # (max and -min, not max |V|: a second full-size array costs more
-        # than the pass it would save)
-        lead = V[..., :1, :]
-        big = np.maximum(V.max(axis=(-2, -1), keepdims=True),
-                         -V.min(axis=(-2, -1), keepdims=True))
-        if not (np.abs(lead) > 1e-12 * big).all():
-            # |V| with each column contiguous, so the reductions run along rows
-            mag = np.abs(np.swapaxes(V, -1, -2), order="C")
-            first = np.argmax(mag > 1e-12 * mag.max(axis=-1, keepdims=True),
-                              axis=-1)
-            lead = np.take_along_axis(V, first[..., None, :], axis=-2)
-        V *= np.where(lead < 0, -1.0, 1.0)
+    V *= column_signs(V)
     return V
+
+
+def column_signs(V):
+    """The (..., 1, k) signs, -1.0 or 1.0, by which fix_signs multiplies the
+    columns of V."""
+    if not V.size:
+        return np.ones(V.shape[:-2] + (1, V.shape[-1]))
+    # a row-0 entry above 1e-12 of its whole matrix's largest magnitude
+    # is above 1e-12 of its column's, so it is the first nonzero one
+    # (max and -min, not max |V|: a second full-size array costs more
+    # than the pass it would save)
+    lead = V[..., :1, :]
+    big = np.maximum(V.max(axis=(-2, -1), keepdims=True),
+                     -V.min(axis=(-2, -1), keepdims=True))
+    if not (np.abs(lead) > 1e-12 * big).all():
+        # |V| with each column contiguous, so the reductions run along rows
+        mag = np.abs(np.swapaxes(V, -1, -2), order="C")
+        first = np.argmax(mag > 1e-12 * mag.max(axis=-1, keepdims=True),
+                          axis=-1)
+        lead = np.take_along_axis(V, first[..., None, :], axis=-2)
+    return np.where(lead < 0, -1.0, 1.0)
 
 
 def nonzero(values, scale=None):
@@ -157,20 +165,23 @@ def range_basis(A):
     return U, s, r
 
 
-def gram_frame(A, G=None):
-    """Orthonormal frame Q of the column span of the (L, K) matrix A from
-    one eigh of its K x K Gram G = A^T A = V diag(s^2) V^T (the caller's,
-    if given): (s, Z, lift) for the r entries with nonzero(s^2), V
-    sign-fixed.  s descends; Z = A^T Q = V diag(s) holds A's columns in
-    Q = A V diag(1/s); lift(D) = Q[:, :k'] D maps (k', k) coordinates to
-    L dimensions and lift(columns=k) forms Q's k smallest-s columns (all r
-    by default, ``_formed_frame``) in ascending s, sign-fixed in L
-    dimensions.  Z, the lifted columns and the small s hold to about
+def gram_frame(A, G=None, C=None):
+    """Orthonormal frame Q of the column span of the (L, K) matrix
+    Phi = A C (A itself when C is None) from one eigh of its K x K Gram
+    G = Phi^T Phi = V diag(s^2) V^T (the caller's, if given, and required
+    with C): (s, Z, lift) for the r entries with nonzero(s^2), V
+    sign-fixed.  s descends; Z = Phi^T Q = V diag(s) holds Phi's columns in
+    Q = Phi V diag(1/s); lift(D) = Q[:, :k'] D = A (C (V diag(1/s) D)) maps
+    (k', k) coordinates to L dimensions, and lift(columns=k) forms Q's k
+    smallest-s columns (all r by default, ``_formed_frame``) in ascending
+    s, sign-fixed in L dimensions, and returns them with Phi^T of them, in
+    coordinates.  Z, the lifted columns and the small s hold to about
     drift = eps s_max^2 / s_min^2.  The one guard, the only reason to form
-    Q before lift(): past ORTHO_IP_TOL, s and Q are the thin SVD's,
-    ``range_basis(A)`` (``_lifted_frame``), and Z = A^T Q and lift(D)
-    follow its signs.  A Gram past the float range raises ValidationError.
-    gram_frame(Phi, M) of the pooled class bases is the union-span frame."""
+    Q (or Phi) before lift(): past ORTHO_IP_TOL, s and Q are the thin
+    SVD's, ``range_basis(Phi)`` (``_lifted_frame``), and Z = Phi^T Q and
+    lift(D) follow its signs.  A Gram past the float range raises
+    ValidationError.  On the pooled class bases it is the union-span frame
+    (``fisher._pooled``)."""
     with np.errstate(over="ignore", invalid="ignore"):
         G = A.T @ A if G is None else G
     if not np.isfinite(G).all():
@@ -181,32 +192,46 @@ def gram_frame(A, G=None):
     s2, V = s2[s2.size - r:][::-1], V[:, V.shape[1] - r:][:, ::-1]
     drift = np.finfo(float).eps * s2[0] / s2[-1] if r else 0.0
     if drift > ORTHO_IP_TOL:
-        return _lifted_frame(A)
+        return _lifted_frame(A if C is None else A @ C)
     fix_signs(V, copy=False)
     s = np.sqrt(s2)
-    W = V / s
-    return s, V * s, lambda D=None, columns=None: (
-        _formed_frame(A, W[:, ::-1][:, :columns], drift > UNIT_NORM_TOL)
-        if D is None else A @ (W[:, :len(D)] @ D))
+    W, Z = V / s, V * s
+
+    def lift(D=None, columns=None):
+        Y = W[:, :len(D)] @ D if D is not None else W[:, ::-1][:, :columns]
+        Y = Y if C is None else C @ Y
+        if D is not None:
+            return A @ Y
+        return _formed_frame(A, Y, drift > UNIT_NORM_TOL,
+                             Z[:, ::-1][:, :columns])
+    return s, Z, lift
 
 
 def _lifted_frame(A):
     """gram_frame with (Q, s) ``range_basis(A)``'s rank-r cut: Z = A^T Q,
-    lift(D) = Q[:, :k'] D, lift(columns=k) Q's last k columns reversed."""
+    lift(D) = Q[:, :k'] D, lift(columns=k) Q's last k columns reversed and
+    Z's."""
     U, s, r = range_basis(A)
     Q, s = U[:, :r], s[:r]
-    return s, A.T @ Q, lambda D=None, columns=None: (
-        Q[:, ::-1][:, :columns].copy() if D is None else Q[:, :len(D)] @ D)
+    Z = A.T @ Q
+    return s, Z, lambda D=None, columns=None: (
+        (Q[:, ::-1][:, :columns].copy(), Z[:, ::-1][:, :columns])
+        if D is None else Q[:, :len(D)] @ D)
 
 
-def _formed_frame(A, W, reorthonormalize):
-    """Q = A W for the kept columns W, with reorthonormalize after one
-    CholeskyQR pass Q R^-1 (R^T R = Q^T Q; column j needs W's first j + 1),
-    orthonormal to eps cond(A W)^2; sign-fixed in L dimensions either way."""
+def _formed_frame(A, W, reorthonormalize, Z=None):
+    """(Q, Z T) for Q = A W T, the kept columns W formed: with
+    reorthonormalize after one CholeskyQR pass T = R^-1 (R^T R = Q^T Q;
+    column j needs W's first j + 1), orthonormal to eps cond(A W)^2;
+    sign-fixed in L dimensions either way.  Z T, None without Z, carries
+    coordinates Z of A W over to Q."""
     Q = A @ W
     if reorthonormalize:
-        Q = Q @ np.linalg.inv(np.linalg.cholesky(Q.T @ Q).T)
-    return fix_signs(Q, copy=False)
+        T = np.linalg.inv(np.linalg.cholesky(Q.T @ Q).T)
+        Q, Z = Q @ T, None if Z is None else Z @ T
+    signs = column_signs(Q)
+    Q *= signs
+    return Q, None if Z is None else Z * signs
 
 
 def sym_eig(M) -> EigResult:

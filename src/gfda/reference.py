@@ -119,7 +119,7 @@ def difference_subspace_analytic(c1: ClassModel,
     exactly 1 belong to neither side and are excluded with a warning.
     """
     s, _, lift = gram_frame(np.hstack([c1.basis, c2.basis]))
-    vecs, vals = lift(), s[::-1] ** 2
+    vecs, vals = lift()[0], s[::-1] ** 2
     if vals.size == 0 or np.any(vals >= 2.0 - OVERLAP_TOL):
         hit = int(np.argmax(vals)) if vals.size else 0
         raise DegeneratePairError(

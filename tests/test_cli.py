@@ -1114,6 +1114,75 @@ def test_negative_seed_exit_1_without_file(gaussian_sets, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method, option, value, message", [
+    ("gds", "--gamma", "2", "gamma must be in (0, 1]"),
+    ("regLDA", "--delta", "-1", "delta must be positive and finite, got -1.0"),
+    ("gfda", "--energy", "1.5", "energy threshold must be in (0, 1]"),
+    ("gfda-linear", "--subspace-dim", "0", "subspace_dim must be >= 1"),
+    ("gds", "--gds-dims", "0", "gds_dims must be >= 1"),
+    ("pcaLDA", "--residual-threshold", "-1",
+     "residual threshold must be finite and >= 0, got -1.0"),
+], ids=["gamma", "delta", "energy", "subspace-dim", "gds-dims",
+        "residual-threshold"])
+@pytest.mark.parametrize("command", ["sweep", "eval", "fit"])
+def test_out_of_range_parameter_rejected_before_loading(tmp_path, capsys,
+                                                       command, method,
+                                                       option, value,
+                                                       message):
+    """A method parameter outside its construction's range is the config's
+    error, with the construction's own words: one line with no train count,
+    exit 1, before the training file (which does not exist) is read and
+    before any output is written."""
+    out = tmp_path / "out.csv"
+    assert run(command, "--train", str(tmp_path / "missing.csv"),
+               "--method", method, option, value, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_results_do_not_depend_on_blas_threads(tmp_path):
+    """gfda eval in a process at OPENBLAS_NUM_THREADS=1 and one at 2 writes
+    byte-identical eval CSVs for gfda, gfda-linear and GDS, plain and
+    --normalize, at README scale and at an image-like shape (K = 32 far
+    below L = 400).  The rows' Gram G = X X^T and the lifts are the steps
+    a thread count could reblock."""
+    import os
+    import subprocess
+    import sys
+
+    argvs = []
+    for name, (classes, dim, count, n) in {"readme": (10, 60, 9, 4),
+                                           "image": (8, 400, 8, 4)}.items():
+        paths = [str(tmp_path / f"{name}_{part}.csv") for part in ("a", "b")]
+        for path, kind, seed in zip(paths, ("mixture-set1", "mixture-set2"),
+                                    ("1", "2")):
+            assert run("synth", "--kind", kind, "--classes", str(classes),
+                       "--dim", str(dim), "--count", str(count), "--seed", "3",
+                       "--sample-seed", seed, "--out", path) == 0
+        for method in ("gfda", "gfda-linear", "gds"):
+            for normalize in ([], ["--normalize"]):
+                argvs.append(["eval", "--train", paths[0], "--test", paths[1],
+                              "--method", method, *normalize, "--train-count",
+                              str(n), "--repetitions", "8", "--seed", "5",
+                              "--out", f"{name}_{method}{len(normalize)}.csv"])
+    outs = {}
+    for threads in ("1", "2"):
+        root = tmp_path / threads
+        root.mkdir()
+        # the package this test imports, wherever the process starts
+        path = os.path.dirname(os.path.dirname(gfda_module.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       [path, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from gfda import cli\n"
+             f"for argv in {argvs!r}:\n    assert cli.main(argv) == 0"],
+            cwd=root, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs[threads] = {p.name: p.read_bytes() for p in root.iterdir()}
+    assert len(outs["1"]) == len(argvs) and outs["1"] == outs["2"]
+
+
 class TestModelFile:
     @pytest.fixture()
     def model_payload(self, gaussian_sets, tmp_path):

@@ -132,15 +132,16 @@ class TestFitEnsemble:
         ((3, 3, 3), {"b": "skew", "c": "scale"}),
         ((2, 3, 2), {"b": "skew"}),
         # different widths, so different stacks: label order still decides
-        ((3, 2, 2), {"a": "skew", "c": "scale"}),
+        ((3, 4, 4), {"a": "skew", "c": "scale"}),
     ])
     def test_corrupted_basis_raises_its_class_error(self, monkeypatch, sizes,
                                                     corrupt):
-        """Each fitted stack is checked once; a failing class raises the
-        error its public constructor raises, the first in label order."""
+        """Each thin-SVD stack (classes of n > L = 2 rows; the others come
+        from their Gram) is checked once; a failing class raises the error
+        its public constructor raises, the first in label order."""
         labels = ("a", "b", "c")
         rng = np.random.default_rng(5)
-        X = np.vstack([rng.standard_normal((n, 6)) for n in sizes])
+        X = np.vstack([rng.standard_normal((n, 2)) for n in sizes])
         y = [lab for lab, n in zip(labels, sizes) for _ in range(n)]
         order = rng.permutation(len(y))  # rows out of label order
         X, y = X[order], [y[i] for i in order]
