@@ -388,12 +388,12 @@ def gds_discriminant(ensemble: SubspaceEnsemble, dims=None,
         selection = {"rule": "power", "dims": dims, "gamma": gamma,
                      "beta": beta,
                      "achieved_power": float(cumulative[dims - 1])}
-    projector, Z = lift(columns=dims)
+    projector, PhiT_projector = lift(columns=dims)
     return DiscriminantModel(
         projector=projector,
         method="GDS",
         class_labels=ensemble.labels,
-        class_refs=F_of(Z),
+        class_refs=F_of(PhiT_projector),
         info={"eigenvalues": s2[:dims].tolist(), "selection": selection},
     )
 

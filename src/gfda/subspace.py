@@ -88,6 +88,10 @@ class ClassModel:
         self.__dict__["basis"] = form()
         return self.basis
 
+    def __getstate__(self):
+        self.basis  # noqa: B018 -- formed first: its former does not pickle
+        return self.__dict__
+
     @property
     def ambient_dim(self) -> int:
         return np.shape(self.mean)[0]

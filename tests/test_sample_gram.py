@@ -3,6 +3,7 @@ the Gram G = X X^T of the fitted rows, against the thin SVD of each class
 and the stacked bases (the route a hand-built ensemble takes) and against
 the L x L route of gfda.reference.  numpy only."""
 
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -198,7 +199,8 @@ def test_well_conditioned_build_forms_no_pooled_basis(monkeypatch, build):
 
 def test_basis_is_formed_on_first_use():
     """A fitted basis is formed once, when first read, from the class's
-    rows: orthonormal, sign-fixed, and fit_class's on those rows."""
+    rows: orthonormal, sign-fixed, and fit_class's on those rows.  A model
+    pickles with its basis formed."""
     X, y = image_like(3)
     ens = gfda.fit_ensemble(X, y)
     c = ens.classes[4]
@@ -212,6 +214,11 @@ def test_basis_is_formed_on_first_use():
                         atol=1e-12)
     with pytest.raises(AttributeError):
         c.missing  # noqa: B018
+    copied = pickle.loads(pickle.dumps(ens))
+    assert copied.samples is not None
+    npt.assert_array_equal(copied.classes[0].basis, ens.classes[0].basis)
+    npt.assert_array_equal(gfda.gfda_linear_form(copied).projector,
+                           gfda.gfda_linear_form(ens).projector)
 
 
 def test_small_subspace_dim_stacks_the_bases():
