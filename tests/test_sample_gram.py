@@ -38,7 +38,9 @@ def orthonormal(rng, rows, cols):
 @st.composite
 def sample_sets(draw):
     """(X, y, tails): rows of 2-5 classes of 1-6 samples in L = 2, 4, 12 or
-    30, shuffled; class c has rank r <= min(n, L), singular values falling
+    30, shuffled; class c has rank r <= min(n, max(1, L // C)) (larger
+    class subspaces meet, which ties eigenvalues of W, and any basis of a
+    tied eigenspace is a valid answer), singular values falling
     geometrically from 1 to tails[c], and a random scale.  A class after
     the first may share its last right singular vector with the first
     class's (overlap: the pooled bases are dependent)."""
@@ -49,7 +51,7 @@ def sample_sets(draw):
     X, y, tails = [], [], []
     for c in range(C):
         n = draw(st.integers(1, 6))
-        r = min(draw(st.integers(1, 4)), n, L)
+        r = min(draw(st.integers(1, 4)), n, max(1, L // C))
         tail = draw(st.sampled_from(TAILS)) if r > 1 else 1.0
         V = orthonormal(rng, L, r)
         if c and r > 1 and draw(st.booleans()):
@@ -118,7 +120,9 @@ def test_sample_gram_route_matches_svd_and_full_routes(data, rule):
     Every gFDA/GDS projector spans the SVD route's to 1e-8 in the sine
     form, and the L x L route's (the null space of W - B/C, the leading
     nonzero eigenvectors of G = sum P_c) by the canonical-angle test; the
-    product form raises OverlapError on both routes or on neither."""
+    product form raises OverlapError on both routes or on neither.  A GDS
+    space whose dims cut a tie of G's spectrum (classes of unequal
+    dimension tie G's eigenvalue 1) has no one answer and is skipped."""
     X, y, tails = data
     dim, energy = rule
     oracle, ratios = svd_route(X, y, dim, energy)
@@ -143,15 +147,22 @@ def test_sample_gram_route_matches_svd_and_full_routes(data, rule):
         assert sine_distance(want.basis, got.basis) <= SPAN_TOL
         npt.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=1e-9)
         npt.assert_array_equal(linalg.fix_signs(got.basis), got.basis)
-    vals, vecs = (lambda e: (e.values[::-1], e.vectors[:, ::-1]))(
-        linalg.sym_eig(reference.sum_matrix(oracle)))
-    vecs = vecs[:, linalg.nonzero(vals)][:, ::-1]  # ascending, nonzero
+    eig = linalg.sym_eig(reference.sum_matrix(oracle))
+    kept = linalg.nonzero(eig.values)
+    vals, vecs = eig.values[kept], eig.vectors[:, kept]  # ascending
+
+    def tied(d):  # d dims of GDS cut a tie of G's spectrum: no one answer
+        return d < vals.size and vals[d] - vals[d - 1] <= 1e-8 * vals[-1]
+
     for name, build in CONSTRUCTIONS.items():
-        if name == "gds-c" and ens.n_classes - 1 > vecs.shape[1]:
+        if name == "gds-c" and ens.n_classes - 1 > vals.size:
             continue
         got, want = built(build, ens), built(build, oracle)
         if isinstance(want, type) or isinstance(got, type):
             assert got is want
+            continue
+        if name.startswith("gds") and (tied(got.shape[1])
+                                       or tied(want.shape[1])):
             continue
         assert sine_distance(want, got) <= SPAN_TOL
         full = (vecs[:, :got.shape[1]] if name.startswith("gds")
