@@ -36,8 +36,9 @@ class ClassModel:
     mean : (L,) sample mean
     count : number of samples the model was fitted from
 
-    A model fitted from its sample Gram forms ``basis`` = X_c^T W_c from
-    its rows on first use (``_fit_classes``); every other field is set.
+    A model fitted by ``fit_ensemble`` from its sample Gram forms
+    ``basis`` = X_c^T W_c from the fitted rows when first read, and checks
+    it (``_basis_of``); every other field is set.
     """
 
     label: object
@@ -80,12 +81,12 @@ class ClassModel:
 
     def __getattr__(self, name):
         # reached only for an unset attribute: a fitted basis not yet formed
-        form = self.__dict__.pop("_form_basis", None) if name == "basis" \
-            else None
+        form = self.__dict__.get("_form_basis") if name == "basis" else None
         if form is None:
             raise AttributeError(f"{type(self).__name__!r} object has no "
                                  f"attribute {name!r}")
         self.__dict__["basis"] = form()
+        del self.__dict__["_form_basis"]
         return self.basis
 
     def __getstate__(self):
@@ -110,8 +111,9 @@ class SubspaceEnsemble:
         of rows starting at starts, their Gram G = X X^T and the (m, K)
         coordinates Mc = blockdiag(W_c) of the pooled bases, Phi = X^T Mc.
         X is read again where a basis or an output is lifted, so it must
-        not change while the ensemble is in use.  None for any other
-        ensemble, whose bases are stacked.
+        not change while the ensemble is in use; a basis formed from
+        changed rows that are no longer orthonormal raises.  None for any
+        other ensemble, whose bases are stacked.
     """
 
     classes: tuple
@@ -155,9 +157,10 @@ def fit_class(samples, label=None, dim: Optional[int] = None,
     With neither rule given, the full numerically nonzero spectrum is kept.
     The eigenpairs come from the n x n sample Gram, or from the thin SVD
     where n > L (``_fit_classes``); the L x L autocorrelation matrix is
-    never formed.  This is the one-class case of fit_ensemble.
+    never formed.  This is the one-class case of fit_ensemble, on a copy
+    of the rows, so the model does not depend on the caller's array.
     """
-    X = np.asarray(samples, dtype=float)
+    X = np.array(samples, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
     if X.ndim != 2 or X.shape[0] == 0:
@@ -249,7 +252,7 @@ def _fit_classes(X, labels, rows, dim, energy):
     V diag(1/s) on the kept columns, sign-fixed by the basis' first row
     X_c[:, 0] W_c (by the whole basis where an entry of that row is within
     1e-12 of 0, which bounds 1e-12 of a unit column's largest entry) and
-    formed on first use (``linalg._formed_frame``, with its CholeskyQR
+    formed and checked on first read (``_basis_of``, with a CholeskyQR
     pass past UNIT_NORM_TOL).  The Gram holds that basis to about drift =
     eps s^2_max / s^2_min of the kept columns; past ORTHO_IP_TOL (or with
     s^2_min below the normal range over eps) that class alone takes the
@@ -261,9 +264,7 @@ def _fit_classes(X, labels, rows, dim, energy):
     eigenvalues descend, so the models skip __post_init__.
 
     The class Grams are the diagonal blocks of the Gram G = X X^T of all
-    the rows, one syrk, when every class has n <= L and G costs no more
-    than the class Grams alone and the stacked bases' Gram (m^2 <=
-    2 sum n^2 + K^2, K bounded by the dim rule).  samples is then
+    the rows, one syrk, when every class has n <= L.  samples is then
     (X, G, Mc, starts) unless a class took the thin SVD, else None: X
     with each class's rows one run (reordered if they were not), starting
     at starts, and Mc = blockdiag(W_c) (``SubspaceEnsemble.samples``).
@@ -278,10 +279,11 @@ def _fit_classes(X, labels, rows, dim, energy):
     m, L = X.shape
     sizes = np.array([r.size for r in rows])
     starts = np.cumsum(sizes) - sizes
-    keep = sizes if dim is None else np.minimum(sizes, dim)
-    pooled = sizes.max() <= L and m * m <= 2 * sizes @ sizes + keep.sum() ** 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = X @ X.T if pooled else None
+    G = None
+    if sizes.max() <= L:
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = X @ X.T
+        _check_gram(G)
     fits, failed = [None] * len(rows), None
     for n, members in zip(*group_by_label(np.arange(len(rows)), sizes)):
         index = starts[members, None] + np.arange(n)  # (b, n)
@@ -297,12 +299,12 @@ def _fit_classes(X, labels, rows, dim, energy):
                                                  ranks, means, any_nonzero):
                 fits[i] = (u, v[:r], None, None, mean, nonzero)
             continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            grams = G[index[:, :, None], index[:, None, :]] if pooled \
-                else stack @ stack.transpose(0, 2, 1)
-        if not np.isfinite(G if pooled else grams).all():
-            raise ValidationError("samples overflow: their Gram matrix "
-                                  "exceeds the float range; rescale the data")
+        if G is not None:
+            grams = G[index[:, :, None], index[:, None, :]]
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                grams = stack @ stack.transpose(0, 2, 1)
+            _check_gram(grams)
         # LAPACK rescales a Gram far from 1 by a factor that rounds; a power
         # of two does not, so a fit of X 2^k is X's, scaled
         scale = np.frexp(grams.diagonal(axis1=1, axis2=2).max(axis=1))[1]
@@ -320,7 +322,7 @@ def _fit_classes(X, labels, rows, dim, energy):
                 signed.tolist(), means, any_nonzero):
             fits[i] = (None, v[:r], w, first, mean, nonzero)
 
-    classes, coords = [], []
+    classes, coords, keeps_samples = [], [], G is not None
     for label, start, n, (U, vals, W, first, mean, nonzero) in zip(
             labels, starts, sizes.tolist(), fits):
         rows_c = X[start:start + n]
@@ -332,13 +334,13 @@ def _fit_classes(X, labels, rows, dim, energy):
             vals, W = s[:rank] ** 2 / n, None
             k = _kept(n, L, vals, True, dim, energy)
         if W is None:
-            basis, pooled = U[:, :k], False
+            basis, keeps_samples = U[:, :k], False
         else:
             W = W[:, :k]
             if first < k:  # a first-row entry near 0: the whole basis
                 W *= linalg.column_signs(rows_c.T @ W)
             coords.append(W)
-            basis = _basis_of(rows_c, W, drift > linalg.UNIT_NORM_TOL)
+            basis = _basis_of(label, rows_c, W, drift > linalg.UNIT_NORM_TOL)
         classes.append(ClassModel._fitted(label=label, basis=basis,
                                           eigenvalues=vals[:k], mean=mean,
                                           count=n))
@@ -347,13 +349,19 @@ def _fit_classes(X, labels, rows, dim, energy):
         for c in classes:  # the public checks: the first failing class's error
             replace(c)
         raise failed
-    if not pooled:
+    if not keeps_samples:
         return classes, None
     Mc, column = np.zeros((m, sum(W.shape[1] for W in coords))), 0
     for start, W in zip(starts, coords):
         Mc[start:start + len(W), column:column + W.shape[1]] = W
         column += W.shape[1]
     return classes, (X, G, Mc, starts)
+
+
+def _check_gram(G):
+    if not np.isfinite(G).all():
+        raise ValidationError("samples overflow: their Gram matrix "
+                              "exceeds the float range; rescale the data")
 
 
 def _gathered(X, index):
@@ -364,7 +372,10 @@ def _gathered(X, index):
     return X[index]
 
 
-def _basis_of(X_c, W, reorthonormalize):
+def _basis_of(label, X_c, W, reorthonormalize):
     """The basis X_c^T W of a class fitted from its Gram, formed when first
-    read: one CholeskyQR pass with reorthonormalize, sign-fixed."""
-    return lambda: linalg._formed_frame(X_c.T, W, reorthonormalize)[0]
+    read: one CholeskyQR pass with reorthonormalize, sign-fixed, and
+    checked like a public model's, as X_c may have changed since the fit."""
+    return lambda: linalg.as_ortho_basis(
+        linalg._formed_frame(X_c.T, W, reorthonormalize)[0],
+        f"class {label!r} basis")

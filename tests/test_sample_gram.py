@@ -232,18 +232,16 @@ def test_basis_is_formed_on_first_use():
                            gfda.gfda_linear_form(ens).projector)
 
 
-def test_small_subspace_dim_stacks_the_bases():
-    """One vector from each 20-row class: the rows' Gram (m^2 = 3600)
-    costs more than the class Grams and the stacked bases' Gram
-    (2 sum n^2 + K^2 = 2409), so each class's Gram is formed alone and
-    the ensemble keeps no sample Gram.  Its classes are fit_class's, and
-    their vectors are the leading ones the sample-Gram route fits with
-    every vector kept."""
+def test_small_subspace_dim_keeps_the_sample_gram():
+    """One vector from each 20-row class still comes from the rows' Gram:
+    the route is chosen by the class sizes alone.  Its classes are
+    fit_class's, their vectors the leading ones of the fit that keeps
+    every vector, and each model is the stacked route's on the same class
+    models to rounding."""
     X, y = gfda.labeled_mixtures(3, 50, 20, "Set1", seed=4)
     ens = gfda.fit_ensemble(X, y, dim=1)
-    assert ens.samples is None
+    assert ens.samples is not None and ens.samples[2].shape == (60, 3)
     pooled = gfda.fit_ensemble(X, y)
-    assert pooled.samples is not None
     for c, full in zip(ens.classes, pooled.classes):
         rows = X[[i for i, lab in enumerate(y) if lab == c.label]]
         one = gfda.fit_class(rows, label=c.label, dim=1)
@@ -252,9 +250,36 @@ def test_small_subspace_dim_stacks_the_bases():
         npt.assert_allclose(c.basis[:, 0], full.basis[:, 0], rtol=0,
                             atol=1e-12)
     for build in CONSTRUCTIONS.values():
-        model = build(ens)  # its bases stacked
-        same = build(gfda.SubspaceEnsemble(ens.classes, 50))
-        npt.assert_array_equal(model.projector, same.projector)
+        model = build(ens)
+        stacked = build(gfda.SubspaceEnsemble(ens.classes, 50))
+        npt.assert_allclose(model.projector, stacked.projector, rtol=0,
+                            atol=1e-10 * np.abs(stacked.projector).max())
+
+
+def test_fitted_bases_do_not_follow_changed_rows():
+    """fit_class fits a copy of the rows, so a later change to the
+    caller's array leaves its model as it was.  fit_ensemble keeps the
+    caller's rows and forms a basis from them when first read, so a basis
+    read before a change stays, and one read after a change that breaks
+    its orthonormality raises its class's error, on every read."""
+    X, y = image_like(3)
+    rows = X[[i for i, lab in enumerate(y) if lab == y[0]]]
+    want = gfda.fit_class(rows.copy(), label=y[0])
+    one = gfda.fit_class(rows, label=y[0])
+    read = gfda.fit_ensemble(X, y)
+    kept = [c.basis.copy() for c in read.classes]
+    for change in (lambda A: A.__imul__(2.0), lambda A: A.fill(0.0)):
+        fresh = gfda.fit_ensemble(X, y)
+        change(rows)
+        change(X)
+        npt.assert_array_equal(one.basis, want.basis)
+        npt.assert_array_equal(one.mean, want.mean)
+        for c, basis in zip(read.classes, kept):
+            npt.assert_array_equal(c.basis, basis)
+        for _ in range(2):
+            with pytest.raises(ValidationError,
+                               match="class .c00. basis columns are not unit"):
+                fresh.classes[0].basis  # noqa: B018
 
 
 def test_rows_out_of_label_runs_are_reordered():
