@@ -16,8 +16,8 @@ positive diagonal, dropping a vector whose residual is at most RANK_TOL
 times its norm), the sign convention (``fix_signs``: first nonzero
 component positive, the one implementation, ``column_signs``, applied to
 every factorization's vectors and every formed frame or basis) and
-when columns count as orthonormal (``as_ortho_basis``: one batched Q^T Q
-for one basis or a stack, the one orthonormality rule).
+when columns count as orthonormal (``as_ortho_basis``: one Q^T Q, the
+one orthonormality rule).
 ``sym_eig`` reports eigenvalues ascending, ``range_basis`` and
 ``gram_frame`` singular values descending, all with sign-fixed vectors, so
 downstream constructions are reproducible bit for bit.
@@ -66,28 +66,22 @@ def as_sym_matrix(M, name="matrix"):
 
 
 def as_ortho_basis(Q, name="basis"):
-    """Validate and return Q as one (L, k) array, or a (b, L, k) stack of
-    them, with orthonormal columns: the one orthonormality rule.
+    """Validate and return Q as an (L, k) array with orthonormal columns:
+    the one orthonormality rule.
 
-    One batched Q^T Q checks every matrix: each diagonal entry within
-    10 UNIT_NORM_TOL of 1 and every other entry within ORTHO_IP_TOL of 0,
-    so a column with a non-finite entry fails.  A stack raises for its
-    first failing matrix i, named f"{name}[{i}]", the error that matrix
-    alone would raise.
+    One Q^T Q checks it: each diagonal entry within 10 UNIT_NORM_TOL of 1
+    and every other entry within ORTHO_IP_TOL of 0, so a column with a
+    non-finite entry fails.
     """
     Q = np.asarray(Q, dtype=float)
-    if Q.ndim not in (2, 3):
-        raise ValidationError(f"{name} must be an (L, k) basis or a (b, L, k) "
-                              f"stack, got shape {Q.shape}")
-    eye = np.eye(Q.shape[-1])
+    if Q.ndim != 2:
+        raise ValidationError(f"{name} must be an (L, k) basis, got shape "
+                              f"{Q.shape}")
+    eye = np.eye(Q.shape[1])
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite Q fails below
-        gram = Q.swapaxes(-1, -2) @ Q
+        gram = Q.T @ Q
     ok = np.abs(gram - eye) <= np.where(eye, UNIT_NORM_TOL * 10, ORTHO_IP_TOL)
-    bad = ~ok.all(axis=(-2, -1))
-    if bad.any():
-        i = int(np.argmax(bad))
-        if Q.ndim == 3:
-            Q, ok, name = Q[i], ok[i], f"{name}[{i}]"
+    if not ok.all():
         if not np.isfinite(Q).all():
             raise ValidationError(f"{name} has non-finite entries")
         if not ok.diagonal().all():

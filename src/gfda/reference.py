@@ -72,10 +72,10 @@ def canonical_angles(U, V) -> CanonicalAngles:
     The cosines are the singular values of U.T @ V; the canonical vector
     pairs are recovered from the corresponding singular vectors.
     """
+    if np.ndim(U) != 2 or np.ndim(V) != 2:
+        raise ValidationError("canonical_angles takes two (L, k) bases")
     U = as_ortho_basis(U, "U")
     V = as_ortho_basis(V, "V")
-    if U.ndim != 2 or V.ndim != 2:
-        raise ValidationError("canonical_angles takes two (L, k) bases")
     if U.shape[0] != V.shape[0]:
         raise ValidationError(
             f"ambient dimensions differ: {U.shape[0]} vs {V.shape[0]}")

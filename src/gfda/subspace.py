@@ -6,15 +6,17 @@ mean subtraction.  Because no centering is applied, the first basis vector
 of a class tracks the direction of its sample mean whenever the mean
 dominates the spread, which is what the whole discriminant construction
 in :mod:`gfda.fisher` leans on.  Each class is fitted from its n x n
-sample Gram X_c X_c^T, the smaller side when n <= L, and a fitted
-ensemble keeps the Gram G = X X^T of all its rows, so the pooled bases'
-Gram and every gFDA/GDS output come from inner products of the rows
-(``fisher._pooled``).  The union span of the class subspaces is
+sample Gram X_c X_c^T, the smaller side when every class has n <= L,
+and a fitted ensemble keeps the Gram G = X X^T of all its rows, so the
+pooled bases' Gram and every gFDA/GDS output come from inner products of
+the rows (``fisher._pooled``).  Where a class has n > L, every class
+takes one checked thin SVD of its rows instead, as does a class past its
+Gram's guard.  The union span of the class subspaces is
 ``linalg.gram_frame`` of the pooled bases.  Both two-class difference
 subspace constructions are in :mod:`gfda.reference`.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -180,7 +182,8 @@ def fit_ensemble(X, labels, dim=None, energy=None) -> SubspaceEnsemble:
     """Fit one ClassModel per distinct label (sorted) and bundle them.
 
     The classes share one sample Gram and one batched eigh per distinct
-    size (``_fit_classes``); a failing class raises fit_class's error, the
+    size, or each takes one thin SVD where any class has n > L
+    (``_fit_classes``); a failing class raises fit_class's error, the
     first in sorted label order.  The ensemble keeps the Gram and the
     classes' coordinates (``SubspaceEnsemble.samples``) when every class
     came from it.
@@ -256,18 +259,19 @@ def _fit_classes(X, labels, rows, dim, energy):
     pass past UNIT_NORM_TOL).  The Gram holds that basis to about drift =
     eps s^2_max / s^2_min of the kept columns; past ORTHO_IP_TOL (or with
     s^2_min below the normal range over eps) that class alone takes the
-    thin SVD ``linalg.range_basis(X_c^T)``, as does every class of n > L
-    rows, the smaller side deciding; those take one SVD per distinct size,
-    each stack checked by one ``linalg.as_ortho_basis``, whose failure
-    raises the first failing class's public-check error once the other
-    checks pass.  The rank cut and the rules keep leading columns and the
-    eigenvalues descend, so the models skip __post_init__.
+    thin SVD ``linalg.range_basis(X_c^T)``, cut by the same rules, its
+    basis checked as it is cut (``linalg.as_ortho_basis``).  Where any
+    class has n > L rows, the smaller side decides: no Gram is formed and
+    every class takes that SVD.  Each class raises its error in turn, so
+    the first failing class in order raises.  The rank cut and the rules
+    keep leading columns and the eigenvalues descend, so the models skip
+    __post_init__.
 
     The class Grams are the diagonal blocks of the Gram G = X X^T of all
-    the rows, one syrk, when every class has n <= L.  samples is then
-    (X, G, Mc, starts) unless a class took the thin SVD, else None: X
-    with each class's rows one run (reordered if they were not), starting
-    at starts, and Mc = blockdiag(W_c) (``SubspaceEnsemble.samples``).
+    the rows, one syrk.  samples is (X, G, Mc, starts) when every class
+    came from G, else None: X with each class's rows one run (reordered if
+    they were not), starting at starts, and Mc = blockdiag(W_c)
+    (``SubspaceEnsemble.samples``).
     """
     if dim is not None and energy is not None:
         raise ValidationError("give either dim or energy, not both")
@@ -279,62 +283,49 @@ def _fit_classes(X, labels, rows, dim, energy):
     m, L = X.shape
     sizes = np.array([r.size for r in rows])
     starts = np.cumsum(sizes) - sizes
-    G = None
-    if sizes.max() <= L:
+    fits = [None] * len(rows)  # none without a Gram: each takes the SVD
+    if sizes.max() <= L:  # the class Grams are the blocks of G = X X^T
         with np.errstate(over="ignore", invalid="ignore"):
             G = X @ X.T
         _check_gram(G)
-    fits, failed = [None] * len(rows), None
-    for n, members in zip(*group_by_label(np.arange(len(rows)), sizes)):
-        index = starts[members, None] + np.arange(n)  # (b, n)
-        stack = _gathered(X, index)
-        means, any_nonzero = stack.mean(axis=1), stack.any(axis=(1, 2))
-        if n > L:
-            U, s, ranks = linalg.range_basis(stack.transpose(0, 2, 1))
-            try:
-                linalg.as_ortho_basis(U)
-            except ValidationError as exc:
-                failed = failed or exc
-            for i, u, v, r, mean, nonzero in zip(members, U, s ** 2 / n,
-                                                 ranks, means, any_nonzero):
-                fits[i] = (u, v[:r], None, None, mean, nonzero)
-            continue
-        if G is not None:
+        for n, members in zip(*group_by_label(np.arange(len(rows)), sizes)):
+            index = starts[members, None] + np.arange(n)  # (b, n)
+            stack = _gathered(X, index)
             grams = G[index[:, :, None], index[:, None, :]]
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                grams = stack @ stack.transpose(0, 2, 1)
-            _check_gram(grams)
-        # LAPACK rescales a Gram far from 1 by a factor that rounds; a power
-        # of two does not, so a fit of X 2^k is X's, scaled
-        scale = np.frexp(grams.diagonal(axis1=1, axis2=2).max(axis=1))[1]
-        s2, V = np.linalg.eigh(np.ldexp(grams, -scale[:, None, None]))
-        s2, V = np.ldexp(s2[:, ::-1], scale[:, None]), V[:, :, ::-1]
-        kept = linalg.nonzero(s2)
-        W = V / np.sqrt(np.where(kept, s2, 1.0))[:, None, :]
-        lead = (stack[:, None, :, 0] @ W)[:, 0]  # the bases' first rows
-        W *= np.where(lead < 0, -1.0, 1.0)[:, None, :]
-        # the columns before a first-row entry near 0 have their sign
-        signed = np.where((np.abs(lead) > 1e-12).all(axis=1), n,
-                          np.argmin(np.abs(lead) > 1e-12, axis=1))
-        for i, v, w, r, first, mean, nonzero in zip(
-                members, s2 / n, W, kept.sum(axis=1).tolist(),
-                signed.tolist(), means, any_nonzero):
-            fits[i] = (None, v[:r], w, first, mean, nonzero)
+            # LAPACK rescales a Gram far from 1 by a factor that rounds; a
+            # power of two does not, so a fit of X 2^k is X's, scaled
+            scale = np.frexp(grams.diagonal(axis1=1, axis2=2).max(axis=1))[1]
+            s2, V = np.linalg.eigh(np.ldexp(grams, -scale[:, None, None]))
+            s2, V = np.ldexp(s2[:, ::-1], scale[:, None]), V[:, :, ::-1]
+            kept = linalg.nonzero(s2)
+            W = V / np.sqrt(np.where(kept, s2, 1.0))[:, None, :]
+            lead = (stack[:, None, :, 0] @ W)[:, 0]  # the bases' first rows
+            W *= np.where(lead < 0, -1.0, 1.0)[:, None, :]
+            # the columns before a first-row entry near 0 have their sign
+            signed = np.where((np.abs(lead) > 1e-12).all(axis=1), n,
+                              np.argmin(np.abs(lead) > 1e-12, axis=1))
+            for i, v, w, r, first, mean, nonzero in zip(
+                    members, s2 / n, W, kept.sum(axis=1).tolist(),
+                    signed.tolist(), stack.mean(axis=1),
+                    stack.any(axis=(1, 2))):
+                fits[i] = (v[:r], w, first, mean, nonzero)
 
-    classes, coords, keeps_samples = [], [], G is not None
-    for label, start, n, (U, vals, W, first, mean, nonzero) in zip(
-            labels, starts, sizes.tolist(), fits):
+    classes, coords = [], []
+    for label, start, n, fit in zip(labels, starts, sizes.tolist(), fits):
         rows_c = X[start:start + n]
-        k = _kept(n, L, vals, nonzero, dim, energy)
-        drift = EPS * vals[0] / vals[k - 1]
-        if W is not None and (drift > linalg.ORTHO_IP_TOL
-                              or vals[k - 1] * n < TINY / EPS):
-            U, s, rank = linalg.range_basis(rows_c.T)  # this class alone
-            vals, W = s[:rank] ** 2 / n, None
-            k = _kept(n, L, vals, True, dim, energy)
+        if fit is None:
+            W, mean, nonzero = None, rows_c.mean(axis=0), rows_c.any()
+        else:
+            vals, W, first, mean, nonzero = fit
+            k = _kept(n, L, vals, nonzero, dim, energy)
+            drift = EPS * vals[0] / vals[k - 1]
+            if drift > linalg.ORTHO_IP_TOL or vals[k - 1] * n < TINY / EPS:
+                W = None  # past the guard: this class alone takes the SVD
         if W is None:
-            basis, keeps_samples = U[:, :k], False
+            U, s, rank = linalg.range_basis(rows_c.T)
+            vals = s[:rank] ** 2 / n
+            k = _kept(n, L, vals, nonzero, dim, energy)
+            basis = linalg.as_ortho_basis(U[:, :k], f"class {label!r} basis")
         else:
             W = W[:, :k]
             if first < k:  # a first-row entry near 0: the whole basis
@@ -345,11 +336,7 @@ def _fit_classes(X, labels, rows, dim, energy):
                                           eigenvalues=vals[:k], mean=mean,
                                           count=n))
 
-    if failed is not None:
-        for c in classes:  # the public checks: the first failing class's error
-            replace(c)
-        raise failed
-    if not keeps_samples:
+    if len(coords) < len(classes):  # a class took the SVD
         return classes, None
     Mc, column = np.zeros((m, sum(W.shape[1] for W in coords))), 0
     for start, W in zip(starts, coords):

@@ -383,46 +383,13 @@ class TestAsOrthoBasis:
         with pytest.raises(ValidationError, match=r"got shape \(3,\)"):
             linalg.as_ortho_basis(np.eye(3)[0])
 
-
-def per_matrix_error(Q, name):
-    try:
-        linalg.as_ortho_basis(Q, name)
-    except ValidationError as exc:
-        return str(exc)
-    return None
-
-
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 8), st.data(), st.integers(0, 2**32 - 1),
-       st.lists(st.sampled_from(["good", "nudged", "scaled", "skewed", "nan",
-                                 "inf"]), min_size=1, max_size=5))
-def test_stack_form_agrees_with_each_matrix(L, data, seed, kinds):
-    """One batched check of a (b, L, k) stack raises exactly the error the
-    first failing matrix raises alone, named basis[i], and passes the stack
-    through unchanged when every matrix passes."""
-    k = data.draw(st.integers(0, L))
-    rng = np.random.default_rng(seed)
-    stack = []
-    for kind in kinds:
-        Q = random_orthonormal(rng, L, k) if k else np.empty((L, 0))
-        if k and kind == "nudged":  # well inside the tolerances
-            Q = Q + 1e-14 * rng.standard_normal(Q.shape)
-        elif k and kind == "scaled":
-            Q[:, -1] *= 1.0 + 1e-6
-        elif k > 1 and kind == "skewed":
-            Q[:, 1] = (Q[:, 1] + 1e-3 * Q[:, 0]) / np.hypot(1.0, 1e-3)
-        elif k and kind in ("nan", "inf"):
-            Q[rng.integers(L), rng.integers(k)] = np.nan if kind == "nan" else np.inf
-        stack.append(Q)
-    stack = np.stack(stack)
-    errors = [e for e in (per_matrix_error(Q, f"basis[{i}]")
-                          for i, Q in enumerate(stack)) if e]
-    if errors:
-        with pytest.raises(ValidationError) as caught:
+    def test_stack_rejected(self):
+        # one basis per call: a (b, L, k) stack of orthonormal bases is a
+        # shape error, not b checks
+        stack = np.stack([np.eye(4)[:, :2], np.eye(4)[:, 2:]])
+        with pytest.raises(ValidationError, match=r"^basis must be an \(L, k\) "
+                           r"basis, got shape \(2, 4, 2\)$"):
             linalg.as_ortho_basis(stack)
-        assert str(caught.value) == errors[0]
-    else:
-        npt.assert_array_equal(linalg.as_ortho_basis(stack), stack)
 
 
 class TestWhitening:

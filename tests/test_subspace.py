@@ -131,13 +131,12 @@ class TestFitEnsemble:
         ((3, 3, 3), {"b": "scale"}),
         ((3, 3, 3), {"b": "skew", "c": "scale"}),
         ((2, 3, 2), {"b": "skew"}),
-        # different widths, so different stacks: label order still decides
         ((3, 4, 4), {"a": "skew", "c": "scale"}),
     ])
     def test_corrupted_basis_raises_its_class_error(self, monkeypatch, sizes,
                                                     corrupt):
-        """Each thin-SVD stack (classes of n > L = 2 rows; the others come
-        from their Gram) is checked once; a failing class raises the error
+        """A class of n > L = 2 rows sends every class to its own thin SVD,
+        each basis checked as it is cut; a failing class raises the error
         its public constructor raises, the first in label order."""
         labels = ("a", "b", "c")
         rng = np.random.default_rng(5)
@@ -145,18 +144,19 @@ class TestFitEnsemble:
         y = [lab for lab, n in zip(labels, sizes) for _ in range(n)]
         order = rng.permutation(len(y))  # rows out of label order
         X, y = X[order], [y[i] for i in order]
+        rows = {lab: X[[i for i, m in enumerate(y) if m == lab]].T
+                for lab in labels}
         range_basis = linalg.range_basis
-        sized = {n: [lab for lab, m in zip(labels, sizes) if m == n]
-                 for n in sizes}
 
         def corrupted(A):
             U, s, r = range_basis(A)
             U = U.copy()
-            for label, u in zip(sized[A.shape[-1]], U):
-                if corrupt.get(label) == "scale":
-                    u[:, 0] *= 2.0
-                elif corrupt.get(label) == "skew":
-                    u[:, 1] = (u[:, 1] + u[:, 0]) / np.sqrt(2.0)
+            label, = [lab for lab, R in rows.items()
+                      if R.shape == A.shape and (R == A).all()]
+            if corrupt.get(label) == "scale":
+                U[:, 0] *= 2.0
+            elif corrupt.get(label) == "skew":
+                U[:, 1] = (U[:, 1] + U[:, 0]) / np.sqrt(2.0)
             return U, s, r
 
         monkeypatch.setattr(linalg, "range_basis", corrupted)
@@ -166,6 +166,49 @@ class TestFitEnsemble:
         with pytest.raises(ValidationError) as caught:
             gfda.fit_ensemble(X, y)
         assert str(caught.value) == f"class {first!r} basis columns are {want}"
+
+    @staticmethod
+    def scaled_first_column(monkeypatch):
+        """Make every linalg.range_basis return U with column 0 doubled."""
+        range_basis = linalg.range_basis
+
+        def corrupted(A):
+            U, s, r = range_basis(A)
+            U = U.copy()
+            U[:, 0] *= 2.0
+            return U, s, r
+
+        monkeypatch.setattr(linalg, "range_basis", corrupted)
+
+    def test_guarded_class_basis_is_checked(self, monkeypatch):
+        """A class past its Gram's guard (its third row the first plus
+        3e-4 noise: an s^2 ratio near 1e-8) takes the thin SVD alone, and
+        that basis is checked as it is cut."""
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((6, 8))
+        X[5] = X[3] + 3e-4 * rng.standard_normal(8)
+        y = ["a"] * 3 + ["b"] * 3
+        b = gfda.fit_ensemble(X, y).classes[1]
+        assert b.dim == 3 and b.eigenvalues[2] / b.eigenvalues[0] < 2.2e-6
+        self.scaled_first_column(monkeypatch)
+        with pytest.raises(ValidationError) as caught:
+            gfda.fit_ensemble(X, y)
+        assert str(caught.value) == \
+            "class 'b' basis columns are not unit vectors"
+
+    def test_class_errors_come_in_label_order(self, monkeypatch):
+        """Class 'a' (n > L) fails its basis check and class 'b' is all
+        zero rows: a's error raises, as a comes first."""
+        rng = np.random.default_rng(12)
+        X = np.vstack([rng.standard_normal((4, 3)), np.zeros((2, 3))])
+        y = ["a"] * 4 + ["b"] * 2
+        with pytest.raises(ValidationError, match="all samples are zero"):
+            gfda.fit_ensemble(X, y)  # 'a' fits, then 'b' fails
+        self.scaled_first_column(monkeypatch)
+        with pytest.raises(ValidationError) as caught:
+            gfda.fit_ensemble(X, y)
+        assert str(caught.value) == \
+            "class 'a' basis columns are not unit vectors"
 
 
 class TestClassModelChecks:
