@@ -407,19 +407,27 @@ _SINGULAR_WITHIN = ("within-class scatter is singular; plain FDA does not "
 _NO_VARIANCE = "pooled data has no variance"
 
 
-def _centred_frame(X, y):
-    """The FDA family's frame of the centred rows X - m: (labels, rows) and
-    ``linalg.gram_frame((X - m)^T)``.  rows holds each class's row indices
-    in label order, s the r = rank(X - m) singular values, descending, and
-    Z the (n, r) coordinates of the centred rows in the frame Q.  span(Q)
-    holds every class-centred row and centred class mean, so both scatters
-    vanish on its complement.
-    """
+def _centred_rows(X, y):
+    """(labels, rows, X - m): rows holds each class's row indices in label
+    order, and X - m the centred rows, every FDA-family route's start."""
     X = np.asarray(X, dtype=float)
     if not np.isfinite(X).all():
         raise ValidationError("samples must be finite")
     labels, rows = group_by_label(np.arange(len(X)), y)
-    return (labels, rows) + linalg.gram_frame((X - X.mean(axis=0)).T)
+    return labels, rows, X - X.mean(axis=0)
+
+
+def _centred_frame(X, y):
+    """The frame routes' frame of the centred rows X - m: (labels, rows)
+    and ``linalg.gram_frame((X - m)^T)``.  s holds the r = rank(X - m)
+    singular values, descending, and Z the (n, r) coordinates of the
+    centred rows in the frame Q.  span(Q) holds every class-centred row and
+    centred class mean, so both scatters vanish on its complement.  FDA,
+    pcaLDA and nullLDA start here; regLDA only where n > L or its between
+    matrix is rank-deficient (``_gram_reg_lda``).
+    """
+    labels, rows, centred = _centred_rows(X, y)
+    return (labels, rows) + linalg.gram_frame(centred.T)
 
 
 def _group_means(Y, rows):
@@ -431,6 +439,15 @@ def _frame_statistics(Z, rows):
     """Class means, counts and within scatter of the row groups Z[rows[i]]."""
     return (_group_means(Z, rows), np.array([len(r) for r in rows]),
             within_scatter([Z[r] for r in rows]))
+
+
+def _ridge_error(largest, ridge):
+    """The error of a ridge below the within scatter's rounding, naming the
+    largest entry of the regularized within matrix that failed."""
+    return ValidationError(
+        f"within-class scatter (largest entry {largest:.3g}) plus the ridge "
+        f"delta = {ridge:g} is not positive definite: delta is below the "
+        "scatter's rounding; rescale the data")
 
 
 def _top_generalized_directions(between, within, k, ridge=0.0, scale=None):
@@ -448,19 +465,32 @@ def _top_generalized_directions(between, within, k, ridge=0.0, scale=None):
     try:
         Linv = np.linalg.inv(np.linalg.cholesky(within))
     except np.linalg.LinAlgError:
-        raise ValidationError(
-            f"within-class scatter (largest entry {np.abs(within).max():.3g}) "
-            f"plus the ridge delta = {ridge:g} is not positive definite: "
-            "delta is below the scatter's rounding; rescale the data") from None
+        raise _ridge_error(np.abs(within).max(), ridge) from None
     w, V = np.linalg.eigh(Linv @ between @ Linv.T)
     return (Linv.T @ linalg.fix_signs(V, copy=False))[:, ::-1][:, :k], w[::-1][:k]
 
 
-def _baseline_model(X, labels, rows, lift, coords, method, info):
-    # only the C - 1 output directions reach L dimensions; lifting keeps
-    # their span, and Gram-Schmidt there equals Gram-Schmidt in the frame;
-    # the sign rule then holds in L dimensions, whatever the frame's signs
-    basis = linalg.fix_signs(linalg.gram_schmidt(lift(coords)), copy=False)
+def _upper_inverse(S):
+    """R^-1 for the Cholesky factor S = R^T R, R upper triangular with a
+    positive diagonal."""
+    return np.linalg.inv(np.linalg.cholesky(S).T)
+
+
+def _baseline_model(X, labels, rows, lift, coords, method, info, gram=None):
+    """The FDA family's one ending: the directions lift(coords), in order,
+    orthonormalized by CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa &
+    Fukaya, ETNA 2015), sign-fixed in L dimensions, and the class means
+    projected onto them.  Pass 1 takes its Gram in coordinates, gram
+    (coords^T coords, on an orthonormal frame, by default), so that only
+    Q_1 = lift(coords R_1^-1) is formed; pass 2 takes Q_1's.  Each R has a
+    positive diagonal, so Q spans the first j directions in its first j
+    columns with q_j . d_j > 0, the Gram-Schmidt basis, orthonormal to
+    rounding while the directions' condition number is below eps^-1/2;
+    the sign rule then holds in L dimensions, whatever the frame's signs."""
+    gram = coords.T @ coords if gram is None else gram
+    basis = lift(coords @ _upper_inverse(gram))
+    basis = linalg.fix_signs(basis @ _upper_inverse(basis.T @ basis),
+                             copy=False)
     return DiscriminantModel(
         projector=basis,
         method=method,
@@ -500,12 +530,23 @@ def _check_residual_threshold(threshold):
 
 def reg_lda(X, y, delta: float = 1e-4) -> DiscriminantModel:
     """FDA with a ridge delta (default 1e-4, the protocol's value) added to
-    the within-class scatter.  (S_b, S_w + delta I) is block-diagonal on the
-    centred-data frame Q and its complement, where S_b vanishes, so the
-    directions are those of (Q^T S_b Q, Q^T S_w Q + delta I) lifted by Q.
-    Rows with no variance leave no frame and no direction: ValidationError."""
+    the within-class scatter.  The scatters carry 1/n: S_b = B^T B / n for
+    the C rows sqrt(n_c) (m_c - m) of B, and S_w = X_w^T X_w / n for the
+    class-centred rows X_w.  S_b has rank C - 1, so the directions are
+    (S_w + delta I)^-1 B^T u for the top C - 1 eigenvectors u of the C x C
+    matrix B (S_w + delta I)^-1 B^T.  Where n <= L they come from the
+    centred rows' n x n Gram in closed form (``_gram_reg_lda``), unless
+    that matrix has fewer than C - 1 nonzero eigenvalues.  Otherwise
+    (S_b, S_w + delta I) is solved on the centred-data frame Q, where it is
+    block-diagonal against the complement on which S_b vanishes: the
+    directions of (Q^T S_b Q, Q^T S_w Q + delta I) lifted by Q.  Rows with
+    no variance leave no direction: ValidationError."""
     _check_delta(delta)
     X = np.asarray(X, dtype=float)
+    if X.shape[0] <= X.shape[1]:
+        model = _gram_reg_lda(X, y, delta)
+        if model is not None:
+            return model
     labels, rows, s, Z, lift = _centred_frame(X, y)
     if not s.size:
         raise ValidationError(_NO_VARIANCE)
@@ -513,6 +554,67 @@ def reg_lda(X, y, delta: float = 1e-4) -> DiscriminantModel:
     D, _ = _top_generalized_directions(between_scatter(zmeans, counts), Sw,
                                        len(labels) - 1, ridge=delta)
     return _baseline_model(X, labels, rows, lift, D, "regLDA", {"delta": delta})
+
+
+def _gram_reg_lda(X, y, delta):
+    """regLDA from the Gram G_c = X_c X_c^T of the centred rows X_c = X - m
+    (Cai, He & Han, "SRDA", TKDE 2008, on the Gram side), or None where the
+    frame route must decide: fewer than 2 classes, or fewer than C - 1
+    nonzero eigenvalues of B (S_w + delta I)^-1 B^T, whose extra
+    eigenvectors would be rounding noise here.
+
+    With the rows sorted by class, B = H X_c and X_w = P_w X_c, where H
+    averages each class's rows, times sqrt(n_c), and P_w subtracts its
+    class's mean from each row; both act on G_c by block sums and repeats,
+    so X_w X_w^T = P_w G_c P_w, X_w B^T = P_w G_c H^T and B B^T = H G_c H^T
+    are n x n and n x C.  Woodbury gives (S_w + delta I)^-1 = (I - X_w^T
+    K^-1 X_w) / delta with K = n delta I + X_w X_w^T: one Cholesky tests
+    K's definiteness and one solve gives K^-1 X_w B^T (numpy has no
+    triangular solve, and one LU costs less than two with the factor), so
+    the C x C matrix is (B B^T - B X_w^T K^-1 X_w B^T) / delta and each
+    direction is X_c^T a, a = H^T u - K^-1 X_w B^T u (times 1/delta; K
+    commutes with P_w, so K^-1 keeps X_w B^T in P_w's range).
+    Only the C - 1 output columns are lifted.  A K that is not positive
+    definite is the ridge below the scatter's rounding, reported with the
+    largest entry of K / n = S_w + delta I in row coordinates."""
+    labels, rows, centred = _centred_rows(X, y)
+    G = linalg.finite_gram(centred.T)
+    if not G.any():
+        raise ValidationError(_NO_VARIANCE)
+    C, n = len(rows), len(G)
+    if C < 2:
+        return None
+    order = np.concatenate(rows)
+    counts = np.array([len(r) for r in rows])
+    starts = np.cumsum(counts) - counts
+    cls = np.repeat(np.arange(C), counts)  # class of each sorted row
+
+    def class_means(Y, axis=0):
+        sums = np.add.reduceat(Y, starts, axis=axis)
+        return sums / (counts if axis else counts[:, None])
+
+    Gs = G[np.ix_(order, order)]
+    Gm = class_means(Gs)  # mean rows of each class block, (C, n)
+    Gmm = class_means(Gm, axis=1)  # the centred class means' Gram
+    PGm = Gm.T - Gmm[cls]  # P_w G_c times the class-mean operator
+    K = Gs - Gm[cls] - PGm[:, cls]
+    K[np.diag_indices(n)] += n * delta
+    try:
+        np.linalg.cholesky(K)
+    except np.linalg.LinAlgError:
+        raise _ridge_error(np.abs(K).max() / n, delta) from None
+    root = np.sqrt(counts)
+    XwBt = PGm * root
+    KXwBt = np.linalg.solve(K, XwBt)
+    w, U = np.linalg.eigh((Gmm * np.outer(root, root) - XwBt.T @ KXwBt)
+                          / delta)
+    if linalg.nonzero(w).sum() != C - 1:
+        return None
+    U = U[:, ::-1][:, :C - 1]
+    a = np.empty((n, C - 1))
+    a[order] = (U / root[:, None])[cls] - KXwBt @ U
+    return _baseline_model(X, labels, rows, lambda D: centred.T @ D, a,
+                           "regLDA", {"delta": delta}, gram=a.T @ G @ a)
 
 
 def pca_lda(X, y, residual_threshold: float = 1e-2) -> DiscriminantModel:

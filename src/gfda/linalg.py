@@ -10,10 +10,12 @@ with more rows than features; ``gram_frame``: the eigh of the small-side
 Gram cut by that rule, for the union-span frame of the pooled bases
 Phi = A C and the centred-data frame of the FDA family, with one
 CholeskyQR pass where the frame is formed; past its one guard the thin
-SVD is taken instead),
-how vectors are orthonormalized in order (``gram_schmidt``: one QR with a
-positive diagonal, dropping a vector whose residual is at most RANK_TOL
-times its norm), the sign convention (``fix_signs``: first nonzero
+SVD is taken instead), when a Gram has overflowed (``finite_gram``, for
+``gram_frame`` and regLDA's Gram route), how vectors are orthonormalized
+in order (``gram_schmidt``: one QR with a positive diagonal, dropping a
+vector whose residual is at most RANK_TOL times its norm; the FDA family
+runs CholeskyQR2 on its few directions instead, ``fisher._baseline_model``),
+the sign convention (``fix_signs``: first nonzero
 component positive, the one implementation, ``column_signs``, applied to
 every factorization's vectors and every formed frame or basis) and
 when columns count as orthonormal (``as_ortho_basis``: one Q^T Q, the
@@ -176,12 +178,7 @@ def gram_frame(A, G=None, C=None):
     lift(D) follow its signs.  A Gram past the float range raises
     ValidationError.  On the pooled class bases it is the union-span frame
     (``fisher._pooled``)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = A.T @ A if G is None else G
-    if not np.isfinite(G).all():
-        raise ValidationError("the Gram matrix of the data overflows: squared "
-                              "norms exceed the float range; rescale the data")
-    s2, V = np.linalg.eigh(G)
+    s2, V = np.linalg.eigh(finite_gram(A, G))
     r = int(nonzero(s2).sum())  # eigh ascends, so the kept entries trail
     s2, V = s2[s2.size - r:][::-1], V[:, V.shape[1] - r:][:, ::-1]
     drift = np.finfo(float).eps * s2[0] / s2[-1] if r else 0.0
@@ -199,6 +196,17 @@ def gram_frame(A, G=None, C=None):
         return _formed_frame(A, Y, drift > UNIT_NORM_TOL,
                              Z[:, ::-1][:, :columns])
     return s, Z, lift
+
+
+def finite_gram(A, G=None):
+    """The Gram A^T A (or the caller's G), checked: an entry past the float
+    range raises ValidationError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = A.T @ A if G is None else G
+    if not np.isfinite(G).all():
+        raise ValidationError("the Gram matrix of the data overflows: squared "
+                              "norms exceed the float range; rescale the data")
+    return G
 
 
 def _lifted_frame(A):

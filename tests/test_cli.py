@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfda as gfda_module
-from gfda import checks, cli, linalg
+from gfda import checks, cli, fisher, linalg
 from gfda.classify import evaluate
 from gfda.data import load_dataset
 from gfda.errors import ValidationError
@@ -469,12 +470,17 @@ def edge_set(tmp_path, family):
 def test_eval_on_edge_sets(tmp_path, capsys, monkeypatch, family, method,
                            error):
     # each eval writes every row, or prints one error line and no file; only
-    # the near sets' frames take the guard's lifted route (CholeskyQR pass)
+    # the near sets' frames take the guard's lifted route (CholeskyQR pass).
+    # regLDA on the near-cut set (n = 20 <= L = 40) builds from the centred
+    # rows' Gram and forms no frame: its model matches the frame route's
     train, test, options = edge_set(tmp_path, family)
-    lifted = []
+    lifted, reg_models = [], []
     real = linalg._lifted_frame
     monkeypatch.setattr(linalg, "_lifted_frame",
                         lambda *args: lifted.append(1) or real(*args))
+    real_reg = cli.reg_lda
+    monkeypatch.setattr(cli, "reg_lda", lambda X, y, delta: reg_models.append(
+        (X, y, delta, real_reg(X, y, delta))) or reg_models[-1][-1])
     out = tmp_path / "eval.csv"
     capsys.readouterr()
     code = run("eval", "--train", str(train), "--test", str(test),
@@ -486,6 +492,15 @@ def test_eval_on_edge_sets(tmp_path, capsys, monkeypatch, family, method,
     else:
         assert code == 0, err
         assert len(out.read_text().splitlines()) == 1 + int(options[-1]) + 2
+    if family == "near-cut" and method == ["regLDA"]:
+        assert not lifted and reg_models
+        for X, y, delta, model in reg_models:
+            with mock.patch.object(fisher, "_gram_reg_lda", return_value=None):
+                ref = fisher.reg_lda(X, y, delta)
+            assert model.dim == ref.dim
+            P, Q = model.projector, ref.projector
+            assert np.linalg.norm(P - Q @ (Q.T @ P), 2) <= 1e-9
+        return
     assert bool(lifted) == family.startswith("near")
 
 

@@ -966,7 +966,9 @@ class TestBaselines:
         # N_r is whatever basis eigh returns for S_w's zero eigenspace, and
         # another frame of the same span (the thin SVD's) gives another
         # one; the projector and class references must not follow it, nor
-        # the signs of either frame's columns
+        # the signs of either frame's columns.  regLDA builds from the
+        # centred rows' Gram here (n <= L), so its other model is the SVD
+        # frame's, which the same sign rule must reach
         X, y = gfda.labeled_mixtures(C, L, n, "Set1", seed=seed)
         model = build(X, y)
 
@@ -980,6 +982,7 @@ class TestBaselines:
                     lambda D: Q[:, :len(D)] @ D)
 
         monkeypatch.setattr(fisher, "_centred_frame", svd_frame)
+        monkeypatch.setattr(fisher, "_gram_reg_lda", lambda *args: None)
         other = build(X, y)
         npt.assert_allclose(model.projector, other.projector, rtol=0,
                             atol=1e-12)

@@ -13,7 +13,9 @@ against the null space of the L x L within scatter and the L x L between
 scatter projected there, regLDA and FDA against the L x L generalized
 eigenproblem.  The centred-data frame itself, built from the n x n Gram
 of the centred rows, is checked against the thin SVD of those rows, and so
-are the regLDA, nullLDA, pcaLDA and FDA models built on either frame.  The
+are the regLDA, nullLDA, pcaLDA and FDA models built on either frame;
+regLDA's closed form on the centred rows' Gram (n <= L) is checked
+against its frame route.  The
 gFDA family, built in the union Gram's coordinates, is checked against the
 same constructions on the whole thin-SVD frame of the pooled bases.
 Batched evaluation is checked against a
@@ -23,6 +25,7 @@ found by searches of the sorted genuine scores into the sorted impostors,
 is checked bit for bit against the same rule read at np.unique's knots.
 """
 
+import re
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -387,16 +390,17 @@ def spectrum_rows(rng, sizes, L, ratio, distinct):
 
 
 @st.composite
-def centred_spectra(draw):
+def centred_spectra(draw, wide=False):
     """Rows of 2-6 classes of 2-5 samples, n in all, in dimension L: either
-    n - 3 <= L < n, where the frame fills the space, or n <= L <= 200.  The
-    centred distinct rows have singular values falling geometrically from 1
-    to s_min/s_max in {1, 1e-2, 1e-4}.  With repeats, each class repeats
-    some of its rows, so rank(X - m) < n - 1."""
+    n - 3 <= L < n, where the frame fills the space, or n <= L <= 200 (the
+    latter always when wide).  The centred distinct rows have singular
+    values falling geometrically from 1 to s_min/s_max in {1, 1e-2, 1e-4}.
+    With repeats, each class repeats some of its rows, so
+    rank(X - m) < n - 1."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.integers(2, 5), min_size=2, max_size=6))
     n = sum(sizes)
-    L = (n - draw(st.integers(1, 3)) if draw(st.booleans())
+    L = (n - draw(st.integers(1, 3)) if not wide and draw(st.booleans())
          else draw(st.integers(n, 200)))
     ratio = draw(st.sampled_from([1.0, 1e-2, 1e-4]))
     repeats = draw(st.booleans())
@@ -413,6 +417,12 @@ def built(build, X, y):
         return build(X, y)
     except gfda.GfdaError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def assert_orthonormal_to_rounding(P):
+    """|P^T P - I| within 8 k eps for P's k columns, CholeskyQR2's bound."""
+    k = P.shape[1]
+    assert np.abs(P.T @ P - np.eye(k)).max() <= 8 * k * np.finfo(float).eps
 
 
 def assert_same_models(X, y, tol=1e-9):
@@ -432,6 +442,7 @@ def assert_same_models(X, y, tol=1e-9):
             assert got.info.get(key) == ref.info.get(key)
         assert ("fallback" in got.info) == ("fallback" in ref.info)
         linalg.as_ortho_basis(got.projector)
+        assert_orthonormal_to_rounding(got.projector)
         bound = tol
         if "fallback" in ref.info:
             bound += 100 * np.finfo(float).eps * np.linalg.norm(
@@ -478,6 +489,94 @@ def test_centred_frame_guard(ratio, L):
                            wraps=linalg._lifted_frame) as lift_step:
         assert_same_models(X, y)
     assert lift_step.called != gram_route(s)
+
+
+def with_entry_masked(text):
+    """An error text with the ridge error's largest entry masked: the
+    Gram route reads it off K / n in row coordinates, the frame route off
+    the r x r frame matrix, so the words agree and the number may not."""
+    return re.sub(r"largest entry [^)]*", "largest entry", text)
+
+
+def assert_gram_route_matches_frame(X, y, gram=True):
+    """regLDA's Gram route (``fisher._gram_reg_lda``) against its frame
+    route, forced by that function returning None: the same error word for
+    word, or the same dimension and a projector span within 1e-9 (the
+    bound of assert_same_models).  gram says whether the Gram route builds
+    the model, or hands it to the frame.  Every FDA-family projector is
+    orthonormal to 8 k eps for its k columns (CholeskyQR2)."""
+    real, taken = fisher._gram_reg_lda, []
+    with mock.patch.object(fisher, "_gram_reg_lda",
+                           lambda *a: taken.append(real(*a)) or taken[-1]):
+        got = built(gfda.reg_lda, X, y)
+    with mock.patch.object(fisher, "_gram_reg_lda", return_value=None):
+        ref = built(gfda.reg_lda, X, y)
+    if isinstance(ref, str):
+        assert isinstance(got, str)
+        assert with_entry_masked(got) == with_entry_masked(ref)
+    else:
+        assert taken and (taken[-1] is not None) == gram
+        assert got.dim == ref.dim and got.info == ref.info
+        assert sine_distance(ref.projector, got.projector) <= 1e-9
+    for build in FDA_FAMILY:
+        model = built(build, X, y)
+        if not isinstance(model, str):
+            assert_orthonormal_to_rounding(model.projector)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(centred_spectra(wide=True))
+def test_reg_lda_gram_route_matches_frame_route(data):
+    """At n <= L regLDA builds from the centred rows' Gram; it matches the
+    frame route on centred spectra down to s_min/s_max = 1e-4, repeats
+    included (assert_gram_route_matches_frame)."""
+    assert_gram_route_matches_frame(*data)
+
+
+def offset_rows(t):
+    """The offset family of ROADMAP finding G2: the image-shaped mixture
+    rows (C = 30, L = 1024, 5 per class) plus t times one fixed
+    nonnegative L-vector, so the rows are dominated by their common mean
+    as t grows."""
+    X, y = gfda.labeled_mixtures(30, 1024, 5, "Set1", seed=1)
+    return X + t * np.abs(np.random.default_rng(7).standard_normal(1024)), y
+
+
+def repeated_class_rows():
+    """Three classes in L = 20 whose class 1 is class 0's rows reordered:
+    the between scatter has rank 1, not C - 1 = 2, so the Gram route hands
+    the model to the frame, which keeps two columns."""
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal((4, 20))
+    X = np.vstack([base, base[[2, 0, 3, 1]], rng.standard_normal((4, 20))])
+    return X, np.repeat(["a", "b", "c"], 4)
+
+
+def large_rows():
+    """Three rows per class of the 1e6-scale rows in 4 classes (20 x 40) of
+    test_ridge_below_scatter_rounding_exit_1: the within scatter's
+    rounding swamps the ridge 1e-4, so both routes raise."""
+    X = 1e6 * np.random.default_rng(0).standard_normal((20, 40))
+    return X[:12], np.array([f"c{i % 4}" for i in range(12)])
+
+
+@pytest.mark.parametrize("data,gram", [
+    (lambda: offset_rows(1.0), True), (lambda: offset_rows(10.0), True),
+    (lambda: offset_rows(100.0), True), (lambda: offset_rows(1000.0), True),
+    (repeated_class_rows, False),
+    (large_rows, True),
+], ids=["offset-1", "offset-10", "offset-100", "offset-1000",
+        "rank-1-between", "scale-1e6"])
+def test_reg_lda_gram_route_edge_sets(data, gram):
+    """The Gram route against the frame route on the offset family, a
+    between scatter of rank below C - 1 and rows whose ridge is below the
+    scatter's rounding (both routes raise the ridge error)."""
+    X, y = data()
+    assert_gram_route_matches_frame(X, y, gram)
+    if data is large_rows:
+        assert "largest entry" in built(gfda.reg_lda, X, y)
+    if not gram:
+        assert gfda.reg_lda(X, y).dim == 2
 
 
 def svd_union_frame(ens):
