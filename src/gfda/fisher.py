@@ -274,25 +274,31 @@ def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
     order, on the first C - 1 centred first vectors projected onto it.
 
     With independent pooled basis vectors the space is span(P), P =
-    lift(Y) from ``_gfda_map``.  As F P = Q_H, the projections are
-    P S^-1 Q_k^T, Q_k the first C - 1 rows of Q_H, with Gram-Schmidt basis
-    P N, N = S^-1 Q_k^T R^-1 for the Cholesky factor R^T R = Q_k S^-1 Q_k^T
-    and references Q_H N; info["selected_eigenvalues"] holds their Rayleigh
-    quotients on W - B/C, zero to rounding.  With dependent ones the C - 1
-    smallest eigenvalues of diag(s^2) - B_Z / C in the union frame select
-    it and are recorded there.  One that is not near zero (OVERLAP_TOL)
-    means the class subspaces overlap; this is recorded, not raised, even
-    when none is near zero (identical classes): a warning reports the
-    largest, and eigenvectors complete the basis where the projected first
-    vectors are dependent.  A CholeskyQR pass follows past UNIT_NORM_TOL.
+    lift(Y) from ``_gfda_map``.  As F P = Q_H, the projections are P T_0,
+    T_0 = S^-1 Q_k^T for Q_k the first C - 1 rows of Q_H, with Gram
+    Q_k T_0: ``linalg.cholesky_qr2`` gives their Gram-Schmidt basis P N,
+    N = T_0 T, and references Q_H N; info["selected_eigenvalues"] holds
+    their Rayleigh quotients on W - B/C, zero to rounding.  With dependent
+    ones the C - 1 smallest eigenvalues of diag(s^2) - B_Z / C in the union
+    frame select it, are recorded there, and their basis ends in the same
+    routine.  One that is not near zero (OVERLAP_TOL) means the class
+    subspaces overlap; this is recorded, not raised, even when none is near
+    zero (identical classes): a warning reports the largest, and
+    eigenvectors complete the basis where the projected first vectors are
+    dependent.
     """
     C = ensemble.n_classes
     F_of, lift, PhiT_of, Y, S, frame = _gfda_map(ensemble)
     if Y is not None:
         Q_H = _helmert(C)
-        T = np.linalg.solve(S, Q_H[:-1].T)  # S^-1 Q_k^T
-        N = T @ np.linalg.inv(np.linalg.cholesky(Q_H[:-1] @ T).T)
-        coords, refs = Y @ N, Q_H @ N
+        T0 = np.linalg.solve(S, Q_H[:-1].T)  # S^-1 Q_k^T
+        # Y (T_0 D), not (Y T_0) D: refs meet F P to 1.3e-13, not 7.8e-13
+        projector, T = linalg.cholesky_qr2(lambda D: lift(Y @ D), T0,
+                                           Q_H[:-1] @ T0)
+        N = T0 @ T
+        refs = Q_H @ N
+        Zp = PhiT_of(Y @ N)  # p^T W p = |Phi^T p|^2, p^T B p/C = C var(F p)
+        selected = np.sum(Zp ** 2, axis=0) - C * np.var(F_of(Zp), axis=0)
     else:
         s, Z = frame
         if s.size < C - 1:
@@ -317,15 +323,8 @@ def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
         if coords.shape[1] < k:  # overlap: sign-fixed eigenvectors complete it
             coords = linalg.gram_schmidt(
                 np.hstack([coords, linalg.fix_signs(W)]))[:, :k]
-        refs = F_Z @ coords
-    projector = lift(coords)
-    gram = projector.T @ projector
-    if np.abs(gram - np.eye(C - 1)).max() > linalg.UNIT_NORM_TOL:
-        inv = np.linalg.inv(np.linalg.cholesky(gram).T)
-        projector, refs, coords = projector @ inv, refs @ inv, coords @ inv
-    if Y is not None:  # p^T W p = |Phi^T p|^2, p^T B p / C = C var(F p)
-        Zp = PhiT_of(coords)
-        selected = np.sum(Zp ** 2, axis=0) - C * np.var(F_of(Zp), axis=0)
+        projector, T = linalg.cholesky_qr2(lift, coords)
+        refs = F_Z @ coords @ T
     return DiscriminantModel(
         projector=projector,
         method="gFDA-linear",
@@ -470,26 +469,12 @@ def _top_generalized_directions(between, within, k, ridge=0.0, scale=None):
     return (Linv.T @ linalg.fix_signs(V, copy=False))[:, ::-1][:, :k], w[::-1][:k]
 
 
-def _upper_inverse(S):
-    """R^-1 for the Cholesky factor S = R^T R, R upper triangular with a
-    positive diagonal."""
-    return np.linalg.inv(np.linalg.cholesky(S).T)
-
-
 def _baseline_model(X, labels, rows, lift, coords, method, info, gram=None):
     """The FDA family's one ending: the directions lift(coords), in order,
-    orthonormalized by CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa &
-    Fukaya, ETNA 2015), sign-fixed in L dimensions, and the class means
-    projected onto them.  Pass 1 takes its Gram in coordinates, gram
-    (coords^T coords, on an orthonormal frame, by default), so that only
-    Q_1 = lift(coords R_1^-1) is formed; pass 2 takes Q_1's.  Each R has a
-    positive diagonal, so Q spans the first j directions in its first j
-    columns with q_j . d_j > 0, the Gram-Schmidt basis, orthonormal to
-    rounding while the directions' condition number is below eps^-1/2;
-    the sign rule then holds in L dimensions, whatever the frame's signs."""
-    gram = coords.T @ coords if gram is None else gram
-    basis = lift(coords @ _upper_inverse(gram))
-    basis = linalg.fix_signs(basis @ _upper_inverse(basis.T @ basis),
+    orthonormalized by ``linalg.cholesky_qr2`` (pass 1 on gram), sign-fixed
+    in L dimensions whatever the frame's signs, and the class means
+    projected onto them."""
+    basis = linalg.fix_signs(linalg.cholesky_qr2(lift, coords, gram)[0],
                              copy=False)
     return DiscriminantModel(
         projector=basis,

@@ -9,17 +9,17 @@ and its rank by that rule, for the class fits past their Gram's guard or
 with more rows than features; ``gram_frame``: the eigh of the small-side
 Gram cut by that rule, for the union-span frame of the pooled bases
 Phi = A C and the centred-data frame of the FDA family, with one
-CholeskyQR pass where the frame is formed; past its one guard the thin
-SVD is taken instead), when a Gram has overflowed (``finite_gram``, for
-``gram_frame`` and regLDA's Gram route), how vectors are orthonormalized
-in order (``gram_schmidt``: one QR with a positive diagonal, dropping a
-vector whose residual is at most RANK_TOL times its norm; the FDA family
-runs CholeskyQR2 on its few directions instead, ``fisher._baseline_model``),
-the sign convention (``fix_signs``: first nonzero
-component positive, the one implementation, ``column_signs``, applied to
-every factorization's vectors and every formed frame or basis) and
-when columns count as orthonormal (``as_ortho_basis``: one Q^T Q, the
-one orthonormality rule).
+CholeskyQR pass where a formed frame's predicted drift asks for it; past
+its one guard the thin SVD is taken instead), when a Gram has overflowed
+(``finite_gram``, for every Gram of the data), how vectors are
+orthonormalized in order (``gram_schmidt``: one QR with a positive
+diagonal, dropping a vector whose residual is at most RANK_TOL times its
+norm; ``cholesky_qr2``, with no threshold, for the directions gFDA-linear
+and the FDA family choose in coordinates), the sign convention
+(``fix_signs``: first nonzero component positive, the one implementation,
+``column_signs``, applied to every factorization's vectors and every
+formed frame or basis) and when columns count as orthonormal
+(``as_ortho_basis``: one Q^T Q, the one orthonormality rule).
 ``sym_eig`` reports eigenvalues ascending, ``range_basis`` and
 ``gram_frame`` singular values descending, all with sign-fixed vectors, so
 downstream constructions are reproducible bit for bit.
@@ -171,13 +171,15 @@ def gram_frame(A, G=None, C=None):
     (k', k) coordinates to L dimensions, and lift(columns=k) forms Q's k
     smallest-s columns (all r by default, ``_formed_frame``) in ascending
     s, sign-fixed in L dimensions, and returns them with Phi^T of them, in
-    coordinates.  Z, the lifted columns and the small s hold to about
-    drift = eps s_max^2 / s_min^2.  The one guard, the only reason to form
-    Q (or Phi) before lift(): past ORTHO_IP_TOL, s and Q are the thin
-    SVD's, ``range_basis(Phi)`` (``_lifted_frame``), and Z = Phi^T Q and
-    lift(D) follow its signs.  A Gram past the float range raises
-    ValidationError.  On the pooled class bases it is the union-span frame
-    (``fisher._pooled``)."""
+    coordinates.  Z and the small s hold to about drift = eps s_max^2 /
+    s_min^2; formed columns, through the K-dimensional products, to 100
+    times that, below UNIT_NORM_TOL: 7.7e-14 to 5.2e-13 measured on GDS's
+    frames (image shape and README scale, seeds 1 and 3).  The one guard,
+    the only reason to form Q (or Phi) before lift(): past ORTHO_IP_TOL, s
+    and Q are the thin SVD's, ``range_basis(Phi)`` (``_lifted_frame``), and
+    Z = Phi^T Q and lift(D) follow its signs.  A Gram past the float range
+    raises ValidationError.  On the pooled class bases it is the union-span
+    frame (``fisher._pooled``)."""
     s2, V = np.linalg.eigh(finite_gram(A, G))
     r = int(nonzero(s2).sum())  # eigh ascends, so the kept entries trail
     s2, V = s2[s2.size - r:][::-1], V[:, V.shape[1] - r:][:, ::-1]
@@ -223,17 +225,36 @@ def _lifted_frame(A):
 
 def _formed_frame(A, W, reorthonormalize, Z=None):
     """(Q, Z T) for Q = A W T, the kept columns W formed: with
-    reorthonormalize after one CholeskyQR pass T = R^-1 (R^T R = Q^T Q;
-    column j needs W's first j + 1), orthonormal to eps cond(A W)^2;
+    reorthonormalize after one CholeskyQR pass T = ``upper_inverse(Q^T Q)``
+    (column j needs W's first j + 1), orthonormal to eps cond(A W)^2;
     sign-fixed in L dimensions either way.  Z T, None without Z, carries
     coordinates Z of A W over to Q."""
     Q = A @ W
     if reorthonormalize:
-        T = np.linalg.inv(np.linalg.cholesky(Q.T @ Q).T)
+        T = upper_inverse(Q.T @ Q)
         Q, Z = Q @ T, None if Z is None else Z @ T
     signs = column_signs(Q)
     Q *= signs
     return Q, None if Z is None else Z * signs
+
+
+def upper_inverse(S):
+    """R^-1 for the Cholesky factor R^T R = S, R upper triangular."""
+    return np.linalg.inv(np.linalg.cholesky(S).T)
+
+
+def cholesky_qr2(lift, coords, gram=None):
+    """(Q, T): the directions lift(coords), in order, orthonormalized by
+    CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 2015),
+    Q = lift(coords T), T = R_1^-1 R_2^-1.  Pass 1 takes their Gram in
+    coordinates (gram, by default coords^T coords, as on an orthonormal
+    frame), pass 2 that of the formed lift(coords R_1^-1).  T is upper
+    triangular with a positive diagonal, so Q is the Gram-Schmidt basis,
+    orthonormal to O(k eps) while cond < eps^-1/2; signs are the caller's."""
+    T = upper_inverse(coords.T @ coords if gram is None else gram)
+    Q = lift(coords @ T)
+    R2inv = upper_inverse(Q.T @ Q)
+    return Q @ R2inv, T @ R2inv
 
 
 def sym_eig(M) -> EigResult:

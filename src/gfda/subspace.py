@@ -285,9 +285,7 @@ def _fit_classes(X, labels, rows, dim, energy):
     starts = np.cumsum(sizes) - sizes
     fits = [None] * len(rows)  # none without a Gram: each takes the SVD
     if sizes.max() <= L:  # the class Grams are the blocks of G = X X^T
-        with np.errstate(over="ignore", invalid="ignore"):
-            G = X @ X.T
-        _check_gram(G)
+        G = linalg.finite_gram(X.T)
         for n, members in zip(*group_by_label(np.arange(len(rows)), sizes)):
             index = starts[members, None] + np.arange(n)  # (b, n)
             stack = _gathered(X, index)
@@ -343,12 +341,6 @@ def _fit_classes(X, labels, rows, dim, energy):
         Mc[start:start + len(W), column:column + W.shape[1]] = W
         column += W.shape[1]
     return classes, (X, G, Mc, starts)
-
-
-def _check_gram(G):
-    if not np.isfinite(G).all():
-        raise ValidationError("samples overflow: their Gram matrix "
-                              "exceeds the float range; rescale the data")
 
 
 def _gathered(X, index):

@@ -122,6 +122,8 @@ def subspace_config(C, N, L, separation=1.0, seed=0) -> SubspaceEnsemble:
         raise ValidationError(
             f"C*N = {C * N} exceeds the ambient dimension {L}; "
             "the no-overlap assumption cannot hold")
+    if C * N * L > np.iinfo(np.intp).max // 8:  # numpy raises ValueError
+        raise ValidationError(f"C*N*L = {C*N*L} exceeds numpy's largest array")
     if not (0.0 < separation <= 1.0):
         raise ValidationError("separation must be in (0, 1]")
     rng = _rng(seed)

@@ -354,8 +354,8 @@ class TestFitEval:
                                         "gfda-linear", "gds", "gfda"])
     def test_overflowing_rows_exit_1(self, tmp_path, capsys, method):
         # rows of scale 1e160: the Gram of the centred rows (FDA family) and
-        # the squared singular values of the class fits overflow, which
-        # raised numpy's LinAlgError or read as rank 0
+        # the rows' Gram of the class fits overflow, which raised numpy's
+        # LinAlgError or read as rank 0; one check prints one line for all
         X = 1e160 * np.random.default_rng(0).standard_normal((20, 40))
         path = tmp_path / "huge.csv"
         path.write_text("".join(f"c{i % 4},{','.join(map(repr, r.tolist()))}\n"
@@ -365,9 +365,10 @@ class TestFitEval:
                    "--train-count", "3", "--repetitions", "2",
                    "--out", str(out)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "overflow" in err and "rescale the data" in err
-        assert "Traceback" not in err and not out.exists()
+        assert err == ("error: the Gram matrix of the data overflows: squared "
+                       "norms exceed the float range; rescale the data "
+                       "(train_count 3, repetition 0)\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [
         ["--method", "nullLDA"],
@@ -890,6 +891,17 @@ class TestEigencurves:
             U, pair), rtol=1e-8)
         npt.assert_allclose(data[:, 3], reference.discriminant_power_curve(
             U @ V, pair), rtol=1e-8)
+
+    def test_oversized_ensemble_exit_1(self, tmp_path, monkeypatch, capsys):
+        # C N L = 4e26 basis entries, past numpy's largest array: rejected
+        # before any draw, where numpy's ValueError was a traceback
+        monkeypatch.chdir(tmp_path)
+        assert run("eigencurves", "--classes", "100000000", "--subspace-dim",
+                   "100000", "--out", "e.csv") == 1
+        err = capsys.readouterr().err
+        assert err == ("error: C*N*L = 400000000000000000000000000 exceeds "
+                       "numpy's largest array\n")
+        assert not (tmp_path / "e.csv").exists()
 
 
 class TestConfigHandling:
