@@ -421,9 +421,9 @@ def _centred_frame(X, y):
     and ``linalg.gram_frame((X - m)^T)``.  s holds the r = rank(X - m)
     singular values, descending, and Z the (n, r) coordinates of the
     centred rows in the frame Q.  span(Q) holds every class-centred row and
-    centred class mean, so both scatters vanish on its complement.  FDA,
-    pcaLDA and nullLDA start here; regLDA only where n > L or its between
-    matrix is rank-deficient (``_gram_reg_lda``).
+    centred class mean, so both scatters vanish on its complement.  FDA and
+    pcaLDA start here; regLDA and nullLDA only where n > L or their Gram
+    route hands the model on (``_gram_reg_lda``, ``_gram_null_lda``).
     """
     labels, rows, centred = _centred_rows(X, y)
     return (labels, rows) + linalg.gram_frame(centred.T)
@@ -447,6 +447,17 @@ def _ridge_error(largest, ridge):
         f"within-class scatter (largest entry {largest:.3g}) plus the ridge "
         f"delta = {ridge:g} is not positive definite: delta is below the "
         "scatter's rounding; rescale the data")
+
+
+def _check_ridge(ridge, total, within_diagonal):
+    """regLDA's one ridge rule, which both of its routes apply before they
+    factorize anything: a ridge at most eps times total, the trace of the
+    total scatter, is below the within scatter's rounding, which is
+    relative to the total scatter (the Gram route forms the within Gram by
+    subtraction from the centred rows' Gram).  The error names the largest
+    entry of the regularized within matrix, on its diagonal."""
+    if ridge <= np.finfo(float).eps * total:
+        raise _ridge_error(within_diagonal.max() + ridge, ridge)
 
 
 def _top_generalized_directions(between, within, k, ridge=0.0, scale=None):
@@ -524,8 +535,9 @@ def reg_lda(X, y, delta: float = 1e-4) -> DiscriminantModel:
     that matrix has fewer than C - 1 nonzero eigenvalues.  Otherwise
     (S_b, S_w + delta I) is solved on the centred-data frame Q, where it is
     block-diagonal against the complement on which S_b vanishes: the
-    directions of (Q^T S_b Q, Q^T S_w Q + delta I) lifted by Q.  Rows with
-    no variance leave no direction: ValidationError."""
+    directions of (Q^T S_b Q, Q^T S_w Q + delta I) lifted by Q.  Both
+    routes hold delta to one rule (``_check_ridge``).  Rows with no
+    variance leave no direction: ValidationError."""
     _check_delta(delta)
     X = np.asarray(X, dtype=float)
     if X.shape[0] <= X.shape[1]:
@@ -536,43 +548,30 @@ def reg_lda(X, y, delta: float = 1e-4) -> DiscriminantModel:
     if not s.size:
         raise ValidationError(_NO_VARIANCE)
     zmeans, counts, Sw = _frame_statistics(Z, rows)
-    D, _ = _top_generalized_directions(between_scatter(zmeans, counts), Sw,
-                                       len(labels) - 1, ridge=delta)
+    Sb = between_scatter(zmeans, counts)
+    _check_ridge(delta, s @ s / len(X), Sw.diagonal())
+    D, _ = _top_generalized_directions(Sb, Sw, len(labels) - 1, ridge=delta)
     return _baseline_model(X, labels, rows, lift, D, "regLDA", {"delta": delta})
 
 
-def _gram_reg_lda(X, y, delta):
-    """regLDA from the Gram G_c = X_c X_c^T of the centred rows X_c = X - m
-    (Cai, He & Han, "SRDA", TKDE 2008, on the Gram side), or None where the
-    frame route must decide: fewer than 2 classes, or fewer than C - 1
-    nonzero eigenvalues of B (S_w + delta I)^-1 B^T, whose extra
-    eigenvectors would be rounding noise here.
-
-    With the rows sorted by class, B = H X_c and X_w = P_w X_c, where H
-    averages each class's rows, times sqrt(n_c), and P_w subtracts its
-    class's mean from each row; both act on G_c by block sums and repeats,
-    so X_w X_w^T = P_w G_c P_w, X_w B^T = P_w G_c H^T and B B^T = H G_c H^T
-    are n x n and n x C.  Woodbury gives (S_w + delta I)^-1 = (I - X_w^T
-    K^-1 X_w) / delta with K = n delta I + X_w X_w^T: one Cholesky tests
-    K's definiteness and one solve gives K^-1 X_w B^T (numpy has no
-    triangular solve, and one LU costs less than two with the factor), so
-    the C x C matrix is (B B^T - B X_w^T K^-1 X_w B^T) / delta and each
-    direction is X_c^T a, a = H^T u - K^-1 X_w B^T u (times 1/delta; K
-    commutes with P_w, so K^-1 keeps X_w B^T in P_w's range).
-    Only the C - 1 output columns are lifted.  A K that is not positive
-    definite is the ridge below the scatter's rounding, reported with the
-    largest entry of K / n = S_w + delta I in row coordinates."""
+def _class_gram(X, y):
+    """The Gram routes' start, on G_c = X_c X_c^T of the centred rows X_c =
+    X - m: (G_c, counts, K_w, X_w B^T, B B^T, finish).  With the rows
+    sorted by class, B = H X_c holds the C rows sqrt(n_c) (m_c - m) and
+    X_w = P_w X_c the class-centred rows, where H averages each class's
+    rows, times sqrt(n_c), and P_w subtracts its class's mean from each
+    row; both act on G_c by block sums and repeats, so K_w = X_w X_w^T =
+    P_w G_c P_w, X_w B^T = P_w G_c H^T and B B^T = H G_c H^T are n x n,
+    n x C and C x C, in the sorted order.  finish(Y, U, method, info) is
+    both routes' ending: the directions X_c^T a, a = H^T U - Y U for the
+    (n, C) solve Y and the (C, C - 1) eigenvectors U, lifting only those
+    columns, through ``_baseline_model`` with pass 1 on a^T G_c a."""
     labels, rows, centred = _centred_rows(X, y)
     G = linalg.finite_gram(centred.T)
-    if not G.any():
-        raise ValidationError(_NO_VARIANCE)
-    C, n = len(rows), len(G)
-    if C < 2:
-        return None
     order = np.concatenate(rows)
     counts = np.array([len(r) for r in rows])
     starts = np.cumsum(counts) - counts
-    cls = np.repeat(np.arange(C), counts)  # class of each sorted row
+    cls = np.repeat(np.arange(len(rows)), counts)  # class of each sorted row
 
     def class_means(Y, axis=0):
         sums = np.add.reduceat(Y, starts, axis=axis)
@@ -582,24 +581,52 @@ def _gram_reg_lda(X, y, delta):
     Gm = class_means(Gs)  # mean rows of each class block, (C, n)
     Gmm = class_means(Gm, axis=1)  # the centred class means' Gram
     PGm = Gm.T - Gmm[cls]  # P_w G_c times the class-mean operator
-    K = Gs - Gm[cls] - PGm[:, cls]
+    root = np.sqrt(counts)
+
+    def finish(Y, U, method, info):
+        a = np.empty((len(G), U.shape[1]))
+        a[order] = (U / root[:, None])[cls] - Y @ U
+        return _baseline_model(X, labels, rows, lambda D: centred.T @ D, a,
+                               method, info, gram=a.T @ G @ a)
+
+    return (G, counts, Gs - Gm[cls] - PGm[:, cls], PGm * root,
+            Gmm * np.outer(root, root), finish)
+
+
+def _gram_reg_lda(X, y, delta):
+    """regLDA from the Gram G_c = X_c X_c^T of the centred rows X_c = X - m
+    (Cai, He & Han, "SRDA", TKDE 2008, on the Gram side), or None where the
+    frame route must decide: fewer than 2 classes, or fewer than C - 1
+    nonzero eigenvalues of B (S_w + delta I)^-1 B^T, whose extra
+    eigenvectors would be rounding noise here.
+
+    Woodbury gives (S_w + delta I)^-1 = (I - X_w^T K^-1 X_w) / delta with
+    K = n delta I + X_w X_w^T on ``_class_gram``'s products.  Once delta
+    passes ``_check_ridge``, one Cholesky tests K's definiteness and one
+    solve gives K^-1 X_w B^T (numpy has no triangular solve, and one LU
+    costs less than two with the factor), so the C x C matrix is
+    (B B^T - B X_w^T K^-1 X_w B^T) / delta and each direction is X_c^T a,
+    a = H^T u - K^-1 X_w B^T u (times 1/delta; K commutes with P_w, so
+    K^-1 keeps X_w B^T in P_w's range).  A K that is not positive definite
+    even so reports the same error, with the largest entry of K / n =
+    S_w + delta I in row coordinates."""
+    G, counts, K, XwBt, BBt, finish = _class_gram(X, y)
+    if not G.any():
+        raise ValidationError(_NO_VARIANCE)
+    C, n = len(counts), len(G)
+    if C < 2:
+        return None
+    _check_ridge(delta, np.trace(G) / n, K.diagonal() / n)
     K[np.diag_indices(n)] += n * delta
     try:
         np.linalg.cholesky(K)
     except np.linalg.LinAlgError:
         raise _ridge_error(np.abs(K).max() / n, delta) from None
-    root = np.sqrt(counts)
-    XwBt = PGm * root
     KXwBt = np.linalg.solve(K, XwBt)
-    w, U = np.linalg.eigh((Gmm * np.outer(root, root) - XwBt.T @ KXwBt)
-                          / delta)
+    w, U = np.linalg.eigh((BBt - XwBt.T @ KXwBt) / delta)
     if linalg.nonzero(w).sum() != C - 1:
         return None
-    U = U[:, ::-1][:, :C - 1]
-    a = np.empty((n, C - 1))
-    a[order] = (U / root[:, None])[cls] - KXwBt @ U
-    return _baseline_model(X, labels, rows, lambda D: centred.T @ D, a,
-                           "regLDA", {"delta": delta}, gram=a.T @ G @ a)
+    return finish(KXwBt, U[:, ::-1][:, :C - 1], "regLDA", {"delta": delta})
 
 
 def pca_lda(X, y, residual_threshold: float = 1e-2) -> DiscriminantModel:
@@ -639,13 +666,24 @@ def pca_lda(X, y, residual_threshold: float = 1e-2) -> DiscriminantModel:
 
 def null_lda(X, y) -> DiscriminantModel:
     """Discriminant directions inside the null space of the within-class
-    scatter, the frame's complement plus Q N_r for N_r the null space of
-    Q^T S_w Q.  The centred class means have no part in the complement, so
-    the directions are Q N_r times the leading eigenvectors of the between
-    scatter of the means projected onto N_r (info["between_eigenvalues"]).
+    scatter: (I - Pi_w) B^T u for the projector Pi_w onto the range of S_w
+    and the top C - 1 eigenvectors u of B (I - Pi_w) B^T / n, the between
+    scatter of the centred class means projected onto that null space
+    (Ye & Xiong, JMLR 2006), whose eigenvalues info["between_eigenvalues"]
+    records.  Where n <= L they come from the centred rows' n x n Gram in
+    closed form (``_gram_null_lda``), unless its certificate fails or
+    fewer than C - 1 of them are nonzero.  Otherwise they come from the
+    centred-data frame Q: the null space is the frame's complement plus
+    Q N_r for N_r the null space of Q^T S_w Q, and the centred class means
+    have no part in the complement, so the directions are Q N_r times the
+    leading eigenvectors of the means' between scatter projected onto N_r.
     NotApplicableError when none of those is nonzero: the centred class
     means then lie in the range of S_w, and any direction is arbitrary."""
     X = np.asarray(X, dtype=float)
+    if X.shape[0] <= X.shape[1]:
+        model = _gram_null_lda(X, y)
+        if model is not None:
+            return model
     labels, rows, s, Z, lift = _centred_frame(X, y)
     zmeans, counts, Sw = _frame_statistics(Z, rows)
     # S_w's rounding is relative to the total scatter diag(s^2) / n >= S_w,
@@ -670,3 +708,39 @@ def null_lda(X, y) -> DiscriminantModel:
     return _baseline_model(X, labels, rows, lift, D, "nullLDA",
                            info={"null_dim": null_dim,
                                  "between_eigenvalues": top.tolist()})
+
+
+def _gram_null_lda(X, y):
+    """nullLDA from the Gram G_c = X_c X_c^T of the centred rows X_c = X - m
+    (``_class_gram``), or None where the frame route must decide: fewer
+    than 2 classes, a certificate that fails, or fewer than C - 1 nonzero
+    between eigenvalues.
+
+    The range of S_w is that of X_w^T, so Pi_w = X_w^T K_w^+ X_w with
+    K_w = X_w X_w^T = P_w G_c P_w, whose null space holds the class
+    indicators, range(I - P_w).  K' = K_w + c (I - P_w), c the largest
+    absolute row sum of G_c (of the total scatter's scale), is K_w on
+    P_w's range and c on the rest; ``_certified(K')`` finds it positive
+    definite when X_w has rank n - C and no s^2 ratio below what
+    gram_frame keeps (not with repeated rows, a within scatter zero to
+    rounding, or one near its rank cut).  K' commutes with P_w, so one
+    solve gives Y = K'^-1 X_w B^T = K_w^+ X_w B^T: the C x C matrix is
+    (B B^T - B X_w^T Y) / n, its eigenvalues are counted against the total
+    scatter's scale c / n, and each direction is X_c^T a, a = H^T u - Y u.
+    The null space has dimension L - n + C."""
+    G, counts, K, XwBt, BBt, finish = _class_gram(X, y)
+    C, n = len(counts), len(G)
+    if C < 2:
+        return None
+    cls = np.repeat(np.arange(C), counts)
+    c = np.abs(G).sum(axis=1).max()
+    K += c * np.equal.outer(cls, cls) / counts[cls]  # + c (I - P_w)
+    if not _certified(K):
+        return None
+    Y = np.linalg.solve(K, XwBt)
+    w, U = np.linalg.eigh((BBt - XwBt.T @ Y) / n)
+    if linalg.nonzero(w, scale=c / n).sum() != C - 1:
+        return None
+    return finish(Y, U[:, ::-1][:, :C - 1], "nullLDA",
+                  {"null_dim": X.shape[1] - n + C,
+                   "between_eigenvalues": w[::-1][:C - 1].tolist()})

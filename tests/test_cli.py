@@ -1169,10 +1169,11 @@ def test_out_of_range_parameter_rejected_before_loading(tmp_path, capsys,
 
 def test_results_do_not_depend_on_blas_threads(tmp_path):
     """gfda eval in a process at OPENBLAS_NUM_THREADS=1 and one at 2 writes
-    byte-identical eval CSVs for gfda, gfda-linear and GDS, plain and
-    --normalize, at README scale and at an image-like shape (K = 32 far
-    below L = 400).  The rows' Gram G = X X^T and the lifts are the steps
-    a thread count could reblock."""
+    byte-identical eval CSVs for gfda, gfda-linear, GDS, regLDA and
+    nullLDA, plain and --normalize, at README scale and at an image-like
+    shape (K = 32 far below L = 400).  Both shapes have n <= L, so regLDA
+    and nullLDA build from the centred rows' Gram.  The rows' Gram
+    G = X X^T and the lifts are the steps a thread count could reblock."""
     import os
     import subprocess
     import sys
@@ -1186,7 +1187,7 @@ def test_results_do_not_depend_on_blas_threads(tmp_path):
             assert run("synth", "--kind", kind, "--classes", str(classes),
                        "--dim", str(dim), "--count", str(count), "--seed", "3",
                        "--sample-seed", seed, "--out", path) == 0
-        for method in ("gfda", "gfda-linear", "gds"):
+        for method in ("gfda", "gfda-linear", "gds", "regLDA", "nullLDA"):
             for normalize in ([], ["--normalize"]):
                 argvs.append(["eval", "--train", paths[0], "--test", paths[1],
                               "--method", method, *normalize, "--train-count",

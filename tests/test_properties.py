@@ -390,22 +390,27 @@ def spectrum_rows(rng, sizes, L, ratio, distinct):
 
 
 @st.composite
-def centred_spectra(draw, wide=False):
+def spectrum_draws(draw, wide=False, ratios=(1.0, 1e-2, 1e-4)):
     """Rows of 2-6 classes of 2-5 samples, n in all, in dimension L: either
     n - 3 <= L < n, where the frame fills the space, or n <= L <= 200 (the
     latter always when wide).  The centred distinct rows have singular
-    values falling geometrically from 1 to s_min/s_max in {1, 1e-2, 1e-4}.
+    values falling geometrically from 1 to s_min/s_max, one of ratios.
     With repeats, each class repeats some of its rows, so
-    rank(X - m) < n - 1."""
+    rank(X - m) < n - 1.  Returns (X, y, ratio, repeats)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.integers(2, 5), min_size=2, max_size=6))
     n = sum(sizes)
     L = (n - draw(st.integers(1, 3)) if not wide and draw(st.booleans())
          else draw(st.integers(n, 200)))
-    ratio = draw(st.sampled_from([1.0, 1e-2, 1e-4]))
+    ratio = draw(st.sampled_from(ratios))
     repeats = draw(st.booleans())
     distinct = [draw(st.integers(1, k - 1)) if repeats else k for k in sizes]
-    return spectrum_rows(rng, sizes, L, ratio, distinct)
+    return spectrum_rows(rng, sizes, L, ratio, distinct) + (ratio, repeats)
+
+
+def centred_spectra(wide=False):
+    """spectrum_draws' (X, y) at s_min/s_max in {1, 1e-2, 1e-4}."""
+    return spectrum_draws(wide).map(lambda draw: draw[:2])
 
 
 FDA_FAMILY = (gfda.fda, gfda.reg_lda, gfda.pca_lda, gfda.null_lda)
@@ -552,31 +557,133 @@ def repeated_class_rows():
     return X, np.repeat(["a", "b", "c"], 4)
 
 
-def large_rows():
-    """Three rows per class of the 1e6-scale rows in 4 classes (20 x 40) of
-    test_ridge_below_scatter_rounding_exit_1: the within scatter's
-    rounding swamps the ridge 1e-4, so both routes raise."""
-    X = 1e6 * np.random.default_rng(0).standard_normal((20, 40))
-    return X[:12], np.array([f"c{i % 4}" for i in range(12)])
+def ridge_rows(scale, n, faint=0):
+    """The first n of the 20 rows in 4 classes (L = 40) of
+    test_ridge_below_scatter_rounding_exit_1, their first faint features
+    scaled by 1e-3, all at the given scale."""
+    X = np.random.default_rng(0).standard_normal((20, 40))[:n]
+    X[:, :faint] *= 1e-3
+    return scale * X, np.array([f"c{i % 4}" for i in range(n)])
 
 
-@pytest.mark.parametrize("data,gram", [
-    (lambda: offset_rows(1.0), True), (lambda: offset_rows(10.0), True),
-    (lambda: offset_rows(100.0), True), (lambda: offset_rows(1000.0), True),
-    (repeated_class_rows, False),
-    (large_rows, True),
+@pytest.mark.parametrize("data,gram,raises", [
+    (lambda: offset_rows(1.0), True, False),
+    (lambda: offset_rows(10.0), True, False),
+    (lambda: offset_rows(100.0), True, False),
+    (lambda: offset_rows(1000.0), True, False),
+    (repeated_class_rows, False, False),
+    (lambda: ridge_rows(1e6, 12), True, True),
+    (lambda: ridge_rows(10**5.75, 20), True, True),
+    (lambda: ridge_rows(10**5.75, 12, faint=5), True, True),
 ], ids=["offset-1", "offset-10", "offset-100", "offset-1000",
-        "rank-1-between", "scale-1e6"])
-def test_reg_lda_gram_route_edge_sets(data, gram):
+        "rank-1-between", "scale-1e6", "scale-1e5.75", "scale-1e5.75-faint"])
+def test_reg_lda_gram_route_edge_sets(data, gram, raises):
     """The Gram route against the frame route on the offset family, a
     between scatter of rank below C - 1 and rows whose ridge is below the
-    scatter's rounding (both routes raise the ridge error)."""
+    scatter's rounding.  Those raise the ridge error on both routes, by
+    one rule checked before either factorizes (``fisher._check_ridge``):
+    where each route decided by its own Cholesky, the Gram route raised
+    and the frame route built a model on the 20 rows at 10^5.75 and on 12
+    of them with 5 faint features."""
     X, y = data()
     assert_gram_route_matches_frame(X, y, gram)
-    if data is large_rows:
+    if raises:
         assert "largest entry" in built(gfda.reg_lda, X, y)
     if not gram:
         assert gfda.reg_lda(X, y).dim == 2
+
+
+def assert_null_lda_routes_agree(X, y, gram):
+    """nullLDA's Gram route (``fisher._gram_null_lda``) against its frame
+    route, forced by that function returning None, at n <= L: the route
+    taken (gram True: the Gram route builds the model; False: it hands the
+    model on; None: either), the same error word for word, or the same
+    dimension and null dimension, between_eigenvalues to EIG_TOL of the
+    total scatter's largest eigenvalue (the scale of their rounding on
+    either route) and a projector span within 1e-9 (the bound of
+    assert_same_models), orthonormal to 8 k eps."""
+    real, taken = fisher._gram_null_lda, []
+    with mock.patch.object(fisher, "_gram_null_lda",
+                           lambda *a: taken.append(real(*a)) or taken[-1]):
+        got = built(gfda.null_lda, X, y)
+    with mock.patch.object(fisher, "_gram_null_lda", return_value=None):
+        ref = built(gfda.null_lda, X, y)
+    assert len(taken) == 1
+    if gram is not None:
+        assert (taken[0] is not None) == gram
+    if isinstance(ref, str):
+        assert got == ref
+        return
+    assert got.dim == ref.dim and got.info["null_dim"] == ref.info["null_dim"]
+    total = np.linalg.norm(X - X.mean(axis=0), 2) ** 2 / len(X)
+    npt.assert_allclose(got.info["between_eigenvalues"],
+                        ref.info["between_eigenvalues"], rtol=0,
+                        atol=EIG_TOL * total)
+    assert sine_distance(ref.projector, got.projector) <= 1e-9
+    assert_orthonormal_to_rounding(got.projector)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(spectrum_draws(wide=True, ratios=(1.0, 1e-1, 1e-2, 1e-4)))
+def test_null_lda_gram_route_matches_frame_route(draw):
+    """At n <= L nullLDA builds from the centred rows' Gram; it matches the
+    frame route (assert_null_lda_routes_agree) on centred spectra at s^2
+    ratios 1, 1e-2, 1e-4 and 1e-8.  Without repeats and down to s^2 ratio
+    1e-4 the within Gram is certified (its smallest eigenvalue on P_w's
+    range is at least s_min^2), so the Gram route builds the model; with
+    repeats X_w has rank below n - C, and it hands the model on."""
+    X, y, ratio, repeats = draw
+    assert_null_lda_routes_agree(X, y, False if repeats
+                                 else True if ratio >= 1e-2 else None)
+
+
+def means_in_within_rows(inside):
+    """3 classes of 4 rows in L = 20 whose class-centred rows span 9
+    dimensions, with inside of the 2 centred class-mean directions in that
+    span: the between scatter projected onto the null space of S_w has
+    rank 2 - inside."""
+    rng = np.random.default_rng(11)
+    span = rng.standard_normal((11, 20))
+    within = rng.standard_normal((12, 9))
+    within -= np.repeat(within.reshape(3, 4, 9).mean(axis=1), 4, axis=0)
+    means = rng.standard_normal((3, 2))
+    means -= means.mean(axis=0)
+    directions = np.vstack([span[:inside], span[9:11 - inside]])
+    X = within @ span[:9] + np.repeat(means @ directions, 4, axis=0)
+    return X, np.repeat(["a", "b", "c"], 4)
+
+
+@pytest.mark.parametrize("data,gram,dim", [
+    (lambda: offset_rows(1.0), True, 29), (lambda: offset_rows(10.0), True, 29),
+    (lambda: offset_rows(100.0), True, 29),
+    (lambda: offset_rows(1000.0), True, 29),
+    (lambda: (5.0 * np.eye(3), ["a", "b", "c"]), True, 2),
+    (lambda: (np.repeat(np.random.default_rng(2).standard_normal((3, 24))
+                        + 3.0, 3, axis=0), np.repeat(["a", "b", "c"], 3)),
+     False, 2),
+    (lambda: means_in_within_rows(2), False, None),
+    (lambda: means_in_within_rows(1), False, 1),
+    (lambda: spectrum_rows(np.random.default_rng(43), [2, 2, 5], 9, 1e-4,
+                           [2, 2, 5]), False, 2),
+], ids=["offset-1", "offset-10", "offset-100", "offset-1000",
+        "zero-within-singletons", "zero-within-repeats", "means-inside",
+        "one-mean-inside", "guard-s2-1e-8"])
+def test_null_lda_gram_route_edge_sets(data, gram, dim):
+    """nullLDA's routes (assert_null_lda_routes_agree) on the offset
+    family, a within scatter that is zero (exactly, for one row per class;
+    to rounding, for repeated rows), class means inside the within range
+    (NotApplicableError) or one of two inside (a one-dimensional model,
+    from the frame), and the nine rows of test_centred_frame_guard at s^2
+    ratio 1e-8, whose certificate fails: taken from the Gram there, an
+    uncertified form of this route sat 3.8e-9 from the frame."""
+    X, y = data()
+    assert_null_lda_routes_agree(X, y, gram)
+    model = built(gfda.null_lda, X, y)
+    if dim is None:
+        assert model.startswith("NotApplicableError: the centred class means "
+                                "lie in the range")
+    else:
+        assert model.dim == dim
 
 
 def svd_union_frame(ens):
