@@ -450,12 +450,12 @@ def _ridge_error(largest, ridge):
 
 
 def _check_ridge(ridge, total, within_diagonal):
-    """regLDA's one ridge rule, which both of its routes apply before they
-    factorize anything: a ridge at most eps times total, the trace of the
-    total scatter, is below the within scatter's rounding, which is
-    relative to the total scatter (the Gram route forms the within Gram by
-    subtraction from the centred rows' Gram).  The error names the largest
-    entry of the regularized within matrix, on its diagonal."""
+    """regLDA's one ridge rule where n <= L, which both of its routes apply
+    there before they factorize anything: a ridge at most eps times total,
+    the trace of the total scatter, is below the within scatter's rounding,
+    which is relative to the total scatter (the Gram route forms the within
+    Gram by subtraction from the centred rows' Gram).  The error names the
+    largest entry of the regularized within matrix, on its diagonal."""
     if ridge <= np.finfo(float).eps * total:
         raise _ridge_error(within_diagonal.max() + ridge, ridge)
 
@@ -535,9 +535,10 @@ def reg_lda(X, y, delta: float = 1e-4) -> DiscriminantModel:
     that matrix has fewer than C - 1 nonzero eigenvalues.  Otherwise
     (S_b, S_w + delta I) is solved on the centred-data frame Q, where it is
     block-diagonal against the complement on which S_b vanishes: the
-    directions of (Q^T S_b Q, Q^T S_w Q + delta I) lifted by Q.  Both
-    routes hold delta to one rule (``_check_ridge``).  Rows with no
-    variance leave no direction: ValidationError."""
+    directions of (Q^T S_b Q, Q^T S_w Q + delta I) lifted by Q.  Where
+    n <= L, both routes hold delta to one rule (``_check_ridge``); where
+    n > L, S_w may be nonsingular, and the frame's Cholesky decides alone.
+    Rows with no variance leave no direction: ValidationError."""
     _check_delta(delta)
     X = np.asarray(X, dtype=float)
     if X.shape[0] <= X.shape[1]:
@@ -549,23 +550,27 @@ def reg_lda(X, y, delta: float = 1e-4) -> DiscriminantModel:
         raise ValidationError(_NO_VARIANCE)
     zmeans, counts, Sw = _frame_statistics(Z, rows)
     Sb = between_scatter(zmeans, counts)
-    _check_ridge(delta, s @ s / len(X), Sw.diagonal())
+    if X.shape[0] <= X.shape[1]:
+        _check_ridge(delta, s @ s / len(X), Sw.diagonal())
     D, _ = _top_generalized_directions(Sb, Sw, len(labels) - 1, ridge=delta)
     return _baseline_model(X, labels, rows, lift, D, "regLDA", {"delta": delta})
 
 
 def _class_gram(X, y):
     """The Gram routes' start, on G_c = X_c X_c^T of the centred rows X_c =
-    X - m: (G_c, counts, K_w, X_w B^T, B B^T, finish).  With the rows
+    X - m: (G_c, cls, K_w, X_w B^T, B B^T, finish).  With the rows
     sorted by class, B = H X_c holds the C rows sqrt(n_c) (m_c - m) and
     X_w = P_w X_c the class-centred rows, where H averages each class's
     rows, times sqrt(n_c), and P_w subtracts its class's mean from each
     row; both act on G_c by block sums and repeats, so K_w = X_w X_w^T =
     P_w G_c P_w, X_w B^T = P_w G_c H^T and B B^T = H G_c H^T are n x n,
-    n x C and C x C, in the sorted order.  finish(Y, U, method, info) is
-    both routes' ending: the directions X_c^T a, a = H^T U - Y U for the
-    (n, C) solve Y and the (C, C - 1) eigenvectors U, lifting only those
-    columns, through ``_baseline_model`` with pass 1 on a^T G_c a."""
+    n x C and C x C, in the sorted order, where cls holds each sorted row's
+    class index.  finish(Y, U, method, info) is both routes' ending:
+    the directions X_c^T a, a = H^T U - Y U for the (n, C) solve Y and the
+    (C, C - 1) eigenvectors U, lifting only those columns, through
+    ``_baseline_model`` with pass 1 on a^T G_c a; or None, for the frame
+    to decide, where a is too ill-conditioned for that pass (a ridge near
+    the scatter's rounding leaves a^T G_c a indefinite)."""
     labels, rows, centred = _centred_rows(X, y)
     G = linalg.finite_gram(centred.T)
     order = np.concatenate(rows)
@@ -586,19 +591,23 @@ def _class_gram(X, y):
     def finish(Y, U, method, info):
         a = np.empty((len(G), U.shape[1]))
         a[order] = (U / root[:, None])[cls] - Y @ U
-        return _baseline_model(X, labels, rows, lambda D: centred.T @ D, a,
-                               method, info, gram=a.T @ G @ a)
+        try:
+            return _baseline_model(X, labels, rows, lambda D: centred.T @ D,
+                                   a, method, info, gram=a.T @ G @ a)
+        except np.linalg.LinAlgError:
+            return None
 
-    return (G, counts, Gs - Gm[cls] - PGm[:, cls], PGm * root,
+    return (G, cls, Gs - Gm[cls] - PGm[:, cls], PGm * root,
             Gmm * np.outer(root, root), finish)
 
 
 def _gram_reg_lda(X, y, delta):
     """regLDA from the Gram G_c = X_c X_c^T of the centred rows X_c = X - m
     (Cai, He & Han, "SRDA", TKDE 2008, on the Gram side), or None where the
-    frame route must decide: fewer than 2 classes, or fewer than C - 1
+    frame route must decide: fewer than 2 classes, fewer than C - 1
     nonzero eigenvalues of B (S_w + delta I)^-1 B^T, whose extra
-    eigenvectors would be rounding noise here.
+    eigenvectors would be rounding noise here, or directions too
+    ill-conditioned to orthonormalize in row coordinates.
 
     Woodbury gives (S_w + delta I)^-1 = (I - X_w^T K^-1 X_w) / delta with
     K = n delta I + X_w X_w^T on ``_class_gram``'s products.  Once delta
@@ -610,10 +619,10 @@ def _gram_reg_lda(X, y, delta):
     K^-1 keeps X_w B^T in P_w's range).  A K that is not positive definite
     even so reports the same error, with the largest entry of K / n =
     S_w + delta I in row coordinates."""
-    G, counts, K, XwBt, BBt, finish = _class_gram(X, y)
+    G, _, K, XwBt, BBt, finish = _class_gram(X, y)
     if not G.any():
         raise ValidationError(_NO_VARIANCE)
-    C, n = len(counts), len(G)
+    C, n = len(BBt), len(G)
     if C < 2:
         return None
     _check_ridge(delta, np.trace(G) / n, K.diagonal() / n)
@@ -713,8 +722,9 @@ def null_lda(X, y) -> DiscriminantModel:
 def _gram_null_lda(X, y):
     """nullLDA from the Gram G_c = X_c X_c^T of the centred rows X_c = X - m
     (``_class_gram``), or None where the frame route must decide: fewer
-    than 2 classes, a certificate that fails, or fewer than C - 1 nonzero
-    between eigenvalues.
+    than 2 classes, a certificate that fails, fewer than C - 1 nonzero
+    between eigenvalues, or directions too ill-conditioned to
+    orthonormalize in row coordinates.
 
     The range of S_w is that of X_w^T, so Pi_w = X_w^T K_w^+ X_w with
     K_w = X_w X_w^T = P_w G_c P_w, whose null space holds the class
@@ -728,13 +738,13 @@ def _gram_null_lda(X, y):
     (B B^T - B X_w^T Y) / n, its eigenvalues are counted against the total
     scatter's scale c / n, and each direction is X_c^T a, a = H^T u - Y u.
     The null space has dimension L - n + C."""
-    G, counts, K, XwBt, BBt, finish = _class_gram(X, y)
-    C, n = len(counts), len(G)
+    G, cls, K, XwBt, BBt, finish = _class_gram(X, y)
+    C, n = len(BBt), len(G)
     if C < 2:
         return None
-    cls = np.repeat(np.arange(C), counts)
     c = np.abs(G).sum(axis=1).max()
-    K += c * np.equal.outer(cls, cls) / counts[cls]  # + c (I - P_w)
+    same = np.equal.outer(cls, cls)
+    K += c * same / same.sum(axis=0)  # + c (I - P_w)
     if not _certified(K):
         return None
     Y = np.linalg.solve(K, XwBt)

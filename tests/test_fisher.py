@@ -832,6 +832,21 @@ class TestBaselines:
         cos = reference.canonical_angles(model.projector, plain.projector).cosines
         assert cos.min() >= 1 - 1e-6
 
+    @pytest.mark.parametrize("scale", [5e5, 1e6])
+    def test_reg_lda_ridge_rule_leaves_full_rank_within_alone(self, scale):
+        # at n > L the within scatter can be nonsingular, so a ridge far
+        # below its rounding does no harm: the frame's Cholesky decides,
+        # and the model is plain FDA's (the n <= L ridge rule would raise
+        # here, since delta = 1e-4 < eps tr(S_t) ~ 4e-4 at scale 1e6)
+        X = scale * np.random.default_rng(0).standard_normal((100, 2))
+        y = np.repeat(["a", "b"], 50)
+        total = np.trace(np.cov(X.T, bias=True))
+        assert 1e-4 <= np.finfo(float).eps * total * 10
+        model = gfda.reg_lda(X, y)
+        cos = reference.canonical_angles(model.projector,
+                                         gfda.fda(X, y).projector).cosines
+        assert model.dim == 1 and cos.min() >= 1 - 1e-12
+
     def test_reg_lda_default_delta(self):
         import inspect
         assert inspect.signature(gfda.reg_lda).parameters["delta"].default \

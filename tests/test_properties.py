@@ -557,6 +557,16 @@ def repeated_class_rows():
     return X, np.repeat(["a", "b", "c"], 4)
 
 
+def identical_class_rows():
+    """Two classes of the same four rows in L = 15, features of scales
+    e^-8 to 1 on a common offset of about 20: the between scatter is zero
+    to rounding, which regLDA's 1 / delta amplifies into its directions."""
+    rng = np.random.default_rng(2)
+    base = (rng.standard_normal((4, 15)) * np.exp(rng.uniform(-8, 0, 15))
+            + 20 * rng.standard_normal(15))
+    return np.vstack([base, base]), np.repeat(["a", "b"], 4)
+
+
 def ridge_rows(scale, n, faint=0):
     """The first n of the 20 rows in 4 classes (L = 40) of
     test_ridge_below_scatter_rounding_exit_1, their first faint features
@@ -572,16 +582,21 @@ def ridge_rows(scale, n, faint=0):
     (lambda: offset_rows(100.0), True, False),
     (lambda: offset_rows(1000.0), True, False),
     (repeated_class_rows, False, False),
+    (identical_class_rows, False, False),
     (lambda: ridge_rows(1e6, 12), True, True),
     (lambda: ridge_rows(10**5.75, 20), True, True),
     (lambda: ridge_rows(10**5.75, 12, faint=5), True, True),
 ], ids=["offset-1", "offset-10", "offset-100", "offset-1000",
-        "rank-1-between", "scale-1e6", "scale-1e5.75", "scale-1e5.75-faint"])
+        "rank-1-between", "identical-classes", "scale-1e6", "scale-1e5.75",
+        "scale-1e5.75-faint"])
 def test_reg_lda_gram_route_edge_sets(data, gram, raises):
     """The Gram route against the frame route on the offset family, a
-    between scatter of rank below C - 1 and rows whose ridge is below the
-    scatter's rounding.  Those raise the ridge error on both routes, by
-    one rule checked before either factorizes (``fisher._check_ridge``):
+    between scatter of rank below C - 1, one zero to rounding (whose
+    directions' Gram a^T G_c a is not positive definite, so CholeskyQR2's
+    first pass cannot run in row coordinates: the Gram route hands the
+    model on, where it raised numpy's LinAlgError) and rows whose ridge is
+    below the scatter's rounding.  Those raise the ridge error on both
+    routes, by one rule checked before either factorizes (``_check_ridge``):
     where each route decided by its own Cholesky, the Gram route raised
     and the frame route built a model on the 20 rows at 10^5.75 and on 12
     of them with 5 faint features."""
@@ -590,7 +605,32 @@ def test_reg_lda_gram_route_edge_sets(data, gram, raises):
     if raises:
         assert "largest entry" in built(gfda.reg_lda, X, y)
     if not gram:
-        assert gfda.reg_lda(X, y).dim == 2
+        assert gfda.reg_lda(X, y).dim == len(np.unique(y)) - 1
+
+
+@pytest.mark.parametrize("above", [1.001, 2.0, 10.0])
+@pytest.mark.parametrize("data", [
+    lambda: ridge_rows(1e6, 12),
+    lambda: ridge_rows(10**5.75, 20),
+    lambda: ridge_rows(10**5.75, 12, faint=5),
+    lambda: ridge_rows(1.0, 20),
+], ids=["scale-1e6", "scale-1e5.75", "scale-1e5.75-faint", "scale-1"])
+def test_reg_lda_routes_agree_just_above_ridge_rule(data, above):
+    """Just above the ridge rule's threshold eps tr(S_t) each route's own
+    Cholesky, kept as a backstop, still succeeds, so both routes build a
+    model of C - 1 columns.  Their projectors are not compared: near the
+    threshold cond(n delta I + X_w X_w^T) is about eps^-1, and they differ
+    by up to 4e-2 (sine)."""
+    X, y = data()
+    centred = X - X.mean(axis=0)
+    delta = above * np.finfo(float).eps * np.sum(centred**2) / len(X)
+    real, taken = fisher._gram_reg_lda, []
+    with mock.patch.object(fisher, "_gram_reg_lda",
+                           lambda *a: taken.append(real(*a)) or taken[-1]):
+        assert gfda.reg_lda(X, y, delta).dim == 3
+    assert taken[0] is not None
+    with mock.patch.object(fisher, "_gram_reg_lda", return_value=None):
+        assert gfda.reg_lda(X, y, delta).dim == 3
 
 
 def assert_null_lda_routes_agree(X, y, gram):
