@@ -64,6 +64,9 @@ _IGNORED_KEYS = {
 
 MODEL_FORMAT = "gfda-model-v2"
 
+# One eval CSV row and one report in memory each; past any protocol's need.
+MAX_REPETITIONS = 10**6
+
 
 @dataclass
 class ExperimentConfig:
@@ -134,6 +137,8 @@ class ExperimentConfig:
             value = getattr(self, key)
             if value is not None and value < low:
                 raise ValidationError(f"{key} must be >= {low}")
+        if self.repetitions > MAX_REPETITIONS:
+            raise ValidationError(f"repetitions must be <= {MAX_REPETITIONS}")
         for key, check in _PARAM_CHECKS.items():
             if getattr(self, key) is not None:
                 check(getattr(self, key))
@@ -584,7 +589,7 @@ def main(argv=None) -> int:
             return args.func(args)
     except SystemExit as exc:  # --help, the one exit argparse is left
         return exc.code
-    except (GfdaError, OSError) as exc:
+    except (GfdaError, OSError, MemoryError) as exc:  # numpy names the array
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -320,9 +320,9 @@ def gfda_linear_form(ensemble: SubspaceEnsemble) -> DiscriminantModel:
         W = vectors[:, :k]
         P = W @ (W.T @ (F_Z - F_Z.mean(axis=0))[:k].T)
         coords = linalg.gram_schmidt(P) if P.any() else W[:, :0]
-        if coords.shape[1] < k:  # overlap: sign-fixed eigenvectors complete it
+        if coords.shape[1] < k:  # overlap: eigenvectors, signed when lifted
             coords = linalg.gram_schmidt(
-                np.hstack([coords, linalg.fix_signs(W)]))[:, :k]
+                np.hstack([coords, W * linalg.column_signs(lift(W))]))[:, :k]
         projector, T = linalg.cholesky_qr2(lift, coords)
         refs = F_Z @ coords @ T
     return DiscriminantModel(
@@ -467,7 +467,7 @@ def _top_generalized_directions(between, within, k, ridge=0.0, scale=None):
     of the total scatter, to which within's rounding is relative.  A ridge
     is added to the caller's within matrix in place; one below the
     scatter's rounding leaves it indefinite, a ValidationError.  With
-    within = L L^T, solves L^-1 between L^-T, fixes signs, lifts by L^-T."""
+    within = L L^T, solves L^-1 between L^-T, lifts by L^-T (eigh's signs)."""
     if ridge:
         within[np.diag_indices_from(within)] += ridge
     elif not linalg.nonzero(np.linalg.eigvalsh(within), scale=scale).all():
@@ -477,7 +477,7 @@ def _top_generalized_directions(between, within, k, ridge=0.0, scale=None):
     except np.linalg.LinAlgError:
         raise _ridge_error(np.abs(within).max(), ridge) from None
     w, V = np.linalg.eigh(Linv @ between @ Linv.T)
-    return (Linv.T @ linalg.fix_signs(V, copy=False))[:, ::-1][:, :k], w[::-1][:k]
+    return (Linv.T @ V)[:, ::-1][:, :k], w[::-1][:k]
 
 
 def _baseline_model(X, labels, rows, lift, coords, method, info, gram=None):
@@ -710,10 +710,7 @@ def null_lda(X, y) -> DiscriminantModel:
         raise NotApplicableError(
             "the centred class means lie in the range of the within-class "
             "scatter, so no null direction separates them; nullLDA does not apply")
-    # N_r is whatever basis eigh gives a repeated (zero) eigenvalue, so the
-    # signs are fixed on the directions in frame coordinates, which the
-    # data determine
-    D = linalg.fix_signs(Nr @ V[:, ::-1][:, :len(labels) - 1], copy=False)
+    D = Nr @ V[:, ::-1][:, :len(labels) - 1]
     return _baseline_model(X, labels, rows, lift, D, "nullLDA",
                            info={"null_dim": null_dim,
                                  "between_eigenvalues": top.tolist()})

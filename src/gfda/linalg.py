@@ -17,12 +17,13 @@ diagonal, dropping a vector whose residual is at most RANK_TOL times its
 norm; ``cholesky_qr2``, with no threshold, for the directions gFDA-linear
 and the FDA family choose in coordinates), the sign convention
 (``fix_signs``: first nonzero component positive, the one implementation,
-``column_signs``, applied to every factorization's vectors and every
-formed frame or basis) and when columns count as orthonormal
+``column_signs``, applied where a vector reaches L dimensions, to
+``range_basis``'s U and every formed frame or basis; coordinates keep
+LAPACK's signs) and when columns count as orthonormal
 (``as_ortho_basis``: one Q^T Q, the one orthonormality rule).
 ``sym_eig`` reports eigenvalues ascending, ``range_basis`` and
-``gram_frame`` singular values descending, all with sign-fixed vectors, so
-downstream constructions are reproducible bit for bit.
+``gram_frame`` singular values descending, so downstream constructions
+are reproducible bit for bit.
 """
 
 from dataclasses import dataclass
@@ -96,8 +97,9 @@ def fix_signs(V, copy=True):
     """Flip eigenvector columns so the first nonzero component is positive.
 
     A component counts as nonzero above 1e-12 of its column's largest
-    magnitude.  The sign convention makes every spectral factorization in
-    the package deterministic.  V is one (n, k) matrix or a stack of them
+    magnitude.  Applied once to each vector, in L dimensions, it makes
+    every basis and model independent of LAPACK's signs.  V is one (n, k)
+    matrix or a stack of them
     (..., n, k); the columns of each matrix are fixed on their own.
     Returns a copy, or flips V, a float array, in place with copy=False.
     """
@@ -147,15 +149,11 @@ def range_basis(A):
     with nonzero(s^2), one per matrix of a stack.  s descends, so the
     basis is U[:, :r] with singular values s[:r] (U[i, :, :r[i]],
     s[i, :r[i]] for matrix i).  An s^2 past the float range raises
-    ValidationError.
+    ``finite_gram``'s ValidationError: s^2 is A's Gram's spectrum.
     """
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     with np.errstate(over="ignore"):
-        s2 = s**2
-    if not np.isfinite(s2).all():
-        raise ValidationError("samples overflow: the square of their largest "
-                              f"singular value {s.max():.3g} exceeds the "
-                              "float range; rescale the data")
+        s2 = finite_gram(A, s**2)
     r = nonzero(s2).sum(axis=-1)
     fix_signs(U, copy=False)
     return U, s, r
@@ -165,8 +163,8 @@ def gram_frame(A, G=None, C=None):
     """Orthonormal frame Q of the column span of the (L, K) matrix
     Phi = A C (A itself when C is None) from one eigh of its K x K Gram
     G = Phi^T Phi = V diag(s^2) V^T (the caller's, if given, and required
-    with C): (s, Z, lift) for the r entries with nonzero(s^2), V
-    sign-fixed.  s descends; Z = Phi^T Q = V diag(s) holds Phi's columns in
+    with C): (s, Z, lift) for the r entries with nonzero(s^2), V with
+    eigh's signs.  s descends; Z = Phi^T Q = V diag(s) holds Phi's columns in
     Q = Phi V diag(1/s); lift(D) = Q[:, :k'] D = A (C (V diag(1/s) D)) maps
     (k', k) coordinates to L dimensions, and lift(columns=k) forms Q's k
     smallest-s columns (all r by default, ``_formed_frame``) in ascending
@@ -186,7 +184,6 @@ def gram_frame(A, G=None, C=None):
     drift = np.finfo(float).eps * s2[0] / s2[-1] if r else 0.0
     if drift > ORTHO_IP_TOL:
         return _lifted_frame(A if C is None else A @ C)
-    fix_signs(V, copy=False)
     s = np.sqrt(s2)
     W, Z = V / s, V * s
 
@@ -201,8 +198,8 @@ def gram_frame(A, G=None, C=None):
 
 
 def finite_gram(A, G=None):
-    """The Gram A^T A (or the caller's G), checked: an entry past the float
-    range raises ValidationError."""
+    """The Gram A^T A (or the caller's G, or its spectrum), checked: an entry
+    past the float range raises ValidationError."""
     with np.errstate(over="ignore", invalid="ignore"):
         G = A.T @ A if G is None else G
     if not np.isfinite(G).all():

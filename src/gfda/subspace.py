@@ -111,11 +111,11 @@ class SubspaceEnsemble:
     samples : set by ``fit_ensemble`` when every class came from the sample
         Gram: (X, G, Mc, starts), the fitted rows X, each class's one run
         of rows starting at starts, their Gram G = X X^T and the (m, K)
-        coordinates Mc = blockdiag(W_c) of the pooled bases, Phi = X^T Mc.
-        X is read again where a basis or an output is lifted, so it must
-        not change while the ensemble is in use; a basis formed from
-        changed rows that are no longer orthonormal raises.  None for any
-        other ensemble, whose bases are stacked.
+        coordinates Mc = blockdiag(W_c) of the pooled bases (up to column
+        signs), Phi = X^T Mc.  X is read again where a basis or an output
+        is lifted, so it must not change while the ensemble is in use; a
+        basis formed from changed rows that are no longer orthonormal
+        raises.  None for any other ensemble, whose bases are stacked.
     """
 
     classes: tuple
@@ -252,20 +252,18 @@ def _fit_classes(X, labels, rows, dim, energy):
     V diag(s^2) V^T, one batched eigh per distinct size, run on the Grams
     rescaled by an exact power of two: eigenvalues s^2 / n cut by the rank
     rule and the dim/energy rule, and basis X_c^T W_c for W_c =
-    V diag(1/s) on the kept columns, sign-fixed by the basis' first row
-    X_c[:, 0] W_c (by the whole basis where an entry of that row is within
-    1e-12 of 0, which bounds 1e-12 of a unit column's largest entry) and
-    formed and checked on first read (``_basis_of``, with a CholeskyQR
-    pass past UNIT_NORM_TOL).  The Gram holds that basis to about drift =
-    eps s^2_max / s^2_min of the kept columns; past ORTHO_IP_TOL (or with
-    s^2_min below the normal range over eps) that class alone takes the
-    thin SVD ``linalg.range_basis(X_c^T)``, cut by the same rules, its
-    basis checked as it is cut (``linalg.as_ortho_basis``).  Where any
-    class has n > L rows, the smaller side decides: no Gram is formed and
-    every class takes that SVD.  Each class raises its error in turn, so
-    the first failing class in order raises.  The rank cut and the rules
-    keep leading columns and the eigenvalues descend, so the models skip
-    __post_init__.
+    V diag(1/s) on the kept columns with eigh's signs, the basis formed,
+    sign-fixed in L dimensions and checked on first read (``_basis_of``,
+    with a CholeskyQR pass past UNIT_NORM_TOL).  The Gram holds that basis
+    to about drift = eps s^2_max / s^2_min of the kept columns; past
+    ORTHO_IP_TOL (or with s^2_min below the normal range over eps) that
+    class alone takes the thin SVD ``linalg.range_basis(X_c^T)``, cut by
+    the same rules, its basis checked as it is cut
+    (``linalg.as_ortho_basis``).  Where any class has n > L rows, the
+    smaller side decides: no Gram is formed and every class takes that
+    SVD.  Each class raises its error in turn, so the first failing class
+    in order raises.  The rank cut and the rules keep leading columns and
+    the eigenvalues descend, so the models skip __post_init__.
 
     The class Grams are the diagonal blocks of the Gram G = X X^T of all
     the rows, one syrk.  samples is (X, G, Mc, starts) when every class
@@ -297,16 +295,10 @@ def _fit_classes(X, labels, rows, dim, energy):
             s2, V = np.ldexp(s2[:, ::-1], scale[:, None]), V[:, :, ::-1]
             kept = linalg.nonzero(s2)
             W = V / np.sqrt(np.where(kept, s2, 1.0))[:, None, :]
-            lead = (stack[:, None, :, 0] @ W)[:, 0]  # the bases' first rows
-            W *= np.where(lead < 0, -1.0, 1.0)[:, None, :]
-            # the columns before a first-row entry near 0 have their sign
-            signed = np.where((np.abs(lead) > 1e-12).all(axis=1), n,
-                              np.argmin(np.abs(lead) > 1e-12, axis=1))
-            for i, v, w, r, first, mean, nonzero in zip(
+            for i, v, w, r, mean, nonzero in zip(
                     members, s2 / n, W, kept.sum(axis=1).tolist(),
-                    signed.tolist(), stack.mean(axis=1),
-                    stack.any(axis=(1, 2))):
-                fits[i] = (v[:r], w, first, mean, nonzero)
+                    stack.mean(axis=1), stack.any(axis=(1, 2))):
+                fits[i] = (v[:r], w, mean, nonzero)
 
     classes, coords = [], []
     for label, start, n, fit in zip(labels, starts, sizes.tolist(), fits):
@@ -314,7 +306,7 @@ def _fit_classes(X, labels, rows, dim, energy):
         if fit is None:
             W, mean, nonzero = None, rows_c.mean(axis=0), rows_c.any()
         else:
-            vals, W, first, mean, nonzero = fit
+            vals, W, mean, nonzero = fit
             k = _kept(n, L, vals, nonzero, dim, energy)
             drift = EPS * vals[0] / vals[k - 1]
             if drift > linalg.ORTHO_IP_TOL or vals[k - 1] * n < TINY / EPS:
@@ -326,8 +318,6 @@ def _fit_classes(X, labels, rows, dim, energy):
             basis = linalg.as_ortho_basis(U[:, :k], f"class {label!r} basis")
         else:
             W = W[:, :k]
-            if first < k:  # a first-row entry near 0: the whole basis
-                W *= linalg.column_signs(rows_c.T @ W)
             coords.append(W)
             basis = _basis_of(label, rows_c, W, drift > linalg.UNIT_NORM_TOL)
         classes.append(ClassModel._fitted(label=label, basis=basis,

@@ -24,6 +24,14 @@ def _check_seed(seed, name="seed"):
         raise ValidationError(f"{name} must be >= 0, got {seed}")
 
 
+def _check_size(name, *counts):
+    """Reject prod(counts) floats past numpy's largest array before anything
+    is drawn; a count below 1 is left to the caller's own check."""
+    size = np.prod([max(int(c), 0) for c in counts], dtype=object)  # exact
+    if size > np.iinfo(np.intp).max // 8:
+        raise ValidationError(f"{name} = {size} exceeds numpy's largest array")
+
+
 def _rng(seed):
     """numpy's PCG64 generator for a seed, which must be >= 0."""
     _check_seed(seed)
@@ -122,8 +130,7 @@ def subspace_config(C, N, L, separation=1.0, seed=0) -> SubspaceEnsemble:
         raise ValidationError(
             f"C*N = {C * N} exceeds the ambient dimension {L}; "
             "the no-overlap assumption cannot hold")
-    if C * N * L > np.iinfo(np.intp).max // 8:  # numpy raises ValueError
-        raise ValidationError(f"C*N*L = {C*N*L} exceeds numpy's largest array")
+    _check_size("C*N*L", C, N, L)
     if not (0.0 < separation <= 1.0):
         raise ValidationError("separation must be in (0, 1]")
     rng = _rng(seed)
@@ -155,6 +162,7 @@ def labeled_gaussians(C, L, n_per_class, mean_norm, sigma_max, seed,
     """
     if C < 2 or L < 1:
         raise ValidationError(f"need C >= 2 and L >= 1, got {C} and {L}")
+    _check_size("C*count*L", C, n_per_class, L)
     _check_seed(sample_seed, "sample_seed")
     rng = _rng(seed)
     dirs = rng.standard_normal((C, L))
@@ -183,6 +191,7 @@ def class_mixture_bases(C, L, seed, basis_count=9, anchor_spread=0.4):
         raise ValidationError(
             "need C >= 2, L >= 1, basis_count >= 1 and a finite "
             f"anchor_spread, got {C}, {L}, {basis_count} and {anchor_spread}")
+    _check_size("C*basis_count*L", C, basis_count, L)
     rng = _rng(seed)
     out = []
     for _ in range(C):
@@ -202,6 +211,7 @@ def labeled_mixtures(C, L, n_per_class, mode, seed, basis_count=9,
     Set2 test set over the same families share the seed and differ in the
     sample seed.
     """
+    _check_size("C*count*L", C, n_per_class, L)  # before the families' loop
     _check_seed(sample_seed, "sample_seed")
     families = class_mixture_bases(C, L, seed, basis_count, anchor_spread)
     draw = seed if sample_seed is None else sample_seed

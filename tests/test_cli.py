@@ -69,6 +69,40 @@ class TestSynth:
         rep = evaluate(model, Xb, yb)
         assert rep.recognition_rate >= 95.0
 
+    @pytest.mark.parametrize("args,message", [
+        (["--kind", "gaussian", "--dim", str(10**18)],
+         f"C*count*L = {200 * 10**18}"),
+        (["--kind", "mixture-set1", "--dim", str(10**18)],
+         f"C*count*L = {200 * 10**18}"),
+        (["--kind", "gaussian", "--count", str(10**18)],
+         f"C*count*L = {500 * 10**18}"),
+        (["--kind", "mixture-set2", "--count", str(10**18)],
+         f"C*count*L = {500 * 10**18}"),
+        (["--kind", "mixture-set1", "--basis-count", str(10**18)],
+         f"C*basis_count*L = {500 * 10**18}"),
+        (["--kind", "gaussian", "--classes", str(10**18)],
+         f"C*count*L = {1000 * 10**18}"),
+    ], ids=["gaussian-dim", "mixture-dim", "gaussian-count", "mixture-count",
+            "basis-count", "gaussian-classes"])
+    def test_oversized_counts_exit_1(self, tmp_path, capsys, args, message):
+        # counts past numpy's largest array are rejected before anything is
+        # drawn, where numpy's ValueError or MemoryError was a traceback
+        out = tmp_path / "x.csv"
+        assert run("synth", *args, "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {message} exceeds numpy's largest array\n")
+        assert not out.exists()
+
+    def test_allocation_past_memory_exit_1(self, tmp_path, capsys):
+        # 2e17 draws fit numpy's largest array but no machine's memory: the
+        # allocation fails at once, and numpy's MemoryError prints one line
+        out = tmp_path / "x.csv"
+        assert run("synth", "--kind", "gaussian", "--classes", "2", "--count",
+                   "1", "--dim", str(10**17), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ")
+        assert err.count("\n") == 1 and not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -350,24 +384,31 @@ class TestFitEval:
         assert f"plus the ridge delta = {delta} is not positive" in err
         assert err.count("\n") == 1 and not out.exists()
 
-    @pytest.mark.parametrize("method", ["regLDA", "pcaLDA", "nullLDA",
-                                        "gfda-linear", "gds", "gfda"])
-    def test_overflowing_rows_exit_1(self, tmp_path, capsys, method):
-        # rows of scale 1e160: the Gram of the centred rows (FDA family) and
-        # the rows' Gram of the class fits overflow, which raised numpy's
-        # LinAlgError or read as rank 0; one check prints one line for all
-        X = 1e160 * np.random.default_rng(0).standard_normal((20, 40))
+    @pytest.mark.parametrize("method,shape", [
+        pytest.param(method, shape, id=method + suffix)
+        for shape, suffix in (((20, 40, 4, 3), ""),
+                              ((24, 3, 3, 5), "-classes-beyond-L"))
+        for method in ("regLDA", "pcaLDA", "nullLDA", "gfda-linear", "gds",
+                       "gfda")])
+    def test_overflowing_rows_exit_1(self, tmp_path, capsys, method, shape):
+        # rows of scale 1e160: the Gram of the centred rows (FDA family),
+        # the rows' Gram of the class fits and, where a class has more rows
+        # than features, its thin SVD overflow, which raised numpy's
+        # LinAlgError or read as rank 0; every method prints one line
+        rows, dim, classes, count = shape
+        X = 1e160 * np.random.default_rng(0).standard_normal((rows, dim))
         path = tmp_path / "huge.csv"
-        path.write_text("".join(f"c{i % 4},{','.join(map(repr, r.tolist()))}\n"
-                                for i, r in enumerate(X)))
+        path.write_text("".join(
+            f"c{i % classes},{','.join(map(repr, r.tolist()))}\n"
+            for i, r in enumerate(X)))
         out = tmp_path / "eval.csv"
         assert run("eval", "--train", str(path), "--method", method,
-                   "--train-count", "3", "--repetitions", "2",
+                   "--train-count", str(count), "--repetitions", "2",
                    "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err == ("error: the Gram matrix of the data overflows: squared "
                        "norms exceed the float range; rescale the data "
-                       "(train_count 3, repetition 0)\n")
+                       f"(train_count {count}, repetition 0)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [
@@ -1109,6 +1150,19 @@ class TestConfigHandling:
                            match=f"^{key}: not an integer: {value!r}$"):
             cli.ExperimentConfig.from_mapping({"method": "gds", key: value})
 
+    @pytest.mark.parametrize("repetitions", [10**18, 10**23])
+    def test_oversized_repetitions_exit_1(self, gaussian_sets, tmp_path,
+                                          capsys, repetitions):
+        # nothing is drawn here, so one report was repeated: a list of 1e18
+        # raised MemoryError, one of 1e23 OverflowError, both tracebacks
+        train, _ = gaussian_sets
+        out = tmp_path / "e.csv"
+        assert run("eval", "--train", str(train), "--test", str(train),
+                   "--repetitions", str(repetitions), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: repetitions must be <= {cli.MAX_REPETITIONS}\n")
+        assert not out.exists()
+
     def test_integral_number_accepted(self):
         cfg = cli.ExperimentConfig.from_mapping({"train_count": 4.0,
                                                  "repetitions": 3})
@@ -1169,25 +1223,31 @@ def test_out_of_range_parameter_rejected_before_loading(tmp_path, capsys,
 
 def test_results_do_not_depend_on_blas_threads(tmp_path):
     """gfda eval in a process at OPENBLAS_NUM_THREADS=1 and one at 2 writes
-    byte-identical eval CSVs for gfda, gfda-linear, GDS, regLDA and
-    nullLDA, plain and --normalize, at README scale and at an image-like
-    shape (K = 32 far below L = 400).  Both shapes have n <= L, so regLDA
-    and nullLDA build from the centred rows' Gram.  The rows' Gram
+    byte-identical eval CSVs for gfda, gfda-linear, GDS, regLDA, pcaLDA
+    and nullLDA, plain and --normalize, at README scale and at an
+    image-like shape (K = 32 far below L = 400).  Both shapes have n <= L,
+    so regLDA and nullLDA build from the centred rows' Gram; a third set
+    (3 classes, L = 14, 5 training rows each, so L < n < L + C and nullLDA
+    still applies) runs both on the centred-data frame.  The rows' Gram
     G = X X^T and the lifts are the steps a thread count could reblock."""
     import os
     import subprocess
     import sys
 
     argvs = []
-    for name, (classes, dim, count, n) in {"readme": (10, 60, 9, 4),
-                                           "image": (8, 400, 8, 4)}.items():
+    for name, (classes, dim, count, n, methods) in {
+            "readme": (10, 60, 9, 4, ("gfda", "gfda-linear", "gds", "regLDA",
+                                      "pcaLDA", "nullLDA")),
+            "image": (8, 400, 8, 4, ("gfda", "gfda-linear", "gds", "regLDA",
+                                     "pcaLDA", "nullLDA")),
+            "frame": (3, 14, 8, 5, ("regLDA", "nullLDA"))}.items():
         paths = [str(tmp_path / f"{name}_{part}.csv") for part in ("a", "b")]
         for path, kind, seed in zip(paths, ("mixture-set1", "mixture-set2"),
                                     ("1", "2")):
             assert run("synth", "--kind", kind, "--classes", str(classes),
                        "--dim", str(dim), "--count", str(count), "--seed", "3",
                        "--sample-seed", seed, "--out", path) == 0
-        for method in ("gfda", "gfda-linear", "gds", "regLDA", "nullLDA"):
+        for method in methods:
             for normalize in ([], ["--normalize"]):
                 argvs.append(["eval", "--train", paths[0], "--test", paths[1],
                               "--method", method, *normalize, "--train-count",

@@ -724,6 +724,30 @@ def _zero_lead():
     return X, y
 
 
+def _identical_classes():
+    # classes c00 and c01 share their 4 rows: the projected first vectors
+    # are dependent, so eigenvectors complete gFDA-linear's basis
+    X, y = gfda.labeled_mixtures(3, 20, 4, "Set1", seed=2)
+    X[4:8] = X[0:4]
+    return gfda.fit_ensemble(X, y)
+
+
+def _completed_linear_form():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return gfda.gfda_linear_form(_identical_classes())
+
+
+def test_identical_classes_reach_the_completion_branch():
+    """The projected first vectors of two identical classes are dependent,
+    so a second gram_schmidt takes eigenvectors to complete the basis."""
+    with mock.patch.object(linalg, "gram_schmidt",
+                           wraps=linalg.gram_schmidt) as gram_schmidt:
+        model = _completed_linear_form()
+    assert gram_schmidt.call_count == 2 and model.dim == 2
+    linalg.as_ortho_basis(model.projector)
+
+
 def _negate_odd(v):
     return v * np.where(np.arange(v.shape[-1]) % 2, -1.0, 1.0)
 
@@ -734,6 +758,7 @@ def _negate_odd(v):
     (lambda: gfda.gfda_linear_form(gfda.fit_ensemble(*_gaussians(12, 3))),
      False),
     (lambda: gfda.gfda_linear_form(rank_deficient_ensemble()), False),
+    (_completed_linear_form, False),
     (lambda: gfda.gds_discriminant(gfda.fit_ensemble(*_gaussians(12, 3)),
                                    dims=4), True),
     (lambda: gfda.fda(*_gaussians(4, 10)), True),
@@ -742,14 +767,17 @@ def _negate_odd(v):
     (lambda: gfda.null_lda(*_gaussians(12, 3)), True),
     (lambda: gfda.reg_lda(*_zero_lead()), True),
     (lambda: gfda.null_lda(*_zero_lead()), True),
-], ids=["gfda-product", "gfda-linear", "gfda-linear-rank-deficient", "gds",
-        "fda", "regLDA", "pcaLDA", "nullLDA", "regLDA-zero-lead",
-        "nullLDA-zero-lead"])
+], ids=["gfda-product", "gfda-linear", "gfda-linear-rank-deficient",
+        "gfda-linear-completed", "gds", "fda", "regLDA", "pcaLDA", "nullLDA",
+        "regLDA-zero-lead", "nullLDA-zero-lead"])
 def test_models_do_not_depend_on_lapack_signs(monkeypatch, build, signed):
-    """Every eigenvector and singular vector is sign-fixed: negating what
-    numpy's eigh and svd return, in every column or only in the odd ones,
-    leaves each model bitwise unchanged.  GDS and the FDA family follow the
-    sign rule in L dimensions: their projectors are their own fix_signs."""
+    """Signs are fixed once, where vectors reach L dimensions, and vectors
+    in coordinates carry LAPACK's signs exactly into what they form:
+    negating what numpy's eigh and svd return, in every column or only in
+    the odd ones, leaves each model bitwise unchanged.  That includes
+    gFDA-linear's completing eigenvectors, signed by their lift.  GDS and
+    the FDA family follow the sign rule in L dimensions: their projectors
+    are their own fix_signs."""
     expected = build()
     if signed:
         npt.assert_array_equal(linalg.fix_signs(expected.projector),
@@ -779,8 +807,9 @@ def test_models_do_not_depend_on_lapack_signs(monkeypatch, build, signed):
 def test_constant_first_feature_stays_in_gram_coordinates(monkeypatch, build,
                                                           constant):
     """Constant leading features (border pixels) zero the frame's leading
-    rows; the sign rule acts on the Gram's eigenvectors, not on those rows,
-    so the frame stays in Gram coordinates and is not lifted."""
+    rows.  No sign rule reads the frame: only the output columns are
+    sign-fixed, in L dimensions, so the frame stays in Gram coordinates and
+    is not lifted."""
     X, y = gfda.labeled_mixtures(30, 1024, 5, "Set1", seed=1)
     X[:, :constant] = 0.0
     lifted = []

@@ -213,6 +213,19 @@ class TestLabeledSets:
         with pytest.raises(ValidationError, match="L >= 1"):
             gfda.labeled_gaussians(3, -5, 4, 5.0, 1.0, seed=0)
 
+    def test_oversized_class_count_rejected_before_the_families(self,
+                                                                monkeypatch):
+        # class_mixture_bases loops over the classes, allocating as it
+        # goes, so the size of X is checked before it runs
+        def no_families(*args, **kwargs):
+            raise AssertionError("the families were drawn")
+
+        monkeypatch.setattr(synth, "class_mixture_bases", no_families)
+        with pytest.raises(ValidationError, match=(
+                f"^C\\*count\\*L = {600 * 10**18} exceeds numpy's "
+                "largest array$")):
+            gfda.labeled_mixtures(10**18, 50, 12, "Set1", seed=0)
+
     def test_mixture_bases_pairwise_positive_means(self):
         fams = synth.class_mixture_bases(5, 30, seed=14)
         anchors = np.array([f.mean(axis=0) for f in fams])
